@@ -88,7 +88,7 @@ from .forest import (
     oob_accuracy,
     train_forest,
 )
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 from .shapley import (
     BackgroundSet,
     CvSpec,

@@ -2,8 +2,9 @@
 
 Four model families live here: penalized logistic regression, a small
 feed-forward network, a discrete Bayesian network, and a sequential-covering
-decision list.  Every trained model answers ``predict_proba(model, row)``
-with the probability of class 1, and ``predict`` thresholds that at 0.5.
+decision list.  Every trained model answers ``proba_batch(rows)`` with the
+probability of class 1 for each row of a matrix, and ``predict_batch``
+thresholds that at 0.5.
 """
 
 from __future__ import annotations
@@ -62,19 +63,8 @@ class _Encoding:
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
 
-    @property
-    def width(self) -> int:
-        return sum(len(lv) - 1 for lv in self.levels)
-
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape[1] != len(self.levels):
-            raise BaselineError(
-                f"row has {rows.shape[1]} features, model expects "
-                f"{len(self.levels)}"
-            )
+        """Indicator matrix of a row matrix of the model's width."""
         cols = []
         for j, lv in enumerate(self.levels):
             for code in lv[1:]:
@@ -91,13 +81,20 @@ def _encoding_for(table: CategoricalTable) -> _Encoding:
     )
 
 
-def _check_row(model, row) -> np.ndarray:
-    arr = np.asarray(row, dtype=np.int64)
-    if arr.shape != (len(model.feature_names),):
-        raise BaselineError(
-            f"row has {arr.size} values, model expects {len(model.feature_names)}"
-        )
-    return arr
+class _Baseline:
+    """The label rule every baseline shares: class 1 when P(class 1) >= 0.5."""
+
+    def predict_batch(self, rows) -> np.ndarray:
+        return (self.proba_batch(rows) >= 0.5).astype(np.int64)
+
+    def _check_rows(self, rows) -> np.ndarray:
+        arr = np.asarray(rows, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != len(self.feature_names):
+            raise BaselineError(
+                f"rows have shape {arr.shape}, model expects "
+                f"{len(self.feature_names)} columns"
+            )
+        return arr
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -114,7 +111,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogisticModel:
+class LogisticModel(_Baseline):
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     intercept: float
@@ -129,6 +126,10 @@ class LogisticModel:
 
     def _encoding(self) -> _Encoding:
         return _Encoding(self.feature_names, self.levels)
+
+    def proba_batch(self, rows) -> np.ndarray:
+        x = self._encoding().encode(self._check_rows(rows))
+        return _sigmoid(self.intercept + x @ np.array(self.coefficients))
 
 
 def _penalized_ll(y, x, beta, l2):
@@ -196,7 +197,7 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
 
 
 @dataclass(frozen=True, eq=False)
-class MlpModel:
+class MlpModel(_Baseline):
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     weights: tuple[np.ndarray, ...]
@@ -218,6 +219,10 @@ class MlpModel:
     def _encoding(self) -> _Encoding:
         return _Encoding(self.feature_names, self.levels)
 
+    def proba_batch(self, rows) -> np.ndarray:
+        x = self._encoding().encode(self._check_rows(rows))
+        return _sigmoid(_mlp_logits(self, x))
+
 
 def _mlp_forward(weights, biases, x):
     """Return per-layer activations; the last entry is the output logit."""
@@ -237,7 +242,7 @@ def _mlp_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def mlp_loss_and_gradients(model: MlpModel, rows, targets):
     """Mean cross-entropy and its analytic gradients for a row batch."""
-    x = model._encoding().encode(np.asarray(rows))
+    x = model._encoding().encode(model._check_rows(rows))
     y = np.asarray(targets, dtype=float)
     acts = _mlp_forward(model.weights, model.biases, x)
     z = acts[-1][:, 0]
@@ -346,7 +351,7 @@ def _bce(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class BayesNetModel:
+class BayesNetModel(_Baseline):
     """DAG over the target plus features with smoothed conditional tables.
 
     ``parents`` maps each node to its parent tuple; ``cpts`` maps each node
@@ -371,10 +376,33 @@ class BayesNetModel:
             if not np.allclose(sums, 1.0, atol=1e-12):
                 raise BaselineError(f"CPT rows for {node!r} do not sum to 1")
 
-    def node_levels(self, node: str) -> tuple[int, ...]:
-        if node == "target":
-            return (0, 1)
-        return self.levels[self.feature_names.index(node)]
+    def _log_joints(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Log joint probability of each row with target 0 and with target 1.
+
+        Terms are added in sorted node order, so a serialization round trip
+        reproduces the sums bit for bit.  Each term is ``math.log`` of a CPT
+        entry: numpy's log differs from it in the last bit for some inputs,
+        which would move labels at exact posterior ties.
+        """
+        rows = self._check_rows(rows)
+        level = {name: _level_index(name, rows[:, j], self.levels[j])
+                 for j, name in enumerate(self.feature_names)}
+        joints = []
+        for t in (0, 1):
+            level["target"] = np.full(rows.shape[0], t)
+            total = 0.0
+            for node in sorted(self.parents):
+                log_cpt = np.frompyfunc(math.log, 1, 1)(self.cpts[node])
+                idx = tuple(level[p] for p in self.parents[node] + (node,))
+                total = total + log_cpt[idx].astype(float)
+            joints.append(total)
+        return joints[0], joints[1]
+
+    def proba_batch(self, rows) -> np.ndarray:
+        log0, log1 = self._log_joints(rows)
+        peak = np.maximum(log0, log1)
+        w0, w1 = np.exp(log0 - peak), np.exp(log1 - peak)
+        return w1 / (w0 + w1)
 
 
 def _topological_order(parents: dict) -> list | None:
@@ -392,11 +420,19 @@ def _topological_order(parents: dict) -> list | None:
     return order
 
 
+def _level_index(node: str, codes: np.ndarray, levels) -> np.ndarray:
+    """Position of each code in ``levels``; a code outside them is an error."""
+    hits = codes[:, None] == np.asarray(levels)[None, :]
+    unknown = ~hits.any(axis=1)
+    if unknown.any():
+        raise BaselineError(
+            f"column {node!r}: code {int(codes[unknown][0])} not in schema")
+    return hits.argmax(axis=1)
+
+
 def _node_values(data: CategoricalTable, node: str, levels_of) -> np.ndarray:
     """Column of level indices (not raw codes) for one node."""
-    column = data.column(node)
-    lookup = {code: i for i, code in enumerate(levels_of(node))}
-    return np.array([lookup[int(v)] for v in column], dtype=np.int64)
+    return _level_index(node, data.column(node), levels_of(node))
 
 
 def _fit_cpt(data, node, parents, levels_of, alpha):
@@ -496,26 +532,10 @@ def train_bayes_net(data: CategoricalTable, structure: str = "naive",
                          float(best_score), data.schema_hash())
 
 
-def _bayes_log_joint(model: BayesNetModel, assignment: dict) -> float:
-    # fixed node order so serialization round trips preserve float sums
-    total = 0.0
-    for node in sorted(model.parents):
-        par = model.parents[node]
-        idx = tuple(assignment[p] for p in par) + (assignment[node],)
-        total += math.log(float(model.cpts[node][idx]))
-    return total
-
-
 def bayes_joint_probability(model: BayesNetModel, target: int,
                             codes) -> float:
     """Joint probability of one full assignment (target plus all features)."""
-    assignment = {"target": int(target)}
-    for name, code in zip(model.feature_names, codes):
-        lv = model.node_levels(name)
-        if int(code) not in lv:
-            raise BaselineError(f"column {name!r}: code {code} not in schema")
-        assignment[name] = lv.index(int(code))
-    return math.exp(_bayes_log_joint(model, assignment))
+    return math.exp(model._log_joints(np.asarray(codes)[None])[int(target)][0])
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +556,28 @@ class DecisionRule:
 
 
 @dataclass(frozen=True)
-class DecisionListModel:
+class DecisionListModel(_Baseline):
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     rules: tuple[DecisionRule, ...]
     default_class: int
     default_precision: float
     schema_hash: str
+
+    def proba_batch(self, rows) -> np.ndarray:
+        """Class-1 probability of the first rule each row matches."""
+        rows = self._check_rows(rows)
+        p = self.default_precision
+        out = np.full(rows.shape[0], p if self.default_class == 1 else 1.0 - p)
+        unclaimed = np.ones(rows.shape[0], dtype=bool)
+        for rule in self.rules:
+            hit = unclaimed.copy()
+            for j, code in rule.literals:
+                hit &= rows[:, j] == code
+            p = rule.precision
+            out[hit] = p if rule.klass == 1 else 1.0 - p
+            unclaimed &= ~hit
+        return out
 
 
 def _laplace(class_count: int, covered: int) -> float:
@@ -630,51 +665,23 @@ def train_decision_list(data: CategoricalTable, min_coverage: int = 2,
 # Shared prediction contract
 
 
+def _fitted(model):
+    if not hasattr(model, "proba_batch"):
+        raise BaselineError(f"unknown model type {type(model).__name__}")
+    return model
+
+
 def predict_proba(model, row) -> float:
     """Probability of class 1 for one row under any baseline model."""
-    if not isinstance(model, (LogisticModel, MlpModel, BayesNetModel,
-                              DecisionListModel)):
-        raise BaselineError(f"unknown model type {type(model).__name__}")
-    arr = _check_row(model, row)
-    if isinstance(model, LogisticModel):
-        x = model._encoding().encode(arr)[0]
-        z = model.intercept + float(np.dot(np.array(model.coefficients), x))
-        return float(_sigmoid(np.array([z]))[0])
-    if isinstance(model, MlpModel):
-        x = model._encoding().encode(arr)
-        return float(_sigmoid(_mlp_logits(model, x))[0])
-    if isinstance(model, BayesNetModel):
-        logs = []
-        for t in (0, 1):
-            assignment = {"target": t}
-            for name, code in zip(model.feature_names, arr):
-                lv = model.node_levels(name)
-                if int(code) not in lv:
-                    raise BaselineError(
-                        f"column {name!r}: code {int(code)} not in schema"
-                    )
-                assignment[name] = lv.index(int(code))
-            logs.append(_bayes_log_joint(model, assignment))
-        peak = max(logs)
-        w = [math.exp(v - peak) for v in logs]
-        return w[1] / (w[0] + w[1])
-    if isinstance(model, DecisionListModel):
-        for rule in model.rules:
-            if rule.matches(arr):
-                p = rule.precision
-                return p if rule.klass == 1 else 1.0 - p
-        p = model.default_precision
-        return p if model.default_class == 1 else 1.0 - p
-    raise BaselineError(f"unknown model type {type(model).__name__}")
+    return float(_fitted(model).proba_batch(np.asarray(row)[None])[0])
 
 
 def predict(model, row) -> int:
-    return 1 if predict_proba(model, row) >= 0.5 else 0
+    return int(_fitted(model).predict_batch(np.asarray(row)[None])[0])
 
 
 def predict_batch(model, rows) -> np.ndarray:
-    rows = np.asarray(rows, dtype=np.int64)
-    return np.array([predict(model, r) for r in rows], dtype=np.int64)
+    return _fitted(model).predict_batch(rows)
 
 
 # ---------------------------------------------------------------------------

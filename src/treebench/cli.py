@@ -270,6 +270,13 @@ def _load_table(config: PipelineConfig) -> CategoricalTable:
     return CategoricalTable.from_csv(table_path, schema)
 
 
+def _check_folds(config: PipelineConfig, table: CategoricalTable) -> None:
+    if config.folds > table.n_rows:
+        raise ConfigError(
+            f"folds {config.folds} exceeds the table's {table.n_rows} rows"
+        )
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -416,6 +423,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
 def cmd_select_features(config: PipelineConfig) -> int:
     """Backward elimination over the coded table; writes the trace."""
     table = _load_table(config)
+    _check_folds(config, table)
     params = _forest_params(config)
     cv = CvSpec(
         k=config.folds, stratified=True, seed=derive_seed(config.seed, "folds")
@@ -455,6 +463,7 @@ def cmd_compare(config: PipelineConfig) -> int:
     """Cross-validate the roster; write leaderboard, matrices, importance,
     and a DOT render of the best-ranked tree."""
     table = _load_table(config)
+    _check_folds(config, table)
     roster = build_roster(config)
     plan = make_folds(
         table.n_rows,

@@ -39,8 +39,8 @@ def _check_cost(cost: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"cost matrix must be {m}x{m}, got {cost.shape}")
     if np.any(np.diag(cost) != 0.0):
         raise ValueError("cost matrix diagonal must be zero")
-    if np.any(cost < 0):
-        raise ValueError("cost matrix entries must be non-negative")
+    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+        raise ValueError("cost matrix entries must be finite and non-negative")
     return cost
 
 

@@ -2,8 +2,8 @@
 multi-model leaderboard.
 
 A trainer here is any callable taking a CategoricalTable and returning a
-fitted model; fitted models are scored through one shared label-prediction
-dispatch so tree, forest, and baseline families plug into the same folds.
+fitted model; every fitted model answers ``predict_batch(rows)``, so tree,
+forest, and baseline families plug into the same folds.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines
 from .dataset import CategoricalTable
-from .forest import Forest
-from .tree import DecisionTree
-from .tree import predict_batch as tree_predict_batch
 
 __all__ = [
     "EvalError",
@@ -76,8 +72,7 @@ class FoldPlan:
             raise EvalError("fold sizes must differ by at most 1")
 
     def train_indices(self, fold_index: int) -> np.ndarray:
-        held = set(self.folds[fold_index])
-        return np.array([i for i in range(self.n_rows) if i not in held])
+        return np.setdiff1d(np.arange(self.n_rows), self.folds[fold_index])
 
     def plan_hash(self) -> str:
         payload = json.dumps(
@@ -133,16 +128,11 @@ def make_folds(n: int, k: int, stratified: bool = True, labels=None,
 
 
 def predict_labels(model, rows) -> np.ndarray:
-    """Hard 0/1 labels from any model family this package trains."""
+    """Hard 0/1 labels from any fitted model (its ``predict_batch``) or from
+    a callable mapping a row matrix to labels."""
     rows = np.asarray(rows, dtype=np.int64)
-    if isinstance(model, DecisionTree):
-        return tree_predict_batch(model, rows)
-    if isinstance(model, Forest):
+    if hasattr(model, "predict_batch"):
         return model.predict_batch(rows)
-    if isinstance(model, (baselines.LogisticModel, baselines.MlpModel,
-                          baselines.BayesNetModel,
-                          baselines.DecisionListModel)):
-        return baselines.predict_batch(model, rows)
     if callable(model):
         return np.asarray(model(rows), dtype=np.int64)
     raise EvalError(f"cannot predict with model type {type(model).__name__}")

@@ -8,16 +8,22 @@ result, and out-of-bag rows give an internal accuracy estimate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataset import CategoricalTable
-from .tree import DecisionTree, TreeParams, _grow_binary_gini, predict
+from .tree import DecisionTree, TreeParams, _grow_binary_gini
 
 
 class ForestError(ValueError):
     """Raised for invalid forest parameters or unusable out-of-bag state."""
+
+
+# Smallest valid value of each integer field of ForestParams.  None is also
+# valid where it is the default.
+_MINIMUM = {"n_trees": 1, "features_per_split": 1, "sample_size": 1,
+            "min_records": 1, "max_depth": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -35,12 +41,17 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ForestError("n_trees must be at least 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ForestError("features_per_split must be at least 1")
-        if self.sample_size is not None and self.sample_size < 1:
-            raise ForestError("sample_size must be at least 1")
+        if not isinstance(self.bootstrap, bool):
+            raise ForestError(
+                f"bootstrap must be true or false, got {self.bootstrap!r}")
+        for f in fields(self):
+            value, minimum = getattr(self, f.name), _MINIMUM.get(f.name)
+            if minimum is None or (value is None and f.default is None):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < minimum):
+                raise ForestError(
+                    f"{f.name} must be an integer >= {minimum}, got {value!r}")
 
     def resolve_features_per_split(self, m: int) -> int:
         if self.features_per_split is None:
@@ -74,18 +85,22 @@ class Forest:
     schema_hash: str
     n_rows: int
 
+    def proba_batch(self, rows) -> np.ndarray:
+        """Fraction of trees voting class 1, per row."""
+        return sum(t.predict_batch(rows) for t in self.trees) / len(self.trees)
+
+    def predict_batch(self, rows) -> np.ndarray:
+        """Majority vote per row; exact ties go to class 1."""
+        return (self.proba_batch(rows) >= 0.5).astype(np.int64)
+
     def predict_proba(self, row) -> float:
         """Fraction of trees voting class 1."""
-        votes = sum(predict(t, row)[0] for t in self.trees)
-        return votes / len(self.trees)
+        return float(self.proba_batch(np.asarray(row)[None])[0])
 
     def predict(self, row) -> tuple[int, float]:
         """Majority vote; exact ties go to class 1."""
         p = self.predict_proba(row)
         return (1 if p >= 0.5 else 0), p
-
-    def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        return np.array([self.predict(r)[0] for r in np.asarray(rows)], dtype=np.int64)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -182,25 +197,15 @@ def oob_accuracy(forest: Forest, data: CategoricalTable) -> float:
     """
     if data.n_rows != forest.n_rows:
         raise ForestError("data row count does not match the trained forest")
-    in_bag = np.zeros((len(forest.trees), data.n_rows), dtype=bool)
+    out_of_bag = np.ones((len(forest.trees), data.n_rows), dtype=bool)
     for t, bag in enumerate(forest.bags):
-        in_bag[t, bag] = True
-
-    correct = 0
-    scored = 0
-    for i in range(data.n_rows):
-        votes = [
-            predict(tree, data.rows[i])[0]
-            for t, tree in enumerate(forest.trees)
-            if not in_bag[t, i]
-        ]
-        if not votes:
-            continue
-        scored += 1
-        p = sum(votes) / len(votes)
-        label = 1 if p >= 0.5 else 0
-        if label == data.target[i]:
-            correct += 1
-    if scored == 0:
+        out_of_bag[t, bag] = False
+    voters = out_of_bag.sum(axis=0)
+    scored = voters > 0
+    if not scored.any():
         raise ForestError("no out-of-bag rows")
-    return correct / scored
+    votes = np.zeros(data.n_rows, dtype=np.int64)
+    for tree, oob in zip(forest.trees, out_of_bag):
+        votes[oob] += tree.predict_batch(data.rows[oob])
+    labels = votes[scored] / voters[scored] >= 0.5
+    return int(np.sum(labels == data.target[scored])) / int(scored.sum())

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, component: str) -> int:
     """Return a 64-bit seed derived from ``master`` and a component name.
@@ -20,7 +18,3 @@ def derive_seed(master: int, component: str) -> int:
     digest = hashlib.sha256(f"{master}/{component}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def rng_for(master: int, component: str) -> np.random.Generator:
-    """Seeded generator for one named component."""
-    return np.random.default_rng(derive_seed(master, component))

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import CategoricalTable
 from .evaluation import cross_validate, make_folds
 from .forest import Forest, ForestParams, train_forest
-from .tree import DecisionTree, TreeNode, predict as tree_predict
+from .tree import DecisionTree, TreeNode
 
 __all__ = [
     "ShapError",
@@ -90,24 +90,16 @@ def make_background(data: CategoricalTable, max_rows: int = 128,
 
 
 # ---------------------------------------------------------------------------
-# Model output (the quantity being attributed)
+# Leaf values: the attributed output is a lone tree's class-1 fraction and a
+# forest's share of class-1 votes.
 
 
 def _leaf_fraction(node: TreeNode) -> float:
     return node.confidence if node.prediction == 1 else 1.0 - node.confidence
 
 
-def _model_output(model, row) -> float:
-    if isinstance(model, DecisionTree):
-        prediction, confidence = tree_predict(model, row)
-        return confidence if prediction == 1 else 1.0 - confidence
-    if isinstance(model, Forest):
-        return model.predict_proba(row)
-    raise ShapError(f"cannot attribute model type {type(model).__name__}")
-
-
-def _batch_output(model, rows: np.ndarray) -> np.ndarray:
-    return np.array([_model_output(model, r) for r in rows])
+def _leaf_vote(node: TreeNode) -> float:
+    return 1.0 if node.prediction == 1 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +225,20 @@ def _as_background(background) -> np.ndarray:
 
 def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     """Contribution matrix shared by single-row, batch, and ranking paths."""
-    if isinstance(model, DecisionTree):
-        names = model.feature_names
-        if rows.shape[1] != len(names) or back.shape[1] != len(names):
-            raise ShapError("row width does not match the model")
-        leaves = _collect_leaves(model, _leaf_fraction)
-        return _tree_phi(leaves, rows, back, len(names))
     if isinstance(model, Forest):
-        names = model.feature_names
-        if rows.shape[1] != len(names) or back.shape[1] != len(names):
-            raise ShapError("row width does not match the model")
-        phi = np.zeros((rows.shape[0], len(names)))
-        for tree in model.trees:
-            leaves = _collect_leaves(
-                tree, lambda node: 1.0 if node.prediction == 1 else 0.0
-            )
-            phi += _tree_phi(leaves, rows, back, len(names))
-        return phi / len(model.trees)
-    raise ShapError(f"cannot attribute model type {type(model).__name__}")
+        trees, leaf_value = model.trees, _leaf_vote
+    else:
+        trees, leaf_value = (model,), _leaf_fraction
+    if not all(isinstance(tree, DecisionTree) for tree in trees):
+        raise ShapError(f"cannot attribute model type {type(model).__name__}")
+    names = model.feature_names
+    if rows.shape[1] != len(names) or back.shape[1] != len(names):
+        raise ShapError("row width does not match the model")
+    phi = np.zeros((rows.shape[0], len(names)))
+    for tree in trees:
+        phi += _tree_phi(_collect_leaves(tree, leaf_value), rows, back,
+                         len(names))
+    return phi / len(trees)
 
 
 def shap_batch(model, rows, background) -> list[ShapAttribution]:
@@ -261,8 +249,8 @@ def shap_batch(model, rows, background) -> list[ShapAttribution]:
         rows = rows[None, :]
     phi = _phi_matrix(model, rows, back)
     names = model.feature_names
-    base = float(np.mean(_batch_output(model, back)))
-    outputs = _batch_output(model, rows)
+    base = float(np.mean(model.proba_batch(back)))
+    outputs = model.proba_batch(rows)
     return [
         ShapAttribution(names, tuple(float(v) for v in phi[i]), base,
                         float(outputs[i]))
@@ -286,10 +274,11 @@ def brute_force_shap(model, row, background) -> ShapAttribution:
     m = row.size
     if m > 20:
         raise ShapError(f"brute force limited to 20 features, got {m}")
-    if isinstance(model, (DecisionTree, Forest)):
-        names = model.feature_names
-    else:
-        raise ShapError(f"cannot attribute model type {type(model).__name__}")
+    try:
+        names, output = model.feature_names, model.proba_batch
+    except AttributeError:
+        raise ShapError(
+            f"cannot attribute model type {type(model).__name__}") from None
     if m != len(names) or back.shape[1] != len(names):
         raise ShapError("row width does not match the model")
 
@@ -299,7 +288,7 @@ def brute_force_shap(model, row, background) -> ShapAttribution:
         for j in range(m):
             if mask >> j & 1:
                 hybrids[:, j] = row[j]
-        values[mask] = float(np.mean(_batch_output(model, hybrids)))
+        values[mask] = float(np.mean(output(hybrids)))
 
     phi = np.zeros(m)
     fact = [math.factorial(i) for i in range(m + 1)]

@@ -21,6 +21,7 @@ from scipy.special import betaincinv
 
 from .criteria import (
     DegenerateTableError,
+    _check_cost,
     chi_square,
     gini_decrease,
     info_gain,
@@ -69,8 +70,12 @@ class TreeParams:
         if self.min_gain < 0.0:
             raise TreeError("min_gain must be non-negative")
         if self.cost is not None:
+            try:
+                cost = _check_cost(self.cost, 2)
+            except (TypeError, ValueError) as e:
+                raise TreeError(f"bad cost: {e}") from None
             object.__setattr__(
-                self, "cost", tuple(tuple(float(v) for v in row) for row in self.cost)
+                self, "cost", tuple(tuple(float(v) for v in row) for row in cost)
             )
 
     def cost_matrix(self) -> np.ndarray:
@@ -139,6 +144,43 @@ class DecisionTree:
     feature_names: tuple[str, ...]
     schema_hash: str
     n_rows: int
+
+    # -- batch prediction ----------------------------------------------------
+
+    def _stops(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(class, confidence) of the node where ``predict`` stops each row.
+
+        All rows descend together.  Each node labels its rows and hands them
+        on to the nonempty child their code selects, which labels them again.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != len(self.feature_names):
+            raise TreeError(f"rows have shape {rows.shape}, schema expects "
+                            f"{len(self.feature_names)} columns")
+        labels = np.empty(rows.shape[0], dtype=np.int64)
+        confidence = np.empty(rows.shape[0])
+        stack = [(self.root, np.arange(rows.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            labels[idx] = node.prediction
+            confidence[idx] = node.confidence
+            if node.is_leaf:
+                continue
+            column = rows[idx, node.split.feature]
+            for codes, child in zip(node.split.branches, node.children):
+                routed = idx[(column[:, None] == codes).any(axis=1)]
+                if child.total > 0 and routed.size:
+                    stack.append((child, routed))
+        return labels, confidence
+
+    def predict_batch(self, rows) -> np.ndarray:
+        """Leaf-majority class per row (training ties went to class 0)."""
+        return self._stops(rows)[0]
+
+    def proba_batch(self, rows) -> np.ndarray:
+        """Leaf class-1 fraction per row."""
+        labels, confidence = self._stops(rows)
+        return np.where(labels == 1, confidence, 1.0 - confidence)
 
     # -- structured text serialization (nested nodes, preorder) -------------
 
@@ -791,7 +833,7 @@ def predict(tree: DecisionTree, row: Sequence[int] | np.ndarray) -> tuple[int, f
 
 def predict_batch(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
     """Predicted classes for a row matrix."""
-    return np.array([predict(tree, r)[0] for r in np.asarray(rows)], dtype=np.int64)
+    return tree.predict_batch(rows)
 
 
 # ---------------------------------------------------------------------------

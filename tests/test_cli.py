@@ -132,6 +132,24 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, overrides, needle", [
+    ("compare", {"roster_params": {"cart": {"cost": [[0, -1], [1, 0]]}}}, "cost"),
+    ("explain", {"forest": {"n_trees": "x"}}, "n_trees"),
+    ("explain", {"forest": {"max_depth": -1}}, "max_depth"),
+    ("compare", {"folds": 1000}, "folds"),
+    ("select-features", {"folds": 1000}, "folds"),
+])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
+                                            overrides, needle):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "artifacts").exists()
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate", "--config", "x"])

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from treebench.baselines import train_logistic
+from treebench.baselines import (
+    train_bayes_net,
+    train_decision_list,
+    train_logistic,
+    train_mlp,
+)
 from treebench.dataset import (
     CategoricalTable,
     binary_schema,
@@ -26,7 +31,7 @@ from treebench.evaluation import (
     search,
 )
 from treebench.forest import ForestParams, train_forest
-from treebench.tree import TreeParams, train_c50
+from treebench.tree import TreeParams, predict, train_c50
 
 
 def majority_trainer(table):
@@ -170,12 +175,26 @@ def test_plan_size_mismatch():
 def test_predict_labels_dispatch():
     data = random_table(40, seed=9)
     rows = data.rows[:5]
-    tree = train_c50(data)
-    forest = train_forest(data, ForestParams(n_trees=3, seed=0))
-    logistic = train_logistic(data)
-    for model in (tree, forest, logistic):
+    models = (
+        train_c50(data),
+        train_forest(data, ForestParams(n_trees=3, seed=0)),
+        train_logistic(data),
+        train_mlp(data, epochs=3, seed=1),
+        train_bayes_net(data),
+        train_decision_list(data),
+    )
+    for model in models:
         labels = predict_labels(model, rows)
-        assert set(np.unique(labels)) <= {0, 1}
+        probs = model.proba_batch(rows)
+        assert labels.dtype == np.int64 and probs.dtype == np.float64
+        assert labels.shape == probs.shape == (5,)
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+        if model is models[0]:
+            # a tree labels by leaf majority, never by thresholding
+            expected = [predict(model, row)[0] for row in rows]
+        else:
+            expected = [int(p >= 0.5) for p in probs]
+        assert labels.tolist() == expected
     assert list(predict_labels(lambda r: np.ones(len(r)), rows)) == [1] * 5
     with pytest.raises(EvalError):
         predict_labels(object(), rows)

@@ -192,6 +192,21 @@ class TestOob:
         acc = oob_accuracy(forest, table)
         assert acc >= 0.95
 
+    def test_matches_per_row_reference(self):
+        from treebench.tree import predict
+
+        table = planted_table(n=80, m=5, seed=83)
+        forest = train_forest(table, ForestParams(n_trees=8, seed=5, max_depth=3))
+        correct = scored = 0
+        for i, row in enumerate(table.rows):
+            votes = [predict(t, row)[0]
+                     for t, bag in zip(forest.trees, forest.bags) if i not in bag]
+            if votes:
+                scored += 1
+                correct += int(sum(votes) / len(votes) >= 0.5) == table.target[i]
+        assert scored < table.n_rows
+        assert oob_accuracy(forest, table) == correct / scored
+
     def test_beats_majority_baseline_on_planted_data(self):
         table = planted_table(n=500, m=10, seed=82)
         forest = train_forest(table, ForestParams(n_trees=40, seed=6))

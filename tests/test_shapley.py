@@ -324,6 +324,14 @@ def test_row_width_mismatch_rejected():
         shap_values(tree, [0, 0], np.array([[0, 0, 1]]))
 
 
+def test_unsupported_model_rejected():
+    background = np.zeros((2, 1), dtype=np.int64)
+    with pytest.raises(ShapError):
+        shap_batch(object(), [[0]], background)
+    with pytest.raises(ShapError):
+        brute_force_shap(object(), [0], background)
+
+
 def test_brute_force_feature_cap():
     tree = indicator_tree(21, 0)
     with pytest.raises(ShapError):

@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
@@ -36,6 +37,7 @@ from treebench.tree import (
     train_quest,
     tree_depth,
 )
+from treebench.forest import ForestParams, train_forest
 
 ALL_TRAINERS = [train_c50, train_cart, train_chaid, train_quest]
 
@@ -93,6 +95,21 @@ class TestTreeParams:
             TreeParams(severity=100.0)
         with pytest.raises(TreeError):
             TreeParams(alpha=1.0)
+
+    @pytest.mark.parametrize("cost", [
+        [[0, -1], [1, 0]],
+        [[1, 1], [1, 0]],
+        [[0, float("inf")], [1, 0]],
+        [[0, float("nan")], [1, 0]],
+        [[0, 1, 1], [1, 0, 1]],
+        "x",
+    ])
+    def test_cost_validation(self, cost):
+        with pytest.raises(TreeError, match="cost"):
+            TreeParams(cost=cost)
+
+    def test_cost_accepted(self):
+        assert TreeParams(cost=[[0, 2], [0, 0]]).cost == ((0.0, 2.0), (0.0, 0.0))
 
 
 class TestC50:
@@ -174,6 +191,11 @@ class TestC50:
         assert inner.children[1].prediction == 0
         # fallback prediction matches the structural story
         assert predict(tree, (0, 2)) == (0, 0.75)
+        # batch routing stops at the same nodes; the tie leaf keeps class 0
+        # although its class-1 fraction is 0.5
+        rows = np.array([(0, 2), (0, 1)])
+        assert tree.predict_batch(rows).tolist() == [0, 0]
+        assert tree.proba_batch(rows).tolist() == [0.25, 0.5]
 
     def test_min_records_blocks_small_branches(self):
         table = xor_table()
@@ -529,6 +551,48 @@ class TestPredict:
                 cls, conf = predict(tree, row)
                 assert cls in (0, 1)
                 assert 0.0 < conf <= 1.0
+
+    def test_batch_row_width_checked(self):
+        tree = train_c50(xor_table(), XOR_PARAMS)
+        for bad in (np.zeros((3, 1), dtype=np.int64), np.zeros(2, dtype=np.int64)):
+            with pytest.raises(TreeError):
+                tree.predict_batch(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grower=st.sampled_from(ALL_TRAINERS + ["forest"]),
+        min_records=st.integers(1, 3),
+        max_depth=st.sampled_from([None, 1, 2]),
+    )
+    def test_batch_matches_per_row_walk(self, seed, grower, min_records, max_depth):
+        """Batch routing gives the per-row walk's class and confidence on the
+        training rows and on random rows.  The random rows reach code 4,
+        which no training table here has, and codes a node's rows lack,
+        whose branches lead to empty children."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, codes=int(rng.integers(2, 5)))
+        rows = np.vstack([
+            table.rows, rng.integers(0, 5, size=(30, table.n_features))
+        ])
+        if grower == "forest":
+            forest = train_forest(table, ForestParams(
+                n_trees=3, min_records=min_records, max_depth=max_depth,
+                seed=seed))
+            trees = forest.trees
+            votes = [sum(predict(t, r)[0] for t in trees) / 3 for r in rows]
+            assert forest.proba_batch(rows).tolist() == votes
+            assert forest.predict_batch(rows).tolist() == [int(v >= 0.5) for v in votes]
+        else:
+            trees = [grower(table, TreeParams(min_records=min_records,
+                                              max_depth=max_depth))]
+        for tree in trees:
+            walk = [predict(tree, r) for r in rows]
+            assert tree.predict_batch(rows).tolist() == [c for c, _ in walk]
+            assert predict_batch(tree, rows).tolist() == [c for c, _ in walk]
+            assert tree.proba_batch(rows).tolist() == [
+                conf if c == 1 else 1.0 - conf for c, conf in walk
+            ]
 
 
 class TestImportance:
