@@ -346,12 +346,14 @@ def build_roster(config: PipelineConfig) -> list[RosterEntry]:
     return entries
 
 
-def _forest_params(config: PipelineConfig) -> ForestParams:
+def _forest_params(config: PipelineConfig, table: CategoricalTable) -> ForestParams:
     _bind_check(ForestParams, config.forest, "forest")
     try:
-        return ForestParams(
+        params = ForestParams(
             seed=derive_seed(config.seed, "forest"), **config.forest
         )
+        params.resolve_features_per_split(table.n_features)
+        return params
     except ValueError as e:
         raise ConfigError(f"bad parameters for forest: {e}") from None
 
@@ -424,7 +426,7 @@ def cmd_select_features(config: PipelineConfig) -> int:
     """Backward elimination over the coded table; writes the trace."""
     table = _load_table(config)
     _check_folds(config, table)
-    params = _forest_params(config)
+    params = _forest_params(config, table)
     cv = CvSpec(
         k=config.folds, stratified=True, seed=derive_seed(config.seed, "folds")
     )
@@ -506,7 +508,7 @@ def cmd_explain(config: PipelineConfig) -> int:
             raise ConfigError(
                 f"explain_rows entry {r} out of range for {table.n_rows} rows"
             )
-    forest = train_forest(table, _forest_params(config))
+    forest = train_forest(table, _forest_params(config, table))
     background = make_background(
         table, config.background, derive_seed(config.seed, "background")
     )

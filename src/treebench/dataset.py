@@ -89,15 +89,18 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatasetError(f"bad schema JSON: {e}") from e
-    return tuple(
-        FeatureSpec(
-            name=item["name"],
-            allowed_codes=tuple(item["codes"]),
-            missing_codes=frozenset(item.get("missing", ())),
-            code_labels={int(k): v for k, v in item.get("labels", {}).items()},
-        )
-        for item in payload
-    )
+    specs = []
+    for i, item in enumerate(payload):
+        try:
+            specs.append(FeatureSpec(
+                name=item["name"],
+                allowed_codes=tuple(item["codes"]),
+                missing_codes=frozenset(item.get("missing", ())),
+                code_labels={int(k): v for k, v in item.get("labels", {}).items()},
+            ))
+        except KeyError as e:
+            raise DatasetError(f"schema entry {i} has no {e} key") from None
+    return tuple(specs)
 
 
 def schema_hash(schema: Sequence[FeatureSpec]) -> str:
@@ -411,20 +414,27 @@ class RecodeRuleSet:
         except json.JSONDecodeError as e:
             raise DatasetError(f"bad rules JSON: {e}") from e
 
-        def parse_rule(item: Mapping) -> RecodeRule:
-            return RecodeRule(
-                name=item["name"],
-                source=tuple(item["source"]),
-                cases=tuple((c["when"], c["code"]) for c in item.get("cases", ())),
-                missing=frozenset(item.get("missing", ())),
-                default=item.get("default"),
-                combine=item.get("combine", "first"),
-                labels={int(k): v for k, v in item.get("labels", {}).items()},
-            )
+        def parse_rule(item: Mapping, entry: str) -> RecodeRule:
+            try:
+                return RecodeRule(
+                    name=item["name"],
+                    source=tuple(item["source"]),
+                    cases=tuple((c["when"], c["code"]) for c in item.get("cases", ())),
+                    missing=frozenset(item.get("missing", ())),
+                    default=item.get("default"),
+                    combine=item.get("combine", "first"),
+                    labels={int(k): v for k, v in item.get("labels", {}).items()},
+                )
+            except KeyError as e:
+                raise DatasetError(f"rule {entry} has no {e} key") from None
 
+        for key in ("features", "target"):
+            if key not in payload:
+                raise DatasetError(f"rules file has no {key!r} key")
         return cls(
-            features=tuple(parse_rule(r) for r in payload["features"]),
-            target=parse_rule(payload["target"]),
+            features=tuple(parse_rule(r, f"features[{i}]")
+                           for i, r in enumerate(payload["features"])),
+            target=parse_rule(payload["target"], "target"),
         )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import CategoricalTable
-from .tree import DecisionTree, TreeParams, _grow_binary_gini
+from .tree import DecisionTree, TreeParams, _gini_chooser, _grow, _make_tree
 
 
 class ForestError(ValueError):
@@ -144,14 +144,8 @@ class Forest:
         )
 
 
-def train_forest(
-    data: CategoricalTable,
-    params: ForestParams | None = None,
-    subset_audit: list | None = None,
-) -> Forest:
-    """Train the ensemble.  ``subset_audit``, when given, collects
-    (chosen feature, sampled candidate features) pairs from every split for
-    debugging the per-node feature-subset rule."""
+def train_forest(data: CategoricalTable, params: ForestParams | None = None) -> Forest:
+    """Train the ensemble of binary Gini trees."""
     params = params or ForestParams()
     if data.n_rows < 2:
         raise ForestError("forest training needs at least 2 rows")
@@ -164,20 +158,9 @@ def train_forest(
         bag = bootstrap_indices(params, data.n_rows, i)
         sample = data.take_rows(bag)
         rng = np.random.default_rng([params.seed, i, 1])
-        root = _grow_binary_gini(
-            sample, tree_params, rng=rng, features_per_split=k,
-            subset_audit=subset_audit,
-        )
-        trees.append(
-            DecisionTree(
-                root=root,
-                algorithm="forest_member",
-                params=tree_params,
-                feature_names=data.feature_names,
-                schema_hash=data.schema_hash(),
-                n_rows=len(bag),
-            )
-        )
+        root = _grow(sample, tree_params, _gini_chooser(sample, tree_params),
+                     "binary", True, rng=rng, features_per_split=k)
+        trees.append(_make_tree(root, "forest_member", tree_params, sample))
         bags.append(bag)
     return Forest(
         trees=tuple(trees),

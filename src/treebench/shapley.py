@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class BackgroundSet:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.ascontiguousarray(self.rows, dtype=np.int64)
+        # a private copy: freezing must not reach the caller's array
+        rows = np.array(self.rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ShapError("background must contain at least one row")
         rows.setflags(write=False)
@@ -83,10 +84,10 @@ def make_background(data: CategoricalTable, max_rows: int = 128,
     if max_rows < 1:
         raise ShapError("background size must be at least 1")
     if data.n_rows <= max_rows:
-        return BackgroundSet(np.array(data.rows))
+        return BackgroundSet(data.rows)
     rng = np.random.default_rng([int(seed), 97])
     idx = np.sort(rng.choice(data.n_rows, size=max_rows, replace=False))
-    return BackgroundSet(np.array(data.rows[idx]))
+    return BackgroundSet(data.rows[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +403,16 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
     steps = []
     while active:
         table = data.take_features(active)
-        forest = train_forest(table, forest_params)
+        # the last steps have fewer features than an explicit features_per_split
+        params = forest_params
+        if (forest_params.features_per_split or 0) > len(active):
+            params = replace(forest_params, features_per_split=len(active))
+        forest = train_forest(table, params)
         background = make_background(table, background_size, cv_spec.seed)
         phi = _phi_matrix(forest, table.rows, background.rows)
         magnitude = np.abs(phi).mean(axis=0)
         result = cross_validate(
-            lambda t: train_forest(t, forest_params), table, plan
+            lambda t: train_forest(t, params), table, plan
         )
         weakest = 0
         for j in range(1, len(active)):

@@ -1,10 +1,12 @@
 """Decision-tree induction on coded categorical tables.
 
-Four growers share one tree representation: a multiway entropy tree
-(``train_c50``), a binary code-subset Gini tree (``train_cart``), a
-chi-square merge tree (``train_chaid``), and a chi-square / discriminant
-hybrid (``train_quest``).  Pruning replaces subtrees by leaves when a
-pessimistic binomial error bound says the split does not pay for itself.
+Four growers share one tree representation and one grow skeleton
+(``_grow``): a multiway entropy tree (``train_c50``), a binary code-subset
+Gini tree (``train_cart``), a chi-square merge tree (``train_chaid``), and a
+chi-square / discriminant hybrid (``train_quest``).  Each differs only in
+the chooser that picks a node's split from its per-node count cube.
+Pruning replaces subtrees by leaves when a pessimistic binomial error bound
+says the split does not pay for itself.
 
 Trees are immutable after training and safe to share across threads.
 """
@@ -325,8 +327,105 @@ def _make_tree(root: TreeNode, algorithm: str, params: TreeParams,
 
 
 # ---------------------------------------------------------------------------
+# Grow skeleton
+# ---------------------------------------------------------------------------
+
+def _grow(data: CategoricalTable, params: TreeParams, choose, arity: str,
+          reuse_features: bool, rng: np.random.Generator | None = None,
+          features_per_split: int | None = None) -> TreeNode:
+    """Grow a tree top-down; the four growers differ only in ``choose``.
+
+    A node stays a leaf when it is pure, has no feature left, or sits at
+    ``max_depth``.  Otherwise one ``np.bincount`` over densified codes
+    gives the node's count cube: class counts per (feature, code).  For
+    each candidate feature showing at least two codes at the node,
+    ``choose(idx, counts, tables)`` gets a ``(feature, codes, class
+    counts [k, 2])`` entry in ``tables`` and returns ``(score, feature,
+    branches)``, or None to keep the leaf.  Each branch becomes a child;
+    an empty one inherits the node's label.  Unless ``reuse_features``, a
+    feature splits at most once per path.  With ``rng``, each node draws
+    ``features_per_split`` candidates without replacement.
+    """
+    X, y = data.rows, data.target
+    m = data.n_features
+    k = min(features_per_split or m, m)
+    # dense code: position in the feature's code universe + the feature's start
+    universes = [np.unique(X[:, f]) for f in range(m)]
+    starts = np.cumsum([0] + [len(u) for u in universes])
+    dense = np.empty_like(X)
+    for f, u in enumerate(universes):
+        dense[:, f] = np.searchsorted(u, X[:, f]) + starts[f]
+
+    def grow(idx: np.ndarray, available: tuple[int, ...], depth: int) -> TreeNode:
+        counts = _counts_of(y[idx])
+        node = _leaf(counts)
+        if counts.max() == counts.sum() or not available:
+            return node
+        if params.max_depth is not None and depth >= params.max_depth:
+            return node
+        candidates = available if rng is None else \
+            tuple(int(f) for f in np.sort(rng.choice(m, k, replace=False)))
+        cube = np.bincount(
+            (dense[np.ix_(idx, candidates)] * 2 + y[idx, None]).ravel(),
+            minlength=2 * starts[-1]).reshape(-1, 2)
+        present = cube.any(axis=1)
+        tables = []
+        for f in candidates:
+            block = slice(starts[f], starts[f + 1])
+            keep = present[block]
+            if np.count_nonzero(keep) >= 2:
+                tables.append((f, universes[f][keep], cube[block][keep]))
+        best = choose(idx, counts, tables)
+        if best is None:
+            return node
+
+        node.score, f, branches = best
+        column = X[idx, f]
+        if not reuse_features:
+            available = tuple(g for g in available if g != f)
+        children = []
+        for codes in branches:
+            part = idx[(column[:, None] == codes).any(axis=1)]
+            children.append(grow(part, available, depth + 1) if len(part)
+                            else _leaf(np.zeros(2, dtype=np.int64), parent=node))
+        node.split = Split(feature=f, arity=arity, branches=branches)
+        node.children = tuple(children)
+        return node
+
+    return grow(np.arange(data.n_rows), tuple(range(m)), 0)
+
+
+def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
+           chooser, arity: str, reuse_features: bool) -> DecisionTree:
+    params = params or TreeParams()
+    root = _grow(data, params, chooser(data, params), arity, reuse_features)
+    return _make_tree(root, algorithm, params, data)
+
+
+# ---------------------------------------------------------------------------
 # Multiway entropy tree
 # ---------------------------------------------------------------------------
+
+def _gain_chooser(data: CategoricalTable, params: TreeParams):
+    universes = [np.array(data.observed_codes(f)) for f in range(data.n_features)]
+
+    def choose(idx, counts, tables):
+        best = None  # (gain, feature)
+        for f, codes, table in tables:
+            if table.sum(axis=1).min() < params.min_records:
+                continue
+            # codes absent at the node are empty parts of the table universe
+            parts = np.zeros((len(universes[f]), 2), dtype=np.int64)
+            parts[np.searchsorted(universes[f], codes)] = table
+            g = info_gain(counts, parts)
+            if best is None or g > best[0] + _GAIN_EPS:
+                best = (g, f)
+        if best is None or best[0] < params.min_gain:
+            return None
+        return best[0], best[1], tuple((int(c),) for c in universes[best[1]])
+
+    return choose
+
 
 def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
     """Grow a multiway tree by information gain.
@@ -337,54 +436,7 @@ def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> Decis
     Growth stops on purity, exhausted features, best gain below
     ``min_gain``, or any nonempty branch falling under ``min_records``.
     """
-    params = params or TreeParams()
-    X, y = data.rows, data.target
-    universes = [data.observed_codes(j) for j in range(data.n_features)]
-
-    def grow(idx: np.ndarray, available: tuple[int, ...], depth: int) -> TreeNode:
-        counts = _counts_of(y[idx])
-        node = _leaf(counts)
-        if counts.max() == counts.sum() or not available:
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-
-        best = None  # (gain, feature, parts)
-        for f in available:
-            codes = universes[f]
-            if len(codes) < 2:
-                continue
-            parts = [idx[X[idx, f] == c] for c in codes]
-            sizes = [len(p) for p in parts]
-            if sum(1 for s in sizes if s > 0) < 2:
-                continue
-            if any(0 < s < params.min_records for s in sizes):
-                continue
-            g = info_gain(counts, [_counts_of(y[p]) for p in parts])
-            if best is None or g > best[0] + _GAIN_EPS:
-                best = (g, f, parts)
-        if best is None or best[0] < params.min_gain:
-            return node
-
-        best_gain, best_feature, best_parts = best
-        remaining = tuple(f for f in available if f != best_feature)
-        children = []
-        for part in best_parts:
-            if len(part) == 0:
-                children.append(_leaf(np.zeros(2, dtype=np.int64), parent=node))
-            else:
-                children.append(grow(part, remaining, depth + 1))
-        node.split = Split(
-            feature=best_feature,
-            arity="multiway",
-            branches=tuple((c,) for c in universes[best_feature]),
-        )
-        node.children = tuple(children)
-        node.score = best_gain
-        return node
-
-    root = grow(np.arange(data.n_rows), tuple(range(data.n_features)), 0)
-    return _make_tree(root, "c50", params, data)
+    return _train("c50", data, params, _gain_chooser, "multiway", False)
 
 
 # ---------------------------------------------------------------------------
@@ -492,20 +544,8 @@ def _binary_candidates(codes: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _grow_binary_gini(
-    data: CategoricalTable,
-    params: TreeParams,
-    rng: np.random.Generator | None = None,
-    features_per_split: int | None = None,
-    subset_audit: list | None = None,
-) -> TreeNode:
-    """Shared grower for CART and forest member trees.
-
-    When ``rng`` is given, each node draws ``features_per_split`` candidate
-    features without replacement; otherwise all features are candidates.
-    """
-    X, y = data.rows, data.target
-    m = data.n_features
+def _gini_chooser(data: CategoricalTable, params: TreeParams):
+    """Best code subset by Gini decrease, for CART and forest member trees."""
     cost = params.cost_matrix()
     # for two classes with zero diagonal, gini reduces to s*p0*p1
     pair_cost = float(cost[0, 1] + cost[1, 0])
@@ -514,35 +554,15 @@ def _grow_binary_gini(
         total = n0 + n1
         return pair_cost * n0 * n1 / (total * total)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = _counts_of(y[idx])
-        node = _leaf(counts)
-        if counts.max() == counts.sum():
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-
-        if rng is None:
-            candidates = range(m)
-        else:
-            k = min(features_per_split or m, m)
-            candidates = np.sort(rng.choice(m, size=k, replace=False))
-
+    def choose(idx, counts, tables):
         n = int(counts.sum())
         parent_gini = node_gini(int(counts[0]), int(counts[1]))
-        best = None  # (delta, feature, subset)
-        for f in candidates:
-            col = X[idx, f]
-            codes, inverse = np.unique(col, return_inverse=True)
-            if len(codes) < 2:
-                continue
-            per_code = np.bincount(
-                inverse * 2 + y[idx], minlength=2 * len(codes)
-            ).reshape(-1, 2)
-            position = {int(c): i for i, c in enumerate(codes)}
-            for subset in _binary_candidates([int(c) for c in codes]):
-                l0 = sum(int(per_code[position[c], 0]) for c in subset)
-                l1 = sum(int(per_code[position[c], 1]) for c in subset)
+        best = None  # (delta, feature, subset, codes)
+        for f, codes, per_code in tables:
+            # codes are sorted, so position subsets come in code-subset order
+            for subset in _binary_candidates(range(len(codes))):
+                l0 = sum(int(per_code[i, 0]) for i in subset)
+                l1 = sum(int(per_code[i, 1]) for i in subset)
                 nl = l0 + l1
                 nr = n - nl
                 if nl < params.min_records or nr < params.min_records:
@@ -551,26 +571,14 @@ def _grow_binary_gini(
                     - (nl / n) * node_gini(l0, l1) \
                     - (nr / n) * node_gini(counts[0] - l0, counts[1] - l1)
                 if delta > _GAIN_EPS and (best is None or delta > best[0]):
-                    best = (delta, int(f), subset)
+                    best = (delta, f, subset, codes)
         if best is None:
-            return node
+            return None
+        delta, f, subset, codes = best
+        left = tuple(int(codes[i]) for i in subset)
+        return delta, f, (left, tuple(int(c) for c in codes if int(c) not in left))
 
-        delta, f, subset = best
-        col = X[idx, f]
-        mask = np.isin(col, subset)
-        left, right = idx[mask], idx[~mask]
-        complement = tuple(
-            int(c) for c in np.unique(col) if int(c) not in subset
-        )
-        if subset_audit is not None:
-            subset_audit.append((f, tuple(int(c) for c in candidates)
-                                 if rng is not None else tuple(range(m))))
-        node.split = Split(feature=f, arity="binary", branches=(subset, complement))
-        node.children = (grow(left, depth + 1), grow(right, depth + 1))
-        node.score = delta
-        return node
-
-    return grow(np.arange(data.n_rows), 0)
+    return choose
 
 
 def train_cart(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
@@ -580,9 +588,7 @@ def train_cart(data: CategoricalTable, params: TreeParams | None = None) -> Deci
     the largest impurity decrease wins, with ties going to the lowest
     feature index and then the lexicographically smallest subset.
     """
-    params = params or TreeParams()
-    root = _grow_binary_gini(data, params)
-    return _make_tree(root, "cart", params, data)
+    return _train("cart", data, params, _gini_chooser, "binary", True)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +640,30 @@ def _merge_groups(groups: list[tuple[tuple[int, ...], np.ndarray]], alpha: float
     return groups
 
 
+def _chaid_chooser(data: CategoricalTable, params: TreeParams):
+    def choose(idx, counts, tables):
+        best = None  # (adjusted_p, feature, groups)
+        for f, codes, table in tables:
+            groups = _merge_groups(
+                [((int(c),), row) for c, row in zip(codes, table)], params.alpha)
+            if any(g[1].sum() < params.min_records for g in groups):
+                continue
+            try:
+                raw_p = chi_square(np.vstack([g[1] for g in groups])).p_value
+            except DegenerateTableError:
+                continue
+            adjusted = min(1.0, stirling2(len(codes), len(groups)) * raw_p)
+            if best is None or adjusted < best[0] - _GAIN_EPS:
+                best = (adjusted, f, groups)
+        if best is None or best[0] > params.alpha:
+            return None
+        _, f, groups = best
+        return (info_gain(counts, [g[1] for g in groups]), f,
+                tuple(g[0] for g in groups))
+
+    return choose
+
+
 def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
     """Grow a multiway tree by chi-square association after category merging.
 
@@ -643,55 +673,7 @@ def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     the node, if that p-value reaches alpha.  Each feature is used at most
     once per path.
     """
-    params = params or TreeParams()
-    X, y = data.rows, data.target
-
-    def grow(idx: np.ndarray, available: tuple[int, ...], depth: int) -> TreeNode:
-        counts = _counts_of(y[idx])
-        node = _leaf(counts)
-        if counts.max() == counts.sum() or not available:
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-
-        best = None  # (adjusted_p, feature, groups)
-        for f in available:
-            col = X[idx, f]
-            codes = [int(c) for c in np.unique(col)]
-            if len(codes) < 2:
-                continue
-            groups = [
-                ((c,), _counts_of(y[idx[col == c]])) for c in codes
-            ]
-            groups = _merge_groups(groups, params.alpha)
-            sizes = [int(g[1].sum()) for g in groups]
-            if any(s < params.min_records for s in sizes):
-                continue
-            try:
-                raw_p = chi_square(np.vstack([g[1] for g in groups])).p_value
-            except DegenerateTableError:
-                continue
-            multiplier = stirling2(len(codes), len(groups))
-            adjusted = min(1.0, multiplier * raw_p)
-            if best is None or adjusted < best[0] - _GAIN_EPS:
-                best = (adjusted, f, groups)
-        if best is None or best[0] > params.alpha:
-            return node
-
-        _, f, groups = best
-        remaining = tuple(g for g in available if g != f)
-        branches = tuple(g[0] for g in groups)
-        children = []
-        for codes in branches:
-            part = idx[np.isin(X[idx, f], codes)]
-            children.append(grow(part, remaining, depth + 1))
-        node.split = Split(feature=f, arity="merged", branches=branches)
-        node.children = tuple(children)
-        node.score = info_gain(counts, [c.counts for c in children])
-        return node
-
-    root = grow(np.arange(data.n_rows), tuple(range(data.n_features)), 0)
-    return _make_tree(root, "chaid", params, data)
+    return _train("chaid", data, params, _chaid_chooser, "merged", False)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +712,50 @@ def _qda_boundary(scores0: np.ndarray, scores1: np.ndarray,
     return inside[0] if inside else None
 
 
+def _quest_chooser(data: CategoricalTable, params: TreeParams):
+    X, y = data.rows, data.target
+    cost = params.cost_matrix()
+
+    def choose(idx, counts, tables):
+        # variable selection: smallest chi-square p, ties to lowest index
+        best = None  # (p, feature, codes, table)
+        for f, codes, table in tables:
+            try:
+                p = chi_square(table).p_value
+            except DegenerateTableError:
+                p = 1.0
+            if best is None or p < best[0] - _GAIN_EPS:
+                best = (p, f, codes, table)
+        if best is None:
+            return None
+
+        _, f, codes, table = best
+        rate = table[:, 1] / table.sum(axis=1)
+        # per-row scores in row order, so the class moments sum as before
+        scores = rate[np.searchsorted(codes, X[idx, f])]
+        s0, s1 = scores[y[idx] == 0], scores[y[idx] == 1]
+        if np.ptp(scores) < 1e-12:
+            return None
+        prior0 = len(s0) / len(idx)
+        boundary = _qda_boundary(s0, s1, prior0, 1.0 - prior0)
+        if boundary is None:
+            boundary = 0.5 * (float(s0.mean()) + float(s1.mean()))
+        left = rate <= boundary
+        right = rate > boundary
+        if not left.any() or not right.any():
+            return None
+        left_counts, right_counts = table[left].sum(axis=0), table[right].sum(axis=0)
+        if min(left_counts.sum(), right_counts.sum()) < params.min_records:
+            return None
+        delta = gini_decrease(counts, left_counts, right_counts, cost)
+        if delta <= _GAIN_EPS:
+            return None
+        return delta, f, (tuple(int(c) for c in codes[left]),
+                          tuple(int(c) for c in codes[right]))
+
+    return choose
+
+
 def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
     """Grow a binary tree that picks the split variable by chi-square
     p-value and the split point by a quadratic discriminant over each
@@ -740,67 +766,7 @@ def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     threshold between class score means; nodes whose fallback cannot
     separate the codes become leaves.
     """
-    params = params or TreeParams()
-    X, y = data.rows, data.target
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = _counts_of(y[idx])
-        node = _leaf(counts)
-        if counts.max() == counts.sum():
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-
-        # variable selection: smallest chi-square p, ties to lowest index
-        best_p, best_f = None, -1
-        for f in range(data.n_features):
-            col = X[idx, f]
-            codes = np.unique(col)
-            if len(codes) < 2:
-                continue
-            table = np.array([_counts_of(y[idx[col == c]]) for c in codes])
-            try:
-                p = chi_square(table).p_value
-            except DegenerateTableError:
-                p = 1.0
-            if best_p is None or p < best_p - _GAIN_EPS:
-                best_p, best_f = p, f
-        if best_f < 0:
-            return node
-
-        col = X[idx, best_f]
-        codes = [int(c) for c in np.unique(col)]
-        rate = {c: float(y[idx[col == c]].mean()) for c in codes}
-        scores = np.array([rate[int(c)] for c in col])
-        s0, s1 = scores[y[idx] == 0], scores[y[idx] == 1]
-        if np.ptp(scores) < 1e-12:
-            return node
-        prior0 = len(s0) / len(idx)
-        boundary = _qda_boundary(s0, s1, prior0, 1.0 - prior0)
-        if boundary is None:
-            boundary = 0.5 * (float(s0.mean()) + float(s1.mean()))
-        left_codes = tuple(c for c in codes if rate[c] <= boundary)
-        right_codes = tuple(c for c in codes if rate[c] > boundary)
-        if not left_codes or not right_codes:
-            return node
-
-        mask = np.isin(col, left_codes)
-        left, right = idx[mask], idx[~mask]
-        if len(left) < params.min_records or len(right) < params.min_records:
-            return node
-        cost = params.cost_matrix()
-        delta = gini_decrease(counts, _counts_of(y[left]), _counts_of(y[right]), cost)
-        if delta <= _GAIN_EPS:
-            return node
-
-        node.split = Split(feature=best_f, arity="binary",
-                           branches=(left_codes, right_codes))
-        node.children = (grow(left, depth + 1), grow(right, depth + 1))
-        node.score = delta
-        return node
-
-    root = grow(np.arange(data.n_rows), 0)
-    return _make_tree(root, "quest", params, data)
+    return _train("quest", data, params, _quest_chooser, "binary", True)
 
 
 # ---------------------------------------------------------------------------

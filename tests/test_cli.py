@@ -138,6 +138,8 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("explain", {"forest": {"max_depth": -1}}, "max_depth"),
     ("compare", {"folds": 1000}, "folds"),
     ("select-features", {"folds": 1000}, "folds"),
+    ("explain", {"forest": {"features_per_split": 9}}, "features_per_split"),
+    ("select-features", {"forest": {"features_per_split": 9}}, "features_per_split"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -444,3 +446,26 @@ def test_ingest_missing_rules_is_usage_error(tmp_path, capsys):
     (tmp_path / "rules.json").unlink()
     assert cli.main(["ingest", "--config", str(cfg)]) == 2
     assert "rules" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, filename, entry, key", [
+    ("compare", "schema.json", 1, "name"),
+    ("ingest", "rules.json", None, "target"),
+])
+def test_missing_schema_or_rules_key_is_one_line_error(tmp_path, capsys, command,
+                                                       filename, entry, key):
+    if command == "ingest":
+        cfg = ingest_fixture(tmp_path)
+    else:
+        write_fixture(tmp_path)
+        cfg = write_config(tmp_path)
+    path = tmp_path / filename
+    payload = json.loads(path.read_text())
+    del (payload if entry is None else payload[entry])[key]
+    path.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(key) in err and "Traceback" not in err
+    if entry is not None:
+        assert f"entry {entry}" in err

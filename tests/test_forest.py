@@ -19,7 +19,7 @@ from treebench.forest import (
     oob_accuracy,
     train_forest,
 )
-from treebench.tree import DecisionTree, TreeNode, TreeParams, train_cart
+from treebench.tree import DecisionTree, TreeNode, TreeParams, iter_nodes, train_cart
 
 
 def planted_table(n=500, m=10, seed=80):
@@ -116,13 +116,22 @@ class TestTrainForest:
         assert a.to_json() != b.to_json()
 
     def test_feature_subset_rule(self):
+        """Each tree's generator, replayed in preorder, draws at every impure
+        node, and every split feature is in its node's draw."""
         table = planted_table(n=100, m=9)
-        audit = []
-        train_forest(table, ForestParams(n_trees=3, seed=7), subset_audit=audit)
-        assert audit
-        for chosen, subset in audit:
-            assert chosen in subset
-            assert len(subset) == 3
+        params = ForestParams(n_trees=3, seed=7)
+        forest = train_forest(table, params)
+        splits = 0
+        for i, tree in enumerate(forest.trees):
+            rng = np.random.default_rng([params.seed, i, 1])
+            for node, _, _ in iter_nodes(tree):
+                if node.counts.max() == node.total:
+                    continue
+                draw = rng.choice(table.n_features, 3, replace=False)
+                if not node.is_leaf:
+                    splits += 1
+                    assert node.split.feature in draw
+        assert splits
 
     def test_too_few_rows(self):
         table = planted_table(n=100, m=3).take_rows([0])

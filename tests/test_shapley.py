@@ -316,6 +316,15 @@ def test_empty_background_rejected():
         BackgroundSet(np.empty((0, 2), dtype=np.int64))
 
 
+def test_background_copies_caller_rows():
+    rows = np.zeros((3, 2), dtype=np.int64)
+    background = BackgroundSet(rows)
+    assert rows.flags.writeable
+    assert not background.rows.flags.writeable
+    rows[0, 0] = 1
+    assert background.rows[0, 0] == 0
+
+
 def test_row_width_mismatch_rejected():
     tree = indicator_tree(2, 0)
     with pytest.raises(ShapError):
@@ -451,6 +460,18 @@ def test_two_feature_trace_shape():
     assert len(trace.steps[1].active_features) == 1
     assert len({s.dropped for s in trace.steps}) == 2
     assert all(0.0 <= s.accuracy <= 1.0 for s in trace.steps)
+
+
+def test_elimination_caps_features_per_split():
+    """An explicit features_per_split above the active count of the last
+    steps is capped there, not rejected."""
+    schema = binary_schema(4)
+    data = generate_synthetic(schema, 120, seed=5, rules=relevance_rules())
+    trace = backward_eliminate(
+        data, ForestParams(n_trees=4, seed=1, max_depth=3, features_per_split=2),
+        CvSpec(k=5, seed=1), background_size=8,
+    )
+    assert [len(s.active_features) for s in trace.steps] == [4, 3, 2, 1]
 
 
 def test_elimination_requires_two_features():

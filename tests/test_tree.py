@@ -595,6 +595,40 @@ class TestPredict:
             ]
 
 
+class TestGrowerInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grower=st.sampled_from(ALL_TRAINERS),
+        min_records=st.integers(1, 4),
+        max_depth=st.sampled_from([None, 0, 1, 2, 3]),
+        min_gain=st.sampled_from([0.0, 1e-12, 0.05]),
+        alpha=st.sampled_from([0.05, 0.5]),
+    )
+    def test_structure(self, seed, grower, min_records, max_depth, min_gain, alpha):
+        """Children partition their parent's counts, nonempty children meet
+        min_records, depth stays within max_depth, and c50 and chaid never
+        split twice on a feature along a path."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, codes=int(rng.integers(2, 6)))
+        tree = grower(table, TreeParams(min_records=min_records, max_depth=max_depth,
+                                        min_gain=min_gain, alpha=alpha))
+        assert tree.root.counts.tolist() == np.bincount(table.target, minlength=2).tolist()
+        once = grower in (train_c50, train_chaid)
+
+        def check(node, depth, used):
+            assert max_depth is None or depth <= max_depth
+            if node.is_leaf:
+                return
+            assert not (once and node.split.feature in used)
+            assert sum(c.counts for c in node.children).tolist() == node.counts.tolist()
+            for child in node.children:
+                assert child.total == 0 or child.total >= min_records
+                check(child, depth + 1, used | {node.split.feature})
+
+        check(tree.root, 0, frozenset())
+
+
 class TestImportance:
     def test_single_split_weight_one(self):
         table = make_table([(0, 0, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)])
