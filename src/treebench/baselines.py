@@ -221,7 +221,7 @@ class MlpModel(_Baseline):
 
     def proba_batch(self, rows) -> np.ndarray:
         x = self._encoding().encode(self._check_rows(rows))
-        return _sigmoid(_mlp_logits(self, x))
+        return _sigmoid(_mlp_logits(self.weights, self.biases, x))
 
 
 def _mlp_forward(weights, biases, x):
@@ -236,26 +236,31 @@ def _mlp_forward(weights, biases, x):
     return activations
 
 
-def _mlp_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return _mlp_forward(model.weights, model.biases, x)[-1][:, 0]
+def _mlp_logits(weights, biases, x: np.ndarray) -> np.ndarray:
+    return _mlp_forward(weights, biases, x)[-1][:, 0]
 
 
 def mlp_loss_and_gradients(model: MlpModel, rows, targets):
     """Mean cross-entropy and its analytic gradients for a row batch."""
     x = model._encoding().encode(model._check_rows(rows))
-    y = np.asarray(targets, dtype=float)
-    acts = _mlp_forward(model.weights, model.biases, x)
+    return _mlp_loss_and_gradients(model.weights, model.biases, x,
+                                   np.asarray(targets, dtype=float))
+
+
+def _mlp_loss_and_gradients(weights, biases, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy and its gradients on an encoded batch."""
+    acts = _mlp_forward(weights, biases, x)
     z = acts[-1][:, 0]
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
         delta = ((_sigmoid(z) - y) / n)[:, None]
         grads_w, grads_b = [], []
-        for k in range(len(model.weights) - 1, -1, -1):
+        for k in range(len(weights) - 1, -1, -1):
             grads_w.append(delta.T @ acts[k])
             grads_b.append(delta.sum(axis=0))
             if k > 0:
-                delta = (delta @ model.weights[k]) * (1.0 - acts[k] ** 2)
+                delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
     return loss, list(reversed(grads_w)), list(reversed(grads_b))
 
 
@@ -299,17 +304,15 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
 
     sizes = [x_all.shape[1], *widths, 1]
     weights, biases = _init_layers(sizes, np.random.default_rng([int(seed), 1]))
-    model = MlpModel(enc.feature_names, enc.levels, tuple(weights),
-                     tuple(biases), "tanh", data.schema_hash(), int(seed))
-    best = (_bce(model, x_val, y_val), weights, biases)
+    best = (_bce(weights, biases, x_val, y_val), weights, biases)
     stale = 0
     shuffle_rng = np.random.default_rng([int(seed), 2])
     for epoch in range(epochs):
         perm = shuffle_rng.permutation(train_idx.size)
         for start in range(0, train_idx.size, batch_size):
             batch = perm[start:start + batch_size]
-            loss, gw, gb = mlp_loss_and_gradients(
-                model, data.rows[train_idx[batch]], y_train[batch]
+            loss, gw, gb = _mlp_loss_and_gradients(
+                weights, biases, x_train[batch], y_train[batch]
             )
             if not math.isfinite(loss):
                 raise ConvergenceError(
@@ -318,10 +321,7 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
                 )
             weights = [w - learning_rate * g for w, g in zip(weights, gw)]
             biases = [b - learning_rate * g for b, g in zip(biases, gb)]
-            model = MlpModel(enc.feature_names, enc.levels, tuple(weights),
-                             tuple(biases), "tanh", data.schema_hash(),
-                             int(seed))
-        val_loss = _bce(model, x_val, y_val)
+        val_loss = _bce(weights, biases, x_val, y_val)
         if not math.isfinite(val_loss):
             raise ConvergenceError(
                 f"validation loss became non-finite at epoch {epoch}",
@@ -340,8 +340,8 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
                     "tanh", data.schema_hash(), int(seed))
 
 
-def _bce(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    z = _mlp_logits(model, x)
+def _bce(weights, biases, x: np.ndarray, y: np.ndarray) -> float:
+    z = _mlp_logits(weights, biases, x)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 

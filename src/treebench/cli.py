@@ -17,7 +17,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .baselines import (
@@ -70,27 +70,6 @@ DEFAULT_ROSTER = (
 
 TREE_FAMILIES = ("c50", "chaid", "cart", "quest")
 
-_CONFIG_KEYS = frozenset(
-    {
-        "seed",
-        "out_dir",
-        "table",
-        "schema",
-        "raw",
-        "rules",
-        "strict",
-        "expected_rows",
-        "cohort",
-        "delimiter",
-        "folds",
-        "roster",
-        "roster_params",
-        "forest",
-        "background",
-        "explain_rows",
-    }
-)
-
 _COHORT_KEYS = frozenset(
     {"alignment_field", "curve_codes", "negotiating_field", "negotiating_codes"}
 )
@@ -120,6 +99,9 @@ class PipelineConfig:
     forest: dict = field(default_factory=dict)
     background: int = 64
     explain_rows: tuple[int, ...] = (0,)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
 
 
 def _positive_int(value, name: str, minimum: int = 1) -> int:

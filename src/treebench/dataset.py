@@ -89,8 +89,10 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatasetError(f"bad schema JSON: {e}") from e
+    _require(payload, list, "schema")
     specs = []
     for i, item in enumerate(payload):
+        _require(item, dict, f"schema entry {i}")
         try:
             specs.append(FeatureSpec(
                 name=item["name"],
@@ -101,6 +103,13 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         except KeyError as e:
             raise DatasetError(f"schema entry {i} has no {e} key") from None
     return tuple(specs)
+
+
+def _require(item, kind: type, what: str) -> None:
+    """Reject a parsed JSON value that is not the container the parser walks."""
+    if not isinstance(item, kind):
+        name = "a JSON object" if kind is dict else "a JSON list"
+        raise DatasetError(f"{what} is not {name}: {item!r}")
 
 
 def schema_hash(schema: Sequence[FeatureSpec]) -> str:
@@ -292,23 +301,40 @@ def _chain_first(first, rest):
 _PREDICATE_KEYS = ("in", "lt", "le", "gt", "ge", "any")
 
 
+def _is_code(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_predicate(rule: str, predicate) -> None:
+    """Reject a case predicate ``_match`` cannot evaluate."""
+    if not isinstance(predicate, Mapping) or len(predicate) != 1:
+        raise DatasetError(
+            f"rule {rule!r}: predicate must have exactly one key: {predicate!r}")
+    ((key, arg),) = predicate.items()
+    if key not in _PREDICATE_KEYS:
+        raise DatasetError(f"rule {rule!r}: unknown predicate key {key!r} "
+                           f"(expected one of {_PREDICATE_KEYS})")
+    if key == "in" and not (isinstance(arg, (list, tuple))
+                            and all(_is_code(v) for v in arg)):
+        raise DatasetError(
+            f"rule {rule!r}: 'in' needs a list of integers, got {arg!r}")
+    if key not in ("in", "any") and not _is_code(arg):
+        raise DatasetError(f"rule {rule!r}: {key!r} needs an integer, got {arg!r}")
+
+
 def _match(predicate: Mapping, value: int) -> bool:
-    if len(predicate) != 1:
-        raise DatasetError(f"predicate must have exactly one key: {predicate}")
-    key, arg = next(iter(predicate.items()))
+    ((key, arg),) = predicate.items()
     if key == "in":
-        return value in set(int(v) for v in arg)
+        return value in arg
     if key == "lt":
-        return value < int(arg)
+        return value < arg
     if key == "le":
-        return value <= int(arg)
+        return value <= arg
     if key == "gt":
-        return value > int(arg)
+        return value > arg
     if key == "ge":
-        return value >= int(arg)
-    if key == "any":
-        return True
-    raise DatasetError(f"unknown predicate key {key!r} (expected one of {_PREDICATE_KEYS})")
+        return value >= arg
+    return True
 
 
 @dataclass(frozen=True)
@@ -340,6 +366,8 @@ class RecodeRule:
             raise DatasetError(f"rule {self.name!r}: default must be None, 'drop', or a code")
         if not self.cases and self.default in (None, "drop"):
             raise DatasetError(f"rule {self.name!r}: no cases and no assigning default")
+        for predicate, _ in self.cases:
+            _check_predicate(self.name, predicate)
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "cases", tuple((dict(p), int(c)) for p, c in self.cases))
         object.__setattr__(self, "missing", frozenset(int(v) for v in self.missing))
@@ -415,11 +443,16 @@ class RecodeRuleSet:
             raise DatasetError(f"bad rules JSON: {e}") from e
 
         def parse_rule(item: Mapping, entry: str) -> RecodeRule:
+            _require(item, dict, f"rule {entry}")
+            cases = item.get("cases", [])
+            _require(cases, list, f"rule {entry} cases")
+            for k, case in enumerate(cases):
+                _require(case, dict, f"rule {entry} case {k}")
             try:
                 return RecodeRule(
                     name=item["name"],
                     source=tuple(item["source"]),
-                    cases=tuple((c["when"], c["code"]) for c in item.get("cases", ())),
+                    cases=tuple((c["when"], c["code"]) for c in cases),
                     missing=frozenset(item.get("missing", ())),
                     default=item.get("default"),
                     combine=item.get("combine", "first"),
@@ -428,9 +461,11 @@ class RecodeRuleSet:
             except KeyError as e:
                 raise DatasetError(f"rule {entry} has no {e} key") from None
 
+        _require(payload, dict, "rules file")
         for key in ("features", "target"):
             if key not in payload:
                 raise DatasetError(f"rules file has no {key!r} key")
+        _require(payload["features"], list, "rules file 'features'")
         return cls(
             features=tuple(parse_rule(r, f"features[{i}]")
                            for i, r in enumerate(payload["features"])),

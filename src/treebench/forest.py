@@ -8,7 +8,7 @@ result, and out-of-bag rows give an internal accuracy estimate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -105,15 +105,7 @@ class Forest:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "params": {
-                    "n_trees": self.params.n_trees,
-                    "features_per_split": self.params.features_per_split,
-                    "sample_size": self.params.sample_size,
-                    "bootstrap": self.params.bootstrap,
-                    "min_records": self.params.min_records,
-                    "max_depth": self.params.max_depth,
-                    "seed": self.params.seed,
-                },
+                "params": asdict(self.params),
                 "feature_names": list(self.feature_names),
                 "schema_hash": self.schema_hash,
                 "n_rows": self.n_rows,

@@ -106,57 +106,34 @@ def _leaf_vote(node: TreeNode) -> float:
 # ---------------------------------------------------------------------------
 # Leaf-path extraction
 #
-# Each reachable leaf is summarized as a value plus one merged membership
-# test per path feature.  A test is a finite code set or the complement of
-# one; complements arise from fallback descent, where a code matches none
-# of a split's branches and prediction stops at that node.
+# Each reachable leaf is summarized as a value plus one pass mask per path
+# feature over its universe, the sorted codes of the explained rows and the
+# background.  Fallback descent, where a code matches none of a split's
+# branches and prediction stops at that node, passes the codes no branch lists.
 
 
-@dataclass(frozen=True)
-class _PathTest:
-    codes: frozenset
-    complement: bool
+def _collect_leaves(tree: DecisionTree, leaf_value, universes) -> list:
+    """(value, {feature: pass mask}) for every way prediction can stop.
 
-    def member(self, values: np.ndarray) -> np.ndarray:
-        inside = np.isin(values, sorted(self.codes))
-        return ~inside if self.complement else inside
-
-
-def _intersect(current: _PathTest | None, new: _PathTest) -> _PathTest | None:
-    """Conjunction of two tests; None marks an unsatisfiable combination."""
-    if current is None:
-        return new
-    a, b = current, new
-    if not a.complement and not b.complement:
-        out = _PathTest(a.codes & b.codes, False)
-    elif not a.complement and b.complement:
-        out = _PathTest(a.codes - b.codes, False)
-    elif a.complement and not b.complement:
-        out = _PathTest(b.codes - a.codes, False)
-    else:
-        return _PathTest(a.codes | b.codes, True)
-    if not out.codes:
-        return None
-    return out
-
-
-def _collect_leaves(tree: DecisionTree, leaf_value) -> list:
-    """(value, {feature: merged test}) for every way prediction can stop."""
+    A leaf with an all-False mask is left out: every row and every background
+    row fails that feature, so the leaf adds exactly 0.
+    """
     leaves = []
 
-    def walk(node: TreeNode, tests: dict) -> None:
+    def walk(node: TreeNode, masks: dict) -> None:
         if node.split is None or node.total == 0:
-            leaves.append((leaf_value(node), tests))
+            leaves.append((leaf_value(node), masks))
             return
         f = node.split.feature
-        covered = frozenset(c for branch in node.split.branches for c in branch)
-        fallback = _intersect(tests.get(f), _PathTest(covered, True))
-        if fallback is not None:
-            leaves.append((leaf_value(node), {**tests, f: fallback}))
+        universe, allowed = universes[f], masks.get(f, True)
+        covered = [c for branch in node.split.branches for c in branch]
+        fallback = allowed & ~np.isin(universe, covered)
+        if fallback.any():
+            leaves.append((leaf_value(node), {**masks, f: fallback}))
         for branch, child in zip(node.split.branches, node.children):
-            test = _intersect(tests.get(f), _PathTest(frozenset(branch), False))
-            if test is not None:
-                walk(child, {**tests, f: test})
+            mask = allowed & np.isin(universe, branch)
+            if mask.any():
+                walk(child, {**masks, f: mask})
 
     walk(tree.root, {})
     return leaves
@@ -188,19 +165,17 @@ def _weight_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
     return wa, wb
 
 
-def _tree_phi(leaves, rows: np.ndarray, background: np.ndarray,
+def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
               m: int) -> np.ndarray:
     """Contribution matrix (rows x features), averaged over the background."""
-    n_rows, n_back = rows.shape[0], background.shape[0]
+    n_rows, n_back = row_pos.shape[0], back_pos.shape[0]
     phi = np.zeros((n_rows, m))
-    for value, tests in leaves:
-        if not tests or value == 0.0:
+    for value, masks in leaves:
+        if not masks or value == 0.0:
             continue
-        feats = sorted(tests)
-        x_pass = np.stack([tests[f].member(rows[:, f]) for f in feats], axis=1)
-        z_pass = np.stack(
-            [tests[f].member(background[:, f]) for f in feats], axis=1
-        )
+        feats = sorted(masks)
+        x_pass = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+        z_pass = np.stack([masks[f][back_pos[:, f]] for f in feats], axis=1)
         only_x = x_pass[:, None, :] & ~z_pass[None, :, :]
         only_z = ~x_pass[:, None, :] & z_pass[None, :, :]
         dead = (~x_pass[:, None, :] & ~z_pass[None, :, :]).any(axis=2)
@@ -216,12 +191,9 @@ def _tree_phi(leaves, rows: np.ndarray, background: np.ndarray,
 
 
 def _as_background(background) -> np.ndarray:
-    if isinstance(background, BackgroundSet):
-        return background.rows
-    rows = np.ascontiguousarray(background, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ShapError("background must contain at least one row")
-    return rows
+    if not isinstance(background, BackgroundSet):
+        background = BackgroundSet(background)
+    return background.rows
 
 
 def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
@@ -235,10 +207,17 @@ def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     names = model.feature_names
     if rows.shape[1] != len(names) or back.shape[1] != len(names):
         raise ShapError("row width does not match the model")
+    # codes as positions in each feature's universe, the masks' index
+    both = np.concatenate([rows, back])
+    universes, positions = [], np.empty_like(both)
+    for j in range(len(names)):
+        universe, positions[:, j] = np.unique(both[:, j], return_inverse=True)
+        universes.append(universe)
+    row_pos, back_pos = positions[:rows.shape[0]], positions[rows.shape[0]:]
     phi = np.zeros((rows.shape[0], len(names)))
     for tree in trees:
-        phi += _tree_phi(_collect_leaves(tree, leaf_value), rows, back,
-                         len(names))
+        phi += _tree_phi(_collect_leaves(tree, leaf_value, universes),
+                         row_pos, back_pos, len(names))
     return phi / len(trees)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
@@ -206,14 +206,7 @@ class DecisionTree:
         return json.dumps(
             {
                 "algorithm": self.algorithm,
-                "params": {
-                    "min_records": self.params.min_records,
-                    "severity": self.params.severity,
-                    "max_depth": self.params.max_depth,
-                    "alpha": self.params.alpha,
-                    "cost": self.params.cost,
-                    "min_gain": self.params.min_gain,
-                },
+                "params": asdict(self.params),
                 "feature_names": list(self.feature_names),
                 "schema_hash": self.schema_hash,
                 "n_rows": self.n_rows,
@@ -247,19 +240,10 @@ class DecisionTree:
                 score=item.get("score", 0.0),
             )
 
-        p = payload["params"]
-        params = TreeParams(
-            min_records=p["min_records"],
-            severity=p["severity"],
-            max_depth=p["max_depth"],
-            alpha=p["alpha"],
-            cost=tuple(tuple(row) for row in p["cost"]) if p["cost"] else None,
-            min_gain=p.get("min_gain", _GAIN_EPS),
-        )
         return cls(
             root=parse_node(payload["root"]),
             algorithm=payload["algorithm"],
-            params=params,
+            params=TreeParams(**payload["params"]),
             feature_names=tuple(payload["feature_names"]),
             schema_hash=payload["schema_hash"],
             n_rows=payload["n_rows"],
@@ -512,15 +496,7 @@ def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree
         node.children = tuple(global_pass(c) for c in node.children)
         return node
 
-    root = global_pass(local(tree.root))
-    return DecisionTree(
-        root=root,
-        algorithm=tree.algorithm,
-        params=tree.params,
-        feature_names=tree.feature_names,
-        schema_hash=tree.schema_hash,
-        n_rows=tree.n_rows,
-    )
+    return replace(tree, root=global_pass(local(tree.root)))
 
 
 # ---------------------------------------------------------------------------

@@ -448,24 +448,45 @@ def test_ingest_missing_rules_is_usage_error(tmp_path, capsys):
     assert "rules" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, filename, entry, key", [
-    ("compare", "schema.json", 1, "name"),
-    ("ingest", "rules.json", None, "target"),
+_DELETE = object()
+
+
+@pytest.mark.parametrize("command, filename, path, value, needle", [
+    pytest.param("compare", "schema.json", (1, "name"), _DELETE,
+                 "entry 1 has no 'name' key", id="compare-schema.json-1-name"),
+    pytest.param("ingest", "rules.json", ("target",), _DELETE,
+                 "no 'target' key", id="ingest-rules.json-None-target"),
+    pytest.param("compare", "schema.json", (1,), "abc",
+                 "schema entry 1 is not a JSON object",
+                 id="compare-schema.json-1-not-object"),
+    pytest.param("ingest", "rules.json", ("features", 0), 1,
+                 "rule features[0] is not a JSON object",
+                 id="ingest-rules.json-features0-not-object"),
+    pytest.param("ingest", "rules.json", ("features", 0, "cases", 0, "when"),
+                 {"in": 5}, "rule 'sex': 'in' needs a list of integers",
+                 id="ingest-rules.json-case-in-not-list"),
 ])
 def test_missing_schema_or_rules_key_is_one_line_error(tmp_path, capsys, command,
-                                                       filename, entry, key):
+                                                       filename, path, value,
+                                                       needle):
+    """A malformed schema or rules file: delete the key at ``path``, or set it
+    to ``value``, and expect one error line naming the entry."""
     if command == "ingest":
         cfg = ingest_fixture(tmp_path)
     else:
         write_fixture(tmp_path)
         cfg = write_config(tmp_path)
-    path = tmp_path / filename
-    payload = json.loads(path.read_text())
-    del (payload if entry is None else payload[entry])[key]
-    path.write_text(json.dumps(payload))
+    file = tmp_path / filename
+    payload = json.loads(file.read_text())
+    parent = payload
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    file.write_text(json.dumps(payload))
     assert cli.main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert repr(key) in err and "Traceback" not in err
-    if entry is not None:
-        assert f"entry {entry}" in err
+    assert needle in err and "Traceback" not in err

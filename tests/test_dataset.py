@@ -212,6 +212,21 @@ class TestRecode:
         with pytest.raises(DatasetError, match="column not found: Y"):
             recode(raw, rules)
 
+    @pytest.mark.parametrize("cases, match", [
+        # an unknown key behind a catch-all case would never be evaluated
+        ((({"any": 1}, 0), ({"zz": 1}, 1)), "unknown predicate key 'zz'"),
+        ((({"in": 5}, 0),), "'in' needs a list of integers"),
+        ((({"in": [1, "2"]}, 0),), "'in' needs a list of integers"),
+        ((({"lt": 1.5}, 0),), "'lt' needs an integer"),
+        ((({"ge": True}, 0),), "'ge' needs an integer"),
+        ((({"lt": 1, "gt": 0}, 0),), "exactly one key"),
+        (((5, 0),), "exactly one key"),
+    ], ids=["unknown-key-behind-catch-all", "in-not-list", "in-non-integer",
+            "lt-float", "ge-bool", "two-keys", "not-object"])
+    def test_bad_predicate_rejected_at_construction(self, cases, match):
+        with pytest.raises(DatasetError, match=match):
+            RecodeRule("x", ("X",), cases=cases)
+
     def test_first_match_wins(self):
         raw = RawTable(["X", "INJ"], np.array([[40, 1]]))
         rules = RecodeRuleSet(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
@@ -239,6 +240,42 @@ def test_matches_brute_force_on_random_forests():
         worst = max(worst, max_gap(att, brute_force_shap(forest, row, background)))
         worst = max(worst, local_accuracy_gap(att))
     assert worst < 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]),
+)
+def test_batch_matches_brute_force_on_sparse_codes(seed, grower):
+    """Sparse, non-contiguous codes, with the explained rows and the
+    background drawn apart.  Code 150 is absent from every training table,
+    code 1 appears only in the rows and code 2 only in the background, so a
+    feature's universe is neither the training domain nor either matrix's."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    schema, columns = [], []
+    for j in range(m):
+        codes = np.sort(rng.choice([0, 5, 97, 3, 64], size=int(rng.integers(2, 5)),
+                                   replace=False))
+        schema.append(feature(f"f{j}", codes.tolist()))
+        columns.append(rng.choice(codes, size=40))
+    table = CategoricalTable(schema, np.stack(columns, axis=1),
+                             rng.integers(0, 2, size=40))
+    rows = rng.choice([0, 5, 97, 3, 64, 1, 150], size=(4, m))
+    background = rng.choice([0, 5, 97, 3, 64, 2, 150], size=(5, m))
+    rows[0, 0], background[0, 0] = 1, 2
+    if grower == "forest":
+        model = train_forest(table, ForestParams(n_trees=3, min_records=1,
+                                                 max_depth=3, seed=seed))
+    else:
+        trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
+                   "quest": train_quest}[grower]
+        model = trainer(table, TreeParams(min_records=1, max_depth=3,
+                                          min_gain=0.0))
+    for row, att in zip(rows, shap_batch(model, rows, background)):
+        assert max_gap(att, brute_force_shap(model, row, background)) < 1e-9
+        assert local_accuracy_gap(att) < 1e-9
 
 
 def test_local_accuracy_over_batch():

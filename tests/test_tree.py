@@ -1,4 +1,5 @@
 """Tree induction, pruning, prediction, importance, and DOT export."""
+import json
 import math
 from itertools import combinations
 from math import comb
@@ -719,6 +720,10 @@ def test_serialization_round_trip_all_algorithms():
         back = DecisionTree.from_json(tree.to_json())
         assert back.to_json() == tree.to_json()
         assert back.algorithm == tree.algorithm
+        # files written before min_gain existed load with its default
+        payload = json.loads(tree.to_json())
+        del payload["params"]["min_gain"]
+        assert DecisionTree.from_json(json.dumps(payload)).params == tree.params
         assert np.array_equal(
             predict_batch(back, table.rows), predict_batch(tree, table.rows)
         )
