@@ -92,24 +92,60 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
     _require(payload, list, "schema")
     specs = []
     for i, item in enumerate(payload):
-        _require(item, dict, f"schema entry {i}")
-        try:
-            specs.append(FeatureSpec(
-                name=item["name"],
-                allowed_codes=tuple(item["codes"]),
-                missing_codes=frozenset(item.get("missing", ())),
-                code_labels={int(k): v for k, v in item.get("labels", {}).items()},
-            ))
-        except KeyError as e:
-            raise DatasetError(f"schema entry {i} has no {e} key") from None
+        entry = f"schema entry {i}"
+        _require(item, dict, entry)
+        specs.append(FeatureSpec(
+            name=_field(item, "name", str, entry),
+            allowed_codes=tuple(_field(item, "codes", "codes", entry)),
+            missing_codes=frozenset(_field(item, "missing", "codes", entry, ())),
+            code_labels=_labels(item, entry),
+        ))
+    names = [spec.name for spec in specs]
+    if len(set(names)) != len(names):
+        raise DatasetError("duplicate feature names in schema")
     return tuple(specs)
 
 
-def _require(item, kind: type, what: str) -> None:
-    """Reject a parsed JSON value that is not the container the parser walks."""
-    if not isinstance(item, kind):
-        name = "a JSON object" if kind is dict else "a JSON list"
+# the kinds of parsed JSON value _require accepts: (name, test)
+_KINDS = {
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+    list: ("a JSON list", lambda v: isinstance(v, list)),
+    str: ("a JSON string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: _is_code(v)),
+    "codes": ("a JSON list of integers",
+              lambda v: isinstance(v, list) and all(map(_is_code, v))),
+    "names": ("a JSON list of strings",
+              lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+}
+_NO_DEFAULT = object()
+
+
+def _require(item, kind, what: str) -> None:
+    """Reject a parsed JSON value that is not of the kind the parser reads."""
+    name, test = _KINDS[kind]
+    if not test(item):
         raise DatasetError(f"{what} is not {name}: {item!r}")
+
+
+def _field(item: dict, key: str, kind, what: str, default=_NO_DEFAULT):
+    """``item[key]``, checked by ``_require``; an absent key takes ``default``
+    and fails without one."""
+    if key not in item:
+        if default is _NO_DEFAULT:
+            raise DatasetError(f"{what} has no {key!r} key")
+        return default
+    _require(item[key], kind, f"{what} {key!r}")
+    return item[key]
+
+
+def _labels(item: dict, what: str) -> dict[int, str]:
+    """The optional ``labels`` object, its keys read as integer codes."""
+    labels = _field(item, "labels", dict, what, {})
+    try:
+        return {int(k): v for k, v in labels.items()}
+    except ValueError:
+        raise DatasetError(f"{what} 'labels' keys are not all integer codes: "
+                           f"{list(labels)!r}") from None
 
 
 def schema_hash(schema: Sequence[FeatureSpec]) -> str:
@@ -362,7 +398,8 @@ class RecodeRule:
             raise DatasetError(f"rule {self.name!r}: no source column")
         if self.combine not in ("first", "max", "min"):
             raise DatasetError(f"rule {self.name!r}: unknown combine mode {self.combine!r}")
-        if isinstance(self.default, str) and self.default != "drop":
+        if not (self.default is None or self.default == "drop"
+                or _is_code(self.default)):
             raise DatasetError(f"rule {self.name!r}: default must be None, 'drop', or a code")
         if not self.cases and self.default in (None, "drop"):
             raise DatasetError(f"rule {self.name!r}: no cases and no assigning default")
@@ -443,33 +480,31 @@ class RecodeRuleSet:
             raise DatasetError(f"bad rules JSON: {e}") from e
 
         def parse_rule(item: Mapping, entry: str) -> RecodeRule:
-            _require(item, dict, f"rule {entry}")
-            cases = item.get("cases", [])
-            _require(cases, list, f"rule {entry} cases")
-            for k, case in enumerate(cases):
-                _require(case, dict, f"rule {entry} case {k}")
-            try:
-                return RecodeRule(
-                    name=item["name"],
-                    source=tuple(item["source"]),
-                    cases=tuple((c["when"], c["code"]) for c in cases),
-                    missing=frozenset(item.get("missing", ())),
-                    default=item.get("default"),
-                    combine=item.get("combine", "first"),
-                    labels={int(k): v for k, v in item.get("labels", {}).items()},
-                )
-            except KeyError as e:
-                raise DatasetError(f"rule {entry} has no {e} key") from None
+            entry = f"rule {entry}"
+            _require(item, dict, entry)
+            cases = []
+            for k, case in enumerate(_field(item, "cases", list, entry, [])):
+                where = f"{entry} case {k}"
+                _require(case, dict, where)
+                cases.append((_field(case, "when", dict, where),
+                              _field(case, "code", int, where)))
+            return RecodeRule(
+                name=_field(item, "name", str, entry),
+                source=tuple(_field(item, "source", "names", entry)),
+                cases=tuple(cases),
+                missing=frozenset(_field(item, "missing", "codes", entry, ())),
+                default=item.get("default"),
+                combine=item.get("combine", "first"),
+                labels=_labels(item, entry),
+            )
 
         _require(payload, dict, "rules file")
-        for key in ("features", "target"):
-            if key not in payload:
-                raise DatasetError(f"rules file has no {key!r} key")
-        _require(payload["features"], list, "rules file 'features'")
+        features = _field(payload, "features", list, "rules file")
+        target = _field(payload, "target", dict, "rules file")
         return cls(
             features=tuple(parse_rule(r, f"features[{i}]")
-                           for i, r in enumerate(payload["features"])),
-            target=parse_rule(payload["target"], "target"),
+                           for i, r in enumerate(features)),
+            target=parse_rule(target, "target"),
         )
 
 

@@ -126,12 +126,13 @@ def _collect_leaves(tree: DecisionTree, leaf_value, universes) -> list:
             return
         f = node.split.feature
         universe, allowed = universes[f], masks.get(f, True)
-        covered = [c for branch in node.split.branches for c in branch]
-        fallback = allowed & ~np.isin(universe, covered)
+        hits = [(universe[:, None] == branch).any(axis=1)
+                for branch in node.split.branches]
+        fallback = allowed & ~np.logical_or.reduce(hits)
         if fallback.any():
             leaves.append((leaf_value(node), {**masks, f: fallback}))
-        for branch, child in zip(node.split.branches, node.children):
-            mask = allowed & np.isin(universe, branch)
+        for hit, child in zip(hits, node.children):
+            mask = allowed & hit
             if mask.any():
                 walk(child, {**masks, f: mask})
 
@@ -174,7 +175,13 @@ def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
         if not masks or value == 0.0:
             continue
         feats = sorted(masks)
-        x_pass = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+        # rows with the same pass pattern share one exact per-background sum;
+        # the background is not deduplicated, so that sum keeps its order
+        x_all = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+        key = np.packbits(x_all, axis=1)
+        _, first, inverse = np.unique(key.view(f"V{key.shape[1]}")[:, 0],
+                                      return_index=True, return_inverse=True)
+        x_pass = x_all[first]
         z_pass = np.stack([masks[f][back_pos[:, f]] for f in feats], axis=1)
         only_x = x_pass[:, None, :] & ~z_pass[None, :, :]
         only_z = ~x_pass[:, None, :] & z_pass[None, :, :]
@@ -186,7 +193,7 @@ def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
         loss = np.where(dead, 0.0, wb[a, b])
         per_pair = (only_x * gain[:, :, None]).sum(axis=1) \
             - (only_z * loss[:, :, None]).sum(axis=1)
-        phi[:, feats] += value * per_pair / n_back
+        phi[:, feats] += (value * per_pair / n_back)[inverse]
     return phi
 
 
@@ -286,14 +293,19 @@ def brute_force_shap(model, row, background) -> ShapAttribution:
 # Global importance and backward elimination
 
 
+def _mean_abs_phi(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Mean |phi| per feature over the rows: what ranking and elimination
+    compare.  Each caller keeps its own tie rule."""
+    return np.abs(_phi_matrix(model, rows, back)).mean(axis=0)
+
+
 def global_importance(model, data: CategoricalTable, background
                       ) -> list[tuple[str, float]]:
     """Mean absolute SHAP per feature, sorted descending.
 
     Exact ties keep the lower feature index first.
     """
-    phi = _phi_matrix(model, data.rows, _as_background(background))
-    magnitude = np.abs(phi).mean(axis=0)
+    magnitude = _mean_abs_phi(model, data.rows, _as_background(background))
     order = sorted(range(len(magnitude)), key=lambda j: (-magnitude[j], j))
     names = data.feature_names
     return [(names[j], float(magnitude[j])) for j in order]
@@ -388,8 +400,7 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
             params = replace(forest_params, features_per_split=len(active))
         forest = train_forest(table, params)
         background = make_background(table, background_size, cv_spec.seed)
-        phi = _phi_matrix(forest, table.rows, background.rows)
-        magnitude = np.abs(phi).mean(axis=0)
+        magnitude = _mean_abs_phi(forest, table.rows, background.rows)
         result = cross_validate(
             lambda t: train_forest(t, params), table, plan
         )

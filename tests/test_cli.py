@@ -465,6 +465,27 @@ _DELETE = object()
     pytest.param("ingest", "rules.json", ("features", 0, "cases", 0, "when"),
                  {"in": 5}, "rule 'sex': 'in' needs a list of integers",
                  id="ingest-rules.json-case-in-not-list"),
+    pytest.param("compare", "schema.json", (1, "codes"), 5,
+                 "schema entry 1 'codes' is not a JSON list of integers",
+                 id="compare-schema.json-1-codes-not-list"),
+    pytest.param("compare", "schema.json", (1, "missing"), 5,
+                 "schema entry 1 'missing' is not a JSON list of integers",
+                 id="compare-schema.json-1-missing-not-list"),
+    pytest.param("compare", "schema.json", (1, "labels"), [1],
+                 "schema entry 1 'labels' is not a JSON object",
+                 id="compare-schema.json-1-labels-not-object"),
+    pytest.param("compare", "schema.json", (1, "name"), 5,
+                 "schema entry 1 'name' is not a JSON string",
+                 id="compare-schema.json-1-name-not-string"),
+    pytest.param("ingest", "rules.json", ("features", 0, "source"), 5,
+                 "rule features[0] 'source' is not a JSON list",
+                 id="ingest-rules.json-features0-source-not-list"),
+    pytest.param("ingest", "rules.json", ("features", 0, "labels"), [1],
+                 "rule features[0] 'labels' is not a JSON object",
+                 id="ingest-rules.json-features0-labels-not-object"),
+    pytest.param("ingest", "rules.json", ("features", 0, "name"), 5,
+                 "rule features[0] 'name' is not a JSON string",
+                 id="ingest-rules.json-features0-name-not-string"),
 ])
 def test_missing_schema_or_rules_key_is_one_line_error(tmp_path, capsys, command,
                                                        filename, path, value,

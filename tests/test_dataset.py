@@ -60,6 +60,12 @@ class TestFeatureSpec:
         assert back == schema
         assert schema_hash(back) == schema_hash(schema)
 
+    def test_schema_json_duplicate_names_rejected(self):
+        # the table loader would read the shared column twice
+        schema = (feature("grade", (0, 1)), feature("grade", (0, 1, 2)))
+        with pytest.raises(DatasetError, match="duplicate feature names"):
+            schema_from_json(schema_to_json(schema))
+
 
 class TestLoadDelimited:
     def test_pass_through(self, tmp_path):
@@ -258,6 +264,27 @@ class TestRecode:
         back = RecodeRuleSet.from_json(rules.to_json())
         assert back == rules
         assert back.to_json() == rules.to_json()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("source", ["VSPD_LIM", 5],
+         "rule features\\[0\\] 'source' is not a JSON list of strings"),
+        ("source", "VSPD_LIM", "rule features\\[0\\] 'source' is not a JSON list"),
+        ("missing", [True], "rule features\\[0\\] 'missing' is not a JSON list of integers"),
+        ("cases", [{"when": {"any": 1}, "code": [1]}],
+         "rule features\\[0\\] case 0 'code' is not an integer"),
+        ("cases", [{"when": 5, "code": 1}],
+         "rule features\\[0\\] case 0 'when' is not a JSON object"),
+        ("cases", [{"code": 1}], "rule features\\[0\\] case 0 has no 'when' key"),
+        ("default", 1.5, "default must be None, 'drop', or a code"),
+        ("labels", {"0": "low", "x": "high"},
+         "rule features\\[0\\] 'labels' keys are not all integer codes"),
+    ], ids=["source-entry", "source-string", "missing-bool", "code-list",
+            "when-not-object", "when-absent", "default-float", "label-key"])
+    def test_rules_json_field_types(self, key, value, match):
+        payload = json.loads(speed_year_rules().to_json())
+        payload["features"][0][key] = value
+        with pytest.raises(DatasetError, match=match):
+            RecodeRuleSet.from_json(json.dumps(payload))
 
     def test_combined_sources(self):
         # severity rollup across two occupant columns: worst (max) wins

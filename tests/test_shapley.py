@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from treebench.dataset import (
     feature,
     generate_synthetic,
 )
+from treebench import shapley
 from treebench.forest import ForestParams, train_forest
 from treebench.shapley import (
     BackgroundSet,
@@ -27,6 +29,7 @@ from treebench.shapley import (
     make_background,
     shap_batch,
     shap_values,
+    _weight_tables,
 )
 from treebench.tree import (
     DecisionTree,
@@ -276,6 +279,79 @@ def test_batch_matches_brute_force_on_sparse_codes(seed, grower):
     for row, att in zip(rows, shap_batch(model, rows, background)):
         assert max_gap(att, brute_force_shap(model, row, background)) < 1e-9
         assert local_accuracy_gap(att) < 1e-9
+
+
+def _pairwise_tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
+                       m: int) -> np.ndarray:
+    """Second oracle: the per-leaf kernel over every (row, background) pair,
+    with no pass-pattern compression."""
+    n_rows, n_back = row_pos.shape[0], back_pos.shape[0]
+    phi = np.zeros((n_rows, m))
+    for value, masks in leaves:
+        if not masks or value == 0.0:
+            continue
+        feats = sorted(masks)
+        x_pass = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+        z_pass = np.stack([masks[f][back_pos[:, f]] for f in feats], axis=1)
+        only_x = x_pass[:, None, :] & ~z_pass[None, :, :]
+        only_z = ~x_pass[:, None, :] & z_pass[None, :, :]
+        dead = (~x_pass[:, None, :] & ~z_pass[None, :, :]).any(axis=2)
+        a = only_x.sum(axis=2)
+        b = only_z.sum(axis=2)
+        wa, wb = _weight_tables(len(feats))
+        gain = np.where(dead, 0.0, wa[a, b])
+        loss = np.where(dead, 0.0, wb[a, b])
+        per_pair = (only_x * gain[:, :, None]).sum(axis=1) \
+            - (only_z * loss[:, :, None]).sum(axis=1)
+        phi[:, feats] += value * per_pair / n_back
+    return phi
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]),
+    max_depth=st.sampled_from([None, 1, 2, 3]),
+    n_back=st.sampled_from([1, 8, 13]),
+)
+def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_back):
+    """The pattern-compressed kernel gives every tree of the model exactly
+    the floats of the pairwise kernel.  Many explained rows share a pass
+    pattern; codes are sparse, some unseen in training, and one-feature
+    tables make every path a one-feature path."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))
+    pool = np.array([0, 5, 97, 3, 64])
+    schema, columns = [], []
+    for j in range(m):
+        codes = np.sort(rng.choice(pool, size=int(rng.integers(2, 6)),
+                                   replace=False))
+        schema.append(feature(f"f{j}", codes.tolist()))
+        columns.append(rng.choice(codes, size=60))
+    table = CategoricalTable(schema, np.stack(columns, axis=1),
+                             rng.integers(0, 2, size=60))
+    extra = np.append(pool, [1, 150])
+    rows = np.concatenate([table.rows, rng.choice(extra, size=(20, m))])
+    background = rng.choice(extra, size=(n_back, m))
+    if grower == "forest":
+        model = train_forest(table, ForestParams(n_trees=3, min_records=1,
+                                                 max_depth=max_depth, seed=seed))
+    else:
+        trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
+                   "quest": train_quest}[grower]
+        model = trainer(table, TreeParams(min_records=1, max_depth=max_depth,
+                                          min_gain=0.0))
+    kernel, calls = shapley._tree_phi, []
+
+    def both(leaves, row_pos, back_pos, width):
+        fast = kernel(leaves, row_pos, back_pos, width)
+        calls.append(np.array_equal(
+            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
+        return fast
+
+    with mock.patch.object(shapley, "_tree_phi", both):
+        shap_batch(model, rows, background)
+    assert calls and all(calls)
 
 
 def test_local_accuracy_over_batch():

@@ -318,6 +318,31 @@ class TestPruneC50:
             assert node_paths(pruned) <= node_paths(tree)
             assert node_count(pruned) <= node_count(tree)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        severity=st.sampled_from([0.001, 25.0, 75.0, 99.9]),
+        min_records=st.integers(1, 3),
+    )
+    def test_only_removes_structure(self, seed, severity, min_records):
+        """Every pruned node sits at the same path in the input with the same
+        counts, prediction and split; a collapsed subtree becomes a leaf with
+        its root's counts.  The input tree is left as it was."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n=int(rng.integers(12, 80)), codes=int(rng.integers(2, 5)))
+        tree = train_c50(table, TreeParams(min_records=min_records))
+        before = tree.to_json()
+        original = {path: node for node, _, path in iter_nodes(tree)}
+        for node, _, path in iter_nodes(prune_c50(tree, severity)):
+            source = original[path]
+            assert node.counts.tolist() == source.counts.tolist()
+            assert (node.prediction, node.confidence) == (source.prediction,
+                                                          source.confidence)
+            if not node.is_leaf:
+                assert node.split == source.split
+                assert len(node.children) == len(source.children)
+        assert tree.to_json() == before
+
     def test_noisy_data_prunes_without_accuracy_loss(self):
         schema = binary_schema(6)
         rules = planted_relevance_rules()
