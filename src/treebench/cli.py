@@ -464,13 +464,15 @@ def cmd_compare(config: PipelineConfig) -> int:
     written = ["leaderboard.tsv", "report.txt"]
 
     trainers = {entry.name: entry.trainer for entry in roster}
+    on_table = {}  # families already trained on the whole table
     if "c50" in trainers:
-        model = trainers["c50"](table)
-        _write(out / "importance.tsv", _importance_tsv(predictor_importance(model)))
+        on_table["c50"] = trainers["c50"](table)
+        _write(out / "importance.tsv",
+               _importance_tsv(predictor_importance(on_table["c50"])))
         written.append("importance.tsv")
     for row in report.leaderboard.rows:
         if row.name in TREE_FAMILIES:
-            best_tree = trainers[row.name](table)
+            best_tree = on_table.get(row.name) or trainers[row.name](table)
             _write(out / "best_tree.dot", export_dot(best_tree, table.schema))
             written.append("best_tree.dot")
             print(f"best tree family: {row.name}")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 class DegenerateTableError(ValueError):
@@ -135,6 +134,10 @@ def chi_square_sf(statistic: float, dof: int) -> float:
         raise ValueError("chi-square statistic must be non-negative")
     if dof < 1:
         raise ValueError("degrees of freedom must be at least 1")
+    # imported here: scipy.special doubles the import cost of the package, and
+    # only the chi-square growers reach this
+    from scipy.special import gammaincc
+
     return float(gammaincc(dof / 2.0, statistic / 2.0))
 
 

@@ -242,8 +242,19 @@ class CategoricalTable:
         return tuple(int(c) for c in np.unique(self.rows[:, j]))
 
     def take_rows(self, row_indices) -> "CategoricalTable":
+        """The selected rows as a new table.  They come from this validated,
+        read-only table, so their cells are not checked again."""
         idx = np.asarray(row_indices)
-        return CategoricalTable(self.schema, self.rows[idx], self.target[idx])
+        if idx.ndim != 1:
+            raise DatasetError("row selection must be a 1-D index or mask")
+        if idx.size == 0 or (idx.dtype == bool and not idx.any()):
+            raise DatasetError("table must contain at least one row")
+        table = object.__new__(CategoricalTable)
+        table.schema = self.schema
+        table.rows, table.target = self.rows[idx], self.target[idx]
+        table.rows.setflags(write=False)
+        table.target.setflags(write=False)
+        return table
 
     def take_features(self, feature_indices: Sequence[int]) -> "CategoricalTable":
         idx = list(feature_indices)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dataset import CategoricalTable
-from .tree import DecisionTree, TreeParams, _gini_chooser, _grow, _make_tree
+from .tree import DecisionTree, TreeParams, _gini_chooser, _grow
 
 
 class ForestError(ValueError):
@@ -137,29 +137,34 @@ class Forest:
 
 
 def train_forest(data: CategoricalTable, params: ForestParams | None = None) -> Forest:
-    """Train the ensemble of binary Gini trees."""
+    """Train the ensemble of binary Gini trees.
+
+    The members grow in lockstep over index views of ``data``: each bag is
+    the root row-index set of its tree, so no member copies the table.
+    """
     params = params or ForestParams()
     if data.n_rows < 2:
         raise ForestError("forest training needs at least 2 rows")
     k = params.resolve_features_per_split(data.n_features)
     tree_params = params.tree_params()
 
-    trees = []
-    bags = []
-    for i in range(params.n_trees):
-        bag = bootstrap_indices(params, data.n_rows, i)
-        sample = data.take_rows(bag)
-        rng = np.random.default_rng([params.seed, i, 1])
-        root = _grow(sample, tree_params, _gini_chooser(sample, tree_params),
-                     "binary", True, rng=rng, features_per_split=k)
-        trees.append(_make_tree(root, "forest_member", tree_params, sample))
-        bags.append(bag)
+    bags = tuple(bootstrap_indices(params, data.n_rows, i)
+                 for i in range(params.n_trees))
+    members = [(bag, np.random.default_rng([params.seed, i, 1]))
+               for i, bag in enumerate(bags)]
+    roots = _grow(data, tree_params, _gini_chooser, "binary", True, members, k)
+    schema_hash = data.schema_hash()
+    trees = tuple(
+        DecisionTree(root=root, algorithm="forest_member", params=tree_params,
+                     feature_names=data.feature_names, schema_hash=schema_hash,
+                     n_rows=len(bag))
+        for root, bag in zip(roots, bags))
     return Forest(
-        trees=tuple(trees),
-        bags=tuple(bags),
+        trees=trees,
+        bags=bags,
         params=params,
         feature_names=data.feature_names,
-        schema_hash=data.schema_hash(),
+        schema_hash=schema_hash,
         n_rows=data.n_rows,
     )
 

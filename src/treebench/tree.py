@@ -4,7 +4,8 @@ Four growers share one tree representation and one grow skeleton
 (``_grow``): a multiway entropy tree (``train_c50``), a binary code-subset
 Gini tree (``train_cart``), a chi-square merge tree (``train_chaid``), and a
 chi-square / discriminant hybrid (``train_quest``).  Each differs only in
-the chooser that picks a node's split from its per-node count cube.
+the chooser that picks a node's split from its count cube.  The skeleton
+also grows a forest's members in lockstep, on index views of one table.
 Pruning replaces subtrees by leaves when a pessimistic binomial error bound
 says the split does not pay for itself.
 
@@ -15,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .criteria import (
     DegenerateTableError,
@@ -286,49 +287,86 @@ def _counts_of(y: np.ndarray) -> np.ndarray:
 
 
 def _leaf(counts: np.ndarray, parent: TreeNode | None = None) -> TreeNode:
-    total = counts.sum()
+    values = counts.tolist()
+    total = sum(values)
     if total == 0:
         # an empty branch keeps its parent's label and confidence
         if parent is None:
             raise TreeError("cannot build a leaf with no rows and no parent")
         return TreeNode(counts=counts, prediction=parent.prediction,
                         confidence=parent.confidence)
-    pred = int(np.argmax(counts))
+    pred = values.index(max(values))
     return TreeNode(counts=counts, prediction=pred,
-                    confidence=float(counts[pred] / total))
-
-
-def _make_tree(root: TreeNode, algorithm: str, params: TreeParams,
-               data: CategoricalTable) -> DecisionTree:
-    return DecisionTree(
-        root=root,
-        algorithm=algorithm,
-        params=params,
-        feature_names=data.feature_names,
-        schema_hash=data.schema_hash(),
-        n_rows=data.n_rows,
-    )
+                    confidence=values[pred] / total)
 
 
 # ---------------------------------------------------------------------------
 # Grow skeleton
 # ---------------------------------------------------------------------------
 
-def _grow(data: CategoricalTable, params: TreeParams, choose, arity: str,
-          reuse_features: bool, rng: np.random.Generator | None = None,
-          features_per_split: int | None = None) -> TreeNode:
-    """Grow a tree top-down; the four growers differ only in ``choose``.
+# Most (row, candidate feature) keys one grow step gathers at a time; a step
+# over more rows than this runs in several chunks, which bounds its memory.
+_GATHER_KEYS = 1 << 15
 
-    A node stays a leaf when it is pure, has no feature left, or sits at
-    ``max_depth``.  Otherwise one ``np.bincount`` over densified codes
-    gives the node's count cube: class counts per (feature, code).  For
-    each candidate feature showing at least two codes at the node,
-    ``choose(idx, counts, tables)`` gets a ``(feature, codes, class
-    counts [k, 2])`` entry in ``tables`` and returns ``(score, feature,
-    branches)``, or None to keep the leaf.  Each branch becomes a child;
-    an empty one inherits the node's label.  Unless ``reuse_features``, a
-    feature splits at most once per path.  With ``rng``, each node draws
-    ``features_per_split`` candidates without replacement.
+
+@dataclass(eq=False)
+class _Step:
+    """The nodes one grow step expands, one slot each.
+
+    ``cube[slot, class, dense code]`` counts the slot's rows by class and
+    code for its candidate features; other features' codes count zero.
+    """
+
+    idx: list[np.ndarray]
+    counts: np.ndarray
+    cube: np.ndarray
+    candidates: list[tuple[int, ...]]
+    universes: list[np.ndarray]
+    starts: np.ndarray
+
+    def tables(self, slot: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """(feature, codes, class counts [k, 2]) for each candidate feature
+        showing at least two codes at the slot's node."""
+        cube = self.cube[slot].T
+        present = cube.any(axis=1)
+        tables = []
+        for f in self.candidates[slot]:
+            block = slice(self.starts[f], self.starts[f + 1])
+            keep = present[block]
+            if np.count_nonzero(keep) >= 2:
+                tables.append((f, self.universes[f][keep], cube[block][keep]))
+        return tables
+
+
+def _per_node(choose):
+    """A step chooser running the one-node ``choose(idx, counts, tables)``
+    on each slot in turn."""
+    return lambda step: [choose(step.idx[i], step.counts[i], step.tables(i))
+                         for i in range(len(step.idx))]
+
+
+def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
+          reuse_features: bool, members, features_per_split: int | None = None
+          ) -> list[TreeNode]:
+    """Grow one tree per member top-down, all members in lockstep; the four
+    growers differ only in ``chooser``.
+
+    A member is (root row indices, generator or None).  The indices point
+    into ``data`` and may repeat, as a bootstrap bag does.  A node stays a
+    leaf when it is pure, has no feature left, or sits at ``max_depth``.
+    Unless ``reuse_features``, a feature splits at most once per path.
+
+    Each member keeps a stack of the nodes it may still split.  A member
+    with a generator gives each step its next node in preorder, which draws
+    ``features_per_split`` candidates without replacement, so the draws
+    come in the order a lone tree makes them.  A member without one gives
+    every node on its stack, one level of the tree per step, and each node
+    takes every available feature as a candidate.  One ``np.bincount`` over
+    (slot, class, dense code) counts the rows of all the step's nodes.
+    ``chooser(data, params, universes)`` returns a function that maps the
+    ``_Step`` to one ``(score, feature, branches)`` or None per slot.  Each
+    branch becomes a child, counted from its parent's cube; an empty one
+    inherits the node's label.
     """
     X, y = data.rows, data.target
     m = data.n_features
@@ -336,63 +374,126 @@ def _grow(data: CategoricalTable, params: TreeParams, choose, arity: str,
     # dense code: position in the feature's code universe + the feature's start
     universes = [np.unique(X[:, f]) for f in range(m)]
     starts = np.cumsum([0] + [len(u) for u in universes])
-    dense = np.empty_like(X)
+    width = int(starts[-1])
+    dense = np.empty(X.shape, dtype=np.int32)
     for f, u in enumerate(universes):
         dense[:, f] = np.searchsorted(u, X[:, f]) + starts[f]
+    y32 = y.astype(np.int32)
+    position = [{c: starts[f] + p for p, c in enumerate(u.tolist())}
+                for f, u in enumerate(universes)]
+    choose = chooser(data, params, universes)
 
-    def grow(idx: np.ndarray, available: tuple[int, ...], depth: int) -> TreeNode:
-        counts = _counts_of(y[idx])
-        node = _leaf(counts)
-        if counts.max() == counts.sum() or not available:
-            return node
-        if params.max_depth is not None and depth >= params.max_depth:
-            return node
-        candidates = available if rng is None else \
-            tuple(int(f) for f in np.sort(rng.choice(m, k, replace=False)))
-        cube = np.bincount(
-            (dense[np.ix_(idx, candidates)] * 2 + y[idx, None]).ravel(),
-            minlength=2 * starts[-1]).reshape(-1, 2)
-        present = cube.any(axis=1)
-        tables = []
-        for f in candidates:
-            block = slice(starts[f], starts[f + 1])
-            keep = present[block]
-            if np.count_nonzero(keep) >= 2:
-                tables.append((f, universes[f][keep], cube[block][keep]))
-        best = choose(idx, counts, tables)
-        if best is None:
-            return node
+    def splittable(node: TreeNode, available: tuple[int, ...], depth: int) -> bool:
+        """Impure, with a feature left, above ``max_depth``."""
+        counts = node.counts.tolist()
+        return max(counts) < sum(counts) and bool(available) and (
+            params.max_depth is None or depth < params.max_depth)
 
-        node.score, f, branches = best
-        column = X[idx, f]
-        if not reuse_features:
-            available = tuple(g for g in available if g != f)
-        children = []
-        for codes in branches:
-            part = idx[(column[:, None] == codes).any(axis=1)]
-            children.append(grow(part, available, depth + 1) if len(part)
-                            else _leaf(np.zeros(2, dtype=np.int64), parent=node))
-        node.split = Split(feature=f, arity=arity, branches=branches)
-        node.children = tuple(children)
-        return node
+    roots = [_leaf(_counts_of(y[idx])) for idx, _ in members]
+    # per member, a preorder stack of the (node, row indices, features,
+    # depth) that may split
+    features = tuple(range(m))
+    stacks = [[(root, idx, features, 0)] if splittable(root, features, 0) else []
+              for root, (idx, _) in zip(roots, members)]
 
-    return grow(np.arange(data.n_rows), tuple(range(m)), 0)
+    def expand(batch):
+        """Choose and apply the splits of a step's (stack, node, row
+        indices, available features, depth, candidates) entries."""
+        idxs = [entry[2] for entry in batch]
+        candidates = [entry[5] for entry in batch]
+        rows = np.concatenate(idxs)
+        slot = np.repeat(np.arange(len(batch), dtype=np.int32),
+                         [len(i) for i in idxs])
+        row_class = slot * 2 + y32[rows]
+        # every slot has as many candidates: k with a generator, else the
+        # features left at the one depth all the step's nodes share
+        key = dense[rows[:, None], np.array(candidates)[slot]]
+        key += (row_class * np.int32(width))[:, None]
+        cube = np.bincount(key.ravel(), minlength=len(batch) * 2 * width
+                           ).reshape(len(batch), 2, width)
+        counts = np.array([entry[1].counts for entry in batch])
+        chosen = choose(_Step(idxs, counts, cube, candidates, universes, starts))
+        split = [i for i, best in enumerate(chosen) if best is not None]
+        if not split:
+            return
+        # route[slot, dense code] = 1 + the branch that takes the code's rows
+        fan = 1 + max(len(chosen[i][2]) for i in split)
+        feature = np.zeros(len(batch), dtype=np.intp)
+        at, code, branch = [], [], []
+        for i in split:
+            _, f, branches = chosen[i]
+            feature[i] = f
+            for b, codes in enumerate(branches, 1):
+                for c in codes:
+                    at.append(i)
+                    code.append(position[f][c])
+                    branch.append(b)
+        at, code, branch = np.array(at), np.array(code), np.array(branch)
+        route = np.zeros((len(batch), width), dtype=np.intp)
+        route[at, code] = branch
+        child_counts = np.zeros((len(batch), fan, 2), dtype=np.int64)
+        np.add.at(child_counts, (at, branch), cube[at, :, code])
+        # one stable sort splits every slot's rows by branch, in row order
+        part = slot * fan + route[slot, dense[rows, feature[slot]]]
+        rows = rows[np.argsort(part, kind="stable")]
+        ends = np.cumsum(np.bincount(part, minlength=len(batch) * fan)).tolist()
+        totals = child_counts.sum(axis=2).tolist()
+        for i in split:
+            stack, node, _, available, depth, _ = batch[i]
+            node.score, f, branches = chosen[i]
+            if not reuse_features:
+                available = tuple(g for g in available if g != f)
+            children, grown = [], []
+            for b in range(1, len(branches) + 1):
+                counts = child_counts[i, b]
+                if totals[i][b]:
+                    children.append(_leaf(counts))
+                    if splittable(children[-1], available, depth + 1):
+                        j = i * fan + b
+                        grown.append((children[-1], rows[ends[j - 1]:ends[j]],
+                                      available, depth + 1))
+                else:
+                    children.append(_leaf(counts, parent=node))
+            node.split = Split(feature=f, arity=arity, branches=branches)
+            node.children = tuple(children)
+            stack.extend(reversed(grown))
+
+    while True:
+        batch = []
+        for stack, (_, rng) in zip(stacks, members):
+            while stack:
+                node, idx, available, depth = stack.pop()
+                candidates = available if rng is None else \
+                    tuple(sorted(rng.choice(m, k, replace=False).tolist()))
+                batch.append((stack, node, idx, available, depth, candidates))
+                if rng is not None:
+                    break
+        if not batch:
+            return roots
+        start = gathered = 0
+        for i, entry in enumerate(batch):
+            gathered += len(entry[2]) * len(entry[5])
+            if gathered > _GATHER_KEYS and i > start:
+                expand(batch[start:i])
+                start, gathered = i, len(entry[2]) * len(entry[5])
+        expand(batch[start:])
 
 
 def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
            chooser, arity: str, reuse_features: bool) -> DecisionTree:
     params = params or TreeParams()
-    root = _grow(data, params, chooser(data, params), arity, reuse_features)
-    return _make_tree(root, algorithm, params, data)
+    [root] = _grow(data, params, chooser, arity, reuse_features,
+                   [(np.arange(data.n_rows), None)])
+    return DecisionTree(root=root, algorithm=algorithm, params=params,
+                        feature_names=data.feature_names,
+                        schema_hash=data.schema_hash(), n_rows=data.n_rows)
 
 
 # ---------------------------------------------------------------------------
 # Multiway entropy tree
 # ---------------------------------------------------------------------------
 
-def _gain_chooser(data: CategoricalTable, params: TreeParams):
-    universes = [np.array(data.observed_codes(f)) for f in range(data.n_features)]
-
+def _gain_chooser(data: CategoricalTable, params: TreeParams, universes):
     def choose(idx, counts, tables):
         best = None  # (gain, feature)
         for f, codes, table in tables:
@@ -408,7 +509,7 @@ def _gain_chooser(data: CategoricalTable, params: TreeParams):
             return None
         return best[0], best[1], tuple((int(c),) for c in universes[best[1]])
 
-    return choose
+    return _per_node(choose)
 
 
 def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
@@ -440,6 +541,8 @@ def pessimistic_error_bound(errors: int, total: int, cf: float) -> float:
         raise TreeError("confidence factor must lie in (0, 1)")
     if errors >= total:
         return 1.0
+    from scipy.special import betaincinv  # lazy, as in criteria.chi_square_sf
+
     return float(betaincinv(errors + 1, total - errors, 1.0 - cf))
 
 
@@ -503,56 +606,107 @@ def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree
 # Binary Gini tree
 # ---------------------------------------------------------------------------
 
-def _binary_candidates(codes: Sequence[int]) -> list[tuple[int, ...]]:
-    """Proper subsets containing the smallest code, in lexicographic order.
+@lru_cache(maxsize=None)
+def _subset_bits(k: int) -> np.ndarray:
+    """Bitmasks of the nonempty proper subsets of k code positions, ordered
+    as their sorted position tuples compare."""
+    subsets = sorted(c for r in range(1, k) for c in combinations(range(k), r))
+    bits = np.array([sum(1 << p for p in c) for c in subsets], dtype=np.int64)
+    bits.setflags(write=False)  # shared by every caller through the cache
+    return bits
 
-    Anchoring on the smallest code enumerates each subset/complement pair
-    exactly once: 2^(k-1) - 1 candidates for k codes.
+
+# (slot, candidate) cells one Gini pass scores at once; more slots than this
+# allows are scored in blocks, which bounds the pass's arrays
+_SCORE_CELLS = 1 << 16
+
+
+def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
+    """Best code subset by Gini decrease, for CART and forest member trees.
+
+    Candidate j is a nonempty proper subset of one feature's code universe,
+    ordered by feature, then lexicographically.  A node may split on it when
+    it lies within the codes present at the node, holds the smallest of them
+    and is not all of them; anchoring on the smallest code counts each
+    subset/complement pair once.  The left counts of every (slot,
+    candidate) come from integer products of the step's cube with a cached
+    subset-membership matrix, one per code count; the deltas follow
+    elementwise in float64, in the order of the scalar ``node_gini``
+    formula.  The first maximum wins, so ties go to the lowest feature,
+    then the smallest subset.
     """
-    codes = sorted(codes)
-    first, rest = codes[0], codes[1:]
-    out = [
-        (first,) + combo
-        for r in range(len(rest))
-        for combo in combinations(rest, r)
-    ]
-    out.sort()
-    return out
-
-
-def _gini_chooser(data: CategoricalTable, params: TreeParams):
-    """Best code subset by Gini decrease, for CART and forest member trees."""
     cost = params.cost_matrix()
     # for two classes with zero diagonal, gini reduces to s*p0*p1
     pair_cost = float(cost[0, 1] + cost[1, 0])
+    sizes = [len(u) for u in universes]
+    starts = np.cumsum([0] + sizes)
+    bits = [_subset_bits(k) for k in sizes]
+    subset = np.concatenate(bits)
+    feature = np.repeat(np.arange(len(sizes)), [len(b) for b in bits])
+    firsts = np.cumsum([0] + [len(b) for b in bits])
+    # features with k codes share one membership matrix [code, subset]:
+    # (their dense codes, their candidate columns, the matrix) per k
+    groups = []
+    for k in sorted(set(sizes) - {1}):
+        same = [f for f, size in enumerate(sizes) if size == k]
+        groups.append((
+            np.concatenate([np.arange(starts[f], starts[f + 1]) for f in same]),
+            np.concatenate([np.arange(firsts[f], firsts[f + 1]) for f in same]),
+            _subset_bits(k) >> np.arange(k)[:, None] & 1))
+    # a dense code's bit in its feature's present-code mask
+    place = np.concatenate([1 << np.arange(k, dtype=np.int64) for k in sizes])
+    # the subset's bits and every bit below its lowest: a node's present
+    # codes hold the subset and its smallest code when they agree with it here
+    anchor = subset | ((subset & -subset) - 1)
+    candidate = list(zip(feature.tolist(), subset.tolist()))
 
-    def node_gini(n0: float, n1: float) -> float:
-        total = n0 + n1
+    @lru_cache(maxsize=None)
+    def code_set(f: int, mask: int) -> tuple[int, ...]:
+        return tuple(int(c) for p, c in enumerate(universes[f]) if mask >> p & 1)
+
+    def node_gini(n0, n1, total):
+        # total is n0 + n1, the integer the scalar formula sums
         return pair_cost * n0 * n1 / (total * total)
 
-    def choose(idx, counts, tables):
-        n = int(counts.sum())
-        parent_gini = node_gini(int(counts[0]), int(counts[1]))
-        best = None  # (delta, feature, subset, codes)
-        for f, codes, per_code in tables:
-            # codes are sorted, so position subsets come in code-subset order
-            for subset in _binary_candidates(range(len(codes))):
-                l0 = sum(int(per_code[i, 0]) for i in subset)
-                l1 = sum(int(per_code[i, 1]) for i in subset)
-                nl = l0 + l1
-                nr = n - nl
-                if nl < params.min_records or nr < params.min_records:
-                    continue
-                delta = parent_gini \
-                    - (nl / n) * node_gini(l0, l1) \
-                    - (nr / n) * node_gini(counts[0] - l0, counts[1] - l1)
-                if delta > _GAIN_EPS and (best is None or delta > best[0]):
-                    best = (delta, f, subset, codes)
-        if best is None:
-            return None
-        delta, f, subset, codes = best
-        left = tuple(int(codes[i]) for i in subset)
-        return delta, f, (left, tuple(int(c) for c in codes if int(c) not in left))
+    def choose(step):
+        if not subset.size:
+            return [None] * len(step.idx)
+        block = max(1, _SCORE_CELLS // len(subset))
+        return [best for lo in range(0, len(step.idx), block)
+                for best in score(step.counts[lo:lo + block], step.cube[lo:lo + block])]
+
+    def score(counts, cube):
+        n0, n1 = counts[:, :1], counts[:, 1:]
+        n = n0 + n1
+        present = np.add.reduceat(cube.any(axis=1) * place, starts[:-1],
+                                  axis=1)[:, feature]
+        by_class = cube.reshape(-1, len(place))
+        left = np.empty((len(by_class), len(subset)), dtype=np.int64)
+        for codes, columns, member in groups:
+            left[:, columns] = (by_class[:, codes].reshape(
+                len(by_class), -1, len(member)) @ member).reshape(len(by_class), -1)
+        l0, l1 = left[0::2], left[1::2]
+        nl = l0 + l1
+        nr = n - nl
+        # a whole present set sends no row right, so min_records rejects it
+        valid = (present & anchor == subset) \
+            & (np.minimum(nl, nr) >= params.min_records)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = node_gini(n0, n1, n) \
+                - (nl / n) * node_gini(l0, l1, nl) \
+                - (nr / n) * node_gini(n0 - l0, n1 - l1, nr)
+        delta = np.where(valid, delta, -np.inf)
+        best = delta.argmax(axis=1)
+        slots = np.arange(len(best))
+        out = []
+        for d, j, codes in zip(delta[slots, best].tolist(), best.tolist(),
+                               present[slots, best].tolist()):
+            if not d > _GAIN_EPS:
+                out.append(None)
+                continue
+            f, chosen = candidate[j]
+            out.append((d, f, (code_set(f, chosen), code_set(f, codes & ~chosen))))
+        return out
 
     return choose
 
@@ -616,7 +770,7 @@ def _merge_groups(groups: list[tuple[tuple[int, ...], np.ndarray]], alpha: float
     return groups
 
 
-def _chaid_chooser(data: CategoricalTable, params: TreeParams):
+def _chaid_chooser(data: CategoricalTable, params: TreeParams, universes):
     def choose(idx, counts, tables):
         best = None  # (adjusted_p, feature, groups)
         for f, codes, table in tables:
@@ -637,7 +791,7 @@ def _chaid_chooser(data: CategoricalTable, params: TreeParams):
         return (info_gain(counts, [g[1] for g in groups]), f,
                 tuple(g[0] for g in groups))
 
-    return choose
+    return _per_node(choose)
 
 
 def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
@@ -688,7 +842,7 @@ def _qda_boundary(scores0: np.ndarray, scores1: np.ndarray,
     return inside[0] if inside else None
 
 
-def _quest_chooser(data: CategoricalTable, params: TreeParams):
+def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
     X, y = data.rows, data.target
     cost = params.cost_matrix()
 
@@ -729,7 +883,7 @@ def _quest_chooser(data: CategoricalTable, params: TreeParams):
         return delta, f, (tuple(int(c) for c in codes[left]),
                           tuple(int(c) for c in codes[right]))
 
-    return choose
+    return _per_node(choose)
 
 
 def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treebench
 from treebench import cli
 from treebench.cli import ConfigError, load_config
 from treebench.dataset import (
@@ -260,6 +265,33 @@ def test_compare_without_tree_families(tmp_path):
     assert not (out / "best_tree.dot").exists()
     assert not (out / "importance.tsv").exists()
     assert (out / "leaderboard.tsv").exists()
+
+
+def test_compare_trains_c50_once_on_the_whole_table(tmp_path, monkeypatch):
+    """importance.tsv and best_tree.dot share one c50 fit on the table."""
+    data = write_fixture(tmp_path)
+    cfg = write_config(tmp_path, roster=["c50", "logistic"])
+    whole_table_fits = []
+    real_train_c50 = cli.train_c50
+
+    def counting(table, params=None):
+        whole_table_fits.append(table.n_rows == data.n_rows)
+        return real_train_c50(table, params)
+
+    monkeypatch.setattr(cli, "train_c50", counting)
+    assert cli.main(["compare", "--config", str(cfg)]) == 0
+    assert sum(whole_table_fits) == 1
+    dot = (tmp_path / "artifacts" / "best_tree.dot").read_text()
+    tree = prune_c50(real_train_c50(data, TreeParams()))
+    assert dot == cli.export_dot(tree, data.schema)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """Only the chi-square p-value and the pruning bound need scipy.special,
+    so importing the CLI must not pay for it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
+    code = "import sys, treebench.cli; sys.exit('scipy.special' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

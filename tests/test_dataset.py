@@ -432,6 +432,26 @@ class TestCategoricalTable:
         assert narrowed.feature_names == ("f02", "f00")
         assert narrowed.rows.tolist() == [[0, 0], [1, 1], [1, 1]]
 
+    def test_take_rows_empty_selection_is_one_line_error(self):
+        table = CategoricalTable(binary_schema(2), np.array([[0, 1], [1, 0]]),
+                                 np.array([1, 0]))
+        for selection in ([], np.array([], dtype=np.int64), [False, False]):
+            with pytest.raises(DatasetError, match="at least one row") as info:
+                table.take_rows(selection)
+            assert "\n" not in str(info.value)
+
+    def test_take_rows_result_is_read_only(self):
+        table = CategoricalTable(binary_schema(2), np.array([[0, 1], [1, 0]]),
+                                 np.array([1, 0]))
+        sub = table.take_rows([1, 1, 0])
+        assert sub.rows.tolist() == [[1, 0], [1, 0], [0, 1]]
+        assert sub.target.tolist() == [0, 0, 1]
+        assert sub.schema == table.schema
+        with pytest.raises(ValueError):
+            sub.rows[0, 0] = 0
+        with pytest.raises(ValueError):
+            sub.target[0] = 1
+
     def test_csv_round_trip(self, tmp_path):
         schema = binary_schema(2)
         table = CategoricalTable(

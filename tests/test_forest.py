@@ -1,8 +1,10 @@
 """Random-forest training, voting, out-of-bag scoring, serialization."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
@@ -19,6 +21,8 @@ from treebench.forest import (
     oob_accuracy,
     train_forest,
 )
+from treebench import tree as tree_module
+from treebench.dataset import feature
 from treebench.tree import DecisionTree, TreeNode, TreeParams, iter_nodes, train_cart
 
 
@@ -132,6 +136,46 @@ class TestTrainForest:
                     splits += 1
                     assert node.split.feature in draw
         assert splits
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), gather_keys=st.sampled_from([None, 1, 500]))
+    def test_lockstep_members_equal_lone_growth(self, seed, gather_keys):
+        """Each member of a forest equals the tree its bag and generator
+        grow alone, as a one-member batch, whether the bag is an index view
+        or a copy of its rows: slots of one step, split into chunks or not,
+        do not leak into each other."""
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 80))
+        schema, columns = [], []
+        for j in range(m):
+            codes = np.sort(rng.choice(np.arange(1, 8), size=int(rng.integers(1, 8)),
+                                       replace=False))
+            schema.append(feature(f"f{j}", codes.tolist()))
+            columns.append(rng.choice(codes[:int(rng.integers(1, len(codes) + 1))], size=n))
+        table = CategoricalTable(schema, np.stack(columns, axis=1),
+                                 (rng.random(n) < rng.random()).astype(int))
+        params = ForestParams(
+            n_trees=int(rng.integers(1, 9)),
+            features_per_split=int(rng.integers(1, m + 1)),
+            sample_size=int(rng.integers(1, 2 * n)) if rng.random() < 0.5 else None,
+            bootstrap=bool(rng.random() < 0.8),
+            min_records=int(rng.integers(1, 5)),
+            max_depth=[None, 0, 1, 3][int(rng.integers(0, 4))],
+            seed=int(rng.integers(0, 1000)))
+        with pytest.MonkeyPatch.context() as patch:
+            if gather_keys is not None:
+                patch.setattr(tree_module, "_GATHER_KEYS", gather_keys)
+            forest = train_forest(table, params)
+        k = params.resolve_features_per_split(m)
+        for i, (member, bag) in enumerate(zip(forest.trees, forest.bags)):
+            # alone on the bag as an index view, and on a copy of its rows
+            for data, rows in ((table, bag), (table.take_rows(bag), np.arange(len(bag)))):
+                lone = np.random.default_rng([params.seed, i, 1])
+                [root] = tree_module._grow(
+                    data, params.tree_params(), tree_module._gini_chooser,
+                    "binary", True, [(rows, lone)], k)
+                assert replace(member, root=root).to_json() == member.to_json()
+            assert member.n_rows == len(bag)
 
     def test_too_few_rows(self):
         table = planted_table(n=100, m=3).take_rows([0])

@@ -38,6 +38,8 @@ from treebench.tree import (
     train_quest,
     tree_depth,
 )
+from treebench import tree as tree_module
+from treebench.tree import _gini_chooser, _Step
 from treebench.forest import ForestParams, train_forest
 
 ALL_TRAINERS = [train_c50, train_cart, train_chaid, train_quest]
@@ -407,6 +409,87 @@ def cart_root_oracle(table, params):
     return best
 
 
+def _binary_candidates(codes):
+    """Proper subsets containing the smallest code, in lexicographic order.
+
+    Anchoring on the smallest code enumerates each subset/complement pair
+    exactly once: 2^(k-1) - 1 candidates for k codes.
+    """
+    codes = sorted(codes)
+    first, rest = codes[0], codes[1:]
+    out = [
+        (first,) + combo
+        for r in range(len(rest))
+        for combo in combinations(rest, r)
+    ]
+    out.sort()
+    return out
+
+
+def scalar_gini_choice(params, counts, tables):
+    """Oracle for the batched Gini chooser: the per-node loop it replaced,
+    one candidate subset at a time over the node's ``(feature, codes,
+    class counts)`` tables.  Returns ``(delta, feature, branches)`` or None.
+    """
+    cost = params.cost_matrix()
+    pair_cost = float(cost[0, 1] + cost[1, 0])
+
+    def node_gini(n0, n1):
+        total = n0 + n1
+        return pair_cost * n0 * n1 / (total * total)
+
+    n = int(counts.sum())
+    parent_gini = node_gini(int(counts[0]), int(counts[1]))
+    best = None  # (delta, feature, subset, codes)
+    for f, codes, per_code in tables:
+        # codes are sorted, so position subsets come in code-subset order
+        for subset in _binary_candidates(range(len(codes))):
+            l0 = sum(int(per_code[i, 0]) for i in subset)
+            l1 = sum(int(per_code[i, 1]) for i in subset)
+            nl = l0 + l1
+            nr = n - nl
+            if nl < params.min_records or nr < params.min_records:
+                continue
+            delta = parent_gini \
+                - (nl / n) * node_gini(l0, l1) \
+                - (nr / n) * node_gini(counts[0] - l0, counts[1] - l1)
+            if delta > 1e-12 and (best is None or delta > best[0]):
+                best = (delta, f, subset, codes)
+    if best is None:
+        return None
+    delta, f, subset, codes = best
+    left = tuple(int(codes[i]) for i in subset)
+    return delta, f, (left, tuple(int(c) for c in codes if int(c) not in left))
+
+
+def random_step(rng):
+    """A grow step of 1-6 nodes over 1-4 features with 2-6 codes each.
+
+    Each node draws the same number of candidate features, shows only some
+    of each feature's codes, and may be nearly pure.
+    """
+    m = int(rng.integers(1, 5))
+    universes = [np.sort(rng.choice(np.arange(1, 40), size=int(rng.integers(2, 7)),
+                                    replace=False)) for _ in range(m)]
+    starts = np.cumsum([0] + [len(u) for u in universes])
+    k = int(rng.integers(1, m + 1))
+    slots = int(rng.integers(1, 7))
+    cube = np.zeros((slots, 2, starts[-1]), dtype=np.int64)
+    counts, candidates, idx = [], [], []
+    for s in range(slots):
+        n = int(rng.integers(1, 40))
+        y = (rng.random(n) < rng.random()).astype(np.int64)
+        chosen = tuple(sorted(rng.choice(m, k, replace=False).tolist()))
+        for f in chosen:
+            shown = rng.choice(len(universes[f]), size=int(rng.integers(1, len(universes[f]) + 1)),
+                               replace=False)
+            np.add.at(cube[s], (y, starts[f] + rng.choice(shown, size=n)), 1)
+        counts.append(np.bincount(y, minlength=2))
+        candidates.append(chosen)
+        idx.append(np.arange(n))
+    return _Step(idx, np.array(counts), cube, candidates, universes, starts)
+
+
 class TestCart:
     def test_perfect_split_delta(self):
         table = make_table([(0, 0), (0, 0), (1, 1), (1, 1)])
@@ -416,10 +499,35 @@ class TestCart:
         assert training_accuracy(tree, table) == 1.0
 
     def test_three_code_candidates(self):
-        from treebench.tree import _binary_candidates
-
         assert _binary_candidates([0, 1, 2]) == [(0,), (0, 1), (0, 2)]
         assert len(_binary_candidates([0, 1, 2, 3])) == 2 ** 3 - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), min_records=st.integers(1, 4),
+           cost=st.sampled_from([None, ((0.0, 1.0), (2.5, 0.0)),
+                                 ((0.0, 0.3), (0.7, 0.0)), ((0.0, 4.0), (4.0, 0.0))]),
+           score_cells=st.sampled_from([None, 1]))
+    def test_batched_choice_matches_scalar_oracle(self, seed, min_records, cost,
+                                                  score_cells):
+        """Every slot of a step gets the oracle's feature and branches and
+        the very same float delta, ties included, whether the slots are
+        scored together or one at a time."""
+        step = random_step(np.random.default_rng(seed))
+        params = TreeParams(min_records=min_records, cost=cost)
+        with pytest.MonkeyPatch.context() as patch:
+            if score_cells is not None:
+                patch.setattr(tree_module, "_SCORE_CELLS", score_cells)
+            batched = _gini_chooser(None, params, step.universes)(step)
+        assert len(batched) == len(step.idx)
+        for slot, got in enumerate(batched):
+            expected = scalar_gini_choice(params, step.counts[slot],
+                                          step.tables(slot))
+            if expected is None:
+                assert got is None
+                continue
+            assert got is not None
+            assert got[1:] == expected[1:]
+            assert float(got[0]).hex() == float(expected[0]).hex()
 
     def test_root_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(67)
