@@ -591,33 +591,38 @@ def _majority(y: np.ndarray) -> tuple[int, int]:
 
 
 def _grow_rule(rows, y, levels, max_literals):
-    """Greedy literal growth; returns the rule or None for the empty prefix."""
+    """Greedy literal growth; returns the rule or None for the empty prefix.
+
+    One hit matrix per rule marks which rows each (feature, code) literal
+    covers.  A step scores every literal from column sums over the rows the
+    rule covers so far and takes the lexicographic maximum of (Laplace
+    precision, coverage, -feature, -code).
+    """
+    feature = np.repeat(np.arange(rows.shape[1]), [len(lv) for lv in levels])
+    code = np.array([c for lv in levels for c in lv], dtype=np.int64)
+    hits = rows[:, feature] == code
     mask = np.ones(len(y), dtype=bool)
+    free = np.ones(len(code), dtype=bool)  # literal on a feature not yet used
     literals: list[tuple[int, int]] = []
     klass, majority = _majority(y)
     precision = _laplace(majority, len(y))
     while len(literals) < max_literals:
-        used = {j for j, _ in literals}
-        best = None
-        for j in range(rows.shape[1]):
-            if j in used:
-                continue
-            for code in levels[j]:
-                sub = mask & (rows[:, j] == code)
-                covered = int(sub.sum())
-                if covered == 0:
-                    continue
-                sub_class, sub_majority = _majority(y[sub])
-                cand = (_laplace(sub_majority, covered), covered, -j, -code)
-                if best is None or cand > best[0]:
-                    best = (cand, j, code, sub, sub_class)
-        if best is None or best[0][0] <= precision + 1e-12:
+        sub = hits[mask]
+        covered = sub.sum(axis=0)
+        ones = sub[y[mask] == 1].sum(axis=0)
+        laplace = (np.maximum(ones, covered - ones) + 1.0) / (covered + 2.0)
+        live = np.flatnonzero(free & (covered > 0))
+        if not live.size:
             break
-        cand, j, code, sub, sub_class = best
-        literals.append((j, code))
-        mask = sub
-        precision = cand[0]
-        klass = sub_class
+        best = live[np.lexsort((-code[live], -feature[live], covered[live],
+                                laplace[live]))[-1]]
+        if laplace[best] <= precision + 1e-12:
+            break
+        literals.append((int(feature[best]), int(code[best])))
+        mask &= hits[:, best]
+        precision = float(laplace[best])
+        klass = int(ones[best] > covered[best] - ones[best])
+        free &= feature != feature[best]
     if not literals:
         return None
     return DecisionRule(tuple(literals), klass, precision, int(mask.sum())), mask

@@ -1,5 +1,6 @@
 """Split-quality kernels: entropy, information gain, cost-weighted Gini,
-Gini decrease, and chi-square statistics.
+Gini decrease, and chi-square statistics, one table at a time or a batch of
+k x 2 tables at once.
 
 All functions are pure and operate on plain count vectors / matrices, so they
 are safe to call from any number of threads.  Class counts are non-negative
@@ -22,8 +23,9 @@ def _as_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     c = np.asarray(counts, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("class counts must be a non-empty 1-D vector")
-    if np.any(c < 0):
-        raise ValueError("class counts must be non-negative")
+    # NaN fails both comparisons, so this rejects it too
+    if not ((c >= 0) & (c < np.inf)).all():
+        raise ValueError("class counts must be finite and non-negative")
     return c
 
 
@@ -130,8 +132,8 @@ def gini_decrease(
 def chi_square_sf(statistic: float, dof: int) -> float:
     """Survival function of the chi-square distribution (the p-value for a
     given statistic), via the regularized upper incomplete gamma function."""
-    if statistic < 0:
-        raise ValueError("chi-square statistic must be non-negative")
+    if not 0 <= statistic < np.inf:
+        raise ValueError("chi-square statistic must be finite and non-negative")
     if dof < 1:
         raise ValueError("degrees of freedom must be at least 1")
     # imported here: scipy.special doubles the import cost of the package, and
@@ -167,8 +169,8 @@ def chi_square(
     obs = np.asarray(table, dtype=float)
     if obs.ndim != 2:
         raise ValueError("contingency table must be 2-D")
-    if np.any(obs < 0):
-        raise ValueError("contingency counts must be non-negative")
+    if not ((obs >= 0) & (obs < np.inf)).all():
+        raise ValueError("contingency counts must be finite and non-negative")
     row_sums = obs.sum(axis=1)
     col_sums = obs.sum(axis=0)
     obs = obs[row_sums > 0][:, col_sums > 0]
@@ -188,3 +190,61 @@ def chi_square(
     return ChiSquareResult(
         statistic=stat, dof=dof, p_value=chi_square_sf(stat, dof), variant=variant
     )
+
+
+def chi_square_k2(tables: Sequence[np.ndarray] | np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson p-values of a batch of k x 2 tables with positive row sums.
+
+    ``tables`` is a sequence of [k, 2] count tables, k >= 2 and free to vary
+    (a [n, k, 2] array is n tables of one k).  Returns ``(p_values,
+    degenerate)``: ``degenerate`` marks the tables with an empty class
+    column, where ``chi_square`` raises ``DegenerateTableError``; their
+    p-value is NaN.  Every other p-value equals ``chi_square(t).p_value``
+    bit for bit.  The tables' rows are stacked, sorted by k, and go through
+    the float operations of ``chi_square`` row by row; only the statistic's
+    sum runs per k, because its summation order depends on the length.
+    """
+    if isinstance(tables, np.ndarray) and tables.ndim == 3:
+        sizes = np.full(len(tables), tables.shape[1])
+        order = slice(None)
+        obs = tables.reshape(-1, tables.shape[2])
+    else:
+        sizes = np.array([len(t) for t in tables], dtype=np.intp)
+        order = np.argsort(sizes, kind="stable")
+        sizes = sizes[order]
+        obs = np.concatenate([tables[i] for i in order]) if len(sizes) else \
+            np.zeros((0, 2))
+    obs = np.asarray(obs, dtype=float)
+    if obs.ndim != 2 or obs.shape[1] != 2 or (sizes < 2).any():
+        raise ValueError("tables must be k x 2 with k >= 2")
+    if not ((obs >= 0) & (obs < np.inf)).all():
+        raise ValueError("contingency counts must be finite and non-negative")
+    rows = obs.sum(axis=1)
+    if not (rows > 0).all():
+        raise ValueError("k x 2 tables need positive row sums")
+    p = np.full(len(sizes), np.nan)
+    degenerate = np.zeros(len(sizes), dtype=bool)
+    if not len(sizes):
+        return p, degenerate
+    ends = np.cumsum(sizes)
+    # integer-valued, so these sums are exact in any order
+    cols = np.add.reduceat(obs, ends - sizes, axis=0)
+    total = cols.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = rows[:, None] * np.repeat(cols, sizes, axis=0) \
+            / np.repeat(total, sizes)[:, None]
+        terms = (obs - expected) ** 2 / expected
+    stat = np.empty(len(sizes))
+    # sorted by k: each k is one run of tables and one block of rows
+    bounds = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist(), len(sizes)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        k = int(sizes[lo])
+        block = terms[ends[lo] - k:ends[hi - 1]]
+        stat[lo:hi] = block.reshape(hi - lo, 2 * k).sum(axis=1)
+    from scipy.special import gammaincc  # lazy, as in chi_square_sf
+
+    flat = ~(cols > 0).all(axis=1)
+    p[order] = np.where(flat, np.nan, gammaincc((sizes - 1) / 2.0, stat / 2.0))
+    degenerate[order] = flat
+    return p, degenerate

@@ -195,6 +195,12 @@ class CategoricalTable:
         self.schema = tuple(schema)
         self.rows = np.ascontiguousarray(rows, dtype=np.int64)
         self.target = np.ascontiguousarray(target, dtype=np.int64)
+        # a contiguous int64 input comes back as itself; copy it, so freezing
+        # the table does not reach the caller's array
+        if self.rows is rows:
+            self.rows = self.rows.copy()
+        if self.target is target:
+            self.target = self.target.copy()
         n, m = self.rows.shape if self.rows.ndim == 2 else (0, 0)
         if m != len(self.schema):
             raise DatasetError("row matrix width does not match schema")
@@ -599,11 +605,8 @@ def recode(raw: RawTable, rules: RecodeRuleSet, strict: bool = True
     )
     if not out_rows:
         raise DatasetError("recode dropped every row; nothing to train on")
-    table = CategoricalTable(
-        rules.output_schema(),
-        np.array(out_rows, dtype=np.int64),
-        np.array(out_target, dtype=np.int64),
-    )
+    # lists, so the table builds its arrays once, without a private copy
+    table = CategoricalTable(rules.output_schema(), out_rows, out_target)
     return table, audit
 
 

@@ -23,9 +23,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .criteria import (
-    DegenerateTableError,
     _check_cost,
-    chi_square,
+    chi_square_k2,
     gini_decrease,
     info_gain,
     unit_cost_matrix,
@@ -738,29 +737,33 @@ def stirling2(n: int, k: int) -> int:
     return row[k]
 
 
-def _pair_p_value(a: np.ndarray, b: np.ndarray) -> float:
-    try:
-        return chi_square(np.vstack([a, b])).p_value
-    except DegenerateTableError:
-        # groups indistinguishable when a class column is empty
-        return 1.0
+@lru_cache(maxsize=64)
+def _pairs(n: int) -> np.ndarray:
+    """The [i, j] index pairs i < j of n items, in (i, j) order; shared,
+    so read-only."""
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def _merge_groups(groups: list[tuple[tuple[int, ...], np.ndarray]], alpha: float
                   ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Greedily fuse the least-distinguishable pair until every remaining
-    pair differs at level alpha or only two groups remain."""
+    pair differs at level alpha or only two groups remain.
+
+    Each round scores all pairs in one ``chi_square_k2`` call; a pair with
+    an empty class column is indistinguishable (p = 1).  ``argmax`` takes
+    the first pair, in (i, j) order, of the largest p-value.
+    """
     groups = list(groups)
     while len(groups) > 2:
-        best_p, best_pair = -1.0, None
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                p = _pair_p_value(groups[i][1], groups[j][1])
-                if p > best_p:
-                    best_p, best_pair = p, (i, j)
-        if best_p < alpha:
+        pairs = _pairs(len(groups))
+        p, degenerate = chi_square_k2(np.array([g[1] for g in groups])[pairs])
+        p[degenerate] = 1.0
+        best = int(np.argmax(p))
+        if p[best] < alpha:
             break
-        i, j = best_pair
+        i, j = pairs[best].tolist()
         merged = (
             tuple(sorted(groups[i][0] + groups[j][0])),
             groups[i][1] + groups[j][1],
@@ -772,17 +775,19 @@ def _merge_groups(groups: list[tuple[tuple[int, ...], np.ndarray]], alpha: float
 
 def _chaid_chooser(data: CategoricalTable, params: TreeParams, universes):
     def choose(idx, counts, tables):
-        best = None  # (adjusted_p, feature, groups)
+        merged = []  # (feature, codes present, groups), groups >= min_records
         for f, codes, table in tables:
             groups = _merge_groups(
                 [((int(c),), row) for c, row in zip(codes, table)], params.alpha)
-            if any(g[1].sum() < params.min_records for g in groups):
+            if all(g[1].sum() >= params.min_records for g in groups):
+                merged.append((f, codes, groups))
+        raw_p, degenerate = chi_square_k2(
+            [np.vstack([g[1] for g in groups]) for _, _, groups in merged])
+        best = None  # (adjusted_p, feature, groups)
+        for (f, codes, groups), p, flat in zip(merged, raw_p.tolist(), degenerate):
+            if flat:
                 continue
-            try:
-                raw_p = chi_square(np.vstack([g[1] for g in groups])).p_value
-            except DegenerateTableError:
-                continue
-            adjusted = min(1.0, stirling2(len(codes), len(groups)) * raw_p)
+            adjusted = min(1.0, stirling2(len(codes), len(groups)) * p)
             if best is None or adjusted < best[0] - _GAIN_EPS:
                 best = (adjusted, f, groups)
         if best is None or best[0] > params.alpha:
@@ -848,14 +853,12 @@ def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
 
     def choose(idx, counts, tables):
         # variable selection: smallest chi-square p, ties to lowest index
+        p, degenerate = chi_square_k2([table for _, _, table in tables])
+        p[degenerate] = 1.0
         best = None  # (p, feature, codes, table)
-        for f, codes, table in tables:
-            try:
-                p = chi_square(table).p_value
-            except DegenerateTableError:
-                p = 1.0
-            if best is None or p < best[0] - _GAIN_EPS:
-                best = (p, f, codes, table)
+        for (f, codes, table), pf in zip(tables, p.tolist()):
+            if best is None or pf < best[0] - _GAIN_EPS:
+                best = (pf, f, codes, table)
         if best is None:
             return None
 

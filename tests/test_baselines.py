@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from treebench import baselines as baselines_module
 from treebench.baselines import (
     BaselineError,
     BayesNetModel,
@@ -384,6 +386,85 @@ def test_decision_list_probability_is_rule_precision():
         expected = rule.precision if rule.klass == 1 else 1 - rule.precision
         assert predict_proba(model, row) == pytest.approx(expected, abs=1e-12)
         break
+
+
+def scalar_grow_rule(rows, y, levels, max_literals):
+    """Oracle for the hit-matrix ``_grow_rule``: the per-literal loop it
+    replaced, one mask and one class count per (feature, code) and step,
+    the winner the tuple maximum of (precision, coverage, -feature, -code).
+    """
+    def laplace(class_count, covered):
+        return (class_count + 1.0) / (covered + 2.0)
+
+    def majority(labels):
+        counts = np.bincount(labels, minlength=2)
+        klass = int(np.argmax(counts))
+        return klass, int(counts[klass])
+
+    mask = np.ones(len(y), dtype=bool)
+    literals = []
+    klass, top = majority(y)
+    precision = laplace(top, len(y))
+    while len(literals) < max_literals:
+        used = {j for j, _ in literals}
+        best = None
+        for j in range(rows.shape[1]):
+            if j in used:
+                continue
+            for code in levels[j]:
+                sub = mask & (rows[:, j] == code)
+                covered = int(sub.sum())
+                if covered == 0:
+                    continue
+                sub_class, sub_top = majority(y[sub])
+                cand = (laplace(sub_top, covered), covered, -j, -code)
+                if best is None or cand > best[0]:
+                    best = (cand, j, code, sub, sub_class)
+        if best is None or best[0][0] <= precision + 1e-12:
+            break
+        cand, j, code, sub, sub_class = best
+        literals.append((j, code))
+        mask = sub
+        precision = cand[0]
+        klass = sub_class
+    if not literals:
+        return None
+    return DecisionRule(tuple(literals), klass, precision, int(mask.sum())), mask
+
+
+@st.composite
+def tied_tables(draw):
+    """Small tables with many ties: few rows, 2-3 codes, and sometimes a
+    copy of the first column, so two features score the same."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 4))
+    codes = [tuple(sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3))))
+             for _ in range(m)]
+    rows = np.array([[draw(st.sampled_from(c)) for c in codes] for _ in range(n)],
+                    dtype=np.int64).reshape(n, m)
+    if draw(st.booleans()):
+        rows = np.hstack([rows, rows[:, :1]])
+        codes.append(codes[0])
+    target = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return table_from(rows, target, codes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=tied_tables(), min_coverage=st.integers(1, 3),
+       purity=st.sampled_from([0.0, 0.5, 0.8]), max_literals=st.integers(1, 4))
+# codes 0 and 1 tie on precision 2/3 (1 of 1 and 3 of 4); coverage decides
+@example(data=table_from([[0]] + [[1]] * 4 + [[2]] * 4,
+                         [1, 1, 1, 1, 0, 1, 1, 0, 0], [(0, 1, 2)]),
+         min_coverage=1, purity=0.5, max_literals=2)
+def test_decision_list_matches_scalar_oracle(data, min_coverage, purity, max_literals):
+    """The hit-matrix rule growth gives the very same model text as the
+    per-literal loop, ties in precision and coverage included."""
+    options = dict(min_coverage=min_coverage, purity_threshold=purity,
+                   max_literals=max_literals)
+    batched = model_to_json(train_decision_list(data, **options))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines_module, "_grow_rule", scalar_grow_rule)
+        assert model_to_json(train_decision_list(data, **options)) == batched
 
 
 # ---------------------------------------------------------------------------

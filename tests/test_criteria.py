@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treebench.criteria import (
     ChiSquareResult,
     DegenerateTableError,
     chi_square,
+    chi_square_k2,
     chi_square_sf,
     entropy,
     gini,
@@ -288,6 +290,85 @@ class TestChiSquare:
         assert isinstance(res, ChiSquareResult)
         with pytest.raises(AttributeError):
             res.statistic = 0.0
+
+
+@st.composite
+def k2_tables(draw):
+    """A k x 2 table, k = 2-13, with positive row sums; a quarter of them
+    have an empty class column."""
+    k = draw(st.integers(2, 13))
+    scale = draw(st.sampled_from([2, 30, 5000]))
+    table = np.array(draw(st.lists(st.tuples(st.integers(0, scale),
+                                             st.integers(0, scale)),
+                                   min_size=k, max_size=k)), dtype=np.int64)
+    empty = draw(st.sampled_from([None, None, None, 0, 1]))
+    if empty is not None:
+        table[:, empty] = 0
+    table[table.sum(axis=1) == 0, 1 if empty == 0 else 0] = 1
+    return table
+
+
+class TestChiSquareK2:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=st.lists(k2_tables(), min_size=1, max_size=12))
+    def test_matches_chi_square_bit_for_bit(self, tables):
+        p, degenerate = chi_square_k2(tables)
+        for table, got, flat in zip(tables, p.tolist(), degenerate.tolist()):
+            try:
+                expected = chi_square(table).p_value
+            except DegenerateTableError:
+                assert flat and math.isnan(got)
+                continue
+            assert not flat
+            assert got.hex() == expected.hex()
+
+    def test_stack_of_one_k_equals_the_sequence(self):
+        rng = np.random.default_rng(52)
+        stack = rng.integers(1, 9, size=(40, 3, 2))
+        stack[:5, :, 1] = 0
+        p, degenerate = chi_square_k2(stack)
+        q, flagged = chi_square_k2(list(stack))
+        assert np.array_equal(p, q, equal_nan=True)
+        assert np.array_equal(degenerate, flagged)
+        assert degenerate.tolist() == [True] * 5 + [False] * 35
+
+    def test_empty_batch(self):
+        p, degenerate = chi_square_k2([])
+        assert p.shape == degenerate.shape == (0,)
+
+    def test_zero_row_sum_rejected(self):
+        with pytest.raises(ValueError, match="positive row sums"):
+            chi_square_k2([np.array([[3, 4], [0, 0]])])
+
+    @pytest.mark.parametrize("bad", [[[5, 5]], [[1, 2, 3], [4, 5, 6]],
+                                     [[1, -2], [3, 4]], [[1, np.nan], [3, 4]],
+                                     [[1, np.inf], [3, 4]]])
+    def test_bad_tables_rejected(self, bad):
+        with pytest.raises(ValueError):
+            chi_square_k2([np.array(bad, dtype=float)])
+
+
+class TestNonFiniteCounts:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vector_kernels_reject(self, bad):
+        for call in (lambda: entropy([bad, 1]),
+                     lambda: gini([bad, 1]),
+                     lambda: info_gain([bad, 1], [[bad, 1]]),
+                     lambda: info_gain([2, 1], [[1, 1], [1, bad]]),
+                     lambda: gini_decrease([bad, 1], [bad, 0], [0, 1])):
+            with pytest.raises(ValueError, match="finite") as info:
+                call()
+            assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_chi_square_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            chi_square([[1, bad], [3, 4]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_chi_square_sf_rejects(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            chi_square_sf(bad, 1)
 
 
 def test_unit_cost_matrix_shape():

@@ -452,6 +452,19 @@ class TestCategoricalTable:
         with pytest.raises(ValueError):
             sub.target[0] = 1
 
+    def test_callers_arrays_stay_writeable(self):
+        rows = np.zeros((3, 2), dtype=np.int64)
+        target = np.array([0, 1, 0], dtype=np.int64)
+        table = CategoricalTable(binary_schema(2), rows, target)
+        assert rows.flags.writeable and target.flags.writeable
+        rows[0, 0] = 1
+        target[0] = 1
+        assert table.rows[0, 0] == 0 and table.target[0] == 0
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 1
+        with pytest.raises(ValueError):
+            table.target[0] = 1
+
     def test_csv_round_trip(self, tmp_path):
         schema = binary_schema(2)
         table = CategoricalTable(

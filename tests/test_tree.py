@@ -1,6 +1,7 @@
 """Tree induction, pruning, prediction, importance, and DOT export."""
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treebench.criteria import DegenerateTableError, chi_square, info_gain
 from treebench.dataset import (
     CategoricalTable,
     FeatureSpec,
@@ -39,7 +41,7 @@ from treebench.tree import (
     tree_depth,
 )
 from treebench import tree as tree_module
-from treebench.tree import _gini_chooser, _Step
+from treebench.tree import _gini_chooser, _quest_chooser, _Step
 from treebench.forest import ForestParams, train_forest
 
 ALL_TRAINERS = [train_c50, train_cart, train_chaid, train_quest]
@@ -564,7 +566,138 @@ class TestCart:
                 assert not left & right
 
 
+def scalar_pair_p_value(a, b):
+    """Oracle: one ``chi_square`` per pair; a pair with an empty class
+    column is indistinguishable."""
+    try:
+        return chi_square(np.vstack([a, b])).p_value
+    except DegenerateTableError:
+        return 1.0
+
+
+def scalar_merge_groups(groups, alpha):
+    """Oracle for the batched ``_merge_groups``: the pairwise loop it
+    replaced, the first pair with the largest p-value winning."""
+    groups = list(groups)
+    while len(groups) > 2:
+        best_p, best_pair = -1.0, None
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                p = scalar_pair_p_value(groups[i][1], groups[j][1])
+                if p > best_p:
+                    best_p, best_pair = p, (i, j)
+        if best_p < alpha:
+            break
+        i, j = best_pair
+        merged = (
+            tuple(sorted(groups[i][0] + groups[j][0])),
+            groups[i][1] + groups[j][1],
+        )
+        groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
+        groups.sort(key=lambda g: g[0][0])
+    return groups
+
+
+def scalar_chaid_chooser(data, params, universes):
+    """Oracle for ``_chaid_chooser``: scalar merging and one
+    ``chi_square`` per feature, as before batching."""
+    def choose(idx, counts, tables):
+        best = None  # (adjusted_p, feature, groups)
+        for f, codes, table in tables:
+            groups = scalar_merge_groups(
+                [((int(c),), row) for c, row in zip(codes, table)], params.alpha)
+            if any(g[1].sum() < params.min_records for g in groups):
+                continue
+            try:
+                raw_p = chi_square(np.vstack([g[1] for g in groups])).p_value
+            except DegenerateTableError:
+                continue
+            adjusted = min(1.0, stirling2(len(codes), len(groups)) * raw_p)
+            if best is None or adjusted < best[0] - 1e-12:
+                best = (adjusted, f, groups)
+        if best is None or best[0] > params.alpha:
+            return None
+        _, f, groups = best
+        return (info_gain(counts, [g[1] for g in groups]), f,
+                tuple(g[0] for g in groups))
+
+    return tree_module._per_node(choose)
+
+
+def scalar_quest_chooser(data, params, universes):
+    """Oracle for ``_quest_chooser``: one ``chi_square`` per feature in the
+    variable selection, as before batching; the split point is the
+    chooser's own."""
+    split_point = _quest_chooser(data, params, universes)
+
+    def choose(step):
+        out = []
+        for slot in range(len(step.idx)):
+            best = None  # (p, feature)
+            for f, codes, table in step.tables(slot):
+                try:
+                    p = chi_square(table).p_value
+                except DegenerateTableError:
+                    p = 1.0
+                if best is None or p < best[0] - 1e-12:
+                    best = (p, f)
+            if best is None:
+                out.append(None)
+                continue
+            # the chooser on a step that offers only the selected feature
+            one = replace(step, candidates=[(best[1],)], idx=[step.idx[slot]],
+                          counts=step.counts[slot:slot + 1],
+                          cube=step.cube[slot:slot + 1])
+            out.extend(split_point(one))
+        return out
+
+    return choose
+
+
+@st.composite
+def code_groups(draw):
+    """2-10 one-code groups with positive class counts [n0, n1]; repeated
+    rows make exact p-value ties, pure rows make degenerate pairs."""
+    pool = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
+                         .filter(lambda r: r[0] + r[1] > 0),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
+    return [((code,), np.array(row, dtype=np.int64))
+            for code, row in enumerate(rows)]
+
+
 class TestChaid:
+    @settings(max_examples=300, deadline=None)
+    @given(groups=code_groups(),
+           alpha=st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9, 1.0]))
+    def test_batched_merge_matches_scalar_oracle(self, groups, alpha):
+        got = tree_module._merge_groups(groups, alpha)
+        expected = scalar_merge_groups(groups, alpha)
+        assert [g[0] for g in got] == [g[0] for g in expected]
+        assert [g[1].tolist() for g in got] == [g[1].tolist() for g in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), grower=st.sampled_from(["chaid", "quest"]),
+           min_records=st.integers(1, 4), alpha=st.sampled_from([0.05, 0.5, 0.95]))
+    def test_trees_match_scalar_choosers(self, seed, grower, min_records, alpha):
+        """CHAID and QUEST grow the same tree as with a scalar chooser that
+        calls ``chi_square`` once per table."""
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(12, 120)), int(rng.integers(2, 6))
+        codes = rng.integers(2, 8, size=m)
+        X = rng.integers(0, codes, size=(n, m))
+        # the target leans on one feature, so trees grow past the root
+        y = (X[:, rng.integers(m)] % 2) ^ (rng.random(n) < rng.uniform(0.0, 0.5))
+        schema = tuple(FeatureSpec(f"f{j:02d}", tuple(range(c))) for j, c in enumerate(codes))
+        table = CategoricalTable(schema, X, y.astype(np.int64))
+        params = TreeParams(min_records=min_records, alpha=alpha)
+        train = {"chaid": train_chaid, "quest": train_quest}[grower]
+        batched = train(table, params).to_json()
+        oracle = {"chaid": scalar_chaid_chooser, "quest": scalar_quest_chooser}[grower]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, f"_{grower}_chooser", oracle)
+            assert train(table, params).to_json() == batched
+
     def test_independent_feature_single_leaf(self):
         table = make_table([(0, 0), (0, 0), (0, 1), (0, 1),
                             (1, 0), (1, 0), (1, 1), (1, 1)])
