@@ -17,9 +17,7 @@ from .baselines import (
     bayes_joint_probability,
     mlp_loss_and_gradients,
     model_from_json,
-    model_to_json,
     predict_batch,
-    predict_proba,
     train_bayes_net,
     train_decision_list,
     train_logistic,
@@ -51,7 +49,6 @@ from .dataset import (
     feature,
     filter_curve_cohort,
     generate_synthetic,
-    identity_rules,
     load_delimited,
     planted_interaction_rules,
     planted_relevance_rules,
@@ -69,16 +66,12 @@ from .evaluation import (
     Leaderboard,
     LeaderboardRow,
     RosterEntry,
-    SearchResult,
-    SearchSpec,
-    TrialRecord,
     coincidence,
     compare_models,
     cross_validate,
     make_folds,
     overall_accuracy,
     predict_labels,
-    search,
 )
 from .forest import (
     Forest,

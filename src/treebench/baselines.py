@@ -4,7 +4,8 @@ Four model families live here: penalized logistic regression, a small
 feed-forward network, a discrete Bayesian network, and a sequential-covering
 decision list.  Every trained model answers ``proba_batch(rows)`` with the
 probability of class 1 for each row of a matrix, and ``predict_batch``
-thresholds that at 0.5.
+thresholds that at 0.5.  ``to_json`` writes a model as one JSON object, its
+``kind`` plus every field, and ``model_from_json`` reads any of them back.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,10 +32,7 @@ __all__ = [
     "train_bayes_net",
     "train_decision_list",
     "mlp_loss_and_gradients",
-    "predict_proba",
-    "predict",
     "predict_batch",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -81,8 +79,27 @@ def _encoding_for(table: CategoricalTable) -> _Encoding:
     )
 
 
+def _tuples(items) -> tuple:
+    return tuple(tuple(v) for v in items)
+
+
+def _arrays(items) -> tuple:
+    return tuple(np.array(v) for v in items)
+
+
+# Decoders from the JSON value of the fields every baseline has.
+_DECODERS = {"feature_names": tuple, "levels": _tuples}
+
+
 class _Baseline:
-    """The label rule every baseline shares: class 1 when P(class 1) >= 0.5."""
+    """What every baseline shares: class 1 when P(class 1) >= 0.5, and one
+    JSON object holding ``kind`` and every field.  A subclass names its
+    ``kind`` and the ``decoders`` of fields not stored in their JSON form."""
+
+    def to_json(self) -> str:
+        payload = {"kind": self.kind}
+        payload.update((f.name, getattr(self, f.name)) for f in fields(self))
+        return json.dumps(payload, sort_keys=True, default=_json_value)
 
     def predict_batch(self, rows) -> np.ndarray:
         return (self.proba_batch(rows) >= 0.5).astype(np.int64)
@@ -112,6 +129,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogisticModel(_Baseline):
+    kind = "logistic"
+    decoders = {"coefficients": tuple}
+
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     intercept: float
@@ -198,6 +218,9 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
 
 @dataclass(frozen=True, eq=False)
 class MlpModel(_Baseline):
+    kind = "mlp"
+    decoders = {"weights": _arrays, "biases": _arrays}
+
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     weights: tuple[np.ndarray, ...]
@@ -358,6 +381,12 @@ class BayesNetModel(_Baseline):
     to an array whose leading axes follow the parent order and whose last
     axis runs over the node's own levels.
     """
+
+    kind = "bayes_net"
+    decoders = {
+        "parents": lambda d: {k: tuple(v) for k, v in d.items()},
+        "cpts": lambda d: {k: np.array(v) for k, v in d.items()},
+    }
 
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
@@ -555,8 +584,24 @@ class DecisionRule:
         return all(int(row[j]) == code for j, code in self.literals)
 
 
+def _json_value(value):
+    """``json.dumps`` fallback: a rule becomes its record, an array a list."""
+    if isinstance(value, DecisionRule):
+        return {"literals": value.literals, "class": value.klass,
+                "precision": value.precision, "coverage": value.coverage}
+    return value.tolist()
+
+
+def _rules(items) -> tuple:
+    return tuple(DecisionRule(_tuples(r["literals"]), r["class"],
+                              r["precision"], r["coverage"]) for r in items)
+
+
 @dataclass(frozen=True)
 class DecisionListModel(_Baseline):
+    kind = "decision_list"
+    decoders = {"rules": _rules}
+
     feature_names: tuple[str, ...]
     levels: tuple[tuple[int, ...], ...]
     rules: tuple[DecisionRule, ...]
@@ -667,122 +712,25 @@ def train_decision_list(data: CategoricalTable, min_coverage: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# Shared prediction contract
-
-
-def _fitted(model):
-    if not hasattr(model, "proba_batch"):
-        raise BaselineError(f"unknown model type {type(model).__name__}")
-    return model
-
-
-def predict_proba(model, row) -> float:
-    """Probability of class 1 for one row under any baseline model."""
-    return float(_fitted(model).proba_batch(np.asarray(row)[None])[0])
-
-
-def predict(model, row) -> int:
-    return int(_fitted(model).predict_batch(np.asarray(row)[None])[0])
+# Shared prediction contract and serialization
 
 
 def predict_batch(model, rows) -> np.ndarray:
-    return _fitted(model).predict_batch(rows)
+    """Predicted classes for a row matrix."""
+    return model.predict_batch(rows)
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def _schema_payload(model) -> dict:
-    return {
-        "feature_names": list(model.feature_names),
-        "levels": [list(lv) for lv in model.levels],
-        "schema_hash": model.schema_hash,
-    }
-
-
-def model_to_json(model) -> str:
-    """Serialize any baseline model to structured text."""
-    if isinstance(model, LogisticModel):
-        payload = {
-            "kind": "logistic",
-            **_schema_payload(model),
-            "intercept": model.intercept,
-            "coefficients": list(model.coefficients),
-            "iterations": model.iterations,
-        }
-    elif isinstance(model, MlpModel):
-        payload = {
-            "kind": "mlp",
-            **_schema_payload(model),
-            "activation": model.activation,
-            "seed": model.seed,
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-        }
-    elif isinstance(model, BayesNetModel):
-        payload = {
-            "kind": "bayes_net",
-            **_schema_payload(model),
-            "alpha": model.alpha,
-            "score": model.score,
-            "parents": {k: list(v) for k, v in sorted(model.parents.items())},
-            "cpts": {k: v.tolist() for k, v in sorted(model.cpts.items())},
-        }
-    elif isinstance(model, DecisionListModel):
-        payload = {
-            "kind": "decision_list",
-            **_schema_payload(model),
-            "rules": [
-                {
-                    "literals": [list(l) for l in r.literals],
-                    "class": r.klass,
-                    "precision": r.precision,
-                    "coverage": r.coverage,
-                }
-                for r in model.rules
-            ],
-            "default_class": model.default_class,
-            "default_precision": model.default_precision,
-        }
-    else:
-        raise BaselineError(f"unknown model type {type(model).__name__}")
-    return json.dumps(payload, sort_keys=True)
+_KINDS = {cls.kind: cls for cls in
+          (LogisticModel, MlpModel, BayesNetModel, DecisionListModel)}
 
 
 def model_from_json(text: str):
-    """Rebuild a baseline model serialized by model_to_json."""
+    """Rebuild a baseline model serialized by its ``to_json``."""
     payload = json.loads(text)
-    names = tuple(payload["feature_names"])
-    levels = tuple(tuple(lv) for lv in payload["levels"])
-    kind = payload["kind"]
-    if kind == "logistic":
-        return LogisticModel(names, levels, float(payload["intercept"]),
-                             tuple(payload["coefficients"]),
-                             payload["schema_hash"], int(payload["iterations"]))
-    if kind == "mlp":
-        return MlpModel(names, levels,
-                        tuple(np.array(w) for w in payload["weights"]),
-                        tuple(np.array(b) for b in payload["biases"]),
-                        payload["activation"], payload["schema_hash"],
-                        int(payload["seed"]))
-    if kind == "bayes_net":
-        return BayesNetModel(
-            names, levels,
-            {k: tuple(v) for k, v in payload["parents"].items()},
-            {k: np.array(v) for k, v in payload["cpts"].items()},
-            float(payload["alpha"]), float(payload["score"]),
-            payload["schema_hash"],
-        )
-    if kind == "decision_list":
-        rules = tuple(
-            DecisionRule(tuple((int(j), int(c)) for j, c in r["literals"]),
-                         int(r["class"]), float(r["precision"]),
-                         int(r["coverage"]))
-            for r in payload["rules"]
-        )
-        return DecisionListModel(names, levels, rules,
-                                 int(payload["default_class"]),
-                                 float(payload["default_precision"]),
-                                 payload["schema_hash"])
-    raise BaselineError(f"unknown model kind {kind!r}")
+    kind = payload.pop("kind", None)
+    if kind not in _KINDS:
+        raise BaselineError(f"unknown model kind {kind!r}")
+    cls = _KINDS[kind]
+    decoders = {**_DECODERS, **cls.decoders}
+    return cls(**{k: decoders[k](v) if k in decoders else v
+                  for k, v in payload.items()})

@@ -104,9 +104,19 @@ class PipelineConfig:
 _CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(value, name: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ConfigError(f"{name} must be an integer >= {minimum}")
+    return value
+
+
+def _int_list(value, name: str) -> list:
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise ConfigError(f"{name} must be a list of integers")
     return value
 
 
@@ -134,7 +144,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
         if "seed" not in payload:
             raise ConfigError("config must set a seed; clock seeding is not supported")
         seed = payload["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ConfigError("seed must be an unsigned 64-bit integer")
 
     base = p.parent
@@ -186,6 +196,12 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
             raise ConfigError(f"unknown cohort keys: {', '.join(bad)}")
         if "alignment_field" not in cohort or "curve_codes" not in cohort:
             raise ConfigError("cohort needs alignment_field and curve_codes")
+        for key in ("alignment_field", "negotiating_field"):
+            if key in cohort and not isinstance(cohort[key], str):
+                raise ConfigError(f"cohort.{key} must be a column name")
+        for key in ("curve_codes", "negotiating_codes"):
+            if key in cohort:
+                _int_list(cohort[key], f"cohort.{key}")
 
     expected = payload.get("expected_rows")
     if expected is not None:
@@ -195,7 +211,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
     if not isinstance(rows, list) or not rows:
         raise ConfigError("explain_rows must be a non-empty list of row indices")
     for r in rows:
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
+        if not _is_int(r) or r < 0:
             raise ConfigError("explain_rows entries must be non-negative integers")
 
     strict = payload.get("strict", True)
@@ -305,7 +321,7 @@ def family_trainer(name: str, params: dict, master_seed: int):
     if name == "mlp":
         kwargs = dict(params)
         if "widths" in kwargs:
-            kwargs["widths"] = tuple(kwargs["widths"])
+            kwargs["widths"] = tuple(_int_list(kwargs["widths"], "mlp widths"))
         kwargs.setdefault("seed", derive_seed(master_seed, "mlp"))
         _bind_check(train_mlp, kwargs, name)
         return lambda t: train_mlp(t, **kwargs)
@@ -558,9 +574,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

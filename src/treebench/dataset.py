@@ -610,36 +610,6 @@ def recode(raw: RawTable, rules: RecodeRuleSet, strict: bool = True
     return table, audit
 
 
-def as_raw(table: CategoricalTable) -> RawTable:
-    """View a coded table as a raw table (target becomes a plain column),
-    so recode passes can be chained."""
-    return RawTable(
-        list(table.feature_names) + ["target"],
-        np.column_stack([table.rows, table.target]),
-    )
-
-
-def identity_rules(schema: Sequence[FeatureSpec]) -> RecodeRuleSet:
-    """Rule set that maps every allowed code of an already-coded table to
-    itself.  Recoding with it is the identity, which makes repeated recode
-    passes idempotent."""
-
-    def identity(name: str, codes: Iterable[int], labels: Mapping[int, str]) -> RecodeRule:
-        return RecodeRule(
-            name=name,
-            source=(name,),
-            cases=tuple(({"in": [c]}, c) for c in codes),
-            labels=dict(labels),
-        )
-
-    return RecodeRuleSet(
-        features=tuple(
-            identity(f.name, f.allowed_codes, f.code_labels) for f in schema
-        ),
-        target=identity("target", (0, 1), {}),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Cohort filter
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Cross-validation, coincidence matrices, hyper-parameter search, and the
-multi-model leaderboard.
+"""Cross-validation, coincidence matrices, and the multi-model leaderboard.
 
 A trainer here is any callable taking a CategoricalTable and returning a
 fitted model; every fitted model answers ``predict_batch(rows)``, so tree,
@@ -9,7 +8,6 @@ forest, and baseline families plug into the same folds.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -26,10 +24,6 @@ __all__ = [
     "CoincidenceMatrix",
     "coincidence",
     "overall_accuracy",
-    "SearchSpec",
-    "TrialRecord",
-    "SearchResult",
-    "search",
     "RosterEntry",
     "LeaderboardRow",
     "Leaderboard",
@@ -244,75 +238,6 @@ def overall_accuracy(matrix) -> float:
     if total <= 0:
         raise EvalError("matrix is empty")
     return 100.0 * (counts[0][0] + counts[1][1]) / total
-
-
-# ---------------------------------------------------------------------------
-# Hyper-parameter search
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    """Grid or seeded-random search over named parameter domains."""
-
-    mode: str
-    domains: dict
-    budget: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("grid", "random"):
-            raise EvalError(f"unknown search mode {self.mode!r}")
-        if not self.domains or any(len(v) == 0 for v in self.domains.values()):
-            raise EvalError("every parameter domain must be non-empty")
-        if self.mode == "random" and self.budget < 1:
-            raise EvalError("random search needs a budget of at least 1")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    params: dict
-    mean_accuracy: float
-    fold_accuracies: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_params: dict
-    best_accuracy: float
-    trials: tuple[TrialRecord, ...]
-
-
-def _candidate_stream(spec: SearchSpec):
-    names = sorted(spec.domains)
-    if spec.mode == "grid":
-        for values in itertools.product(*(spec.domains[n] for n in names)):
-            yield dict(zip(names, values))
-    else:
-        rng = np.random.default_rng(spec.seed)
-        for _ in range(spec.budget):
-            yield {
-                n: spec.domains[n][int(rng.integers(len(spec.domains[n])))]
-                for n in names
-            }
-
-
-def search(spec: SearchSpec, trainer_family, data: CategoricalTable,
-           plan: FoldPlan) -> SearchResult:
-    """Score every candidate by cross-validated mean accuracy.
-
-    ``trainer_family`` maps a parameter dict to a trainer callable.  Best
-    candidate is the argmax; exact ties keep the earlier trial.
-    """
-    trials = []
-    best = None
-    for params in _candidate_stream(spec):
-        result = cross_validate(trainer_family(params), data, plan)
-        record = TrialRecord(dict(params), result.mean_accuracy,
-                             result.fold_accuracies)
-        trials.append(record)
-        if best is None or record.mean_accuracy > best.mean_accuracy:
-            best = record
-    return SearchResult(dict(best.params), best.mean_accuracy, tuple(trials))
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,6 @@ class Forest:
         """Majority vote per row; exact ties go to class 1."""
         return (self.proba_batch(rows) >= 0.5).astype(np.int64)
 
-    def predict_proba(self, row) -> float:
-        """Fraction of trees voting class 1."""
-        return float(self.proba_batch(np.asarray(row)[None])[0])
-
-    def predict(self, row) -> tuple[int, float]:
-        """Majority vote; exact ties go to class 1."""
-        p = self.predict_proba(row)
-        return (1 if p >= 0.5 else 0), p
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -109,7 +100,7 @@ class Forest:
                 "feature_names": list(self.feature_names),
                 "schema_hash": self.schema_hash,
                 "n_rows": self.n_rows,
-                "trees": [json.loads(t.to_json()) for t in self.trees],
+                "trees": [t.payload() for t in self.trees],
             },
             indent=2,
             sort_keys=True,
@@ -120,9 +111,7 @@ class Forest:
         payload = json.loads(text)
         params = ForestParams(**payload["params"])
         n = payload["n_rows"]
-        trees = tuple(
-            DecisionTree.from_json(json.dumps(t)) for t in payload["trees"]
-        )
+        trees = tuple(DecisionTree.from_payload(t) for t in payload["trees"])
         bags = tuple(
             bootstrap_indices(params, n, i) for i in range(len(trees))
         )

@@ -18,6 +18,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from numbers import Integral, Real
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,10 @@ from .criteria import (
 from .dataset import CategoricalTable
 
 _GAIN_EPS = 1e-12
+
+# Type of each numeric TreeParams field (never a bool); max_depth may be None.
+_NUMERIC = {"min_records": Integral, "severity": Real, "max_depth": Integral,
+            "alpha": Real, "min_gain": Real}
 
 
 class TreeError(ValueError):
@@ -61,6 +66,12 @@ class TreeParams:
     min_gain: float = _GAIN_EPS
 
     def __post_init__(self):
+        for name, kind in _NUMERIC.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kind)) and not (
+                    value is None and name == "max_depth"):
+                noun = "an integer" if kind is Integral else "a number"
+                raise TreeError(f"{name} must be {noun}, got {value!r}")
         if self.min_records < 1:
             raise TreeError("min_records must be at least 1")
         if not 0.0 < self.severity < 100.0:
@@ -69,7 +80,7 @@ class TreeParams:
             raise TreeError("alpha must lie in (0, 1)")
         if self.max_depth is not None and self.max_depth < 0:
             raise TreeError("max_depth must be non-negative")
-        if self.min_gain < 0.0:
+        if not self.min_gain >= 0.0:
             raise TreeError("min_gain must be non-negative")
         if self.cost is not None:
             try:
@@ -187,6 +198,14 @@ class DecisionTree:
     # -- structured text serialization (nested nodes, preorder) -------------
 
     def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "DecisionTree":
+        return cls.from_payload(json.loads(text))
+
+    def payload(self) -> dict:
+        """The JSON object ``to_json`` writes."""
         def node_payload(node: TreeNode) -> dict:
             payload = {
                 "counts": [int(c) for c in node.counts],
@@ -203,23 +222,17 @@ class DecisionTree:
                 payload["children"] = [node_payload(c) for c in node.children]
             return payload
 
-        return json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "params": asdict(self.params),
-                "feature_names": list(self.feature_names),
-                "schema_hash": self.schema_hash,
-                "n_rows": self.n_rows,
-                "root": node_payload(self.root),
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return {
+            "algorithm": self.algorithm,
+            "params": asdict(self.params),
+            "feature_names": list(self.feature_names),
+            "schema_hash": self.schema_hash,
+            "n_rows": self.n_rows,
+            "root": node_payload(self.root),
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        payload = json.loads(text)
-
+    def from_payload(cls, payload: Mapping) -> "DecisionTree":
         def parse_node(item: Mapping) -> TreeNode:
             split = None
             children: tuple[TreeNode, ...] = ()

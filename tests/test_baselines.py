@@ -16,10 +16,7 @@ from treebench.baselines import (
     bayes_joint_probability,
     mlp_loss_and_gradients,
     model_from_json,
-    model_to_json,
-    predict,
     predict_batch,
-    predict_proba,
     train_bayes_net,
     train_decision_list,
     train_logistic,
@@ -39,6 +36,15 @@ def table_from(rows, target, codes=None):
 
 def logit(p):
     return math.log(p / (1.0 - p))
+
+
+def predict_proba(model, row) -> float:
+    """Class-1 probability of one row, through the batch protocol."""
+    return float(model.proba_batch(np.asarray(row)[None])[0])
+
+
+def predict(model, row) -> int:
+    return int(model.predict_batch(np.asarray(row)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +467,10 @@ def test_decision_list_matches_scalar_oracle(data, min_coverage, purity, max_lit
     per-literal loop, ties in precision and coverage included."""
     options = dict(min_coverage=min_coverage, purity_threshold=purity,
                    max_literals=max_literals)
-    batched = model_to_json(train_decision_list(data, **options))
+    batched = train_decision_list(data, **options).to_json()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baselines_module, "_grow_rule", scalar_grow_rule)
-        assert model_to_json(train_decision_list(data, **options)) == batched
+        assert train_decision_list(data, **options).to_json() == batched
 
 
 # ---------------------------------------------------------------------------
@@ -501,19 +507,19 @@ def test_row_length_mismatch_rejected():
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(BaselineError):
-        predict_proba(object(), [0])
-    with pytest.raises(BaselineError):
-        model_to_json(object())
+    with pytest.raises(BaselineError, match="unknown model kind 'tree'"):
+        model_from_json('{"kind": "tree"}')
+    with pytest.raises(BaselineError, match="unknown model kind None"):
+        model_from_json('{"feature_names": []}')
 
 
 def test_serialization_round_trips():
     data, models = trained_quartet()
     probe = data.rows[:10]
     for model in models:
-        text = model_to_json(model)
+        text = model.to_json()
         restored = model_from_json(text)
-        assert model_to_json(restored) == text
+        assert restored.to_json() == text
         before = [predict_proba(model, r) for r in probe]
         after = [predict_proba(restored, r) for r in probe]
         assert before == after

@@ -145,6 +145,18 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("select-features", {"folds": 1000}, "folds"),
     ("explain", {"forest": {"features_per_split": 9}}, "features_per_split"),
     ("select-features", {"forest": {"features_per_split": 9}}, "features_per_split"),
+    ("compare", {"roster_params": {"c50": {"min_records": "x"}}}, "min_records"),
+    ("compare", {"roster_params": {"c50": {"min_records": True}}}, "min_records"),
+    ("compare", {"roster_params": {"c50": {"severity": "high"}}}, "severity"),
+    ("compare", {"roster": ["chaid"], "roster_params": {"chaid": {"alpha": None}}},
+     "alpha"),
+    ("compare", {"roster_params": {"cart": {"max_depth": 2.5}}}, "max_depth"),
+    ("compare", {"roster": ["quest"], "roster_params": {"quest": {"min_gain": [0]}}},
+     "min_gain"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"widths": 5}}},
+     "widths"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"widths": ["4"]}}},
+     "widths"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -471,6 +483,24 @@ def test_ingest_output_feeds_compare(tmp_path):
     )
     follow = follow.rename(tmp_path / "compare.json")
     assert cli.main(["compare", "--config", str(follow)]) == 0
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("curve_codes", 5, "cohort.curve_codes must be a list of integers"),
+    ("negotiating_codes", 3, "cohort.negotiating_codes must be a list of integers"),
+    ("curve_codes", [2, "3"], "cohort.curve_codes must be a list of integers"),
+    ("alignment_field", 5, "cohort.alignment_field must be a column name"),
+    ("negotiating_field", ["PRE"], "cohort.negotiating_field must be a column name"),
+])
+def test_bad_cohort_is_usage_error(tmp_path, capsys, key, value, needle):
+    cfg = ingest_fixture(tmp_path)
+    payload = json.loads(cfg.read_text())
+    payload["cohort"][key] = value
+    cfg.write_text(json.dumps(payload))
+    assert cli.main(["ingest", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {needle}\n"
+    assert not (tmp_path / "ingested").exists()
 
 
 def test_ingest_missing_rules_is_usage_error(tmp_path, capsys):

@@ -15,13 +15,11 @@ from treebench.dataset import (
     RecodeRule,
     RecodeRuleSet,
     SyntheticRules,
-    as_raw,
     binary_schema,
     crosstab,
     feature,
     filter_curve_cohort,
     generate_synthetic,
-    identity_rules,
     load_delimited,
     planted_interaction_rules,
     planted_relevance_rules,
@@ -246,18 +244,6 @@ class TestRecode:
         )
         table, _ = recode(raw, rules)
         assert table.column("x").tolist() == [0]
-
-    def test_recode_idempotent_on_coded_tables(self, tmp_path):
-        path = write_csv(
-            tmp_path / "t.csv",
-            "VSPD_LIM,MOD_YEAR,INJ\n45,2009,0\n55,2010,1\n30,2020,1\n70,1999,0\n",
-        )
-        raw = load_delimited(path, ["VSPD_LIM", "MOD_YEAR", "INJ"])
-        once, _ = recode(raw, speed_year_rules())
-        twice, audit = recode(as_raw(once), identity_rules(once.schema))
-        assert np.array_equal(once.rows, twice.rows)
-        assert np.array_equal(once.target, twice.target)
-        assert audit.dropped_rows == 0
 
     def test_rules_json_round_trip(self):
         rules = speed_year_rules(default=0)

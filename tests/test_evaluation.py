@@ -21,14 +21,12 @@ from treebench.evaluation import (
     LeaderboardRow,
     Leaderboard,
     RosterEntry,
-    SearchSpec,
     coincidence,
     compare_models,
     cross_validate,
     make_folds,
     overall_accuracy,
     predict_labels,
-    search,
 )
 from treebench.forest import ForestParams, train_forest
 from treebench.tree import TreeParams, predict, train_c50
@@ -261,78 +259,6 @@ def test_matrix_render_rounds():
     lines = matrix.render().split("\n")
     assert "206" in lines[1] and "60" in lines[1]
     assert "325" in lines[2] and "82" in lines[2]
-
-
-# ---------------------------------------------------------------------------
-# Hyper-parameter search
-
-
-def c50_family(params):
-    return lambda table: train_c50(
-        table, TreeParams(min_records=params.get("min_records", 2))
-    )
-
-
-def test_grid_single_point():
-    data = random_table(50, seed=20)
-    plan = make_folds(50, 5, stratified=True, labels=data.target, seed=0)
-    spec = SearchSpec("grid", {"min_records": (3,)})
-    result = search(spec, c50_family, data, plan)
-    assert result.best_params == {"min_records": 3}
-    assert len(result.trials) == 1
-
-
-def test_grid_dominant_candidate_wins():
-    rng = np.random.default_rng(21)
-    rows = rng.integers(0, 2, size=(60, 2))
-    data = CategoricalTable(
-        [feature("f0", (0, 1)), feature("f1", (0, 1))], rows, rows[:, 0]
-    )
-    plan = make_folds(60, 5, stratified=True, labels=data.target, seed=0)
-
-    def family(params):
-        if params["mode"] == "exact":
-            return lambda table: train_c50(table, TreeParams(min_records=1))
-        return majority_trainer
-
-    result = search(SearchSpec("grid", {"mode": ("exact", "majority")}),
-                    family, data, plan)
-    assert result.best_params == {"mode": "exact"}
-    assert len(result.trials) == 2
-    assert result.best_accuracy == 1.0
-
-
-def test_search_tie_keeps_earlier_trial():
-    data = random_table(40, seed=22)
-    plan = make_folds(40, 4, stratified=True, labels=data.target, seed=0)
-
-    def family(params):
-        return majority_trainer  # ignores params entirely
-
-    result = search(SearchSpec("grid", {"ignored": (1, 2, 3)}), family,
-                    data, plan)
-    assert result.best_params == {"ignored": 1}
-
-
-def test_random_search_deterministic():
-    data = random_table(40, seed=23)
-    plan = make_folds(40, 4, stratified=True, labels=data.target, seed=0)
-    spec = SearchSpec("random", {"min_records": (1, 2, 4, 8)}, budget=5, seed=3)
-    a = search(spec, c50_family, data, plan)
-    b = search(spec, c50_family, data, plan)
-    assert [t.params for t in a.trials] == [t.params for t in b.trials]
-    assert len(a.trials) == 5
-
-
-def test_search_spec_validation():
-    with pytest.raises(EvalError):
-        SearchSpec("annealing", {"x": (1,)})
-    with pytest.raises(EvalError):
-        SearchSpec("grid", {})
-    with pytest.raises(EvalError):
-        SearchSpec("grid", {"x": ()})
-    with pytest.raises(EvalError):
-        SearchSpec("random", {"x": (1,)}, budget=0)
 
 
 # ---------------------------------------------------------------------------

@@ -194,19 +194,25 @@ class TestTrainForest:
         )
 
 
+def vote(forest, row):
+    """(majority class, class-1 vote share) for one row."""
+    rows = np.asarray(row)[None]
+    return int(forest.predict_batch(rows)[0]), float(forest.proba_batch(rows)[0])
+
+
 class TestVoting:
     def test_counting(self):
         forest = hand_forest([1, 1, 0])
-        cls, p = forest.predict([0])
+        cls, p = vote(forest, [0])
         assert p == pytest.approx(2 / 3)
         assert cls == 1
 
     def test_unanimous(self):
-        assert hand_forest([0, 0, 0]).predict([0]) == (0, 0.0)
-        assert hand_forest([1, 1, 1]).predict([0]) == (1, 1.0)
+        assert vote(hand_forest([0, 0, 0]), [0]) == (0, 0.0)
+        assert vote(hand_forest([1, 1, 1]), [0]) == (1, 1.0)
 
     def test_tie_goes_to_class_one(self):
-        cls, p = hand_forest([1, 0]).predict([0])
+        cls, p = vote(hand_forest([1, 0]), [0])
         assert p == 0.5
         assert cls == 1
 
@@ -218,7 +224,7 @@ class TestVoting:
         rng = np.random.default_rng(0)
         for row in rng.integers(0, 2, size=(20, 5)):
             votes = [predict(t, row)[0] for t in forest.trees]
-            assert forest.predict_proba(row) == sum(votes) / len(votes)
+            assert vote(forest, row)[1] == sum(votes) / len(votes)
 
 
 class TestOob:

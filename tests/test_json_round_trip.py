@@ -2,7 +2,7 @@
 
 ``to_json -> from_json -> to_json`` gives the same text, and the restored
 model gives the same probabilities and labels, for trees from the four
-growers, forests, and the four baselines (through ``model_to_json`` /
+growers, forests, and the four baselines (``model.to_json()`` /
 ``model_from_json``).
 """
 import warnings
@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from treebench.baselines import (
     ConvergenceError,
     model_from_json,
-    model_to_json,
     train_bayes_net,
     train_decision_list,
     train_logistic,
@@ -105,7 +104,7 @@ def test_baseline_round_trip(data, family):
         model = train_bayes_net(data, structure=structure)
     else:
         model = train_decision_list(data, min_coverage=1)
-    text = model_to_json(model)
+    text = model.to_json()
     restored = model_from_json(text)
-    assert model_to_json(restored) == text
+    assert restored.to_json() == text
     assert_same_predictions(model, restored, data.rows)

@@ -56,7 +56,7 @@ def model_output(model, row):
     if isinstance(model, DecisionTree):
         klass, confidence = predict(model, row)
         return confidence if klass == 1 else 1.0 - confidence
-    return model.predict_proba(row)
+    return float(model.proba_batch(np.asarray(row)[None])[0])
 
 
 def permutation_shap(model, row, background):

@@ -101,6 +101,21 @@ class TestTreeParams:
         with pytest.raises(TreeError):
             TreeParams(alpha=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_records", "x"), ("min_records", True), ("min_records", 2.0),
+        ("severity", "75"), ("severity", True), ("max_depth", 1.5),
+        ("max_depth", [3]), ("alpha", None), ("min_gain", "0"),
+        ("min_gain", float("nan")),
+    ])
+    def test_field_types(self, field, value):
+        with pytest.raises(TreeError, match=field):
+            TreeParams(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        p = TreeParams(min_records=np.int64(3), severity=np.float64(50.0),
+                       max_depth=np.int32(2))
+        assert (p.min_records, p.severity, p.max_depth) == (3, 50.0, 2)
+
     @pytest.mark.parametrize("cost", [
         [[0, -1], [1, 0]],
         [[1, 1], [1, 0]],
