@@ -17,6 +17,7 @@ import argparse
 import inspect
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -180,6 +181,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
             raise ConfigError(f"roster_params names unknown family {name!r}")
         if not isinstance(params, dict):
             raise ConfigError(f"roster_params[{name!r}] must be an object")
+        family_trainer(name, params, seed)  # raises on a bad parameter
 
     forest = payload.get("forest", {})
     if not isinstance(forest, dict):
@@ -563,6 +565,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # warnings wait for the outcome: a failed command prints one error line
+    with warnings.catch_warnings(record=True) as caught:
+        status = _run(args)
+    if status == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno,
+                                 w.file, w.line)
+    return status
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config, out_dir=args.out, seed=args.seed)
         return _COMMANDS[args.command](config)

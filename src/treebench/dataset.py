@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -274,13 +275,13 @@ class CategoricalTable:
     # -- CSV round trip (header = feature names + "target") -----------------
 
     def to_csv(self, path) -> None:
+        """Write the header through ``csv.writer`` and every row with one
+        format; the bytes are the ones ``csv.writer`` gives for the rows."""
+        cells = np.column_stack([self.rows, self.target])
+        line = ",".join(["%d"] * cells.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + ["target"])
-            for i in range(self.n_rows):
-                writer.writerow(
-                    [int(v) for v in self.rows[i]] + [int(self.target[i])]
-                )
+            csv.writer(fh).writerow(list(self.feature_names) + ["target"])
+            fh.write((line * self.n_rows) % tuple(cells.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path, schema: Sequence[FeatureSpec]) -> "CategoricalTable":
@@ -299,7 +300,8 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
 
     ``schema`` lists the columns to extract, either as FeatureSpec objects or
     plain names; header matching is case-insensitive.  Cells must parse as
-    integers; raw codes (including missing codes) pass through untouched.
+    64-bit integers, optionally padded with spaces or double-quoted; raw
+    codes (including missing codes) pass through untouched.
     """
     names = [s.name if isinstance(s, FeatureSpec) else str(s) for s in schema]
     try:
@@ -319,39 +321,65 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
                 if name.lower() not in lookup:
                     raise DatasetError(f"column not found: {name}")
                 indices.append(lookup[name.lower()])
-            data_rows = reader
         else:
             if len(first) < len(names):
                 raise DatasetError(f"{path}: fewer columns than requested")
             indices = list(range(len(names)))
-            data_rows = _chain_first(first, reader)
-        out = []
-        for r, row in enumerate(data_rows):
-            parsed = []
-            for name, i in zip(names, indices):
-                cell = row[i].strip() if i < len(row) else ""
-                try:
-                    parsed.append(int(cell))
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: non-integer value {cell!r} at row {r}, "
-                        f"column {name!r}"
-                    ) from None
-            out.append(parsed)
-    rows = np.array(out, dtype=np.int64) if out else np.empty((0, len(names)), np.int64)
+            fh.seek(0)
+        rows, count = None, itertools.count(1)  # count: lines loadtxt takes
+        first_line = next(fh, "")
+        if first_line.strip("\r\n"):  # loadtxt warns on no data
+            try:  # one C-level parse; a '"' delimiter is a TypeError to loadtxt
+                lines = itertools.chain([first_line], (ln for ln, _ in zip(fh, count)))
+                rows = np.loadtxt(lines, dtype=np.int64, delimiter=delimiter,
+                                  usecols=indices, comments=None, quotechar='"',
+                                  ndmin=2)
+            except (ValueError, TypeError):
+                pass
+        # loadtxt skips blank lines, which the csv module reads as empty rows;
+        # the per-cell parse takes those and any failure, and names a bad cell
+        if rows is None or len(rows) != next(count):
+            fh.seek(0)
+            records = csv.reader(fh, delimiter=delimiter)
+            if header:
+                next(records)
+            rows = _parse_cells(path, records, names, indices)
     return RawTable(names, rows)
 
 
-def _chain_first(first, rest):
-    yield first
-    yield from rest
+def _parse_cells(path, records, names, indices) -> np.ndarray:
+    """Parse data records cell by cell; the first bad cell raises."""
+    out = []
+    for r, row in enumerate(records):
+        parsed = []
+        for name, i in zip(names, indices):
+            cell = row[i].strip() if i < len(row) else ""
+            try:
+                value = int(cell)
+            except ValueError:
+                raise DatasetError(f"{path}: non-integer value {cell!r} at row {r}, "
+                                   f"column {name!r}") from None
+            if not -2**63 <= value < 2**63:
+                raise DatasetError(f"{path}: value {cell!r} at row {r}, column "
+                                   f"{name!r} is outside the 64-bit integer range")
+            parsed.append(value)
+        out.append(parsed)
+    return np.array(out, dtype=np.int64).reshape(len(out), len(names))
 
 
 # ---------------------------------------------------------------------------
 # Recoding
 # ---------------------------------------------------------------------------
 
-_PREDICATE_KEYS = ("in", "lt", "le", "gt", "ge", "any")
+# each case predicate key and its test over a column of values
+_CASE_TESTS = {
+    "in": np.isin,
+    "lt": np.less,
+    "le": np.less_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
+    "any": lambda values, _: np.ones(values.shape, dtype=bool),
+}
 
 
 def _is_code(value) -> bool:
@@ -359,35 +387,20 @@ def _is_code(value) -> bool:
 
 
 def _check_predicate(rule: str, predicate) -> None:
-    """Reject a case predicate ``_match`` cannot evaluate."""
+    """Reject a case predicate ``_CASE_TESTS`` cannot evaluate."""
     if not isinstance(predicate, Mapping) or len(predicate) != 1:
         raise DatasetError(
             f"rule {rule!r}: predicate must have exactly one key: {predicate!r}")
     ((key, arg),) = predicate.items()
-    if key not in _PREDICATE_KEYS:
+    if key not in _CASE_TESTS:
         raise DatasetError(f"rule {rule!r}: unknown predicate key {key!r} "
-                           f"(expected one of {_PREDICATE_KEYS})")
+                           f"(expected one of {tuple(_CASE_TESTS)})")
     if key == "in" and not (isinstance(arg, (list, tuple))
                             and all(_is_code(v) for v in arg)):
         raise DatasetError(
             f"rule {rule!r}: 'in' needs a list of integers, got {arg!r}")
     if key not in ("in", "any") and not _is_code(arg):
         raise DatasetError(f"rule {rule!r}: {key!r} needs an integer, got {arg!r}")
-
-
-def _match(predicate: Mapping, value: int) -> bool:
-    ((key, arg),) = predicate.items()
-    if key == "in":
-        return value in arg
-    if key == "lt":
-        return value < arg
-    if key == "le":
-        return value <= arg
-    if key == "gt":
-        return value > arg
-    if key == "ge":
-        return value >= arg
-    return True
 
 
 @dataclass(frozen=True)
@@ -431,25 +444,6 @@ class RecodeRule:
         if isinstance(self.default, int):
             codes.add(self.default)
         return tuple(sorted(codes))
-
-    def combined_value(self, raw: RawTable, row: int) -> int | None:
-        """Resolve the source value for one row; None means missing."""
-        values = [int(raw.rows[row, raw.column_index(s)]) for s in self.source]
-        present = [v for v in values if v not in self.missing]
-        if self.combine == "first":
-            if values[0] in self.missing:
-                return None
-            return values[0]
-        if not present or len(present) != len(values):
-            # max/min combinations need every source reported
-            return None
-        return max(present) if self.combine == "max" else min(present)
-
-    def apply(self, value: int) -> int | str | None:
-        for predicate, code in self.cases:
-            if _match(predicate, value):
-                return code
-        return self.default
 
 
 @dataclass(frozen=True)
@@ -562,51 +556,57 @@ def recode(raw: RawTable, rules: RecodeRuleSet, strict: bool = True
     cases or default.  A raw value covered by no case and no default raises.
     """
     all_rules = list(rules.features) + [rules.target]
-    for rule in all_rules:
-        for src in rule.source:
-            raw.column_index(src)  # raises on unknown column
+    # raises on an unknown column
+    columns = {s: raw.column(s) for r in all_rules for s in r.source}
 
     dropped_missing: dict[str, int] = {r.name: 0 for r in all_rules}
     dropped_default: dict[str, int] = {r.name: 0 for r in all_rules}
-    out_rows: list[list[int]] = []
-    out_target: list[int] = []
+    alive = np.ones(raw.n_rows, dtype=bool)  # rows no rule has dropped yet
+    uncovered = None  # (row, rule name, value) of the first uncovered value
+    coded = []
+    for rule in all_rules:  # a row is charged to the first rule that drops it
+        first = columns[rule.source[0]]
+        if rule.combine == "first":
+            missing, value = np.isin(first, list(rule.missing)), first
+        else:
+            sources = np.stack([columns[s] for s in rule.source])
+            missing = np.isin(sources, list(rule.missing)).any(axis=0)
+            value = sources.max(axis=0) if rule.combine == "max" else sources.min(axis=0)
+        if strict:
+            dropped_missing[rule.name] += int(np.count_nonzero(alive & missing))
+            alive &= ~missing
+        else:
+            value = np.where(missing, first, value)
 
-    for i in range(raw.n_rows):
-        coded: list[int] = []
-        keep = True
-        for rule in all_rules:
-            value = rule.combined_value(raw, i)
-            if value is None:
-                if strict:
-                    dropped_missing[rule.name] += 1
-                    keep = False
-                    break
-                value = int(raw.rows[i, raw.column_index(rule.source[0])])
-            result = rule.apply(value)
-            if result is None:
-                raise DatasetError(
-                    f"rule {rule.name!r}: raw value {value} at row {i} is not "
-                    "covered by any case (rules must be exhaustive)"
-                )
-            if result == "drop":
-                dropped_default[rule.name] += 1
-                keep = False
-                break
-            coded.append(int(result))
-        if keep:
-            out_target.append(coded.pop())
-            out_rows.append(coded)
+        codes = np.zeros(raw.n_rows, dtype=np.int64)
+        covered = np.zeros(raw.n_rows, dtype=bool)
+        for predicate, code in reversed(rule.cases):  # the first match wins
+            ((key, arg),) = predicate.items()
+            hit = _CASE_TESTS[key](value, arg)
+            codes[hit] = code
+            covered |= hit
+        if _is_code(rule.default):
+            codes[~covered] = rule.default
+        else:  # "drop" or None: an uncovered row leaves the output
+            bad = alive & ~covered
+            alive &= covered
+            if rule.default == "drop":
+                dropped_default[rule.name] += int(np.count_nonzero(bad))
+            elif bad.any() and (uncovered is None or np.argmax(bad) < uncovered[0]):
+                i = int(np.argmax(bad))
+                uncovered = (i, rule.name, int(value[i]))
+        coded.append(codes)
 
-    audit = RecodeAudit(
-        input_rows=raw.n_rows,
-        retained_rows=len(out_rows),
-        dropped_missing=dropped_missing,
-        dropped_default=dropped_default,
-    )
-    if not out_rows:
+    if uncovered is not None:
+        i, name, value = uncovered
+        raise DatasetError(f"rule {name!r}: raw value {value} at row {i} is not "
+                           "covered by any case (rules must be exhaustive)")
+    audit = RecodeAudit(raw.n_rows, int(np.count_nonzero(alive)),
+                        dropped_missing, dropped_default)
+    if not alive.any():
         raise DatasetError("recode dropped every row; nothing to train on")
-    # lists, so the table builds its arrays once, without a private copy
-    table = CategoricalTable(rules.output_schema(), out_rows, out_target)
+    cells = np.column_stack([c[alive] for c in coded])
+    table = CategoricalTable(rules.output_schema(), cells[:, :-1], cells[:, -1])
     return table, audit
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,9 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
      "widths"),
     ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"widths": ["4"]}}},
      "widths"),
+    # parameters for a family outside the roster are checked all the same
+    ("compare", {"roster": ["c50"], "roster_params": {"chaid": {"alpha": None}}},
+     "alpha"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -501,6 +505,57 @@ def test_bad_cohort_is_usage_error(tmp_path, capsys, key, value, needle):
     err = capsys.readouterr().err
     assert err == f"error: {needle}\n"
     assert not (tmp_path / "ingested").exists()
+
+
+def test_ingest_cell_outside_int64_is_one_line_error(tmp_path, capsys):
+    cfg = ingest_fixture(tmp_path)
+    (tmp_path / "raw.csv").write_text("ALIGN,PRE,SEX,SEV\n2,13,1,0\n"
+                                      "2,13,99999999999999999999,1\n")
+    assert cli.main(["ingest", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {tmp_path / 'raw.csv'}: value '99999999999999999999' "
+                   "at row 1, column 'SEX' is outside the 64-bit integer range\n")
+
+
+def run_recording_warnings(argv):
+    """``main``'s status and the warnings it lets through."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = cli.main(argv)
+    return status, [str(w.message) for w in caught]
+
+
+def test_failed_ingest_prints_only_the_error(tmp_path, capsys):
+    # the empty cohort warns, then recode fails on zero rows
+    cfg = ingest_fixture(tmp_path)
+    payload = json.loads(cfg.read_text())
+    payload["cohort"]["curve_codes"] = [77]
+    cfg.write_text(json.dumps(payload))
+    status, caught = run_recording_warnings(["ingest", "--config", str(cfg)])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "error: recode dropped every row; nothing to train on\n")
+    assert caught == []
+
+
+@pytest.mark.parametrize("params, status", [
+    ({}, 0),
+    ({"logistic": {"max_iterations": "x"}}, 1),  # fails on fold 0
+])
+def test_warnings_reach_stderr_only_on_success(tmp_path, capsys, params, status):
+    # two folds of 8 rows: the logistic fit warns on 4 rows and 4 parameters
+    write_fixture(tmp_path, n=8, m=3)
+    cfg = write_config(tmp_path, folds=2, roster=["logistic"], roster_params=params)
+    got, caught = run_recording_warnings(["compare", "--config", str(cfg)])
+    assert got == status
+    unstable = "logistic fit with 4 rows and 4 parameters may be unstable"
+    if status == 0:
+        assert caught and set(caught) == {unstable}
+        assert capsys.readouterr().err == ""
+    else:
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: logistic: ")
 
 
 def test_ingest_missing_rules_is_usage_error(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Ingestion, recoding, cohort filtering, crosstabs, and the synthetic
 generator."""
+import csv
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
@@ -12,6 +15,7 @@ from treebench.dataset import (
     DatasetError,
     FeatureSpec,
     RawTable,
+    RecodeAudit,
     RecodeRule,
     RecodeRuleSet,
     SyntheticRules,
@@ -107,6 +111,53 @@ class TestLoadDelimited:
         path = write_csv(tmp_path / "t.csv", "")
         with pytest.raises(DatasetError):
             load_delimited(path, ["A"])
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999", "9223372036854775808",
+                                      "-9223372036854775809"])
+    def test_cell_outside_int64(self, tmp_path, cell):
+        path = write_csv(tmp_path / "t.csv", f"A,B\n1,2\n3,{cell}\n")
+        with pytest.raises(DatasetError) as info:
+            load_delimited(path, ["A", "B"])
+        assert str(info.value) == (f"{path}: value {cell!r} at row 1, column 'B' "
+                                   "is outside the 64-bit integer range")
+
+    def test_int64_limits_load(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv",
+                         "A\n9223372036854775807\n-9223372036854775808\n")
+        assert load_delimited(path, ["A"]).column("A").tolist() == [2**63 - 1, -2**63]
+
+    @pytest.mark.parametrize("text, row, name", [
+        ("A,B\n1,2\n\n3,4\n", 1, "A"),  # a blank line
+        ("A,B\r\n1,2\r\n\r\n", 1, "A"),
+        ("A,B\n1,2\n3\n", 1, "B"),  # a short row
+    ], ids=["blank-line", "blank-crlf-line", "short-row"])
+    def test_blank_line_and_short_row(self, tmp_path, text, row, name):
+        path = write_csv(tmp_path / "t.csv", text)
+        with pytest.raises(DatasetError) as info:
+            load_delimited(path, ["A", "B"])
+        assert str(info.value) == (f"{path}: non-integer value '' at row {row}, "
+                                   f"column {name!r}")
+
+    @pytest.mark.parametrize("text", ["A,B\n", "A,B"])
+    def test_header_only_is_empty_table(self, tmp_path, text):
+        path = write_csv(tmp_path / "t.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = load_delimited(path, ["B", "A"])
+        assert raw.rows.shape == (0, 2)
+        assert raw.columns == ("B", "A")
+
+    def test_quote_as_delimiter(self, tmp_path):
+        # loadtxt refuses a delimiter equal to its quote character
+        path = write_csv(tmp_path / "t.csv", 'A"B\n1"2\n')
+        raw = load_delimited(path, ["B", "A"], delimiter='"')
+        assert raw.rows.tolist() == [[2, 1]]
+
+    def test_padded_and_quoted_cells(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv",
+                         'A,B,note\n 1 ,"2","x,y"\n"-3" , +4 ,z\n')
+        raw = load_delimited(path, ["B", "A"])
+        assert raw.rows.tolist() == [[2, 1], [4, -3]]
 
 
 def speed_year_rules(default=None):
@@ -531,3 +582,325 @@ class TestGenerateSynthetic:
     def test_n_validation(self):
         with pytest.raises(DatasetError):
             generate_synthetic(binary_schema(2), 0, seed=1, rules=SyntheticRules())
+
+
+# ---------------------------------------------------------------------------
+# Column paths against the per-cell and per-row code they replaced.  The
+# oracles below are that code, kept verbatim apart from being free functions.
+
+
+def load_delimited_by_cell(path, schema, delimiter=",", header=True):
+    names = [s.name if isinstance(s, FeatureSpec) else str(s) for s in schema]
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise DatasetError(f"cannot read {path}: {e}") from e
+    with fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: file is empty") from None
+        if header:
+            lookup = {h.strip().lower(): i for i, h in enumerate(first)}
+            indices = []
+            for name in names:
+                if name.lower() not in lookup:
+                    raise DatasetError(f"column not found: {name}")
+                indices.append(lookup[name.lower()])
+            data_rows = reader
+        else:
+            if len(first) < len(names):
+                raise DatasetError(f"{path}: fewer columns than requested")
+            indices = list(range(len(names)))
+            data_rows = itertools.chain([first], reader)
+        out = []
+        for r, row in enumerate(data_rows):
+            parsed = []
+            for name, i in zip(names, indices):
+                cell = row[i].strip() if i < len(row) else ""
+                try:
+                    parsed.append(int(cell))
+                except ValueError:
+                    raise DatasetError(
+                        f"{path}: non-integer value {cell!r} at row {r}, "
+                        f"column {name!r}"
+                    ) from None
+            out.append(parsed)
+    rows = np.array(out, dtype=np.int64) if out else np.empty((0, len(names)), np.int64)
+    return RawTable(names, rows)
+
+
+def _match(predicate, value):
+    ((key, arg),) = predicate.items()
+    if key == "in":
+        return value in arg
+    if key == "lt":
+        return value < arg
+    if key == "le":
+        return value <= arg
+    if key == "gt":
+        return value > arg
+    if key == "ge":
+        return value >= arg
+    return True
+
+
+def combined_value(rule, raw, row):
+    """Resolve the source value for one row; None means missing."""
+    values = [int(raw.rows[row, raw.column_index(s)]) for s in rule.source]
+    present = [v for v in values if v not in rule.missing]
+    if rule.combine == "first":
+        if values[0] in rule.missing:
+            return None
+        return values[0]
+    if not present or len(present) != len(values):
+        # max/min combinations need every source reported
+        return None
+    return max(present) if rule.combine == "max" else min(present)
+
+
+def apply_rule(rule, value):
+    for predicate, code in rule.cases:
+        if _match(predicate, value):
+            return code
+    return rule.default
+
+
+def recode_by_row(raw, rules, strict=True):
+    all_rules = list(rules.features) + [rules.target]
+    for rule in all_rules:
+        for src in rule.source:
+            raw.column_index(src)  # raises on unknown column
+
+    dropped_missing = {r.name: 0 for r in all_rules}
+    dropped_default = {r.name: 0 for r in all_rules}
+    out_rows = []
+    out_target = []
+
+    for i in range(raw.n_rows):
+        coded = []
+        keep = True
+        for rule in all_rules:
+            value = combined_value(rule, raw, i)
+            if value is None:
+                if strict:
+                    dropped_missing[rule.name] += 1
+                    keep = False
+                    break
+                value = int(raw.rows[i, raw.column_index(rule.source[0])])
+            result = apply_rule(rule, value)
+            if result is None:
+                raise DatasetError(
+                    f"rule {rule.name!r}: raw value {value} at row {i} is not "
+                    "covered by any case (rules must be exhaustive)"
+                )
+            if result == "drop":
+                dropped_default[rule.name] += 1
+                keep = False
+                break
+            coded.append(int(result))
+        if keep:
+            out_target.append(coded.pop())
+            out_rows.append(coded)
+
+    audit = RecodeAudit(
+        input_rows=raw.n_rows,
+        retained_rows=len(out_rows),
+        dropped_missing=dropped_missing,
+        dropped_default=dropped_default,
+    )
+    if not out_rows:
+        raise DatasetError("recode dropped every row; nothing to train on")
+    table = CategoricalTable(rules.output_schema(), out_rows, out_target)
+    return table, audit
+
+
+def to_csv_by_row(table, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table.feature_names) + ["target"])
+        for i in range(table.n_rows):
+            writer.writerow(
+                [int(v) for v in table.rows[i]] + [int(table.target[i])]
+            )
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: its value, or the message of its DatasetError."""
+    try:
+        return fn(*args, **kwargs)
+    except DatasetError as e:
+        return f"DatasetError: {e}"
+
+
+HEADER = ("Alpha", "beta", "GAMMA", "dElta", "eps")
+PADS = st.sampled_from(["", " ", "  ", "\t", "\xa0"])
+BAD_CELLS = st.sampled_from(["", "NA", "1.5", "1e3", "1_000", "١٢", "0x1f",
+                             "--1", "+", "1 2", '"1', "٣"])
+
+
+@st.composite
+def cells(draw, delimiter):
+    """One cell's text: an integer, padded, signed or quoted, or a bad cell."""
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(BAD_CELLS)
+    else:
+        value = draw(st.integers(-2**63, 2**63 - 1) | st.integers(-3, 120))
+        text = ("+" if value >= 0 and draw(st.booleans()) else "") + str(value)
+    text = draw(PADS) + text + draw(PADS)
+    if draw(st.booleans()) or delimiter in text:
+        text = '"' + text + '"'
+    return text
+
+
+@st.composite
+def unused_cells(draw, delimiter):
+    """Text in a column nobody asks for: anything, quoted when it must be."""
+    text = draw(st.text(alphabet='ab 9,;|\t"\n', max_size=5))
+    if any(c in text for c in (delimiter, '"', "\n")) or draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def delimited_files(draw):
+    """(text, requested names, delimiter, header) for ``load_delimited``."""
+    delimiter = draw(st.sampled_from([",", "\t", ";", "|", " "]))
+    width = draw(st.integers(1, len(HEADER)))
+    used = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+    header = draw(st.booleans())
+    names = [HEADER[j].swapcase() if draw(st.booleans()) else HEADER[j] for j in used]
+    if header and draw(st.integers(0, 9)) == 0:
+        names.append("absent")
+    lines = []
+    if header:
+        lines.append(delimiter.join(draw(PADS) + h + draw(PADS) for h in HEADER[:width]))
+    for _ in range(draw(st.integers(0 if header else 1, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # a blank line
+            continue
+        row = [draw(cells(delimiter)) if j in used else draw(unused_cells(delimiter))
+               for j in range(width)]
+        if draw(st.integers(0, 7)) == 0:
+            row = row[:draw(st.integers(0, width - 1))]  # a short row
+        elif draw(st.integers(0, 5)) == 0:
+            row += [draw(unused_cells(delimiter))]  # an extra column
+        lines.append(delimiter.join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return text, names, delimiter, header
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=delimited_files())
+def test_load_delimited_matches_per_cell_parse(tmp_path_factory, case):
+    text, names, delimiter, header = case
+    path = tmp_path_factory.mktemp("raw") / "raw.txt"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt must not warn on no data
+        got = outcome(load_delimited, path, names, delimiter=delimiter, header=header)
+    want = outcome(load_delimited_by_cell, path, names, delimiter=delimiter,
+                   header=header)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.columns == want.columns
+        assert got.rows.shape == want.rows.shape
+        assert got.rows.tolist() == want.rows.tolist()
+
+
+PREDICATES = st.one_of(
+    st.builds(lambda v: {"in": v}, st.lists(st.integers(-2, 6), max_size=3)),
+    st.builds(lambda k, v: {k: v}, st.sampled_from(["lt", "le", "gt", "ge"]),
+              st.integers(-3, 7)),
+    st.just({"any": True}),
+)
+
+
+@st.composite
+def recode_rules(draw, name, codes):
+    cases = draw(st.lists(st.tuples(PREDICATES, codes), max_size=3))
+    # a rule with no cases needs a default code
+    defaults = st.sampled_from([None, "drop"]) | codes if cases else codes
+    return RecodeRule(
+        name=name,
+        source=tuple(draw(st.lists(st.sampled_from("ABC"), min_size=1, max_size=3))),
+        cases=tuple(cases),
+        missing=frozenset(draw(st.lists(st.integers(-2, 6), max_size=3))),
+        default=draw(defaults),
+        combine=draw(st.sampled_from(["first", "max", "min"])),
+    )
+
+
+@st.composite
+def recode_cases(draw):
+    """(raw table, rule set, strict) with values that rules may miss."""
+    n = draw(st.integers(0, 20))
+    rows = draw(st.lists(st.lists(st.integers(-2, 6), min_size=3, max_size=3),
+                         min_size=n, max_size=n))
+    raw = RawTable(["A", "B", "C"], np.array(rows, dtype=np.int64).reshape(n, 3))
+    n_features = draw(st.integers(0, 3))
+    features = tuple(draw(recode_rules(f"f{j}", st.integers(0, 3)))
+                     for j in range(n_features))
+    # a rare target code of 2 breaks the 0/1 target check; a target named
+    # like a feature shares its audit counts
+    target = draw(recode_rules(draw(st.sampled_from(["injury", "f0"])),
+                               st.sampled_from([0, 1] * 10 + [2])))
+    return raw, RecodeRuleSet(features, target), draw(st.booleans())
+
+
+def example_case(columns, rows, features, strict=True):
+    """A hand-made ``recode_cases`` draw; the target takes every row as 1."""
+    target = RecodeRule("injury", ("A",), cases=(({"any": True}, 1),))
+    raw = RawTable(columns, np.array(rows, dtype=np.int64))
+    return raw, RecodeRuleSet(tuple(features), target), strict
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=recode_cases())
+# a later rule fails on an earlier row, so it names the error
+@example(case=example_case(["A"], [[5], [0]], [
+    RecodeRule("f0", ("A",), cases=(({"in": [5]}, 0),)),
+    RecodeRule("f1", ("A",), cases=(({"in": [0]}, 0),))]))
+# two rules fail on one row: the earlier rule names the error
+@example(case=example_case(["A"], [[5]], [
+    RecodeRule("f0", ("A",), cases=(({"in": [0]}, 0),)),
+    RecodeRule("f1", ("A",), cases=(({"in": [1]}, 0),))]))
+# not strict: a missing source of max gives the first source's raw value
+@example(case=example_case(["A", "B"], [[1, 9]], [
+    RecodeRule("f0", ("A", "B"), cases=(({"le": 1}, 0), ({"any": True}, 1)),
+               missing=frozenset({9}), combine="max")], strict=False))
+# a row dropped as missing is not charged to a later rule's "drop" default
+@example(case=example_case(["A"], [[9], [3]], [
+    RecodeRule("f0", ("A",), cases=(({"any": True}, 0),), missing=frozenset({9})),
+    RecodeRule("f1", ("A",), cases=(({"in": [3]}, 0),), default="drop")]))
+def test_recode_matches_per_row_loop(case):
+    raw, rules, strict = case
+    got = outcome(recode, raw, rules, strict=strict)
+    want = outcome(recode_by_row, raw, rules, strict=strict)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        (table, audit), (want_table, want_audit) = got, want
+        assert table.schema == want_table.schema
+        assert table.rows.tolist() == want_table.rows.tolist()
+        assert table.target.tolist() == want_table.target.tolist()
+        assert audit.to_json() == want_audit.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(st.text(alphabet='ab ,"\n', min_size=1, max_size=4),
+                      unique=True, max_size=4),
+       n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_to_csv_matches_csv_writer(tmp_path_factory, names, n, seed):
+    rng = np.random.default_rng(seed)
+    schema = tuple(feature(name, range(12)) for name in names)
+    table = CategoricalTable(schema, rng.integers(0, 12, size=(n, len(names))),
+                             rng.integers(0, 2, size=n))
+    directory = tmp_path_factory.mktemp("csv")
+    table.to_csv(directory / "got.csv")
+    to_csv_by_row(table, directory / "want.csv")
+    assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
