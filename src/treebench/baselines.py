@@ -14,6 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "train_bayes_net",
     "train_decision_list",
     "mlp_loss_and_gradients",
+    "check_options",
     "predict_batch",
     "model_from_json",
 ]
@@ -114,6 +116,67 @@ class _Baseline:
         return arr
 
 
+# ---------------------------------------------------------------------------
+# Trainer options
+
+
+def _whole(value, minimum: int) -> bool:
+    return (isinstance(value, Integral) and not isinstance(value, bool)
+            and value >= minimum)
+
+
+def _integer(minimum: int):
+    return (lambda v: _whole(v, minimum)), f"an integer >= {minimum}"
+
+
+def _number(test, text: str):
+    return (lambda v: isinstance(v, Real) and not isinstance(v, bool)
+            and test(v)), text
+
+
+_POSITIVE = _number(lambda v: 0 < v < math.inf, "a finite number > 0")
+
+# family -> knob -> (test, what the test demands)
+_OPTIONS = {
+    "logistic": {
+        "max_iterations": _integer(0),
+        "tolerance": _POSITIVE,
+        "l2": _number(lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    },
+    "mlp": {
+        "widths": ((lambda v: isinstance(v, (list, tuple))
+                    and all(_whole(w, 1) for w in v)), "a list of integers >= 1"),
+        "learning_rate": _POSITIVE,
+        "epochs": _integer(0),
+        "batch_size": _integer(1),
+        "patience": _integer(1),
+        "seed": _integer(0),
+    },
+    "bayes-net": {
+        "structure": ((lambda v: isinstance(v, str)
+                       and v in ("naive", "greedy-search")),
+                      "'naive' or 'greedy-search'"),
+        "alpha": _POSITIVE,
+    },
+    "decision-list": {
+        "min_coverage": _integer(1),
+        "purity_threshold": _number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
+        "max_literals": _integer(1),
+    },
+}
+
+
+def check_options(family: str, options: dict) -> None:
+    """Raise BaselineError for the first knob of a baseline trainer
+    (``logistic``, ``mlp``, ``bayes-net`` or ``decision-list``) that has the
+    wrong type or lies out of range.  Every trainer checks its own knobs
+    here, and the CLI checks a config's knobs here before any fit runs."""
+    for name, value in options.items():
+        test, text = _OPTIONS[family][name]
+        if not test(value):
+            raise BaselineError(f"{name} must be {text}, got {value!r}")
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0
@@ -166,6 +229,8 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
     dropped) plus an intercept column.  Iteration stops when the penalized
     score vector has infinity norm below ``tolerance``.
     """
+    check_options("logistic", {"max_iterations": max_iterations,
+                               "tolerance": tolerance, "l2": l2})
     enc = _encoding_for(data)
     x = np.hstack([np.ones((data.n_rows, 1)), enc.encode(data.rows)])
     y = data.target.astype(float)
@@ -307,10 +372,9 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
     error; training keeps the weights from the best validation epoch and
     stops after ``patience`` epochs without improvement.
     """
-    if any(w < 1 for w in widths):
-        raise BaselineError("hidden widths must be positive")
-    if learning_rate <= 0 or epochs < 0 or batch_size < 1 or patience < 1:
-        raise BaselineError("invalid training options")
+    check_options("mlp", {"widths": widths, "learning_rate": learning_rate,
+                          "epochs": epochs, "batch_size": batch_size,
+                          "patience": patience, "seed": seed})
     enc = _encoding_for(data)
     x_all = enc.encode(data.rows)
     y_all = data.target.astype(float)
@@ -501,10 +565,7 @@ def train_bayes_net(data: CategoricalTable, structure: str = "naive",
     feature-to-feature edge that most improves a penalized log-likelihood
     score (penalty (log n / 2) per free parameter) until no addition helps.
     """
-    if structure not in ("naive", "greedy-search"):
-        raise BaselineError(f"unknown structure {structure!r}")
-    if alpha <= 0:
-        raise BaselineError("smoothing alpha must be positive")
+    check_options("bayes-net", {"structure": structure, "alpha": alpha})
     names = data.feature_names
     levels = tuple(spec.allowed_codes for spec in data.schema)
 
@@ -683,8 +744,9 @@ def train_decision_list(data: CategoricalTable, min_coverage: int = 2,
     stops when no literal strictly improves.  A rule is kept only when it
     meets the coverage and purity thresholds.
     """
-    if min_coverage < 1 or max_literals < 1:
-        raise BaselineError("invalid decision list options")
+    check_options("decision-list", {"min_coverage": min_coverage,
+                                    "purity_threshold": purity_threshold,
+                                    "max_literals": max_literals})
     levels = tuple(spec.allowed_codes for spec in data.schema)
     rows = data.rows
     y = data.target

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .baselines import (
+    BaselineError,
+    check_options,
     train_bayes_net,
     train_decision_list,
     train_logistic,
@@ -298,6 +300,15 @@ def _tree_params(params: dict, family: str) -> TreeParams:
         raise ConfigError(f"bad parameters for {family}: {e}") from None
 
 
+def _baseline_params(fn, params: dict, family: str) -> dict:
+    _bind_check(fn, params, family)
+    try:
+        check_options(family, params)
+    except BaselineError as e:
+        raise ConfigError(f"bad parameters for {family}: {e}") from None
+    return params
+
+
 def family_trainer(name: str, params: dict, master_seed: int):
     """Build one family's trainer callable from its config parameters.
 
@@ -318,21 +329,18 @@ def family_trainer(name: str, params: dict, master_seed: int):
         tp = _tree_params(params, name)
         return lambda t: train_quest(t, tp)
     if name == "logistic":
-        _bind_check(train_logistic, params, name)
-        return lambda t: train_logistic(t, **params)
+        kwargs = _baseline_params(train_logistic, params, name)
+        return lambda t: train_logistic(t, **kwargs)
     if name == "mlp":
-        kwargs = dict(params)
-        if "widths" in kwargs:
-            kwargs["widths"] = tuple(_int_list(kwargs["widths"], "mlp widths"))
-        kwargs.setdefault("seed", derive_seed(master_seed, "mlp"))
-        _bind_check(train_mlp, kwargs, name)
+        kwargs = _baseline_params(
+            train_mlp, {"seed": derive_seed(master_seed, "mlp"), **params}, name)
         return lambda t: train_mlp(t, **kwargs)
     if name == "bayes-net":
-        _bind_check(train_bayes_net, params, name)
-        return lambda t: train_bayes_net(t, **params)
+        kwargs = _baseline_params(train_bayes_net, params, name)
+        return lambda t: train_bayes_net(t, **kwargs)
     if name == "decision-list":
-        _bind_check(train_decision_list, params, name)
-        return lambda t: train_decision_list(t, **params)
+        kwargs = _baseline_params(train_decision_list, params, name)
+        return lambda t: train_decision_list(t, **kwargs)
     raise ConfigError(f"unknown model family: {name}")
 
 

@@ -309,11 +309,9 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
     except OSError as e:
         raise DatasetError(f"cannot read {path}: {e}") from e
     with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
+        first = next(_records(path, fh, delimiter), None)
+        if first is None:
+            raise DatasetError(f"{path}: file is empty")
         if header:
             lookup = {h.strip().lower(): i for i, h in enumerate(first)}
             indices = []
@@ -340,11 +338,24 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
         # the per-cell parse takes those and any failure, and names a bad cell
         if rows is None or len(rows) != next(count):
             fh.seek(0)
-            records = csv.reader(fh, delimiter=delimiter)
+            records = _records(path, fh, delimiter)
             if header:
                 next(records)
             rows = _parse_cells(path, records, names, indices)
     return RawTable(names, rows)
+
+
+def _records(path, fh, delimiter: str):
+    """``csv.reader`` records of ``fh``; a record csv cannot read (such as a
+    field over its size limit) raises DatasetError naming its line."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise DatasetError(f"{path}: record at line {reader.line_num}: {e}") from None
 
 
 def _parse_cells(path, records, names, indices) -> np.ndarray:

@@ -8,7 +8,12 @@ forest, and baseline families plug into the same folds.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
+import signal
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,26 +160,40 @@ class CvResult:
         return float(np.mean(t == p))
 
 
-def cross_validate(trainer, data: CategoricalTable, plan: FoldPlan) -> CvResult:
-    """Train on each fold complement and score the held-out rows."""
+def _check_plan(data: CategoricalTable, plan: FoldPlan) -> None:
     if plan.n_rows != data.n_rows:
         raise EvalError("fold plan does not match table size")
+
+
+def _fold_labels(trainer, data: CategoricalTable, plan: FoldPlan,
+                 fold_index: int) -> np.ndarray:
+    """Train on the complement of one fold and label its held-out rows."""
+    try:
+        model = trainer(data.take_rows(plan.train_indices(fold_index)))
+        return predict_labels(model, data.rows[list(plan.folds[fold_index])])
+    except EvalError:
+        raise
+    except Exception as exc:
+        raise EvalError(f"trainer failed on fold {fold_index}: {exc}") from exc
+
+
+def _cv_result(data: CategoricalTable, plan: FoldPlan, fold_labels) -> CvResult:
+    """Per-fold accuracies and pooled predictions from each fold's labels."""
     predicted = np.full(data.n_rows, -1, dtype=np.int64)
     accuracies = []
-    for fold_index, held in enumerate(plan.folds):
-        train_idx = plan.train_indices(fold_index)
-        try:
-            model = trainer(data.take_rows(train_idx))
-            labels = predict_labels(model, data.rows[list(held)])
-        except EvalError:
-            raise
-        except Exception as exc:
-            raise EvalError(f"trainer failed on fold {fold_index}: {exc}") from exc
+    for held, labels in zip(plan.folds, fold_labels):
         held_arr = np.array(held)
         predicted[held_arr] = labels
         accuracies.append(float(np.mean(labels == data.target[held_arr])))
     return CvResult(tuple(accuracies), tuple(int(t) for t in data.target),
                     tuple(int(p) for p in predicted))
+
+
+def cross_validate(trainer, data: CategoricalTable, plan: FoldPlan) -> CvResult:
+    """Train on each fold complement and score the held-out rows."""
+    _check_plan(data, plan)
+    return _cv_result(data, plan, [_fold_labels(trainer, data, plan, i)
+                                   for i in range(plan.k)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +318,114 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
+def _fit_task(job, task: int):
+    """Fit (family, fold) number ``task`` of ``job`` = (entries, data, plan),
+    family-major: the held-out labels, or None and the EvalError that
+    stopped the fit."""
+    entries, data, plan = job
+    entry = entries[task // plan.k]
+    try:
+        return _fold_labels(entry.trainer, data, plan, task % plan.k), None
+    except EvalError as exc:
+        return None, exc
+
+
+_worker_job = None  # set once in each pool worker by _adopt_job
+
+
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
+    # Ctrl-C reaches the whole process group: the parent alone handles it,
+    # and leaving the pool's block winds the workers down
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_fit(task: int):
+    """``_fit_task`` in a pool worker, plus the warnings it raised as
+    (message, category, filename, lineno) for the parent to re-issue."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels, error = _fit_task(_worker_job, task)
+    return labels, error, [(w.message, w.category, w.filename, w.lineno)
+                           for w in caught]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: stay in-process
+        return 1
+
+
+@contextmanager
+def _fit_outcomes(job, n_tasks: int):
+    """Yield an iterator over (labels, error, warnings to re-issue) for tasks
+    0..n_tasks-1 in task order.
+
+    With more than one usable CPU the fits run in a pool of forked workers,
+    which inherit ``job`` (trainer closures included) instead of receiving
+    it pickled.  Leaving the block cancels the fits not started and waits
+    for the workers to exit; a worker that dies (killed for memory, say)
+    fails the comparison rather than leaving it waiting.  In this process a
+    fit's warnings go out as it raises them: recording them here would
+    change the warning filters, which resets the once-per-location registry
+    the re-issued warnings rely on.
+    """
+    workers = min(_usable_cpus(), n_tasks)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield ((*_fit_task(job, task), ()) for task in range(n_tasks))
+        return
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _adopt_job, (job,))
+    try:
+        yield pool.map(_worker_fit, range(n_tasks))
+    except BrokenProcessPool as exc:
+        raise EvalError(f"a worker process stopped: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def compare_models(data: CategoricalTable, roster, plan: FoldPlan
                    ) -> ComparisonReport:
-    """Evaluate every roster family on one shared fold plan."""
+    """Evaluate every roster family on one shared fold plan.
+
+    The (family, fold) fits run family-major; their results, warnings and
+    failures are taken in that order, so the report, the warnings re-issued
+    here and the error raised are the same whether the fits ran in this
+    process or in forked workers.
+    """
     entries = tuple(roster)
     if not entries:
         raise EvalError("roster is empty")
+    _check_plan(data, plan)
     rows = []
     matrices = {}
-    for entry in entries:
-        try:
-            result = cross_validate(entry.trainer, data, plan)
-        except EvalError as exc:
-            raise EvalError(f"{entry.name}: {exc}") from exc
-        rows.append(
-            LeaderboardRow(
-                entry.name,
-                100.0 * result.mean_accuracy,
-                100.0 * result.pooled_accuracy,
-                dict(entry.params),
-                result.fold_accuracies,
+    registries: dict = {}  # per warning file, as each module keeps one
+    with _fit_outcomes((entries, data, plan), len(entries) * plan.k) as outcomes:
+        for entry in entries:
+            fold_labels = []
+            for labels, error, caught in itertools.islice(outcomes, plan.k):
+                for message, category, filename, lineno in caught:
+                    warnings.warn_explicit(message, category, filename, lineno,
+                                           registry=registries.setdefault(filename, {}))
+                if error is not None:
+                    raise EvalError(f"{entry.name}: {error}") from error
+                fold_labels.append(labels)
+            result = _cv_result(data, plan, fold_labels)
+            rows.append(
+                LeaderboardRow(
+                    entry.name,
+                    100.0 * result.mean_accuracy,
+                    100.0 * result.pooled_accuracy,
+                    dict(entry.params),
+                    result.fold_accuracies,
+                )
             )
-        )
-        matrices[entry.name] = coincidence(result.truth, result.predicted)
+            matrices[entry.name] = coincidence(result.truth, result.predicted)
     rows.sort(key=lambda r: (-r.accuracy_pct, r.name))
     board = Leaderboard(tuple(rows), plan.plan_hash())
     return ComparisonReport(board, matrices, plan.plan_hash())

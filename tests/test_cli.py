@@ -161,6 +161,30 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     # parameters for a family outside the roster are checked all the same
     ("compare", {"roster": ["c50"], "roster_params": {"chaid": {"alpha": None}}},
      "alpha"),
+    # baseline knobs are checked before any fold runs
+    ("compare", {"roster_params": {"logistic": {"max_iterations": "x"}}},
+     "max_iterations"),
+    ("compare", {"roster_params": {"logistic": {"tolerance": 0}}}, "tolerance"),
+    ("compare", {"roster_params": {"logistic": {"l2": -1}}}, "l2"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"widths": [0]}}},
+     "widths"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"learning_rate": 0}}},
+     "learning_rate"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"epochs": -1}}},
+     "epochs"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"batch_size": "8"}}},
+     "batch_size"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"patience": 0}}},
+     "patience"),
+    ("compare", {"roster_params": {"bayes-net": {"structure": "loopy"}}},
+     "structure"),
+    ("compare", {"roster_params": {"bayes-net": {"alpha": 0}}}, "alpha"),
+    ("compare", {"roster_params": {"decision-list": {"min_coverage": 0}}},
+     "min_coverage"),
+    ("compare", {"roster_params": {"decision-list": {"max_literals": 1.5}}},
+     "max_literals"),
+    ("compare", {"roster_params": {"decision-list": {"purity_threshold": 2}}},
+     "purity_threshold"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -517,6 +541,26 @@ def test_ingest_cell_outside_int64_is_one_line_error(tmp_path, capsys):
                    "at row 1, column 'SEX' is outside the 64-bit integer range\n")
 
 
+def test_field_over_csv_limit_is_one_line_error(tmp_path, capsys):
+    # csv refuses fields over 131072 characters: in a raw extract read by
+    # ingest and in a coded table read by compare
+    cfg = ingest_fixture(tmp_path)
+    (tmp_path / "raw.csv").write_text("ALIGN,PRE,SEX,SEV\n2,13,1,0\n"
+                                      "2,13," + "x" * 200000 + ",1\n\n")
+    assert cli.main(["ingest", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'raw.csv'}: record at line 3: "
+        "field larger than field limit (131072)\n")
+    write_fixture(tmp_path, n=8, m=2)
+    with open(tmp_path / "coded.csv", "a") as fh:
+        fh.write("0,1," + "1" * 200000 + "\n")
+    cfg = write_config(tmp_path, folds=2, roster=["logistic"])
+    assert cli.main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'coded.csv'}: record at line 10: "
+        "field larger than field limit (131072)\n")
+
+
 def run_recording_warnings(argv):
     """``main``'s status and the warnings it lets through."""
     with warnings.catch_warnings(record=True) as caught:
@@ -540,7 +584,7 @@ def test_failed_ingest_prints_only_the_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("params, status", [
     ({}, 0),
-    ({"logistic": {"max_iterations": "x"}}, 1),  # fails on fold 0
+    ({"logistic": {"max_iterations": 0}}, 1),  # cannot converge: fails on fold 0
 ])
 def test_warnings_reach_stderr_only_on_success(tmp_path, capsys, params, status):
     # two folds of 8 rows: the logistic fit warns on 4 rows and 4 parameters

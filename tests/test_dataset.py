@@ -121,6 +121,20 @@ class TestLoadDelimited:
         assert str(info.value) == (f"{path}: value {cell!r} at row 1, column 'B' "
                                    "is outside the 64-bit integer range")
 
+    @pytest.mark.parametrize("text, line", [
+        ("A,{big}\n1,2\n", 1),  # the header
+        ("A,B\n1,{big}\n\n", 2),  # the per-cell path, after a blank line
+        ("A,B\n1,2\n3,{digits}\n", 3),  # a cell loadtxt cannot hold
+    ], ids=["header", "text-cell", "digit-cell"])
+    def test_field_over_csv_limit(self, tmp_path, text, line):
+        # csv refuses fields over 131072 characters
+        path = write_csv(tmp_path / "t.csv",
+                         text.format(big="x" * 200000, digits="9" * 200000))
+        with pytest.raises(DatasetError) as info:
+            load_delimited(path, ["A", "B"])
+        assert str(info.value) == (f"{path}: record at line {line}: "
+                                   "field larger than field limit (131072)")
+
     def test_int64_limits_load(self, tmp_path):
         path = write_csv(tmp_path / "t.csv",
                          "A\n9223372036854775807\n-9223372036854775808\n")

@@ -1,6 +1,14 @@
+import json
+import multiprocessing
+import os
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from treebench import cli
 from treebench.baselines import (
     train_bayes_net,
     train_decision_list,
@@ -13,6 +21,7 @@ from treebench.dataset import (
     feature,
     generate_synthetic,
     planted_interaction_rules,
+    schema_to_json,
 )
 from treebench.evaluation import (
     CoincidenceMatrix,
@@ -29,7 +38,15 @@ from treebench.evaluation import (
     predict_labels,
 )
 from treebench.forest import ForestParams, train_forest
-from treebench.tree import TreeParams, predict, train_c50
+from treebench.tree import (
+    TreeParams,
+    predict,
+    prune_c50,
+    train_c50,
+    train_cart,
+    train_chaid,
+    train_quest,
+)
 
 
 def majority_trainer(table):
@@ -358,3 +375,184 @@ def test_interaction_favors_tree_over_logistic():
         scores = {r.name: r.accuracy_pct for r in report.leaderboard.rows}
         wins += scores["c50"] >= scores["logistic"]
     assert wins >= 2
+
+
+# ---------------------------------------------------------------------------
+# Forked worker pool against the in-process loop
+
+
+def with_cpus(n_cpus, fn, *args):
+    """Run ``fn`` as if ``n_cpus`` CPUs were usable: 1 keeps every fit in
+    this process, more runs them in a pool of forked workers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                      raising=False)
+        return fn(*args)
+
+
+def comparison_outcome(data, roster, plan):
+    try:
+        report = compare_models(data, roster, plan)
+    except EvalError as exc:
+        return "error", str(exc)
+    return report.render(), report.leaderboard.rows, report.coincidence
+
+
+FAMILIES = {
+    "c50": lambda t: prune_c50(train_c50(t, TreeParams())),
+    "chaid": lambda t: train_chaid(t, TreeParams()),
+    "cart": lambda t: train_cart(t, TreeParams()),
+    "quest": lambda t: train_quest(t, TreeParams()),
+    "logistic": train_logistic,
+    "mlp": lambda t: train_mlp(t, widths=(3,), epochs=4, seed=1),
+    "bayes-net": lambda t: train_bayes_net(t, structure="greedy-search"),
+    "decision-list": train_decision_list,
+}
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(12, 40), m=st.integers(1, 3), codes=st.integers(2, 3),
+       k=st.integers(2, 4), seed=st.integers(0, 2**16),
+       names=st.lists(st.sampled_from(sorted(FAMILIES)), min_size=1,
+                      max_size=4, unique=True))
+def test_pool_and_inline_loop_agree(n, m, codes, k, seed, names):
+    data = random_table(n, m=m, codes=codes, seed=seed)
+    plan = make_folds(n, k, stratified=False, seed=seed)
+    roster = [RosterEntry(name, FAMILIES[name], {"family": name})
+              for name in names]
+    inline = with_cpus(1, comparison_outcome, data, roster, plan)
+    pooled = with_cpus(2, comparison_outcome, data, roster, plan)
+    assert pooled == inline
+
+
+def test_pool_fits_run_in_forked_workers():
+    parent = os.getpid()
+
+    def where(table):  # labels 1 for a fit outside this process
+        return lambda rows: np.full(len(rows), int(os.getpid() != parent))
+
+    data = random_table(20, seed=3)
+    plan = make_folds(20, 4, stratified=False, seed=0)
+    roster = [RosterEntry("where", where)]
+    truth = data.target.tolist()
+    for n_cpus, label in ((1, 0), (2, 1)):
+        result = with_cpus(n_cpus, compare_models, data, roster, plan)
+        counts = result.coincidence["where"].counts
+        assert counts[0][label] + counts[1][label] == len(truth)
+    assert multiprocessing.active_children() == []
+
+
+def held_fold_trainer(plan, failing_folds, message):
+    """A majority trainer that raises on the folds in ``failing_folds``,
+    telling folds apart by which row identifiers the training table lacks."""
+    held = {frozenset(f): i for i, f in enumerate(plan.folds)}
+
+    def trainer(table):
+        ids = frozenset((table.rows[:, 0]).tolist())
+        fold = held[frozenset(range(plan.n_rows)) - ids]
+        if fold in failing_folds:
+            raise RuntimeError(message)
+        return majority_trainer(table)
+
+    return trainer
+
+
+def test_first_failure_in_serial_order_wins():
+    n = 30
+    rng = np.random.default_rng(5)
+    data = CategoricalTable([feature("id", range(n)), feature("f", (0, 1))],
+                            np.column_stack([np.arange(n),
+                                             rng.integers(0, 2, n)]),
+                            rng.integers(0, 2, n))
+    plan = make_folds(n, 5, stratified=True, labels=data.target, seed=1)
+    roster = [
+        RosterEntry("fine", majority_trainer),
+        RosterEntry("third", held_fold_trainer(plan, {3}, "only fold 3")),
+        RosterEntry("every", held_fold_trainer(plan, set(range(5)), "always")),
+    ]
+    expected = "third: trainer failed on fold 3: only fold 3"
+    for n_cpus in (1, 2):
+        with pytest.raises(EvalError) as info:
+            with_cpus(n_cpus, compare_models, data, roster, plan)
+        assert str(info.value) == expected
+        assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_fails_the_comparison():
+    parent = os.getpid()
+
+    def dies_in_worker(table):
+        if os.getpid() != parent:
+            os._exit(3)  # as if killed: no exception, no result
+        return majority_trainer(table)
+
+    data = random_table(20, seed=6)
+    plan = make_folds(20, 4, stratified=False, seed=0)
+    roster = [RosterEntry("doomed", dies_in_worker)]
+    with pytest.raises(EvalError, match="worker process stopped"):
+        with_cpus(2, compare_models, data, roster, plan)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_and_inline_loop_record_the_same_warnings():
+    def warning_trainer(table):
+        warnings.warn(f"fit on {table.n_rows} rows", RuntimeWarning)
+        return majority_trainer(table)
+
+    data = random_table(23, seed=4)
+    plan = make_folds(23, 4, stratified=False, seed=2)
+    roster = [RosterEntry("a", warning_trainer), RosterEntry("b", warning_trainer)]
+
+    def recorded(n_cpus):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with_cpus(n_cpus, compare_models, data, roster, plan)
+        return [(str(w.message), w.category, w.filename, w.lineno)
+                for w in caught]
+
+    inline = recorded(1)
+    assert len(inline) == 8
+    assert inline[0] == ("fit on 17 rows", RuntimeWarning, __file__,
+                         warning_trainer.__code__.co_firstlineno + 1)
+    assert recorded(2) == inline
+
+
+@pytest.mark.parametrize("params, status", [
+    ({}, 0),
+    ({"logistic": {"max_iterations": 0}}, 1),  # cannot converge: fails on fold 0
+])
+def test_cli_output_does_not_depend_on_cpu_count(tmp_path, capsys, monkeypatch,
+                                                params, status):
+    # 8 rows in 2 folds: each logistic fit warns about 4 rows and 4 parameters
+    schema = binary_schema(3)
+    generate_synthetic(schema, 8, seed=5,
+                       rules=planted_interaction_rules(("f00", "f01"))).to_csv(
+        tmp_path / "coded.csv")
+    (tmp_path / "schema.json").write_text(schema_to_json(schema))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "seed": 11, "table": "coded.csv", "schema": "schema.json", "folds": 2,
+        "roster": ["c50", "logistic"], "roster_params": params}))
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+
+    monkeypatch.chdir(tmp_path)  # both runs print "wrote ... to out"
+    outputs = []
+    for n_cpus in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # once per location, as outside tests
+            warnings.showwarning = show  # stderr, not pytest's recorder
+            got = with_cpus(n_cpus, cli.main, ["compare", "--config",
+                                               str(tmp_path / "config.json"),
+                                               "--out", "out"])
+        assert got == status
+        captured = capsys.readouterr()
+        outputs.append((captured.out, captured.err))
+        assert multiprocessing.active_children() == []
+    assert outputs[0] == outputs[1]
+    err = outputs[0][1]
+    if status == 0:
+        assert err.count("may be unstable") == 1
+    else:
+        assert err.count("\n") == 1 and err.startswith("error: logistic: ")
