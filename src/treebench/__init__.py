@@ -107,7 +107,6 @@ from .tree import (
     leaf_count,
     node_count,
     pessimistic_error_bound,
-    predict,
     predict_batch as tree_predict_batch,
     predictor_importance,
     prune_c50,

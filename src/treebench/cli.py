@@ -272,10 +272,20 @@ def _load_table(config: PipelineConfig) -> CategoricalTable:
     return CategoricalTable.from_csv(table_path, schema)
 
 
-def _check_folds(config: PipelineConfig, table: CategoricalTable) -> None:
+def _check_folds(config: PipelineConfig, table: CategoricalTable,
+                 min_train: int = 1) -> None:
+    """Fold count within the table, and the smallest training set (the rows
+    outside the largest held-out fold) at least ``min_train`` rows."""
     if config.folds > table.n_rows:
         raise ConfigError(
             f"folds {config.folds} exceeds the table's {table.n_rows} rows"
+        )
+    train = table.n_rows - -(-table.n_rows // config.folds)  # ceiling
+    if train < min_train:
+        raise ConfigError(
+            f"with folds {config.folds}, a fold trains on {train} of the "
+            f"table's {table.n_rows} rows; forest training needs at least "
+            f"{min_train}"
         )
 
 
@@ -433,7 +443,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
 def cmd_select_features(config: PipelineConfig) -> int:
     """Backward elimination over the coded table; writes the trace."""
     table = _load_table(config)
-    _check_folds(config, table)
+    _check_folds(config, table, min_train=2)
     params = _forest_params(config, table)
     cv = CvSpec(
         k=config.folds, stratified=True, seed=derive_seed(config.seed, "folds")

@@ -245,9 +245,6 @@ class CategoricalTable:
             return self.target
         return self.rows[:, self.feature_index(name)]
 
-    def observed_codes(self, j: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unique(self.rows[:, j]))
-
     def take_rows(self, row_indices) -> "CategoricalTable":
         """The selected rows as a new table.  They come from this validated,
         read-only table, so their cells are not checked again."""

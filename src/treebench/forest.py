@@ -125,37 +125,58 @@ class Forest:
         )
 
 
-def train_forest(data: CategoricalTable, params: ForestParams | None = None) -> Forest:
-    """Train the ensemble of binary Gini trees.
-
-    The members grow in lockstep over index views of ``data``: each bag is
-    the root row-index set of its tree, so no member copies the table.
-    """
-    params = params or ForestParams()
-    if data.n_rows < 2:
+def _require_rows(n: int) -> None:
+    if n < 2:
         raise ForestError("forest training needs at least 2 rows")
+
+
+def train_forests(data: CategoricalTable, params: ForestParams,
+                  row_sets) -> list[Forest]:
+    """One ensemble of binary Gini trees per row set (a sequence of index
+    arrays into ``data``).
+
+    The forest of ``rows`` is ``train_forest(data.take_rows(rows), params)``:
+    its bags and ``n_rows`` count positions in ``rows``.  Every member of
+    every forest grows in one lockstep batch over index views of ``data``,
+    with root row indices ``rows[bag]``, so no row set is copied.  A member
+    keeps its own generator and preorder, and the Gini choice at a node
+    depends only on the codes present there, so a forest is the same
+    whether it grows alone or in a batch.
+    """
+    for rows in row_sets:
+        _require_rows(len(rows))
     k = params.resolve_features_per_split(data.n_features)
     tree_params = params.tree_params()
-
-    bags = tuple(bootstrap_indices(params, data.n_rows, i)
-                 for i in range(params.n_trees))
-    members = [(bag, np.random.default_rng([params.seed, i, 1]))
-               for i, bag in enumerate(bags)]
-    roots = _grow(data, tree_params, _gini_chooser, "binary", True, members, k)
+    bags = [tuple(bootstrap_indices(params, len(rows), i)
+                  for i in range(params.n_trees)) for rows in row_sets]
+    members = [(rows[bag], np.random.default_rng([params.seed, i, 1]))
+               for rows, forest_bags in zip(row_sets, bags)
+               for i, bag in enumerate(forest_bags)]
+    roots = iter(_grow(data, tree_params, _gini_chooser, "binary", True,
+                       members, k))
     schema_hash = data.schema_hash()
-    trees = tuple(
-        DecisionTree(root=root, algorithm="forest_member", params=tree_params,
-                     feature_names=data.feature_names, schema_hash=schema_hash,
-                     n_rows=len(bag))
-        for root, bag in zip(roots, bags))
-    return Forest(
-        trees=trees,
-        bags=bags,
-        params=params,
-        feature_names=data.feature_names,
-        schema_hash=schema_hash,
-        n_rows=data.n_rows,
-    )
+    return [
+        Forest(
+            trees=tuple(
+                DecisionTree(root=next(roots), algorithm="forest_member",
+                             params=tree_params, feature_names=data.feature_names,
+                             schema_hash=schema_hash, n_rows=len(bag))
+                for bag in forest_bags),
+            bags=forest_bags,
+            params=params,
+            feature_names=data.feature_names,
+            schema_hash=schema_hash,
+            n_rows=len(rows),
+        )
+        for rows, forest_bags in zip(row_sets, bags)
+    ]
+
+
+def train_forest(data: CategoricalTable, params: ForestParams | None = None) -> Forest:
+    """Train the ensemble of binary Gini trees on every row of ``data``."""
+    [forest] = train_forests(data, params or ForestParams(),
+                             [np.arange(data.n_rows)])
+    return forest
 
 
 def oob_accuracy(forest: Forest, data: CategoricalTable) -> float:

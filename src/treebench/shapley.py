@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import CategoricalTable
-from .evaluation import cross_validate, make_folds
-from .forest import Forest, ForestParams, train_forest
+from .evaluation import EvalError, _cv_result, make_folds
+from .forest import Forest, ForestError, ForestParams, _require_rows, train_forests
 from .tree import DecisionTree, TreeNode
 
 __all__ = [
@@ -385,11 +385,25 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
     accuracy, and removes the weakest feature (ties drop the higher index).
     The selected step is the accuracy argmax, earliest step on ties so the
     larger feature set wins.
+
+    A step grows the whole-table forest and every fold forest in one
+    lockstep batch (``train_forests``): each fold forest's rows are an index
+    view of the step table, and it is the forest ``cross_validate`` would
+    train on a copy of those rows.  The fold forests label their held-out
+    rows and are released before the Shapley pass.
     """
     if data.n_features < 2:
         raise ShapError("elimination needs at least 2 features")
     plan = make_folds(data.n_rows, cv_spec.k, cv_spec.stratified,
                       labels=data.target, seed=cv_spec.seed)
+    row_sets = [np.arange(data.n_rows)]
+    for i in range(plan.k):
+        row_sets.append(plan.train_indices(i))
+        try:
+            _require_rows(len(row_sets[-1]))
+        except ForestError as exc:
+            raise EvalError(f"trainer failed on fold {i}: {exc}") from exc
+    held_out = [np.array(fold) for fold in plan.folds]
     active = list(range(data.n_features))
     steps = []
     while active:
@@ -398,12 +412,13 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
         params = forest_params
         if (forest_params.features_per_split or 0) > len(active):
             params = replace(forest_params, features_per_split=len(active))
-        forest = train_forest(table, params)
+        forest, *fold_forests = train_forests(table, params, row_sets)
+        result = _cv_result(table, plan, [
+            fold_forest.predict_batch(table.rows[held])
+            for fold_forest, held in zip(fold_forests, held_out)])
+        del fold_forests  # released before the Shapley pass
         background = make_background(table, background_size, cv_spec.seed)
         magnitude = _mean_abs_phi(forest, table.rows, background.rows)
-        result = cross_validate(
-            lambda t: train_forest(t, params), table, plan
-        )
         weakest = 0
         for j in range(1, len(active)):
             if magnitude[j] <= magnitude[weakest]:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from numbers import Integral, Real
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class TreeParams:
         return unit_cost_matrix(2) if self.cost is None else np.array(self.cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """A node's routing rule: ``branches[k]`` is the code set for child k.
 
@@ -128,7 +128,7 @@ class Split:
         return None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TreeNode:
     """One node: class counts, majority label, and (if internal) the split
     plus its impurity-reduction score on this node's rows."""
@@ -318,7 +318,10 @@ def _leaf(counts: np.ndarray, parent: TreeNode | None = None) -> TreeNode:
 
 # Most (row, candidate feature) keys one grow step gathers at a time; a step
 # over more rows than this runs in several chunks, which bounds its memory.
-_GATHER_KEYS = 1 << 15
+# An elimination step grows all its forests in one batch, whose first grow
+# steps hold tens of thousands of keys; chunks this small keep each gather's
+# arrays near 100 KB without adding a measurable number of chunks.
+_GATHER_KEYS = 1 << 13
 
 
 @dataclass(eq=False)
@@ -918,30 +921,6 @@ def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> Dec
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
-
-def predict(tree: DecisionTree, row: Sequence[int] | np.ndarray) -> tuple[int, float]:
-    """Route one row to a leaf and return (class, confidence).
-
-    A code with no matching branch stops the descent at that node and
-    returns the node's own majority; every schema-conforming row therefore
-    gets a prediction.
-    """
-    row = np.asarray(row)
-    if row.shape != (len(tree.feature_names),):
-        raise TreeError(
-            f"row has {row.shape} values, schema expects {len(tree.feature_names)}"
-        )
-    node = tree.root
-    while not node.is_leaf:
-        k = node.split.branch_for(int(row[node.split.feature]))
-        if k is None:
-            break
-        child = node.children[k]
-        if child.total == 0:
-            break
-        node = child
-    return node.prediction, node.confidence
-
 
 def predict_batch(tree: DecisionTree, rows: np.ndarray) -> np.ndarray:
     """Predicted classes for a row matrix."""

@@ -5,12 +5,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import treebench
-from treebench import cli
+from treebench import cli, shapley
 from treebench.cli import ConfigError, load_config
 from treebench.dataset import (
     RecodeRule,
@@ -348,6 +349,25 @@ def test_select_features_trace_round_trips(tmp_path):
     assert trace.to_json() + "\n" == (out / "elimination.json").read_text()
     selected = (out / "selected.txt").read_text().strip().split("\n")
     assert tuple(selected) == trace.selected_features
+
+
+@pytest.mark.parametrize("n, status", [(2, 2), (3, 2), (5, 0)])
+def test_select_features_rejects_folds_that_leave_one_training_row(
+        tmp_path, capsys, n, status):
+    """Two folds of 2 or 3 rows leave a fold one training row, fewer than
+    a forest needs: a usage error raised before any forest grows.  Five
+    rows leave every fold at least 2 and train."""
+    write_fixture(tmp_path, n=n)
+    cfg = write_config(tmp_path, folds=2)
+    with mock.patch.object(shapley, "train_forests",
+                           wraps=shapley.train_forests) as grow:
+        assert cli.main(["select-features", "--config", str(cfg)]) == status
+    assert grow.called == (status == 0)
+    if status:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "folds 2" in err and "Traceback" not in err
+        assert not (tmp_path / "artifacts").exists()
 
 
 def test_select_features_keeps_planted_pair(tmp_path):

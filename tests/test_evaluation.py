@@ -40,13 +40,14 @@ from treebench.evaluation import (
 from treebench.forest import ForestParams, train_forest
 from treebench.tree import (
     TreeParams,
-    predict,
     prune_c50,
     train_c50,
     train_cart,
     train_chaid,
     train_quest,
 )
+
+from oracles import predict
 
 
 def majority_trainer(table):

@@ -25,6 +25,8 @@ from treebench import tree as tree_module
 from treebench.dataset import feature
 from treebench.tree import DecisionTree, TreeNode, TreeParams, iter_nodes, train_cart
 
+from oracles import predict
+
 
 def planted_table(n=500, m=10, seed=80):
     return generate_synthetic(
@@ -217,8 +219,6 @@ class TestVoting:
         assert cls == 1
 
     def test_probability_is_mean_of_votes(self):
-        from treebench.tree import predict
-
         table = planted_table(n=100, m=5)
         forest = train_forest(table, ForestParams(n_trees=7, seed=3))
         rng = np.random.default_rng(0)
@@ -252,8 +252,6 @@ class TestOob:
         assert acc >= 0.95
 
     def test_matches_per_row_reference(self):
-        from treebench.tree import predict
-
         table = planted_table(n=80, m=5, seed=83)
         forest = train_forest(table, ForestParams(n_trees=8, seed=5, max_depth=3))
         correct = scored = 0

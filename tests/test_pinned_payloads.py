@@ -5,9 +5,17 @@ The expected strings were written by the code that predates the shared
 baselines (``kind`` plus every field, sorted keys, one line), a decision
 tree with a multiway and a binary split, and a two-member forest (both
 indented by two spaces).  Each text also loads back to the same text.
+
+The ``elimination.json`` that ``select-features`` writes for one small
+planted table is pinned at two seeds as well; each step's accuracy comes
+from that step's fold forests.
 """
+import json
+
 import numpy as np
 import pytest
+
+from treebench import cli
 
 from treebench.baselines import (
     BayesNetModel,
@@ -16,6 +24,12 @@ from treebench.baselines import (
     LogisticModel,
     MlpModel,
     model_from_json,
+)
+from treebench.dataset import (
+    binary_schema,
+    generate_synthetic,
+    planted_relevance_rules,
+    schema_to_json,
 )
 from treebench.forest import Forest, ForestParams, bootstrap_indices
 from treebench.tree import DecisionTree, Split, TreeNode, TreeParams
@@ -355,3 +369,41 @@ def test_tree_payload_bytes():
 def test_forest_payload_bytes():
     assert hand_forest().to_json() == FOREST_TEXT
     assert Forest.from_json(FOREST_TEXT).to_json() == FOREST_TEXT
+
+
+ELIMINATION_TEXT = {
+    0: (
+        '{"selected_index": 3, "steps": [{"accuracy": 0.7166666666666667, '
+        '"active_features": ["f00", "f01", "f02", "f03"], "dropped": "f03"}, '
+        '{"accuracy": 0.75, "active_features": ["f00", "f01", "f02"], '
+        '"dropped": "f02"}, {"accuracy": 0.75, "active_features": ["f00", '
+        '"f01"], "dropped": "f00"}, {"accuracy": 0.7666666666666667, '
+        '"active_features": ["f01"], "dropped": "f01"}]}\n'
+    ),
+    1: (
+        '{"selected_index": 3, "steps": [{"accuracy": 0.6, '
+        '"active_features": ["f00", "f01", "f02", "f03"], "dropped": "f02"}, '
+        '{"accuracy": 0.6833333333333332, "active_features": ["f00", "f01", '
+        '"f03"], "dropped": "f03"}, {"accuracy": 0.7166666666666667, '
+        '"active_features": ["f00", "f01"], "dropped": "f00"}, '
+        '{"accuracy": 0.7666666666666667, "active_features": ["f01"], '
+        '"dropped": "f01"}]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ELIMINATION_TEXT))
+def test_elimination_file_bytes(tmp_path, seed):
+    schema = binary_schema(4)
+    generate_synthetic(schema, 60, seed=21,
+                       rules=planted_relevance_rules(("f00", "f01"))
+                       ).to_csv(tmp_path / "coded.csv")
+    (tmp_path / "schema.json").write_text(schema_to_json(schema))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "seed": seed, "table": "coded.csv", "schema": "schema.json",
+        "folds": 4, "forest": {"n_trees": 4, "max_depth": 3},
+        "background": 8, "out_dir": "out"}))
+    assert cli.main(["select-features", "--config",
+                     str(tmp_path / "config.json")]) == 0
+    text = (tmp_path / "out" / "elimination.json").read_text()
+    assert text == ELIMINATION_TEXT[seed]

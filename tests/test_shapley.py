@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from treebench.dataset import (
     generate_synthetic,
 )
 from treebench import shapley
-from treebench.forest import ForestParams, train_forest
+from treebench.evaluation import EvalError, _cv_result, cross_validate, make_folds
+from treebench.forest import ForestParams, train_forest, train_forests
 from treebench.shapley import (
     BackgroundSet,
     CvSpec,
@@ -36,12 +38,13 @@ from treebench.tree import (
     Split,
     TreeNode,
     TreeParams,
-    predict,
     train_c50,
     train_cart,
     train_chaid,
     train_quest,
 )
+
+from oracles import predict
 
 
 def random_table(n, m, codes=3, seed=0):
@@ -596,6 +599,16 @@ def test_elimination_requires_two_features():
                            CvSpec(k=5, seed=0))
 
 
+def test_elimination_names_a_fold_too_small_to_train():
+    """Three rows in two folds leave fold 0 one training row: the error
+    names the fold, as cross-validation's does."""
+    data = random_table(3, 2, seed=4)
+    with pytest.raises(EvalError, match="^trainer failed on fold 0: forest "
+                                        "training needs at least 2 rows$"):
+        backward_eliminate(data, ForestParams(n_trees=2, seed=0),
+                           CvSpec(k=2, seed=0))
+
+
 def test_elimination_deterministic():
     schema = binary_schema(4)
     data = generate_synthetic(schema, 150, seed=12, rules=relevance_rules())
@@ -603,6 +616,84 @@ def test_elimination_deterministic():
     first = backward_eliminate(data, params, CvSpec(k=5, seed=2), 8)
     second = backward_eliminate(data, params, CvSpec(k=5, seed=2), 8)
     assert first.to_json() == second.to_json()
+
+
+@st.composite
+def elimination_cases(draw):
+    """A small table whose features have 2-5 codes, one of them held by a
+    single row of feature 0 (and maybe others), so the fold holding that row
+    trains on fewer codes than the step table has; forest knobs that reach
+    every branch of the grower; a fold count that leaves 2 training rows."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(8, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    schema, columns = [], []
+    for j in range(m):
+        codes = np.sort(rng.choice(np.arange(9), size=draw(st.integers(2, 5)),
+                                   replace=False))
+        column = rng.choice(codes[1:], size=n)
+        rare = rng.choice(n, size=1 if j == 0 else int(rng.integers(0, 3)),
+                          replace=False)
+        column[rare] = codes[0]
+        schema.append(feature(f"f{j}", codes.tolist()))
+        columns.append(column)
+    data = CategoricalTable(schema, np.stack(columns, axis=1),
+                            (rng.random(n) < rng.random()).astype(int))
+    params = ForestParams(
+        n_trees=draw(st.integers(1, 3)),
+        features_per_split=draw(st.one_of(st.none(), st.integers(1, m))),
+        sample_size=draw(st.one_of(st.none(), st.integers(1, 2 * n))),
+        bootstrap=draw(st.booleans()),
+        min_records=draw(st.integers(1, 4)),
+        max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+        seed=draw(st.integers(0, 1000)))
+    k = draw(st.integers(2, min(5, n // 3)))
+    return data, params, CvSpec(k=k, stratified=draw(st.booleans()),
+                                seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=elimination_cases())
+def test_elimination_step_equals_separate_forests(case):
+    """Each step's one batch grows the forests that separate training
+    gives: the whole-table forest equals ``train_forest`` on the step table,
+    each fold forest equals ``train_forest`` on a copy of its training rows
+    (by ``to_json``), and the step's cross-validation result, fold
+    accuracies included, equals ``cross_validate``'s exactly."""
+    data, params, cv = case
+    grown, scored = [], []
+
+    def grow(table, step_params, row_sets):
+        forests = train_forests(table, step_params, row_sets)
+        grown.append((table, step_params, [f.to_json() for f in forests]))
+        return forests
+
+    def score(table, plan, fold_labels):
+        scored.append(_cv_result(table, plan, fold_labels))
+        return scored[-1]
+
+    with mock.patch.object(shapley, "train_forests", grow), \
+            mock.patch.object(shapley, "_cv_result", score):
+        trace = backward_eliminate(data, params, cv, background_size=4)
+    plan = make_folds(data.n_rows, cv.k, cv.stratified, labels=data.target,
+                      seed=cv.seed)
+    universe = set(data.rows[:, 0].tolist())
+    assert any(set(data.rows[plan.train_indices(i), 0].tolist()) != universe
+               for i in range(plan.k))
+    assert len(grown) == len(scored) == len(trace.steps) == data.n_features
+    for step, (table, step_params, forests), result in zip(trace.steps, grown, scored):
+        assert table.feature_names == step.active_features
+        if (params.features_per_split or 0) > table.n_features:
+            assert step_params == replace(params, features_per_split=table.n_features)
+        else:
+            assert step_params == params
+        assert forests[0] == train_forest(table, step_params).to_json()
+        assert forests[1:] == [
+            train_forest(table.take_rows(plan.train_indices(i)), step_params).to_json()
+            for i in range(plan.k)]
+        expected = cross_validate(lambda t: train_forest(t, step_params), table, plan)
+        assert result == expected
+        assert step.accuracy == expected.mean_accuracy
 
 
 def test_elimination_selects_planted_features():
