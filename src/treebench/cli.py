@@ -485,6 +485,12 @@ def cmd_compare(config: PipelineConfig) -> int:
     table = _load_table(config)
     _check_folds(config, table)
     roster = build_roster(config)
+    trainers = {entry.name: entry.trainer for entry in roster}
+    on_table = {}  # families already trained on the whole table
+    if "c50" in trainers:
+        # before the fold pool forks: pruning loads scipy.special, which the
+        # workers then inherit instead of importing it each
+        on_table["c50"] = trainers["c50"](table)
     plan = make_folds(
         table.n_rows,
         config.folds,
@@ -499,10 +505,7 @@ def cmd_compare(config: PipelineConfig) -> int:
     _write(out / "report.txt", report.render())
     written = ["leaderboard.tsv", "report.txt"]
 
-    trainers = {entry.name: entry.trainer for entry in roster}
-    on_table = {}  # families already trained on the whole table
-    if "c50" in trainers:
-        on_table["c50"] = trainers["c50"](table)
+    if "c50" in on_table:
         _write(out / "importance.tsv",
                _importance_tsv(predictor_importance(on_table["c50"])))
         written.append("importance.tsv")

@@ -19,9 +19,15 @@ class DegenerateTableError(ValueError):
     or columns (zero marginals carry no association information)."""
 
 
-def _as_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+def _as_counts(counts: Sequence[int] | np.ndarray, stacked: bool = False
+               ) -> np.ndarray:
+    """Counts as float64: one vector, or with ``stacked`` any stack of
+    vectors along the last axis."""
     c = np.asarray(counts, dtype=float)
-    if c.ndim != 1 or c.size == 0:
+    if stacked:
+        if c.ndim == 0 or c.shape[-1] == 0:
+            raise ValueError("class counts must be stacks of non-empty vectors")
+    elif c.ndim != 1 or c.size == 0:
         raise ValueError("class counts must be a non-empty 1-D vector")
     # NaN fails both comparisons, so this rejects it too
     if not ((c >= 0) & (c < np.inf)).all():
@@ -61,30 +67,60 @@ def entropy(counts: Sequence[int] | np.ndarray) -> float:
 
 def info_gain(
     parent: Sequence[int] | np.ndarray,
-    children: Sequence[Sequence[int] | np.ndarray],
-) -> float:
+    children: Sequence[Sequence[int] | np.ndarray] | np.ndarray,
+) -> float | np.ndarray:
     """Information gain of a partition: parent entropy minus the
     size-weighted entropy of the children.
 
-    Children with zero rows carry zero weight.  Child totals must sum to the
-    parent total.
+    One partition is a parent [m] over its children [k, m] and gives a
+    float.  Stacks ``parent [..., m]`` and ``children [..., k, m]`` score
+    many partitions at once and give a float64 array.  Children with zero
+    rows carry zero weight.  Child totals must sum to the parent total.
+
+    Each partition takes the float operations of the entropy formula one at
+    a time: class terms summed left to right (numpy's own sum does the same
+    below 8 classes), zero classes and empty children adding an exact zero,
+    and children weighted in order.
     """
-    p = _as_counts(parent)
-    kids = [_as_counts(k) for k in children]
-    total = p.sum()
-    if total <= 0:
+    p = _as_counts(parent, stacked=True)
+    kids = _as_counts(children, stacked=True)
+    if kids.shape[:-2] != p.shape[:-1] or kids.shape[-1:] != p.shape[-1:] \
+            or kids.ndim != p.ndim + 1:
+        raise ValueError(f"children of shape {kids.shape} do not partition "
+                         f"parents of shape {p.shape}")
+    total = p.sum(axis=-1)
+    if not (total > 0).all():
         raise ValueError("info_gain undefined for an empty parent")
-    child_total = sum(k.sum() for k in kids)
-    if child_total != total:
+    sizes = kids.sum(axis=-1)
+    child_total = np.zeros_like(total)
+    for j in range(sizes.shape[-1]):
+        child_total += sizes[..., j]
+    wrong = (child_total != total).ravel()
+    if wrong.any():
+        i = int(wrong.argmax())
         raise ValueError(
-            f"partition totals ({child_total:g}) do not match parent ({total:g})"
+            f"partition totals ({child_total.flat[i]:g}) do not match parent "
+            f"({total.flat[i]:g})"
         )
-    weighted = 0.0
-    for k in kids:
-        n = k.sum()
-        if n > 0:
-            weighted += (n / total) * entropy(k)
-    return entropy(p) - weighted
+    entropies = _entropies(kids, sizes)
+    weighted = np.zeros_like(total)
+    for j in range(sizes.shape[-1]):
+        # an empty child weighs 0, so it adds an exact zero
+        weighted += (sizes[..., j] / total) * entropies[..., j]
+    gain = _entropies(p, total) - weighted
+    return float(gain) if p.ndim == 1 else gain
+
+
+def _entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each count vector along the last axis; an
+    all-zero vector gives -0.0, as a pure one does."""
+    q = np.where(counts > 0, counts / np.where(totals > 0, totals, 1.0)[..., None],
+                 1.0)
+    terms = q * np.log2(q)  # zero classes: 1 * log2 1 = 0
+    acc = np.zeros(counts.shape[:-1])
+    for j in range(counts.shape[-1]):
+        acc += terms[..., j]
+    return -acc
 
 
 def gini(

@@ -74,8 +74,7 @@ class TreeParams:
                 raise TreeError(f"{name} must be {noun}, got {value!r}")
         if self.min_records < 1:
             raise TreeError("min_records must be at least 1")
-        if not 0.0 < self.severity < 100.0:
-            raise TreeError("severity must lie in (0, 100)")
+        _confidence_factor(self.severity)
         if not 0.0 < self.alpha < 1.0:
             raise TreeError("alpha must lie in (0, 1)")
         if self.max_depth is not None and self.max_depth < 0:
@@ -460,7 +459,8 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
                 available = tuple(g for g in available if g != f)
             children, grown = [], []
             for b in range(1, len(branches) + 1):
-                counts = child_counts[i, b]
+                # its own array: a view would keep the step's arrays alive
+                counts = child_counts[i, b].copy()
                 if totals[i][b]:
                     children.append(_leaf(counts))
                     if splittable(children[-1], available, depth + 1):
@@ -509,22 +509,49 @@ def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
 # ---------------------------------------------------------------------------
 
 def _gain_chooser(data: CategoricalTable, params: TreeParams, universes):
-    def choose(idx, counts, tables):
-        best = None  # (gain, feature)
-        for f, codes, table in tables:
-            if table.sum(axis=1).min() < params.min_records:
-                continue
-            # codes absent at the node are empty parts of the table universe
-            parts = np.zeros((len(universes[f]), 2), dtype=np.int64)
-            parts[np.searchsorted(universes[f], codes)] = table
-            g = info_gain(counts, parts)
-            if best is None or g > best[0] + _GAIN_EPS:
-                best = (g, f)
-        if best is None or best[0] < params.min_gain:
-            return None
-        return best[0], best[1], tuple((int(c),) for c in universes[best[1]])
+    """Largest information gain over the candidate features, for C5.0.
 
-    return _per_node(choose)
+    Every (slot, candidate) partition of a step comes straight from the
+    cube, one child per code of the feature's table universe and zero-count
+    children past its end, and one ``info_gain`` call scores them all.  A
+    candidate needs at least two codes present at the node, each with
+    ``min_records`` rows.  Scanning in candidate order, a gain must beat the
+    best so far by more than ``_GAIN_EPS`` to take its place.
+    """
+    sizes = [len(u) for u in universes]
+    starts = np.cumsum([0] + sizes)
+    # gather[f, j]: the cube column of feature f's j-th code, or past the
+    # feature's universe the zero column appended after the last feature
+    gather = np.full((len(sizes), max(sizes)), starts[-1])
+    for f, size in enumerate(sizes):
+        gather[f, :size] = np.arange(starts[f], starts[f + 1])
+    branches = [tuple((int(c),) for c in u) for u in universes]
+
+    def choose(step):
+        cube = np.pad(step.cube, ((0, 0), (0, 0), (0, 1)))
+        slots = np.arange(len(cube))[:, None, None]
+        parts = cube[slots, :, gather[np.array(step.candidates)]]  # [s, c, u, 2]
+        gains = info_gain(np.broadcast_to(step.counts[:, None], parts.shape[:2] + (2,)),
+                          parts)
+        n = parts.sum(axis=3)  # rows per code
+        present = n > 0
+        valid = (present.sum(axis=2) >= 2) \
+            & (np.where(present, n, params.min_records).min(axis=2)
+               >= params.min_records)
+        chosen = []
+        for features, slot_gains, ok in zip(step.candidates, gains.tolist(),
+                                            valid.tolist()):
+            best = None  # (gain, feature)
+            for f, g, v in zip(features, slot_gains, ok):
+                if v and (best is None or g > best[0] + _GAIN_EPS):
+                    best = (g, f)
+            if best is None or best[0] < params.min_gain:
+                chosen.append(None)
+            else:
+                chosen.append((*best, branches[best[1]]))
+        return chosen
+
+    return choose
 
 
 def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
@@ -543,36 +570,39 @@ def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> Decis
 # Pessimistic-error pruning
 # ---------------------------------------------------------------------------
 
-def pessimistic_error_bound(errors: int, total: int, cf: float) -> float:
+def _confidence_factor(severity: float) -> float:
+    """Pruning confidence factor CF = (100 - severity) / 100, which must lie
+    strictly inside (0, 1); a severity within about 7e-15 of 0 rounds CF to
+    1."""
+    if not 0.0 < severity < 100.0:
+        raise TreeError("severity must lie in (0, 100)")
+    cf = (100.0 - severity) / 100.0
+    if not cf < 1.0:
+        raise TreeError(f"severity {severity!r} is too small: the confidence "
+                        f"factor (100 - severity) / 100 rounds to 1")
+    return cf
+
+
+def pessimistic_error_bound(errors, total, cf: float):
     """Upper confidence bound on the true error rate given ``errors``
     mistakes in ``total`` rows.
 
     This is the exact binomial bound: the rate at which observing this few
-    errors has probability CF.  Smaller CF pushes the bound higher.
+    errors has probability CF.  Smaller CF pushes the bound higher.  Scalar
+    counts give a float; arrays give an array, from one ``betaincinv``
+    call.  No rows give 0, and errors on every row give 1.
     """
-    if total <= 0:
-        return 0.0
-    if not 0.0 < cf < 1.0:
+    errors, total = np.asarray(errors), np.asarray(total)
+    inside = (total > 0) & (errors < total)
+    if (total > 0).any() and not 0.0 < cf < 1.0:
         raise TreeError("confidence factor must lie in (0, 1)")
-    if errors >= total:
-        return 1.0
-    from scipy.special import betaincinv  # lazy, as in criteria.chi_square_sf
+    bound = np.where(total > 0, 1.0, 0.0)
+    if inside.any():
+        from scipy.special import betaincinv  # lazy, as in criteria.chi_square_sf
 
-    return float(betaincinv(errors + 1, total - errors, 1.0 - cf))
-
-
-def _predicted_errors(counts: np.ndarray, cf: float) -> float:
-    total = int(counts.sum())
-    if total == 0:
-        return 0.0
-    errors = total - int(counts.max())
-    return total * pessimistic_error_bound(errors, total, cf)
-
-
-def _subtree_errors(node: TreeNode, cf: float) -> float:
-    if node.is_leaf:
-        return _predicted_errors(node.counts, cf)
-    return sum(_subtree_errors(c, cf) for c in node.children)
+        bound[inside] = betaincinv(errors[inside] + 1, (total - errors)[inside],
+                                   1.0 - cf)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def _as_pruned_leaf(node: TreeNode) -> TreeNode:
@@ -583,38 +613,41 @@ def _as_pruned_leaf(node: TreeNode) -> TreeNode:
 def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree:
     """Collapse subtrees whose pessimistic error is no better than a leaf.
 
-    Two stages: a local bottom-up pass replaces a subtree by a leaf when the
-    leaf's predicted error count does not exceed the subtree's, then a
-    global top-down pass removes any surviving subtree whose aggregate
-    predicted error exceeds its leaf replacement.  The result reuses no node
-    objects from the input but only ever removes structure.
+    A node's predicted errors are its row count times the bound on its
+    error rate; all the tree's nodes get theirs from one vector call.  One
+    bottom-up pass, children before parents, replaces a subtree by a leaf
+    when the leaf's predicted errors do not exceed the sum of its (already
+    pruned) children's by more than ``_GAIN_EPS``.  A kept subtree's sum is
+    therefore below its leaf's, so no top-down pass could collapse it
+    afterwards.  The result reuses no node objects from the input but only
+    ever removes structure.
     """
-    severity = tree.params.severity if severity is None else severity
-    if not 0.0 < severity < 100.0:
-        raise TreeError("severity must lie in (0, 100)")
-    cf = (100.0 - severity) / 100.0
+    cf = _confidence_factor(tree.params.severity if severity is None else severity)
+    nodes = [node for node, _, _ in iter_nodes(tree)]  # preorder
+    counts = np.array([node.counts for node in nodes], dtype=np.int64)
+    total = counts.sum(axis=1)
+    leaf_errors = total * pessimistic_error_bound(total - counts.max(axis=1), total, cf)
+    # children follow their parent in preorder, so a reverse walk meets
+    # them first; subtree holds each node's predicted errors once pruned
+    subtree, collapse = {}, set()
+    for node, leaf in zip(reversed(nodes), reversed(leaf_errors.tolist())):
+        below = 0
+        for child in node.children:
+            below += subtree[id(child)]
+        if node.is_leaf or leaf <= below + _GAIN_EPS:
+            collapse.add(id(node))
+            below = leaf
+        subtree[id(node)] = below
 
-    def local(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
+    def rebuild(node: TreeNode) -> TreeNode:
+        if id(node) in collapse:
             return _as_pruned_leaf(node)
-        kept = TreeNode(
-            counts=node.counts, prediction=node.prediction,
-            confidence=node.confidence, split=node.split,
-            children=tuple(local(c) for c in node.children), score=node.score,
-        )
-        if _predicted_errors(node.counts, cf) <= _subtree_errors(kept, cf) + _GAIN_EPS:
-            return _as_pruned_leaf(node)
-        return kept
+        return TreeNode(counts=node.counts, prediction=node.prediction,
+                        confidence=node.confidence, split=node.split,
+                        children=tuple(rebuild(c) for c in node.children),
+                        score=node.score)
 
-    def global_pass(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return node
-        if _subtree_errors(node, cf) > _predicted_errors(node.counts, cf) + _GAIN_EPS:
-            return _as_pruned_leaf(node)
-        node.children = tuple(global_pass(c) for c in node.children)
-        return node
-
-    return replace(tree, root=global_pass(local(tree.root)))
+    return replace(tree, root=rebuild(tree.root))
 
 
 # ---------------------------------------------------------------------------

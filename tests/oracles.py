@@ -1,8 +1,17 @@
 """Reference implementations that the fast paths in ``src/`` are checked
 against.  No command uses them."""
+from dataclasses import replace
+
 import numpy as np
 
-from treebench.tree import DecisionTree, TreeError
+from treebench.criteria import _as_counts, entropy
+from treebench.tree import (
+    _GAIN_EPS,
+    DecisionTree,
+    TreeError,
+    TreeNode,
+    pessimistic_error_bound,
+)
 
 
 def predict(tree: DecisionTree, row) -> tuple[int, float]:
@@ -28,3 +37,84 @@ def predict(tree: DecisionTree, row) -> tuple[int, float]:
             break
         node = child
     return node.prediction, node.confidence
+
+
+def info_gain(parent, children) -> float:
+    """One partition's information gain, one child at a time: the scalar
+    formula that ``criteria.info_gain`` computes for stacks.
+
+    Children with zero rows carry zero weight.  Child totals must sum to the
+    parent total.
+    """
+    p = _as_counts(parent)
+    kids = [_as_counts(k) for k in children]
+    total = p.sum()
+    if total <= 0:
+        raise ValueError("info_gain undefined for an empty parent")
+    child_total = sum(k.sum() for k in kids)
+    if child_total != total:
+        raise ValueError(
+            f"partition totals ({child_total:g}) do not match parent ({total:g})"
+        )
+    weighted = 0.0
+    for k in kids:
+        n = k.sum()
+        if n > 0:
+            weighted += (n / total) * entropy(k)
+    return entropy(p) - weighted
+
+
+def _predicted_errors(counts: np.ndarray, cf: float) -> float:
+    total = int(counts.sum())
+    if total == 0:
+        return 0.0
+    errors = total - int(counts.max())
+    return total * pessimistic_error_bound(errors, total, cf)
+
+
+def _subtree_errors(node: TreeNode, cf: float) -> float:
+    if node.is_leaf:
+        return _predicted_errors(node.counts, cf)
+    return sum(_subtree_errors(c, cf) for c in node.children)
+
+
+def _as_pruned_leaf(node: TreeNode) -> TreeNode:
+    return TreeNode(counts=node.counts, prediction=node.prediction,
+                    confidence=node.confidence)
+
+
+def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree:
+    """Pessimistic pruning by recursion, with one scalar bound per visit:
+    the reference for ``tree.prune_c50``.
+
+    Two stages: a local bottom-up pass replaces a subtree by a leaf when the
+    leaf's predicted error count does not exceed the subtree's, then a
+    global top-down pass removes any surviving subtree whose aggregate
+    predicted error exceeds its leaf replacement.
+    """
+    severity = tree.params.severity if severity is None else severity
+    if not 0.0 < severity < 100.0:
+        raise TreeError("severity must lie in (0, 100)")
+    cf = (100.0 - severity) / 100.0
+
+    def local(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return _as_pruned_leaf(node)
+        kept = TreeNode(
+            counts=node.counts, prediction=node.prediction,
+            confidence=node.confidence, split=node.split,
+            children=tuple(local(c) for c in node.children), score=node.score,
+        )
+        if _predicted_errors(node.counts, cf) <= _subtree_errors(kept, cf) + _GAIN_EPS:
+            return _as_pruned_leaf(node)
+        return kept
+
+    def global_pass(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return node
+        if _subtree_errors(node, cf) > _predicted_errors(node.counts, cf) + _GAIN_EPS:
+            return _as_pruned_leaf(node)
+        node.children = tuple(global_pass(c) for c in node.children)
+        return node
+
+    return replace(tree, root=global_pass(local(tree.root)))

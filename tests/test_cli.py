@@ -150,6 +150,8 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("compare", {"roster_params": {"c50": {"min_records": "x"}}}, "min_records"),
     ("compare", {"roster_params": {"c50": {"min_records": True}}}, "min_records"),
     ("compare", {"roster_params": {"c50": {"severity": "high"}}}, "severity"),
+    # its confidence factor (100 - severity) / 100 rounds to 1
+    ("compare", {"roster_params": {"c50": {"severity": 5e-15}}}, "severity"),
     ("compare", {"roster": ["chaid"], "roster_params": {"chaid": {"alpha": None}}},
      "alpha"),
     ("compare", {"roster_params": {"cart": {"max_depth": 2.5}}}, "max_depth"),
@@ -333,6 +335,44 @@ def test_import_leaves_scipy_special_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
     code = "import sys, treebench.cli; sys.exit('scipy.special' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+_POOL_PROBE = """
+import sys
+import concurrent.futures.process as process
+from treebench import cli, evaluation
+
+loaded = []
+
+
+class Probe(process.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+process.ProcessPoolExecutor = Probe
+evaluation._usable_cpus = lambda: 2  # the pool path on any host
+status = cli.main(["compare", "--config", sys.argv[1]])
+print(status, loaded)
+"""
+
+
+@pytest.mark.parametrize("roster, loaded", [
+    (["c50", "cart", "logistic"], True),
+    (["cart", "logistic"], False),
+])
+def test_compare_pool_forks_after_scipy_special(tmp_path, roster, loaded):
+    """With c50 in the roster, its whole-table pruning has loaded
+    scipy.special before the fold pool forks, so the workers inherit it; a
+    roster without c50 does not load it."""
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, roster=roster)
+    env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _POOL_PROBE, str(cfg)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 [{loaded}]"
 
 
 # ---------------------------------------------------------------------------

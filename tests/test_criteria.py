@@ -1,5 +1,6 @@
 """Split-quality kernel checks against independent direct-formula oracles."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from treebench.criteria import (
     info_gain,
     unit_cost_matrix,
 )
+
+import oracles
 
 
 # Pure-python oracles, written straight off the defining formulas.  They share
@@ -145,6 +148,74 @@ class TestInfoGain:
     def test_total_mismatch_error(self):
         with pytest.raises(ValueError):
             info_gain([6, 4], [[4, 1], [2, 2]])
+
+
+@st.composite
+def partition_stacks(draw):
+    """(parents [..., m], children [..., k, m]) for m = 2..7 classes and
+    k = 1..8 children, with empty children, pure nodes and classes absent
+    from a parent."""
+    m, k = draw(st.integers(2, 7)), draw(st.integers(1, 8))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([2, 4, 50, 10**6]))
+    kids = rng.integers(0, high, size=lead + (k, m))
+    kids *= rng.random(lead + (k, 1)) < 0.7  # empty children
+    kids *= rng.random(lead + (1, m)) < 0.8  # classes absent from the parent
+    pure = (rng.random(lead + (1, 1)) < 0.2) & (np.arange(m) != rng.integers(m))
+    kids[np.broadcast_to(pure, kids.shape)] = 0
+    kids[..., 0, 0] += kids.sum(axis=(-2, -1)) == 0  # no empty parent
+    return kids.sum(axis=-2), kids
+
+
+class TestInfoGainStacks:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=partition_stacks())
+    def test_matches_scalar_oracle_bit_for_bit(self, stack):
+        parents, kids = stack
+        got = info_gain(parents, kids)
+        if parents.ndim == 1:
+            assert type(got) is float
+            got = np.array(got)
+        assert got.dtype == np.float64 and got.shape == parents.shape[:-1]
+        for at in np.ndindex(got.shape):
+            expected = oracles.info_gain(parents[at], kids[at])
+            assert float(got[at]).hex() == float(expected).hex()
+
+    def test_stacks_raise_no_runtime_warning(self):
+        kids = np.array([[[0, 0, 0], [5, 0, 0], [0, 0, 3]],
+                         [[0, 0, 0], [0, 0, 0], [4, 0, 4]],
+                         [[2, 0, 0], [0, 0, 0], [7, 0, 0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gains = info_gain(kids.sum(axis=1), kids)
+        assert gains[1] == 0.0 and gains[2] == 0.0 and gains[0] > 0.0
+
+    @pytest.mark.parametrize("spoil", ["mismatch", "empty", "nan", "negative"])
+    def test_one_bad_partition_fails_the_stack(self, spoil):
+        kids = np.array([[[3, 1], [0, 2]], [[1, 1], [2, 0]], [[4, 0], [0, 0]]],
+                        dtype=float)
+        parents = kids.sum(axis=1)
+        if spoil == "mismatch":
+            parents[1] = [3, 2]
+        elif spoil == "empty":
+            parents[1] = kids[1] = 0
+        elif spoil == "nan":
+            kids[1, 0, 1] = np.nan
+        else:
+            kids[1, 1, 0] = -2
+        with pytest.raises(ValueError) as stacked:
+            info_gain(parents, kids)
+        with pytest.raises(ValueError) as single:
+            oracles.info_gain(parents[1], kids[1])
+        assert str(stacked.value) == str(single.value)
+        assert "\n" not in str(stacked.value)
+
+    def test_children_must_stack_under_the_parents(self):
+        with pytest.raises(ValueError, match="partition"):
+            info_gain([[3, 1], [1, 1]], [[3, 1], [1, 1]])
+        with pytest.raises(ValueError, match="partition"):
+            info_gain([3, 1], [[3, 1, 0]])
 
 
 class TestGini:

@@ -1,7 +1,7 @@
 """Tree induction, pruning, prediction, importance, and DOT export."""
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from itertools import combinations
 from math import comb
 
@@ -43,6 +43,7 @@ from treebench import tree as tree_module
 from treebench.tree import _gini_chooser, _quest_chooser, _Step
 from treebench.forest import ForestParams, train_forest
 
+import oracles
 from oracles import predict
 
 ALL_TRAINERS = [train_c50, train_cart, train_chaid, train_quest]
@@ -101,6 +102,15 @@ class TestTreeParams:
             TreeParams(severity=100.0)
         with pytest.raises(TreeError):
             TreeParams(alpha=1.0)
+
+    def test_severity_whose_confidence_factor_rounds_to_one(self):
+        # (100 - 5e-15) / 100 rounds to 1.0, where no pruning bound exists
+        with pytest.raises(TreeError, match="severity 5e-15 is too small"):
+            TreeParams(severity=5e-15)
+        assert TreeParams(severity=1e-13).severity == 1e-13
+        tree = train_c50(xor_table(), XOR_PARAMS)
+        with pytest.raises(TreeError, match="too small"):
+            prune_c50(tree, severity=5e-15)
 
     @pytest.mark.parametrize("field, value", [
         ("min_records", "x"), ("min_records", True), ("min_records", 2.0),
@@ -243,6 +253,77 @@ class TestC50:
         )
 
 
+def scalar_gain_chooser(data, params, universes):
+    """Oracle for ``_gain_chooser``: one scalar ``info_gain`` per (node,
+    feature), as before batching."""
+    def choose(idx, counts, tables):
+        best = None  # (gain, feature)
+        for f, codes, table in tables:
+            if table.sum(axis=1).min() < params.min_records:
+                continue
+            # codes absent at the node are empty parts of the table universe
+            parts = np.zeros((len(universes[f]), 2), dtype=np.int64)
+            parts[np.searchsorted(universes[f], codes)] = table
+            g = oracles.info_gain(counts, parts)
+            if best is None or g > best[0] + 1e-12:
+                best = (g, f)
+        if best is None or best[0] < params.min_gain:
+            return None
+        return best[0], best[1], tuple((int(c),) for c in universes[best[1]])
+
+    return tree_module._per_node(choose)
+
+
+def skewed_table(rng):
+    """Features of 2-7 codes, some rare, so that many nodes lack codes
+    (empty branches) and pure nodes come early; the target leans on one
+    feature."""
+    n, m = int(rng.integers(8, 120)), int(rng.integers(1, 6))
+    codes = rng.integers(2, 8, size=m)
+    X = np.column_stack([rng.choice(c, size=n, p=rng.dirichlet(np.full(c, 0.5)))
+                         for c in codes])
+    y = (X[:, rng.integers(m)] % 2) ^ (rng.random(n) < rng.uniform(0.0, 0.5))
+    schema = tuple(FeatureSpec(f"f{j:02d}", tuple(range(c))) for j, c in enumerate(codes))
+    return CategoricalTable(schema, X, y.astype(np.int64))
+
+
+class TestC50Oracles:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), min_records=st.integers(1, 4),
+           min_gain=st.sampled_from([1e-12, 0.0, 0.05]),
+           max_depth=st.sampled_from([None, 1, 3]))
+    def test_tree_matches_scalar_chooser(self, seed, min_records, min_gain, max_depth):
+        """The step chooser grows the tree a per-node chooser with one
+        scalar ``info_gain`` per feature grows, gains bit for bit."""
+        table = skewed_table(np.random.default_rng(seed))
+        params = TreeParams(min_records=min_records, min_gain=min_gain,
+                            max_depth=max_depth)
+        batched = train_c50(table, params).to_json()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, "_gain_chooser", scalar_gain_chooser)
+            assert train_c50(table, params).to_json() == batched
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), min_records=st.integers(1, 3),
+           min_gain=st.sampled_from([1e-12, 0.0]),
+           severity=st.one_of(st.sampled_from([1e-13, 0.001, 25.0, 75.0, 99.9]),
+                              st.floats(0.01, 99.99)))
+    def test_pruning_matches_recursive_oracle(self, seed, min_records, min_gain,
+                                              severity):
+        """One bound call per tree and one bottom-up pass prune as the
+        recursive two-pass oracle does, on trees with empty branches and
+        zero-gain splits; the input tree is left as it was."""
+        table = skewed_table(np.random.default_rng(seed))
+        tree = train_c50(table, TreeParams(min_records=min_records, min_gain=min_gain))
+        before = tree.to_json()
+        got = prune_c50(tree, severity).to_json()
+        assert tree.to_json() == before
+        assert got == oracles.prune_c50(tree, severity).to_json()
+        params = replace(tree.params, severity=severity)
+        assert prune_c50(replace(tree, params=params)).to_json() == \
+            oracles.prune_c50(replace(tree, params=params)).to_json()
+
+
 class TestPruningBound:
     def test_zero_error_closed_form(self):
         # with no observed errors the bound solves (1-U)^N = CF exactly
@@ -275,6 +356,19 @@ class TestPruningBound:
             prev = u
         assert pessimistic_error_bound(10, 10, cf) == 1.0
         assert pessimistic_error_bound(0, 0, cf) == 0.0
+
+    def test_arrays_match_scalars(self):
+        errors = np.array([0, 3, 10, 0, 7, 12])
+        total = np.array([0, 10, 10, 1, 40, 9])
+        for cf in (0.01, 0.25, 0.75):
+            bounds = pessimistic_error_bound(errors, total, cf)
+            assert bounds.dtype == np.float64 and bounds.shape == (6,)
+            assert [b.hex() for b in bounds.tolist()] == [
+                pessimistic_error_bound(int(e), int(n), cf).hex()
+                for e, n in zip(errors, total)]
+        assert type(pessimistic_error_bound(3, 10, 0.25)) is float
+        with pytest.raises(TreeError, match="confidence factor"):
+            pessimistic_error_bound(errors, total, 1.0)
 
 
 class TestPruneC50:
@@ -381,6 +475,21 @@ class TestPruneC50:
         acc_before = training_accuracy(tree, holdout)
         acc_after = training_accuracy(pruned, holdout)
         assert acc_after >= acc_before - 0.01
+
+    def test_equal_predicted_errors_collapse(self):
+        """A leaf that predicts no more errors than its subtree replaces it;
+        here the subtree's one nonempty leaf holds every row, so the two are
+        equal to the bit."""
+        leaf = {"counts": [6, 2], "prediction": 0, "confidence": 0.75, "score": 0.0}
+        empty = {**leaf, "counts": [0, 0]}
+        split = {"feature": 0, "arity": "multiway", "branches": [[0], [1]]}
+        tree = DecisionTree.from_payload({
+            "algorithm": "c50", "params": asdict(TreeParams()),
+            "feature_names": ["f00"], "schema_hash": "", "n_rows": 8,
+            "root": {**leaf, "split": split, "children": [leaf, empty]},
+        })
+        assert prune_c50(tree).root.is_leaf
+        assert oracles.prune_c50(tree).root.is_leaf
 
     def test_bad_severity(self):
         tree = train_c50(self.dominated_table())
@@ -876,6 +985,21 @@ class TestPredict:
             assert tree.proba_batch(rows).tolist() == [
                 conf if c == 1 else 1.0 - conf for c, conf in walk
             ]
+
+
+@pytest.mark.parametrize("grow", ALL_TRAINERS + ["forest"])
+def test_nodes_own_their_counts(grow):
+    """No node's counts is a view, which would keep a grow step's arrays
+    alive as long as the tree."""
+    table = generate_synthetic(binary_schema(4), 200, seed=3,
+                               rules=planted_relevance_rules())
+    if grow == "forest":
+        trees = train_forest(table, ForestParams(n_trees=3, seed=1)).trees
+    else:
+        trees = [grow(table, TreeParams(min_records=1, min_gain=0.0))]
+    nodes = [node for tree in trees for node, _, _ in iter_nodes(tree)]
+    assert len(nodes) > len(trees)
+    assert all(node.counts.base is None for node in nodes)
 
 
 class TestGrowerInvariants:
