@@ -522,7 +522,7 @@ def _gain_chooser(data: CategoricalTable, params: TreeParams, universes):
     starts = np.cumsum([0] + sizes)
     # gather[f, j]: the cube column of feature f's j-th code, or past the
     # feature's universe the zero column appended after the last feature
-    gather = np.full((len(sizes), max(sizes)), starts[-1])
+    gather = np.full((len(sizes), max(sizes, default=0)), starts[-1])
     for f, size in enumerate(sizes):
         gather[f, :size] = np.arange(starts[f], starts[f + 1])
     branches = [tuple((int(c),) for c in u) for u in universes]

@@ -228,6 +228,12 @@ class TestC50:
         assert tree.predict_batch(rows).tolist() == [0, 0]
         assert tree.proba_batch(rows).tolist() == [0.25, 0.5]
 
+    def test_no_features_single_leaf(self):
+        table = CategoricalTable((), np.zeros((4, 0), dtype=np.int64),
+                                 np.array([0, 1, 1, 0]))
+        tree = train_c50(table)
+        assert tree.root.is_leaf and tree.root.counts.tolist() == [2, 2]
+
     def test_min_records_blocks_small_branches(self):
         table = xor_table()
         # root children hold 2 rows each; their sub-branches would hold 1
