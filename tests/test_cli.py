@@ -150,8 +150,6 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("compare", {"roster_params": {"c50": {"min_records": "x"}}}, "min_records"),
     ("compare", {"roster_params": {"c50": {"min_records": True}}}, "min_records"),
     ("compare", {"roster_params": {"c50": {"severity": "high"}}}, "severity"),
-    # its confidence factor (100 - severity) / 100 rounds to 1
-    ("compare", {"roster_params": {"c50": {"severity": 5e-15}}}, "severity"),
     ("compare", {"roster": ["chaid"], "roster_params": {"chaid": {"alpha": None}}},
      "alpha"),
     ("compare", {"roster_params": {"cart": {"max_depth": 2.5}}}, "max_depth"),
@@ -188,6 +186,8 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
      "max_literals"),
     ("compare", {"roster_params": {"decision-list": {"purity_threshold": 2}}},
      "purity_threshold"),
+    # its confidence factor (100 - severity) / 100 rounds to 1
+    ("compare", {"roster_params": {"c50": {"severity": 5e-15}}}, "severity"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
