@@ -92,6 +92,7 @@ from .shapley import (
     attribution_table,
     backward_eliminate,
     brute_force_shap,
+    explain_table,
     global_importance,
     make_background,
     shap_batch,

@@ -45,9 +45,8 @@ from .shapley import (
     CvSpec,
     attribution_table,
     backward_eliminate,
-    global_importance,
+    explain_table,
     make_background,
-    shap_batch,
 )
 from .tree import (
     TreeParams,
@@ -535,8 +534,8 @@ def cmd_explain(config: PipelineConfig) -> int:
     background = make_background(
         table, config.background, derive_seed(config.seed, "background")
     )
-    rows = table.rows[list(config.explain_rows)]
-    attributions = shap_batch(forest, rows, background)
+    attributions, ranking = explain_table(forest, table, background,
+                                          config.explain_rows)
     for rid, att in zip(config.explain_rows, attributions):
         gap = abs(att.base_value + sum(att.contributions) - att.model_output)
         if gap > 1e-9:
@@ -544,7 +543,6 @@ def cmd_explain(config: PipelineConfig) -> int:
                 f"attribution for row {rid} violates local accuracy "
                 f"(gap {gap:.3g}); refusing to write"
             )
-    ranking = global_importance(forest, table, background)
 
     out = config.out_dir
     _write(

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .dataset import CategoricalTable
-from .tree import DecisionTree, TreeParams, _gini_chooser, _grow
+from .tree import DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow
 
 
 class ForestError(ValueError):
@@ -92,6 +92,17 @@ class Forest:
     def predict_batch(self, rows) -> np.ndarray:
         """Majority vote per row; exact ties go to class 1."""
         return (self.proba_batch(rows) >= 0.5).astype(np.int64)
+
+    # -- Shapley view: the trees averaged, and the value of a stop ---------
+
+    @property
+    def members(self) -> tuple[DecisionTree, ...]:
+        return self.trees
+
+    @staticmethod
+    def leaf_value(node: TreeNode) -> float:
+        """A member's class-1 vote at this node."""
+        return 1.0 if node.prediction == 1 else 0.0
 
     def to_json(self) -> str:
         return json.dumps(

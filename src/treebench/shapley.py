@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import CategoricalTable
 from .evaluation import EvalError, _cv_result, make_folds
-from .forest import Forest, ForestError, ForestParams, _require_rows, train_forests
+from .forest import ForestError, ForestParams, _require_rows, train_forests
 from .tree import DecisionTree, TreeNode
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "shap_batch",
     "brute_force_shap",
     "global_importance",
+    "explain_table",
     "CvSpec",
     "EliminationStep",
     "EliminationTrace",
@@ -88,19 +89,6 @@ def make_background(data: CategoricalTable, max_rows: int = 128,
     rng = np.random.default_rng([int(seed), 97])
     idx = np.sort(rng.choice(data.n_rows, size=max_rows, replace=False))
     return BackgroundSet(data.rows[idx])
-
-
-# ---------------------------------------------------------------------------
-# Leaf values: the attributed output is a lone tree's class-1 fraction and a
-# forest's share of class-1 votes.
-
-
-def _leaf_fraction(node: TreeNode) -> float:
-    return node.confidence if node.prediction == 1 else 1.0 - node.confidence
-
-
-def _leaf_vote(node: TreeNode) -> float:
-    return 1.0 if node.prediction == 1 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +154,15 @@ def _weight_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
     return wa, wb
 
 
+@functools.lru_cache(maxsize=None)
+def _patterns(d: int) -> np.ndarray:
+    """Every pass pattern over d path features, row i passing feature j
+    when bit j of i is set; shared, so read-only."""
+    table = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1
+    table.setflags(write=False)
+    return table
+
+
 def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
               m: int) -> np.ndarray:
     """Contribution matrix (rows x features), averaged over the background."""
@@ -177,11 +174,20 @@ def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
         feats = sorted(masks)
         # rows with the same pass pattern share one exact per-background sum;
         # the background is not deduplicated, so that sum keeps its order
-        x_all = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
-        key = np.packbits(x_all, axis=1)
-        _, first, inverse = np.unique(key.view(f"V{key.shape[1]}")[:, 0],
-                                      return_index=True, return_inverse=True)
-        x_pass = x_all[first]
+        if 1 << len(feats) <= n_rows:
+            # the kernel runs on all 2^d patterns, each row's read back by
+            # its integer code (bit i: path feature i passes)
+            x_pass = _patterns(len(feats))
+            code = np.zeros(n_rows, dtype=np.intp)
+            for i, f in enumerate(feats):
+                code |= masks[f][row_pos[:, f]].astype(np.intp) << i
+        else:
+            # a longer path: only the distinct patterns present
+            x_all = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+            key = np.packbits(x_all, axis=1)
+            _, first, code = np.unique(key.view(f"V{key.shape[1]}")[:, 0],
+                                       return_index=True, return_inverse=True)
+            x_pass = x_all[first]
         z_pass = np.stack([masks[f][back_pos[:, f]] for f in feats], axis=1)
         only_x = x_pass[:, None, :] & ~z_pass[None, :, :]
         only_z = ~x_pass[:, None, :] & z_pass[None, :, :]
@@ -193,7 +199,7 @@ def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
         loss = np.where(dead, 0.0, wb[a, b])
         per_pair = (only_x * gain[:, :, None]).sum(axis=1) \
             - (only_z * loss[:, :, None]).sum(axis=1)
-        phi[:, feats] += (value * per_pair / n_back)[inverse]
+        phi[:, feats] += (value * per_pair / n_back)[code]
     return phi
 
 
@@ -204,13 +210,14 @@ def _as_background(background) -> np.ndarray:
 
 
 def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """Contribution matrix shared by single-row, batch, and ranking paths."""
-    if isinstance(model, Forest):
-        trees, leaf_value = model.trees, _leaf_vote
-    else:
-        trees, leaf_value = (model,), _leaf_fraction
-    if not all(isinstance(tree, DecisionTree) for tree in trees):
-        raise ShapError(f"cannot attribute model type {type(model).__name__}")
+    """Contribution matrix shared by single-row, batch, and ranking paths:
+    the mean of the games of ``model.members``, a stop worth
+    ``model.leaf_value(node)``."""
+    try:
+        trees, leaf_value = model.members, model.leaf_value
+    except AttributeError:
+        raise ShapError(
+            f"cannot attribute model type {type(model).__name__}") from None
     names = model.feature_names
     if rows.shape[1] != len(names) or back.shape[1] != len(names):
         raise ShapError("row width does not match the model")
@@ -228,13 +235,9 @@ def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     return phi / len(trees)
 
 
-def shap_batch(model, rows, background) -> list[ShapAttribution]:
-    """Exact attributions for a whole row matrix at once."""
-    back = _as_background(background)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    phi = _phi_matrix(model, rows, back)
+def _attributions(model, phi: np.ndarray, rows: np.ndarray,
+                  back: np.ndarray) -> list[ShapAttribution]:
+    """One attribution per row of ``rows``, whose contributions are ``phi``."""
     names = model.feature_names
     base = float(np.mean(model.proba_batch(back)))
     outputs = model.proba_batch(rows)
@@ -243,6 +246,15 @@ def shap_batch(model, rows, background) -> list[ShapAttribution]:
                         float(outputs[i]))
         for i in range(rows.shape[0])
     ]
+
+
+def shap_batch(model, rows, background) -> list[ShapAttribution]:
+    """Exact attributions for a whole row matrix at once."""
+    back = _as_background(background)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    return _attributions(model, _phi_matrix(model, rows, back), rows, back)
 
 
 def shap_values(model, row, background) -> ShapAttribution:
@@ -293,10 +305,16 @@ def brute_force_shap(model, row, background) -> ShapAttribution:
 # Global importance and backward elimination
 
 
-def _mean_abs_phi(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
+def _mean_abs_phi(phi: np.ndarray) -> np.ndarray:
     """Mean |phi| per feature over the rows: what ranking and elimination
     compare.  Each caller keeps its own tie rule."""
-    return np.abs(_phi_matrix(model, rows, back)).mean(axis=0)
+    return np.abs(phi).mean(axis=0)
+
+
+def _ranking(phi: np.ndarray, names) -> list[tuple[str, float]]:
+    magnitude = _mean_abs_phi(phi)
+    order = sorted(range(len(magnitude)), key=lambda j: (-magnitude[j], j))
+    return [(names[j], float(magnitude[j])) for j in order]
 
 
 def global_importance(model, data: CategoricalTable, background
@@ -305,10 +323,21 @@ def global_importance(model, data: CategoricalTable, background
 
     Exact ties keep the lower feature index first.
     """
-    magnitude = _mean_abs_phi(model, data.rows, _as_background(background))
-    order = sorted(range(len(magnitude)), key=lambda j: (-magnitude[j], j))
-    names = data.feature_names
-    return [(names[j], float(magnitude[j])) for j in order]
+    phi = _phi_matrix(model, data.rows, _as_background(background))
+    return _ranking(phi, data.feature_names)
+
+
+def explain_table(model, data: CategoricalTable, background, row_ids
+                  ) -> tuple[list[ShapAttribution], list[tuple[str, float]]]:
+    """``shap_batch`` of the table rows ``row_ids`` and ``global_importance``
+    of the table, bit for bit, from one pass over every row: a row's
+    contributions do not depend on which other rows share the pass (a leaf
+    a smaller pass skips adds an exact +0.0 here)."""
+    back = _as_background(background)
+    phi = _phi_matrix(model, data.rows, back)
+    ids = list(row_ids)
+    return (_attributions(model, phi[ids], data.rows[ids], back),
+            _ranking(phi, data.feature_names))
 
 
 @dataclass(frozen=True)
@@ -418,7 +447,8 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
             for fold_forest, held in zip(fold_forests, held_out)])
         del fold_forests  # released before the Shapley pass
         background = make_background(table, background_size, cv_spec.seed)
-        magnitude = _mean_abs_phi(forest, table.rows, background.rows)
+        magnitude = _mean_abs_phi(
+            _phi_matrix(forest, table.rows, background.rows))
         weakest = 0
         for j in range(1, len(active)):
             if magnitude[j] <= magnitude[weakest]:

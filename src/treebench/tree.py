@@ -194,6 +194,17 @@ class DecisionTree:
         labels, confidence = self._stops(rows)
         return np.where(labels == 1, confidence, 1.0 - confidence)
 
+    # -- Shapley view: the trees averaged, and the value of a stop ---------
+
+    @property
+    def members(self) -> tuple["DecisionTree", ...]:
+        return (self,)
+
+    @staticmethod
+    def leaf_value(node: TreeNode) -> float:
+        """The class-1 fraction ``proba_batch`` gives at this node."""
+        return node.confidence if node.prediction == 1 else 1.0 - node.confidence
+
     # -- structured text serialization (nested nodes, preorder) -------------
 
     def to_json(self) -> str:
@@ -689,7 +700,8 @@ def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
     sizes = [len(u) for u in universes]
     starts = np.cumsum([0] + sizes)
     bits = [_subset_bits(k) for k in sizes]
-    subset = np.concatenate(bits)
+    none = np.zeros(0, dtype=np.int64)  # a table with no features has no candidate
+    subset = np.concatenate([none, *bits])
     feature = np.repeat(np.arange(len(sizes)), [len(b) for b in bits])
     firsts = np.cumsum([0] + [len(b) for b in bits])
     # features with k codes share one membership matrix [code, subset]:
@@ -702,7 +714,7 @@ def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
             np.concatenate([np.arange(firsts[f], firsts[f + 1]) for f in same]),
             _subset_bits(k) >> np.arange(k)[:, None] & 1))
     # a dense code's bit in its feature's present-code mask
-    place = np.concatenate([1 << np.arange(k, dtype=np.int64) for k in sizes])
+    place = np.concatenate([none] + [1 << np.arange(k, dtype=np.int64) for k in sizes])
     # the subset's bits and every bit below its lowest: a node's present
     # codes hold the subset and its smallest code when they agree with it here
     anchor = subset | ((subset & -subset) - 1)

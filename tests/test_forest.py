@@ -108,6 +108,14 @@ class TestTrainForest:
             forest.predict_batch(table.rows), predict_batch(cart, table.rows)
         )
 
+    def test_no_features_gives_one_leaf_trees(self):
+        table = CategoricalTable((), np.zeros((12, 0), dtype=np.int64),
+                                 np.array([0, 1, 1] * 4))
+        forest = train_forest(table, ForestParams(n_trees=3, seed=2))
+        assert all(t.root.is_leaf for t in forest.trees)
+        assert [int(t.root.counts.sum()) for t in forest.trees] == [12] * 3
+        assert forest.predict_batch(table.rows).shape == (12,)
+
     def test_same_seed_identical(self):
         table = planted_table(n=150, m=6)
         params = ForestParams(n_trees=5, seed=42)

@@ -27,6 +27,7 @@ from treebench.shapley import (
     attribution_table,
     backward_eliminate,
     brute_force_shap,
+    explain_table,
     global_importance,
     make_background,
     shap_batch,
@@ -310,6 +311,32 @@ def _pairwise_tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
     return phi
 
 
+_POOL = np.array([0, 5, 97, 3, 64])
+_EXTRA = np.append(_POOL, [1, 150])  # 1 and 150 are in no training table
+
+
+def sparse_table(rng, m, n=60):
+    """m features of 2-5 sparse codes from the pool, random target."""
+    schema, columns = [], []
+    for j in range(m):
+        codes = np.sort(rng.choice(_POOL, size=int(rng.integers(2, 6)),
+                                   replace=False))
+        schema.append(feature(f"f{j}", codes.tolist()))
+        columns.append(rng.choice(codes, size=n))
+    return CategoricalTable(schema, np.stack(columns, axis=1),
+                            rng.integers(0, 2, size=n))
+
+
+def fit(grower, table, seed, max_depth):
+    if grower == "forest":
+        return train_forest(table, ForestParams(n_trees=3, min_records=1,
+                                                max_depth=max_depth, seed=seed))
+    trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
+               "quest": train_quest}[grower]
+    return trainer(table, TreeParams(min_records=1, max_depth=max_depth,
+                                     min_gain=0.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -324,26 +351,10 @@ def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_ba
     tables make every path a one-feature path."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 5))
-    pool = np.array([0, 5, 97, 3, 64])
-    schema, columns = [], []
-    for j in range(m):
-        codes = np.sort(rng.choice(pool, size=int(rng.integers(2, 6)),
-                                   replace=False))
-        schema.append(feature(f"f{j}", codes.tolist()))
-        columns.append(rng.choice(codes, size=60))
-    table = CategoricalTable(schema, np.stack(columns, axis=1),
-                             rng.integers(0, 2, size=60))
-    extra = np.append(pool, [1, 150])
-    rows = np.concatenate([table.rows, rng.choice(extra, size=(20, m))])
-    background = rng.choice(extra, size=(n_back, m))
-    if grower == "forest":
-        model = train_forest(table, ForestParams(n_trees=3, min_records=1,
-                                                 max_depth=max_depth, seed=seed))
-    else:
-        trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
-                   "quest": train_quest}[grower]
-        model = trainer(table, TreeParams(min_records=1, max_depth=max_depth,
-                                          min_gain=0.0))
+    table = sparse_table(rng, m)
+    rows = np.concatenate([table.rows, rng.choice(_EXTRA, size=(20, m))])
+    background = rng.choice(_EXTRA, size=(n_back, m))
+    model = fit(grower, table, seed, max_depth)
     kernel, calls = shapley._tree_phi, []
 
     def both(leaves, row_pos, back_pos, width):
@@ -355,6 +366,84 @@ def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_ba
     with mock.patch.object(shapley, "_tree_phi", both):
         shap_batch(model, rows, background)
     assert calls and all(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grower=st.sampled_from(["c50", "cart", "quest", "forest"]),
+    n_back=st.sampled_from([1, 8, 13]),
+)
+def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_back):
+    """Unbounded depth over 6-12 features gives paths of many lengths d.
+    Each tree's kernel also runs on as many explained rows as its shortest
+    path's 2^d pattern table holds, so the shortest paths take the dense
+    table and every longer one the dedupe.  Both sides give exactly the
+    floats of the pairwise kernel, and no pattern table is built with more
+    patterns than there are rows.  (CHAID is left out: on a random target
+    its significance test rarely lets it grow past the root.)"""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 13))
+    table = sparse_table(rng, m)
+    rows = np.concatenate([table.rows, rng.choice(_EXTRA, size=(20, m))])
+    rows[-1] = 150  # falls back at every root: a one-feature path
+    background = rng.choice(_EXTRA, size=(n_back, m))
+    model = fit(grower, table, seed, None)
+    kernel, patterns = shapley._tree_phi, shapley._patterns
+    calls, built, dense = [], [], set()
+
+    def build(d):
+        built.append(d)
+        return patterns(d)
+
+    def run(leaves, row_pos, back_pos, width):
+        built.clear()
+        fast = kernel(leaves, row_pos, back_pos, width)
+        assert all(1 << d <= len(row_pos) for d in built)
+        calls.append(np.array_equal(
+            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
+        return fast
+
+    def both(leaves, row_pos, back_pos, width):
+        lengths = [len(masks) for value, masks in leaves
+                   if masks and value != 0.0]
+        if lengths:
+            n = 1 << min(lengths)
+            dense.update(1 << d <= n for d in lengths)
+            run(leaves, row_pos[:n], back_pos, width)
+        return run(leaves, row_pos, back_pos, width)
+
+    with mock.patch.object(shapley, "_tree_phi", both), \
+            mock.patch.object(shapley, "_patterns", build):
+        shap_batch(model, rows, background)
+    assert calls and all(calls)
+    assert dense == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]),
+    n_back=st.sampled_from([1, 8, 13]),
+    row_ids=st.lists(st.integers(0, 59), min_size=1, max_size=8),
+)
+def test_one_pass_equals_separate_passes(seed, grower, n_back, row_ids):
+    """explain_table's slices of the full-table pass are exactly shap_batch
+    on those rows alone, in any order and with repeats, and its ranking is
+    global_importance's.  The background holds codes the table lacks, so
+    the two passes index different code universes."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    table = sparse_table(rng, m)
+    background = rng.choice(_EXTRA, size=(n_back, m))
+    model = fit(grower, table, seed, None)
+    attributions, ranking = explain_table(model, table, background, row_ids)
+    alone = shap_batch(model, table.rows[row_ids], background)
+    assert np.array_equal([a.contributions for a in attributions],
+                          [a.contributions for a in alone])
+    assert [(a.base_value, a.model_output) for a in attributions] \
+        == [(a.base_value, a.model_output) for a in alone]
+    assert ranking == global_importance(model, table, background)
 
 
 def test_local_accuracy_over_batch():

@@ -631,6 +631,13 @@ class TestCart:
         assert tree.root.score == pytest.approx(0.5, abs=1e-12)
         assert training_accuracy(tree, table) == 1.0
 
+    def test_no_features_single_leaf(self):
+        table = CategoricalTable((), np.zeros((12, 0), dtype=np.int64),
+                                 np.array([0, 1, 1] * 4))
+        tree = train_cart(table)
+        assert tree.root.is_leaf and tree.root.counts.tolist() == [4, 8]
+        assert tree.predict_batch(table.rows).tolist() == [1] * 12
+
     def test_three_code_candidates(self):
         assert _binary_candidates([0, 1, 2]) == [(0,), (0, 1), (0, 2)]
         assert len(_binary_candidates([0, 1, 2, 3])) == 2 ** 3 - 1
