@@ -132,12 +132,18 @@ def gini(
     With the default unit cost and two classes this reduces to 2p(1-p).
     """
     c = _as_counts(counts)
-    total = c.sum()
-    if total <= 0:
+    if c.sum() <= 0:
         raise ValueError("gini undefined for an empty node")
-    p = c / total
-    m = c.size
-    cm = unit_cost_matrix(m) if cost is None else _check_cost(cost, m)
+    return _gini(c, _cost_or_unit(cost, c.size))
+
+
+def _cost_or_unit(cost: np.ndarray | None, m: int) -> np.ndarray:
+    return unit_cost_matrix(m) if cost is None else _check_cost(cost, m)
+
+
+def _gini(c: np.ndarray, cm: np.ndarray) -> float:
+    """``gini`` of nonempty float counts under a checked cost matrix."""
+    p = c / c.sum()
     return float(p @ cm @ p)
 
 
@@ -157,11 +163,14 @@ def gini_decrease(
         raise ValueError("gini_decrease undefined for an empty parent")
     if l.sum() + r.sum() != total:
         raise ValueError("left + right totals must equal the parent total")
-    delta = gini(p, cost)
+    if l.shape != p.shape or r.shape != p.shape:
+        raise ValueError("left and right must count the parent's classes")
+    cm = _cost_or_unit(cost, p.size)
+    delta = _gini(p, cm)
     for child in (l, r):
         n = child.sum()
         if n > 0:
-            delta -= (n / total) * gini(child, cost)
+            delta -= (n / total) * _gini(child, cm)
     return float(delta)
 
 

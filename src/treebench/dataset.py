@@ -769,15 +769,6 @@ class SyntheticRules:
     feature_probs: Mapping[str, Sequence[float]] = field(default_factory=dict)
     copy_of: str | None = None
 
-    def relevant_features(self) -> tuple[str, ...]:
-        if self.copy_of is not None:
-            return (self.copy_of,)
-        names = [n for n, w in self.weights.items() if w != 0.0]
-        for a, b, w in self.disagreements:
-            if w != 0.0:
-                names.extend((a, b))
-        return tuple(dict.fromkeys(names))
-
 
 def generate_synthetic(
     schema: Sequence[FeatureSpec],

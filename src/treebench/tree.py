@@ -4,7 +4,8 @@ Four growers share one tree representation and one grow skeleton
 (``_grow``): a multiway entropy tree (``train_c50``), a binary code-subset
 Gini tree (``train_cart``), a chi-square merge tree (``train_chaid``), and a
 chi-square / discriminant hybrid (``train_quest``).  Each differs only in
-the chooser that picks a node's split from its count cube.  The skeleton
+the chooser, and every chooser scores a whole grow step at once: the splits
+of all the nodes the step expands, from their one count cube.  The skeleton
 also grows a forest's members in lockstep, on index views of one table.
 Pruning replaces subtrees by leaves when a pessimistic binomial error bound
 says the split does not pay for itself.
@@ -17,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from numbers import Integral, Real
 from typing import Iterator, Mapping
 
@@ -349,25 +350,27 @@ class _Step:
     universes: list[np.ndarray]
     starts: np.ndarray
 
-    def tables(self, slot: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """(feature, codes, class counts [k, 2]) for each candidate feature
-        showing at least two codes at the slot's node."""
-        cube = self.cube[slot].T
-        present = cube.any(axis=1)
-        tables = []
-        for f in self.candidates[slot]:
-            block = slice(self.starts[f], self.starts[f + 1])
-            keep = present[block]
-            if np.count_nonzero(keep) >= 2:
-                tables.append((f, self.universes[f][keep], cube[block][keep]))
+    def tables(self) -> list[list[tuple[int, np.ndarray, np.ndarray]]]:
+        """Per slot, (feature, codes, class counts [k, 2]) for each candidate
+        feature showing at least two codes at the slot's node.
+
+        Only candidates count in the cube, and they come sorted, so the
+        tables come in candidate order.
+        """
+        m = len(self.universes)
+        feature = np.repeat(np.arange(m), np.diff(self.starts))
+        # (slot, dense code) of each code present, slot-major, then by code
+        slot, code = np.nonzero(self.cube.any(axis=1))
+        cell = slot * m + feature[code]
+        keep = np.bincount(cell, minlength=len(self.idx) * m)[cell] >= 2
+        cell, code = cell[keep], code[keep]
+        codes = np.concatenate([np.zeros(0, dtype=np.int64), *self.universes])[code]
+        counts = self.cube[slot[keep], :, code]
+        cells, lows = np.unique(cell, return_index=True)
+        tables = [[] for _ in self.idx]
+        for c, lo, hi in zip(cells.tolist(), lows.tolist(), [*lows[1:].tolist(), len(cell)]):
+            tables[c // m].append((c % m, codes[lo:hi], counts[lo:hi]))
         return tables
-
-
-def _per_node(choose):
-    """A step chooser running the one-node ``choose(idx, counts, tables)``
-    on each slot in turn."""
-    return lambda step: [choose(step.idx[i], step.counts[i], step.tables(i))
-                         for i in range(len(step.idx))]
 
 
 def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
@@ -807,57 +810,86 @@ def _pairs(n: int) -> np.ndarray:
     return pairs
 
 
-def _merge_groups(groups: list[tuple[tuple[int, ...], np.ndarray]], alpha: float
-                  ) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Greedily fuse the least-distinguishable pair until every remaining
-    pair differs at level alpha or only two groups remain.
+_Group = tuple[tuple[int, ...], np.ndarray]  # (codes, class counts [2])
 
-    Each round scores all pairs in one ``chi_square_k2`` call; a pair with
-    an empty class column is indistinguishable (p = 1).  ``argmax`` takes
-    the first pair, in (i, j) order, of the largest p-value.
+
+def _merge_groups(groupings: list[list[_Group]], alpha: float
+                  ) -> list[list[_Group]]:
+    """Merge each list of category groups, all lists in lockstep: greedily
+    fuse a list's least-distinguishable pair until every remaining pair
+    differs at level alpha or only two groups remain.
+
+    Each round stacks the [2, 2] pair tables of every unfinished list, in
+    (i, j) order, into one ``chi_square_k2`` call; a pair with an empty
+    class column is indistinguishable (p = 1).  A list fuses the first pair
+    of its largest p-value, as ``argmax`` over its own segment would.
     """
-    groups = list(groups)
-    while len(groups) > 2:
-        pairs = _pairs(len(groups))
-        p, degenerate = chi_square_k2(np.array([g[1] for g in groups])[pairs])
+    out = list(groupings)
+    live = [g for g, groups in enumerate(out) if len(groups) > 2]
+    while live:
+        pairs = [_pairs(len(out[g])) for g in live]
+        sizes = np.array([len(pair) for pair in pairs])
+        starts = np.cumsum(sizes) - sizes
+        p, degenerate = chi_square_k2(np.concatenate(
+            [np.array([grp[1] for grp in out[g]])[pair] for g, pair in zip(live, pairs)]))
         p[degenerate] = 1.0
-        best = int(np.argmax(p))
-        if p[best] < alpha:
-            break
-        i, j = pairs[best].tolist()
-        merged = (
-            tuple(sorted(groups[i][0] + groups[j][0])),
-            groups[i][1] + groups[j][1],
-        )
-        groups = [g for k, g in enumerate(groups) if k not in (i, j)] + [merged]
-        groups.sort(key=lambda g: g[0][0])
-    return groups
+        top = np.maximum.reduceat(p, starts)
+        # each segment's first hit of its maximum
+        hits = np.flatnonzero(p == np.repeat(top, sizes))
+        best = hits[np.searchsorted(hits, starts)] - starts
+        merging = []
+        for g, pair, b, top_p in zip(live, pairs, best.tolist(), top.tolist()):
+            if top_p < alpha:
+                continue
+            groups = out[g]
+            i, j = pair[b].tolist()
+            merged = (tuple(sorted(groups[i][0] + groups[j][0])),
+                      groups[i][1] + groups[j][1])
+            groups = [grp for k, grp in enumerate(groups) if k not in (i, j)] + [merged]
+            groups.sort(key=lambda grp: grp[0][0])
+            out[g] = groups
+            if len(groups) > 2:
+                merging.append(g)
+        live = merging
+    return out
 
 
 def _chaid_chooser(data: CategoricalTable, params: TreeParams, universes):
-    def choose(idx, counts, tables):
-        merged = []  # (feature, codes present, groups), groups >= min_records
-        for f, codes, table in tables:
-            groups = _merge_groups(
-                [((int(c),), row) for c, row in zip(codes, table)], params.alpha)
-            if all(g[1].sum() >= params.min_records for g in groups):
-                merged.append((f, codes, groups))
+    """Smallest Bonferroni-adjusted p-value over merged code groups, for
+    CHAID.
+
+    Every (slot, candidate) table of a step merges its codes in one
+    lockstep ``_merge_groups`` call.  A grouping with a group under
+    ``min_records`` rows drops out, one ``chi_square_k2`` call scores the
+    rest, and a grouping with an empty class column drops out too.
+    Scanning each slot's candidates in order, an adjusted p-value must beat
+    the best so far by more than ``_GAIN_EPS``.  A slot splits when its
+    best reaches alpha, scored by the split's information gain.
+    """
+    def choose(step):
+        cells = [(slot, f, codes, table) for slot, tables in enumerate(step.tables())
+                 for f, codes, table in tables]
+        groupings = _merge_groups(
+            [[((int(c),), row) for c, row in zip(codes, table)]
+             for _, _, codes, table in cells], params.alpha)
+        merged = [(slot, f, len(codes), groups)
+                  for (slot, f, codes, _), groups in zip(cells, groupings)
+                  if all(g[1].sum() >= params.min_records for g in groups)]
         raw_p, degenerate = chi_square_k2(
-            [np.vstack([g[1] for g in groups]) for _, _, groups in merged])
-        best = None  # (adjusted_p, feature, groups)
-        for (f, codes, groups), p, flat in zip(merged, raw_p.tolist(), degenerate):
+            [np.array([g[1] for g in groups]) for *_, groups in merged])
+        best = [None] * len(step.idx)  # per slot (adjusted_p, feature, groups)
+        for (slot, f, n_codes, groups), p, flat in zip(merged, raw_p.tolist(),
+                                                       degenerate.tolist()):
             if flat:
                 continue
-            adjusted = min(1.0, stirling2(len(codes), len(groups)) * p)
-            if best is None or adjusted < best[0] - _GAIN_EPS:
-                best = (adjusted, f, groups)
-        if best is None or best[0] > params.alpha:
-            return None
-        _, f, groups = best
-        return (info_gain(counts, [g[1] for g in groups]), f,
-                tuple(g[0] for g in groups))
+            adjusted = min(1.0, stirling2(n_codes, len(groups)) * p)
+            if best[slot] is None or adjusted < best[slot][0] - _GAIN_EPS:
+                best[slot] = (adjusted, f, groups)
+        return [None if b is None or b[0] > params.alpha else
+                (info_gain(counts, [g[1] for g in b[2]]), b[1], tuple(g[0] for g in b[2]))
+                for counts, b in zip(step.counts, best)]
 
-    return _per_node(choose)
+    return choose
 
 
 def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:
@@ -909,21 +941,19 @@ def _qda_boundary(scores0: np.ndarray, scores1: np.ndarray,
 
 
 def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
+    """Smallest chi-square p-value picks the feature, and a discriminant
+    over its code rates the split point, for QUEST.
+
+    One ``chi_square_k2`` call scores every (slot, candidate) table of a
+    step; a table with an empty class column scores p = 1.  Scanning each
+    slot's candidates in order, a p-value must beat the best so far by more
+    than ``_GAIN_EPS``.  The split point is placed per slot, from the
+    node's rows.
+    """
     X, y = data.rows, data.target
     cost = params.cost_matrix()
 
-    def choose(idx, counts, tables):
-        # variable selection: smallest chi-square p, ties to lowest index
-        p, degenerate = chi_square_k2([table for _, _, table in tables])
-        p[degenerate] = 1.0
-        best = None  # (p, feature, codes, table)
-        for (f, codes, table), pf in zip(tables, p.tolist()):
-            if best is None or pf < best[0] - _GAIN_EPS:
-                best = (pf, f, codes, table)
-        if best is None:
-            return None
-
-        _, f, codes, table = best
+    def split(idx, counts, f, codes, table):
         rate = table[:, 1] / table.sum(axis=1)
         # per-row scores in row order, so the class moments sum as before
         scores = rate[np.searchsorted(codes, X[idx, f])]
@@ -947,7 +977,22 @@ def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
         return delta, f, (tuple(int(c) for c in codes[left]),
                           tuple(int(c) for c in codes[right]))
 
-    return _per_node(choose)
+    def choose(step):
+        tables = step.tables()
+        p, degenerate = chi_square_k2([table for slot_tables in tables
+                                       for *_, table in slot_tables])
+        p[degenerate] = 1.0
+        p = iter(p.tolist())
+        chosen = []
+        for idx, counts, slot_tables in zip(step.idx, step.counts, tables):
+            best = None  # (p, feature, codes, table)
+            for (f, codes, table), pf in zip(slot_tables, islice(p, len(slot_tables))):
+                if best is None or pf < best[0] - _GAIN_EPS:
+                    best = (pf, f, codes, table)
+            chosen.append(None if best is None else split(idx, counts, *best[1:]))
+        return chosen
+
+    return choose
 
 
 def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> DecisionTree:

@@ -39,6 +39,29 @@ def predict(tree: DecisionTree, row) -> tuple[int, float]:
     return node.prediction, node.confidence
 
 
+def slot_tables(step, slot: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(feature, codes, class counts [k, 2]) for each candidate feature
+    showing at least two codes at the slot's node, one feature at a time:
+    the reference for one slot of ``_Step.tables``."""
+    cube = step.cube[slot].T
+    present = cube.any(axis=1)
+    tables = []
+    for f in step.candidates[slot]:
+        block = slice(step.starts[f], step.starts[f + 1])
+        keep = present[block]
+        if np.count_nonzero(keep) >= 2:
+            tables.append((f, step.universes[f][keep], cube[block][keep]))
+    return tables
+
+
+def per_node(choose):
+    """A step chooser running the one-node ``choose(idx, counts, tables)``
+    on each slot in turn: how a scalar chooser oracle plugs into the grow
+    skeleton."""
+    return lambda step: [choose(step.idx[i], step.counts[i], slot_tables(step, i))
+                         for i in range(len(step.idx))]
+
+
 def info_gain(parent, children) -> float:
     """One partition's information gain, one child at a time: the scalar
     formula that ``criteria.info_gain`` computes for stacks.

@@ -290,6 +290,36 @@ class TestGiniDecrease:
         with pytest.raises(ValueError):
             gini_decrease([6, 4], [4, 1], [2, 2])
 
+    def test_equals_public_gini_terms_bit_for_bit(self):
+        """Checking the cost once per call gives the float that a public
+        ``gini`` call per node gave."""
+        rng = np.random.default_rng(49)
+        for cost in (None, [[0.0, 1.0], [2.5, 0.0]], np.array([[0.0, 0.3], [0.7, 0.0]])):
+            for _ in range(200):
+                left, right = rng.integers(0, 30, size=2), rng.integers(0, 30, size=2)
+                parent = left + right
+                if parent.sum() == 0:
+                    continue
+                expected = gini(parent, cost)
+                for child in (left, right):
+                    if child.sum() > 0:
+                        expected -= (child.sum() / parent.sum()) * gini(child, cost)
+                got = gini_decrease(parent, left, right, cost)
+                assert got.hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("cost, match", [
+        ([[1.0, 1.0], [1.0, 0.0]], "diagonal"),
+        ([[0.0, -1.0], [1.0, 0.0]], "non-negative"),
+        (np.zeros((3, 3)), "2x2"),
+    ])
+    def test_bad_cost_rejected(self, cost, match):
+        with pytest.raises(ValueError, match=match):
+            gini_decrease([6, 4], [4, 1], [2, 3], cost)
+
+    def test_children_must_count_the_parents_classes(self):
+        with pytest.raises(ValueError, match="parent's classes"):
+            gini_decrease([6, 4], [4, 1, 0], [2, 3])
+
 
 class TestChiSquare:
     def test_perfect_independence(self):

@@ -563,12 +563,6 @@ class TestGenerateSynthetic:
         ratio = table.target.mean()
         assert abs(ratio - 394 / 740) / (394 / 740) < 0.05
 
-    def test_relevant_features_listed(self):
-        rules = planted_relevance_rules(("f00", "f01"))
-        assert rules.relevant_features() == ("f00", "f01")
-        pair_rules = planted_interaction_rules(("f02", "f05"))
-        assert set(pair_rules.relevant_features()) == {"f02", "f05"}
-
     def test_interaction_has_no_main_effect(self):
         # disagreement recipe: each feature alone is uninformative, the
         # disagreement indicator is strongly informative

@@ -277,7 +277,7 @@ def scalar_gain_chooser(data, params, universes):
             return None
         return best[0], best[1], tuple((int(c),) for c in universes[best[1]])
 
-    return tree_module._per_node(choose)
+    return oracles.per_node(choose)
 
 
 def skewed_table(rng):
@@ -623,6 +623,43 @@ def random_step(rng):
     return _Step(idx, np.array(counts), cube, candidates, universes, starts)
 
 
+def strip_slots(step):
+    """A copy of the step whose first slot shows one code per candidate
+    feature (so it has no candidate table) and whose last slot is pure (so
+    every pair table there has an empty class column)."""
+    cube, counts = step.cube.copy(), step.counts.copy()
+    for f in step.candidates[0]:
+        block = cube[0, :, step.starts[f]:step.starts[f + 1]]
+        block[:, 0] = block.sum(axis=1)
+        block[:, 1:] = 0
+    cube[-1, 0] += cube[-1, 1]
+    cube[-1, 1] = 0
+    counts[-1] = [counts[-1].sum(), 0]
+    return replace(step, cube=cube, counts=counts)
+
+
+def step_table(step):
+    """A table whose rows realize the step's cube, and the step with each
+    slot's indices pointing at its own rows.
+
+    A slot's rows come class 0 first, each candidate feature's codes in
+    ascending order within a class; other features take their first code.
+    """
+    rows, target, idx = [], [], []
+    for slot, n in enumerate(step.counts.sum(axis=1).tolist()):
+        X = np.array([u[:1] for u in step.universes] * n).reshape(n, -1)
+        for f in step.candidates[slot]:
+            block = step.cube[slot, :, step.starts[f]:step.starts[f + 1]]
+            X[:, f] = np.concatenate([np.repeat(step.universes[f], c) for c in block])
+        idx.append(np.arange(n) + sum(len(r) for r in rows))
+        rows.append(X)
+        target.append(np.repeat([0, 1], step.counts[slot]))
+    schema = tuple(FeatureSpec(f"f{j:02d}", tuple(range(40)))
+                   for j in range(len(step.universes)))
+    table = CategoricalTable(schema, np.concatenate(rows), np.concatenate(target))
+    return table, replace(step, idx=idx)
+
+
 class TestCart:
     def test_perfect_split_delta(self):
         table = make_table([(0, 0), (0, 0), (1, 1), (1, 1)])
@@ -661,7 +698,7 @@ class TestCart:
         assert len(batched) == len(step.idx)
         for slot, got in enumerate(batched):
             expected = scalar_gini_choice(params, step.counts[slot],
-                                          step.tables(slot))
+                                          oracles.slot_tables(step, slot))
             if expected is None:
                 assert got is None
                 continue
@@ -759,7 +796,7 @@ def scalar_chaid_chooser(data, params, universes):
         return (info_gain(counts, [g[1] for g in groups]), f,
                 tuple(g[0] for g in groups))
 
-    return tree_module._per_node(choose)
+    return oracles.per_node(choose)
 
 
 def scalar_quest_chooser(data, params, universes):
@@ -772,7 +809,7 @@ def scalar_quest_chooser(data, params, universes):
         out = []
         for slot in range(len(step.idx)):
             best = None  # (p, feature)
-            for f, codes, table in step.tables(slot):
+            for f, codes, table in oracles.slot_tables(step, slot):
                 try:
                     p = chi_square(table).p_value
                 except DegenerateTableError:
@@ -793,13 +830,14 @@ def scalar_quest_chooser(data, params, universes):
 
 
 @st.composite
-def code_groups(draw):
-    """2-10 one-code groups with positive class counts [n0, n1]; repeated
-    rows make exact p-value ties, pure rows make degenerate pairs."""
+def code_groups(draw, min_size=2):
+    """``min_size``-10 one-code groups with positive class counts [n0, n1];
+    repeated rows make exact p-value ties, pure rows make degenerate
+    pairs."""
     pool = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12))
                          .filter(lambda r: r[0] + r[1] > 0),
                          min_size=1, max_size=4))
-    rows = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=10))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=10))
     return [((code,), np.array(row, dtype=np.int64))
             for code, row in enumerate(rows)]
 
@@ -809,10 +847,57 @@ class TestChaid:
     @given(groups=code_groups(),
            alpha=st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9, 1.0]))
     def test_batched_merge_matches_scalar_oracle(self, groups, alpha):
-        got = tree_module._merge_groups(groups, alpha)
+        [got] = tree_module._merge_groups([groups], alpha)
         expected = scalar_merge_groups(groups, alpha)
         assert [g[0] for g in got] == [g[0] for g in expected]
         assert [g[1].tolist() for g in got] == [g[1].tolist() for g in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(groupings=st.lists(code_groups(min_size=1), min_size=1, max_size=6),
+           alpha=st.sampled_from([0.0, 0.01, 0.05, 0.3, 0.9, 1.0]))
+    def test_lockstep_merge_matches_scalar_oracle(self, groupings, alpha):
+        """Lists merged together, some of them starting at two groups or
+        fewer, each end as the scalar loop merges them alone."""
+        before = [[(codes, row.tolist()) for codes, row in groups] for groups in groupings]
+        got = tree_module._merge_groups(groupings, alpha)
+        assert len(got) == len(groupings)
+        for merged, groups in zip(got, groupings):
+            expected = scalar_merge_groups(groups, alpha)
+            assert [g[0] for g in merged] == [g[0] for g in expected]
+            assert [g[1].tolist() for g in merged] == [g[1].tolist() for g in expected]
+        assert [[(codes, row.tolist()) for codes, row in groups]
+                for groups in groupings] == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), min_records=st.integers(1, 4),
+           alpha=st.sampled_from([0.01, 0.05, 0.5, 0.95]), strip=st.booleans())
+    def test_step_choosers_match_scalar_oracles(self, seed, min_records, alpha, strip):
+        """Every slot of a multi-slot step, bare and pure slots included,
+        gets the per-node oracle's tables, and its feature and branches and
+        the very same float score from the CHAID and QUEST step choosers."""
+        step = random_step(np.random.default_rng(seed))
+        data, step = step_table(strip_slots(step) if strip else step)
+        tables = step.tables()
+        assert len(tables) == len(step.idx)
+        for slot, got in enumerate(tables):
+            expected = oracles.slot_tables(step, slot)
+            assert [f for f, _, _ in got] == [f for f, _, _ in expected]
+            for (_, codes, table), (_, want_codes, want_table) in zip(got, expected):
+                assert codes.tolist() == want_codes.tolist()
+                assert table.tolist() == want_table.tolist()
+        params = TreeParams(min_records=min_records, alpha=alpha)
+        for chooser, oracle in ((tree_module._chaid_chooser, scalar_chaid_chooser),
+                                (tree_module._quest_chooser, scalar_quest_chooser)):
+            got = chooser(data, params, step.universes)(step)
+            expected = oracle(data, params, step.universes)(step)
+            assert len(got) == len(expected) == len(step.idx)
+            for g, e in zip(got, expected):
+                if e is None:
+                    assert g is None
+                    continue
+                assert g is not None
+                assert g[1:] == e[1:]
+                assert float(g[0]).hex() == float(e[0]).hex()
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), grower=st.sampled_from(["chaid", "quest"]),
