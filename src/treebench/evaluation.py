@@ -7,6 +7,7 @@ forest, and baseline families plug into the same folds.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -318,37 +319,36 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _fit_task(job, task: int):
-    """Fit (family, fold) number ``task`` of ``job`` = (entries, data, plan),
-    family-major: the held-out labels, or None and the EvalError that
-    stopped the fit."""
+def _fit_task(job, task: int) -> np.ndarray:
+    """The held-out labels of (family, fold) number ``task`` of ``job`` =
+    (entries, data, plan), family-major."""
     entries, data, plan = job
-    entry = entries[task // plan.k]
-    try:
-        return _fold_labels(entry.trainer, data, plan, task % plan.k), None
-    except EvalError as exc:
-        return None, exc
+    return _fold_labels(entries[task // plan.k].trainer, data, plan, task % plan.k)
 
 
-_worker_job = None  # set once in each pool worker by _adopt_job
+_worker_run = None  # set once in each pool worker by _adopt
 
 
-def _adopt_job(job) -> None:
-    global _worker_job
-    _worker_job = job
+def _adopt(run) -> None:
+    global _worker_run
+    _worker_run = run
     # Ctrl-C reaches the whole process group: the parent alone handles it,
     # and leaving the pool's block winds the workers down
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _worker_fit(task: int):
-    """``_fit_task`` in a pool worker, plus the warnings it raised as
-    (message, category, filename, lineno) for the parent to re-issue."""
+def _worker_task(task):
+    """``run(task)`` in a pool worker: its value or the exception it raised,
+    plus the warnings it raised as (message, category, filename, lineno)
+    for the parent to re-issue."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        labels, error = _fit_task(_worker_job, task)
-    return labels, error, [(w.message, w.category, w.filename, w.lineno)
-                           for w in caught]
+        try:
+            value, error = _worker_run(task), None
+        except Exception as exc:  # raised again where the parent reads it
+            value, error = None, exc
+    return value, error, [(w.message, w.category, w.filename, w.lineno)
+                          for w in caught]
 
 
 def _usable_cpus() -> int:
@@ -359,30 +359,52 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _fit_outcomes(job, n_tasks: int):
-    """Yield an iterator over (labels, error, warnings to re-issue) for tasks
-    0..n_tasks-1 in task order.
+def _task_pool(run, n_tasks: int):
+    """Yield ``submit``: ``submit(task)`` schedules ``run(task)`` and returns
+    a function of no arguments that gives its value or raises its error.
+    Read each result once.
 
-    With more than one usable CPU the fits run in a pool of forked workers,
-    which inherit ``job`` (trainer closures included) instead of receiving
-    it pickled.  Leaving the block cancels the fits not started and waits
+    With more than one usable CPU the tasks run in a pool of
+    ``min(usable CPUs, n_tasks)`` workers, forked at the first submit, which
+    inherit ``run`` (closures and the data they hold included) instead of
+    receiving it pickled: only ``task`` and the result cross the pipe.  A
+    task's warnings are re-issued here when its result is read.  Otherwise,
+    or without ``fork``, ``run(task)`` runs in this process when its result
+    is read, and its warnings go out as it raises them: recording them here
+    would change the warning filters, which resets the once-per-location
+    registry the re-issued warnings rely on.  So a caller that reads its
+    results in task order gets the same values, warnings and first error
+    either way.  Leaving the block cancels the tasks not started and waits
     for the workers to exit; a worker that dies (killed for memory, say)
-    fails the comparison rather than leaving it waiting.  In this process a
-    fit's warnings go out as it raises them: recording them here would
-    change the warning filters, which resets the once-per-location registry
-    the re-issued warnings rely on.
+    raises EvalError rather than leaving the caller waiting.
     """
     workers = min(_usable_cpus(), n_tasks)
     if workers < 2 or not hasattr(os, "fork"):
-        yield ((*_fit_task(job, task), ()) for task in range(n_tasks))
+        yield lambda task: functools.partial(run, task)
         return
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    registries: dict = {}  # per warning file, as each module keeps one
+
+    def submit(task):
+        future = pool.submit(_worker_task, task)
+
+        def result():
+            value, error, caught = future.result()
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=registries.setdefault(filename, {}))
+            if error is not None:
+                raise error
+            return value
+
+        return result
+
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _adopt_job, (job,))
+                               _adopt, (run,))
     try:
-        yield pool.map(_worker_fit, range(n_tasks))
+        yield submit
     except BrokenProcessPool as exc:
         raise EvalError(f"a worker process stopped: {exc}") from exc
     finally:
@@ -404,17 +426,17 @@ def compare_models(data: CategoricalTable, roster, plan: FoldPlan
     _check_plan(data, plan)
     rows = []
     matrices = {}
-    registries: dict = {}  # per warning file, as each module keeps one
-    with _fit_outcomes((entries, data, plan), len(entries) * plan.k) as outcomes:
+    n_tasks = len(entries) * plan.k
+    with _task_pool(functools.partial(_fit_task, (entries, data, plan)),
+                    n_tasks) as submit:
+        outcomes = iter([submit(task) for task in range(n_tasks)])
         for entry in entries:
             fold_labels = []
-            for labels, error, caught in itertools.islice(outcomes, plan.k):
-                for message, category, filename, lineno in caught:
-                    warnings.warn_explicit(message, category, filename, lineno,
-                                           registry=registries.setdefault(filename, {}))
-                if error is not None:
+            for outcome in itertools.islice(outcomes, plan.k):
+                try:
+                    fold_labels.append(outcome())
+                except EvalError as error:
                     raise EvalError(f"{entry.name}: {error}") from error
-                fold_labels.append(labels)
             result = _cv_result(data, plan, fold_labels)
             rows.append(
                 LeaderboardRow(

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import CategoricalTable
-from .evaluation import EvalError, _cv_result, make_folds
-from .forest import ForestError, ForestParams, _require_rows, train_forests
+from .evaluation import EvalError, _cv_result, _task_pool, make_folds
+from .forest import (ForestError, ForestParams, _require_rows, train_forest,
+                     train_forests)
 from .tree import DecisionTree, TreeNode
 
 __all__ = [
@@ -404,6 +405,25 @@ class EliminationTrace:
         return cls(steps, int(payload["selected_index"]))
 
 
+def _step_params(forest_params: ForestParams, n_active: int) -> ForestParams:
+    # the last steps have fewer features than an explicit features_per_split
+    if (forest_params.features_per_split or 0) > n_active:
+        return replace(forest_params, features_per_split=n_active)
+    return forest_params
+
+
+def _fold_task(job, active: tuple[int, ...]) -> list[np.ndarray]:
+    """The held-out labels of each fold forest of the step whose active
+    features are ``active``; ``job`` = (data, forest params, each fold's
+    training rows, each fold's held-out rows)."""
+    data, forest_params, train_rows, held_out = job
+    table = data.take_features(list(active))
+    forests = train_forests(table, _step_params(forest_params, len(active)),
+                            train_rows)
+    return [forest.predict_batch(table.rows[held])
+            for forest, held in zip(forests, held_out)]
+
+
 def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
                        cv_spec: CvSpec, background_size: int = 128
                        ) -> EliminationTrace:
@@ -415,49 +435,53 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
     The selected step is the accuracy argmax, earliest step on ties so the
     larger feature set wins.
 
-    A step grows the whole-table forest and every fold forest in one
-    lockstep batch (``train_forests``): each fold forest's rows are an index
-    view of the step table, and it is the forest ``cross_validate`` would
-    train on a copy of those rows.  The fold forests label their held-out
-    rows and are released before the Shapley pass.
+    Which feature a step drops depends only on the whole-table forest, so
+    the fold forests run beside that chain: as soon as a step's active set
+    is known, its fold task goes to ``evaluation._task_pool`` (up to one
+    forked worker per usable CPU), and this process grows the whole-table
+    forest and runs the Shapley pass.  A fold task grows every fold forest
+    of its step in one lockstep batch (``train_forests``), each the forest
+    ``cross_validate`` would train on a copy of its rows, and returns only
+    their held-out labels.  The accuracies are read back in step order, and
+    the first error in serial order wins: step s's fold forests, then its
+    whole-table forest and Shapley pass, then step s + 1.  The trace is the
+    same whatever the CPU count.
     """
     if data.n_features < 2:
         raise ShapError("elimination needs at least 2 features")
     plan = make_folds(data.n_rows, cv_spec.k, cv_spec.stratified,
                       labels=data.target, seed=cv_spec.seed)
-    row_sets = [np.arange(data.n_rows)]
-    for i in range(plan.k):
-        row_sets.append(plan.train_indices(i))
+    train_rows = [plan.train_indices(i) for i in range(plan.k)]
+    for i, rows in enumerate(train_rows):
         try:
-            _require_rows(len(row_sets[-1]))
+            _require_rows(len(rows))
         except ForestError as exc:
             raise EvalError(f"trainer failed on fold {i}: {exc}") from exc
-    held_out = [np.array(fold) for fold in plan.folds]
+    job = (data, forest_params, train_rows, [np.array(fold) for fold in plan.folds])
     active = list(range(data.n_features))
-    steps = []
-    while active:
-        table = data.take_features(active)
-        # the last steps have fewer features than an explicit features_per_split
-        params = forest_params
-        if (forest_params.features_per_split or 0) > len(active):
-            params = replace(forest_params, features_per_split=len(active))
-        forest, *fold_forests = train_forests(table, params, row_sets)
-        result = _cv_result(table, plan, [
-            fold_forest.predict_batch(table.rows[held])
-            for fold_forest, held in zip(fold_forests, held_out)])
-        del fold_forests  # released before the Shapley pass
-        background = make_background(table, background_size, cv_spec.seed)
-        magnitude = _mean_abs_phi(
-            _phi_matrix(forest, table.rows, background.rows))
-        weakest = 0
-        for j in range(1, len(active)):
-            if magnitude[j] <= magnitude[weakest]:
-                weakest = j
-        steps.append(
-            EliminationStep(table.feature_names, result.mean_accuracy,
-                            table.feature_names[weakest])
-        )
-        del active[weakest]
+    chosen, fold_labels = [], []  # per step: (active names, dropped), fold task
+    with _task_pool(functools.partial(_fold_task, job), len(active)) as submit:
+        try:
+            while active:
+                fold_labels.append(submit(tuple(active)))
+                table = data.take_features(active)
+                forest = train_forest(table, _step_params(forest_params, len(active)))
+                background = make_background(table, background_size, cv_spec.seed)
+                magnitude = _mean_abs_phi(
+                    _phi_matrix(forest, table.rows, background.rows))
+                weakest = 0
+                for j in range(1, len(active)):
+                    if magnitude[j] <= magnitude[weakest]:
+                        weakest = j
+                chosen.append((table.feature_names, table.feature_names[weakest]))
+                del active[weakest]
+        except Exception:
+            for labels in fold_labels:  # a fold failure so far comes first
+                labels()
+            raise
+        steps = [EliminationStep(names, _cv_result(data, plan, labels()).mean_accuracy,
+                                 dropped)
+                 for (names, dropped), labels in zip(chosen, fold_labels)]
     best = 0
     for i in range(1, len(steps)):
         if steps[i].accuracy > steps[best].accuracy:

@@ -121,6 +121,18 @@ class Split:
             seen |= set(b)
         object.__setattr__(self, "branches", branches)
 
+    @classmethod
+    def _grown(cls, feature: int, arity: str,
+               branches: tuple[tuple[int, ...], ...]) -> "Split":
+        """A split as a grower's chooser makes it, without the checks above:
+        ``branches`` is already a tuple of at least 2 disjoint, sorted
+        tuples of int."""
+        split = object.__new__(cls)
+        object.__setattr__(split, "feature", feature)
+        object.__setattr__(split, "arity", arity)
+        object.__setattr__(split, "branches", branches)
+        return split
+
     def branch_for(self, code: int) -> int | None:
         for k, codes in enumerate(self.branches):
             if code in codes:
@@ -483,7 +495,7 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
                                       available, depth + 1))
                 else:
                     children.append(_leaf(counts, parent=node))
-            node.split = Split(feature=f, arity=arity, branches=branches)
+            node.split = Split._grown(f, arity, branches)
             node.children = tuple(children)
             stack.extend(reversed(grown))
 

@@ -1,8 +1,10 @@
 """Reference implementations that the fast paths in ``src/`` are checked
 against.  No command uses them."""
+import os
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from treebench.criteria import _as_counts, entropy
 from treebench.tree import (
@@ -141,3 +143,13 @@ def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree
         return node
 
     return replace(tree, root=global_pass(local(tree.root)))
+
+
+def with_cpus(n_cpus, fn, *args):
+    """Run ``fn`` as if ``n_cpus`` CPUs were usable: 1 keeps every task of
+    ``evaluation._task_pool`` in this process, the serial reference; more
+    runs them in a pool of forked workers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                      raising=False)
+        return fn(*args)

@@ -24,6 +24,8 @@ from treebench.dataset import (
 from treebench.shapley import EliminationTrace
 from treebench.tree import TreeParams, predictor_importance, prune_c50, train_c50
 
+from oracles import with_cpus
+
 
 def write_fixture(path, n=120, m=4, seed=5):
     schema = binary_schema(m)
@@ -396,12 +398,13 @@ def test_select_features_rejects_folds_that_leave_one_training_row(
         tmp_path, capsys, n, status):
     """Two folds of 2 or 3 rows leave a fold one training row, fewer than
     a forest needs: a usage error raised before any forest grows.  Five
-    rows leave every fold at least 2 and train."""
+    rows leave every fold at least 2 and train.  On one CPU, so the mock
+    sees the fold forests: it cannot look into a forked worker."""
     write_fixture(tmp_path, n=n)
     cfg = write_config(tmp_path, folds=2)
     with mock.patch.object(shapley, "train_forests",
                            wraps=shapley.train_forests) as grow:
-        assert cli.main(["select-features", "--config", str(cfg)]) == status
+        assert with_cpus(1, cli.main, ["select-features", "--config", str(cfg)]) == status
     assert grow.called == (status == 0)
     if status:
         err = capsys.readouterr().err

@@ -47,7 +47,7 @@ from treebench.tree import (
     train_quest,
 )
 
-from oracles import predict
+from oracles import predict, with_cpus
 
 
 def majority_trainer(table):
@@ -380,15 +380,6 @@ def test_interaction_favors_tree_over_logistic():
 
 # ---------------------------------------------------------------------------
 # Forked worker pool against the in-process loop
-
-
-def with_cpus(n_cpus, fn, *args):
-    """Run ``fn`` as if ``n_cpus`` CPUs were usable: 1 keeps every fit in
-    this process, more runs them in a pool of forked workers."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
-                      raising=False)
-        return fn(*args)
 
 
 def comparison_outcome(data, roster, plan):

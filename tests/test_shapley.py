@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -45,7 +47,7 @@ from treebench.tree import (
     train_quest,
 )
 
-from oracles import predict
+from oracles import predict, with_cpus
 
 
 def random_table(n, m, codes=3, seed=0):
@@ -744,31 +746,46 @@ def elimination_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=elimination_cases())
 def test_elimination_step_equals_separate_forests(case):
-    """Each step's one batch grows the forests that separate training
-    gives: the whole-table forest equals ``train_forest`` on the step table,
-    each fold forest equals ``train_forest`` on a copy of its training rows
-    (by ``to_json``), and the step's cross-validation result, fold
-    accuracies included, equals ``cross_validate``'s exactly."""
+    """Each step grows the forests that separate training gives: the
+    whole-table forest equals ``train_forest`` on the step table, the step's
+    one fold batch gives each fold forest equal to ``train_forest`` on a
+    copy of its training rows (by ``to_json``), and the step's
+    cross-validation result, fold accuracies included, equals
+    ``cross_validate``'s exactly.  On one CPU, so the mocks see the fold
+    tasks: they cannot look into a forked worker."""
     data, params, cv = case
-    grown, scored = [], []
+    wholes, batches, scored = [], [], []
+
+    def grow_one(table, step_params):
+        forest = train_forest(table, step_params)
+        wholes.append((table, step_params, forest.to_json()))
+        return forest
 
     def grow(table, step_params, row_sets):
         forests = train_forests(table, step_params, row_sets)
-        grown.append((table, step_params, [f.to_json() for f in forests]))
+        batches.append((table, step_params, [f.to_json() for f in forests]))
         return forests
 
     def score(table, plan, fold_labels):
         scored.append(_cv_result(table, plan, fold_labels))
         return scored[-1]
 
-    with mock.patch.object(shapley, "train_forests", grow), \
+    with mock.patch.object(shapley, "train_forest", grow_one), \
+            mock.patch.object(shapley, "train_forests", grow), \
             mock.patch.object(shapley, "_cv_result", score):
-        trace = backward_eliminate(data, params, cv, background_size=4)
+        trace = with_cpus(1, backward_eliminate, data, params, cv, 4)
     plan = make_folds(data.n_rows, cv.k, cv.stratified, labels=data.target,
                       seed=cv.seed)
     universe = set(data.rows[:, 0].tolist())
     assert any(set(data.rows[plan.train_indices(i), 0].tolist()) != universe
                for i in range(plan.k))
+    assert len(wholes) == len(batches)
+    grown = []
+    for (table, step_params, whole), (fold_table, fold_params, folds) in zip(
+            wholes, batches):
+        assert fold_table.feature_names == table.feature_names
+        assert fold_params == step_params
+        grown.append((table, step_params, [whole, *folds]))
     assert len(grown) == len(scored) == len(trace.steps) == data.n_features
     for step, (table, step_params, forests), result in zip(trace.steps, grown, scored):
         assert table.feature_names == step.active_features
@@ -783,6 +800,86 @@ def test_elimination_step_equals_separate_forests(case):
         expected = cross_validate(lambda t: train_forest(t, step_params), table, plan)
         assert result == expected
         assert step.accuracy == expected.mean_accuracy
+
+
+def elimination_outcome(data, params, cv):
+    try:
+        return backward_eliminate(data, params, cv, background_size=4).to_json()
+    except (EvalError, ShapError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=elimination_cases())
+def test_elimination_same_on_one_cpu_and_two(case):
+    """The fold tasks give the same trace in this process and in forked
+    workers."""
+    inline = with_cpus(1, elimination_outcome, *case)
+    pooled = with_cpus(2, elimination_outcome, *case)
+    assert pooled == inline
+    assert multiprocessing.active_children() == []
+
+
+def test_elimination_fold_tasks_run_in_forked_workers():
+    parent = os.getpid()
+
+    def where(job, active):  # labels 1 for a fold task outside this process
+        return [np.full(len(held), int(os.getpid() != parent)) for held in job[3]]
+
+    rng = np.random.default_rng(4)
+    data = CategoricalTable(binary_schema(3), rng.integers(0, 2, size=(60, 3)),
+                            np.repeat([1, 0], [40, 20]))
+    cv = CvSpec(k=5, seed=1)
+    plan = make_folds(data.n_rows, cv.k, cv.stratified, labels=data.target,
+                      seed=cv.seed)
+    accuracy = [_cv_result(data, plan, [np.full(len(f), label) for f in plan.folds]
+                           ).mean_accuracy for label in (0, 1)]
+    assert accuracy[0] != accuracy[1]
+    with mock.patch.object(shapley, "_fold_task", where):
+        for n_cpus, label in ((1, 0), (2, 1)):
+            trace = with_cpus(n_cpus, backward_eliminate, data,
+                              ForestParams(n_trees=3, seed=0, max_depth=2), cv, 8)
+            assert [s.accuracy for s in trace.steps] == [accuracy[label]] * 3
+            assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fold_fails, shapley_fails, expected", [
+    ({1}, {1}, (RuntimeError, "fold batch failed at step 1")),
+    ({1, 2}, set(), (RuntimeError, "fold batch failed at step 1")),
+    ({1}, {2}, (RuntimeError, "fold batch failed at step 1")),
+    ({2}, {1}, (ShapError, "Shapley pass failed at step 1")),
+    ({0, 3}, {0}, (RuntimeError, "fold batch failed at step 0")),
+], ids=["folds-before-own-shapley", "folds-before-next-folds",
+        "folds-before-next-shapley", "shapley-before-next-folds", "first-step"])
+def test_elimination_first_error_in_serial_order_wins(fold_fails, shapley_fails,
+                                                     expected):
+    """Step s's fold forests come before its Shapley pass, which comes
+    before anything of step s + 1.  The patches are made before the pool
+    forks, so its workers inherit them."""
+    m = 4
+    schema = binary_schema(m)
+    data = generate_synthetic(schema, 80, seed=9, rules=relevance_rules())
+
+    def failing_folds(table, params, row_sets):
+        if m - table.n_features in fold_fails:
+            raise RuntimeError(f"fold batch failed at step {m - table.n_features}")
+        return train_forests(table, params, row_sets)
+
+    def failing_shapley(model, rows, back):
+        if m - rows.shape[1] in shapley_fails:
+            raise ShapError(f"Shapley pass failed at step {m - rows.shape[1]}")
+        return phi_matrix(model, rows, back)
+
+    phi_matrix = shapley._phi_matrix
+    with mock.patch.object(shapley, "train_forests", failing_folds), \
+            mock.patch.object(shapley, "_phi_matrix", failing_shapley):
+        for n_cpus in (1, 2):
+            with pytest.raises(expected[0]) as info:
+                with_cpus(n_cpus, backward_eliminate, data,
+                          ForestParams(n_trees=2, seed=0, max_depth=2),
+                          CvSpec(k=4, seed=0), 8)
+            assert str(info.value) == expected[1]
+            assert multiprocessing.active_children() == []
 
 
 def test_elimination_selects_planted_features():

@@ -1209,6 +1209,44 @@ class TestSplitType:
         with pytest.raises(TreeError):
             Split(feature=0, arity="binary", branches=((0, 1), (1, 2)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]))
+    def test_grown_splits_need_no_checks(self, seed, grower):
+        """The growers skip the checks of ``Split``: every chooser hands
+        over an int feature and at least 2 disjoint, sorted tuples of int
+        codes, which the checked constructor would keep as they are."""
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(12, 60)), int(rng.integers(1, 5))
+        universes = [np.sort(rng.choice(10, size=int(rng.integers(2, 6)), replace=False))
+                     for _ in range(m)]
+        table = CategoricalTable(
+            tuple(FeatureSpec(f"f{j}", tuple(u.tolist())) for j, u in enumerate(universes)),
+            np.stack([rng.choice(u, size=n) for u in universes], axis=1),
+            rng.integers(0, 2, size=n))
+        params = TreeParams(min_records=1, alpha=0.5)
+        trees = {
+            "c50": lambda: [train_c50(table, params)],
+            "cart": lambda: [train_cart(table, params)],
+            "chaid": lambda: [train_chaid(table, params)],
+            "quest": lambda: [train_quest(table, params)],
+            "forest": lambda: train_forest(
+                table, ForestParams(n_trees=3, min_records=1, seed=seed)).trees,
+        }[grower]()
+        for tree in trees:
+            for node, _, _ in iter_nodes(tree):
+                if node.is_leaf:
+                    continue
+                split = node.split
+                assert type(split.feature) is int
+                assert type(split.branches) is tuple and len(split.branches) >= 2
+                codes = [c for b in split.branches for c in b]
+                assert all(type(b) is tuple and list(b) == sorted(b)
+                           for b in split.branches)
+                assert all(type(c) is int for c in codes)
+                assert len(set(codes)) == len(codes)
+                assert Split(split.feature, split.arity, split.branches) == split
+
     def test_branch_lookup(self):
         s = Split(feature=2, arity="merged", branches=((0, 3), (1,), (2,)))
         assert s.branch_for(3) == 0
