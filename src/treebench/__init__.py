@@ -36,7 +36,6 @@ from .criteria import (
 )
 from .dataset import (
     CategoricalTable,
-    CrosstabReport,
     DatasetError,
     FeatureSpec,
     RawTable,
@@ -45,7 +44,6 @@ from .dataset import (
     RecodeRuleSet,
     SyntheticRules,
     binary_schema,
-    crosstab,
     feature,
     filter_curve_cohort,
     generate_synthetic,
@@ -78,7 +76,6 @@ from .forest import (
     ForestError,
     ForestParams,
     bootstrap_indices,
-    oob_accuracy,
     train_forest,
 )
 from .seeding import derive_seed

@@ -199,6 +199,9 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
             raise ConfigError(f"unknown cohort keys: {', '.join(bad)}")
         if "alignment_field" not in cohort or "curve_codes" not in cohort:
             raise ConfigError("cohort needs alignment_field and curve_codes")
+        if ("negotiating_field" in cohort) != ("negotiating_codes" in cohort):
+            raise ConfigError(
+                "cohort needs negotiating_field and negotiating_codes together")
         for key in ("alignment_field", "negotiating_field"):
             if key in cohort and not isinstance(cohort[key], str):
                 raise ConfigError(f"cohort.{key} must be a column name")

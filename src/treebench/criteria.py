@@ -193,24 +193,17 @@ class ChiSquareResult:
     statistic: float
     dof: int
     p_value: float
-    variant: str
 
 
-def chi_square(
-    table: Sequence[Sequence[int]] | np.ndarray,
-    variant: str = "pearson",
-) -> ChiSquareResult:
-    """Chi-square test of independence on an r x c contingency table.
+def chi_square(table: Sequence[Sequence[int]] | np.ndarray) -> ChiSquareResult:
+    """Pearson chi-square test of independence on an r x c contingency table.
 
-    ``variant`` selects the Pearson statistic sum (O-E)^2/E or the
-    likelihood-ratio statistic 2 sum O ln(O/E).  Rows and columns whose
-    marginal is zero are dropped before computing; if fewer than two rows or
-    columns remain the table is degenerate and an error is raised.  The
-    p-value is the chi-square survival function, evaluated through the
-    regularized upper incomplete gamma function.
+    The statistic is sum (O-E)^2/E.  Rows and columns whose marginal is zero
+    are dropped before computing; if fewer than two rows or columns remain
+    the table is degenerate and an error is raised.  The p-value is the
+    chi-square survival function, evaluated through the regularized upper
+    incomplete gamma function.
     """
-    if variant not in ("pearson", "likelihood"):
-        raise ValueError(f"unknown chi-square variant: {variant!r}")
     obs = np.asarray(table, dtype=float)
     if obs.ndim != 2:
         raise ValueError("contingency table must be 2-D")
@@ -226,15 +219,9 @@ def chi_square(
         )
     total = obs.sum()
     expected = np.outer(obs.sum(axis=1), obs.sum(axis=0)) / total
-    if variant == "pearson":
-        stat = float(((obs - expected) ** 2 / expected).sum())
-    else:
-        nz = obs > 0
-        stat = float(2.0 * (obs[nz] * np.log(obs[nz] / expected[nz])).sum())
+    stat = float(((obs - expected) ** 2 / expected).sum())
     dof = (r - 1) * (c - 1)
-    return ChiSquareResult(
-        statistic=stat, dof=dof, p_value=chi_square_sf(stat, dof), variant=variant
-    )
+    return ChiSquareResult(statistic=stat, dof=dof, p_value=chi_square_sf(stat, dof))
 
 
 def chi_square_k2(tables: Sequence[np.ndarray] | np.ndarray

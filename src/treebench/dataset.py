@@ -1,5 +1,5 @@
-"""Coded categorical tables: ingestion, recoding, cohort filtering,
-crosstabs, and a seeded synthetic generator.
+"""Coded categorical tables: ingestion, recoding, cohort filtering, and a
+seeded synthetic generator.
 
 The raw side of this module deals with delimiter-separated police-report
 extracts whose cells are integer codes (including "not reported" style
@@ -292,15 +292,14 @@ class CategoricalTable:
 # Loading
 # ---------------------------------------------------------------------------
 
-def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> RawTable:
-    """Read a delimited text file into a RawTable.
+def load_delimited(path, names: Sequence[str], delimiter: str = ",") -> RawTable:
+    """Read a delimited text file with a header line into a RawTable.
 
-    ``schema`` lists the columns to extract, either as FeatureSpec objects or
-    plain names; header matching is case-insensitive.  Cells must parse as
-    64-bit integers, optionally padded with spaces or double-quoted; raw
-    codes (including missing codes) pass through untouched.
+    ``names`` lists the columns to extract; header matching is
+    case-insensitive.  Cells must parse as 64-bit integers, optionally
+    padded with spaces or double-quoted; raw codes (including missing
+    codes) pass through untouched.
     """
-    names = [s.name if isinstance(s, FeatureSpec) else str(s) for s in schema]
     try:
         fh = open(path, newline="")
     except OSError as e:
@@ -309,18 +308,12 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
         first = next(_records(path, fh, delimiter), None)
         if first is None:
             raise DatasetError(f"{path}: file is empty")
-        if header:
-            lookup = {h.strip().lower(): i for i, h in enumerate(first)}
-            indices = []
-            for name in names:
-                if name.lower() not in lookup:
-                    raise DatasetError(f"column not found: {name}")
-                indices.append(lookup[name.lower()])
-        else:
-            if len(first) < len(names):
-                raise DatasetError(f"{path}: fewer columns than requested")
-            indices = list(range(len(names)))
-            fh.seek(0)
+        lookup = {h.strip().lower(): i for i, h in enumerate(first)}
+        indices = []
+        for name in names:
+            if name.lower() not in lookup:
+                raise DatasetError(f"column not found: {name}")
+            indices.append(lookup[name.lower()])
         rows, count = None, itertools.count(1)  # count: lines loadtxt takes
         first_line = next(fh, "")
         if first_line.strip("\r\n"):  # loadtxt warns on no data
@@ -336,8 +329,7 @@ def load_delimited(path, schema, delimiter: str = ",", header: bool = True) -> R
         if rows is None or len(rows) != next(count):
             fh.seek(0)
             records = _records(path, fh, delimiter)
-            if header:
-                next(records)
+            next(records)
             rows = _parse_cells(path, records, names, indices)
     return RawTable(names, rows)
 
@@ -643,108 +635,6 @@ def filter_curve_cohort(
     if retained == 0:
         warnings.warn("curve-cohort filter retained zero rows", stacklevel=2)
     return raw.take(np.flatnonzero(mask)), retained, discarded
-
-
-# ---------------------------------------------------------------------------
-# Crosstab
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CrosstabReport:
-    """Counts of one variable against another with row/column/cell
-    percentages.  Percentages are exact fractions internally; ``render``
-    rounds to whole percent for display."""
-
-    row_variable: str
-    col_variable: str
-    row_codes: tuple[int, ...]
-    col_codes: tuple[int, ...]
-    counts: np.ndarray
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
-
-    @property
-    def grand_total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def row_pct(self) -> np.ndarray:
-        totals = self.row_totals[:, None]
-        return np.divide(100.0 * self.counts, totals, where=totals > 0,
-                         out=np.zeros_like(self.counts, dtype=float))
-
-    @property
-    def col_pct(self) -> np.ndarray:
-        totals = self.col_totals[None, :]
-        return np.divide(100.0 * self.counts, totals, where=totals > 0,
-                         out=np.zeros_like(self.counts, dtype=float))
-
-    @property
-    def cell_pct(self) -> np.ndarray:
-        return 100.0 * self.counts / self.grand_total
-
-    def render(self) -> str:
-        row_names = self.row_labels or tuple(str(c) for c in self.row_codes)
-        col_names = self.col_labels or tuple(str(c) for c in self.col_codes)
-        lines = [f"{self.row_variable} x {self.col_variable}"]
-        header = ["category"] + [
-            f"{c} (n / row% / col% / cell%)" for c in col_names
-        ] + ["total"]
-        lines.append(" | ".join(header))
-        for i, name in enumerate(row_names):
-            cells = [
-                f"{int(self.counts[i, j])} / {round(self.row_pct[i, j])} / "
-                f"{round(self.col_pct[i, j])} / {round(self.cell_pct[i, j])}"
-                for j in range(len(col_names))
-            ]
-            lines.append(" | ".join([str(name)] + cells + [str(int(self.row_totals[i]))]))
-        lines.append(
-            " | ".join(
-                ["total"]
-                + [str(int(t)) for t in self.col_totals]
-                + [str(self.grand_total)]
-            )
-        )
-        return "\n".join(lines)
-
-
-def crosstab(table: RawTable | CategoricalTable, row_var: str, col_var: str
-             ) -> CrosstabReport:
-    """Contingency table of ``row_var`` against ``col_var`` (``"target"``
-    resolves to the target column of a coded table)."""
-    row_values = table.column(row_var)
-    col_values = table.column(col_var)
-    row_codes = tuple(int(c) for c in np.unique(row_values))
-    col_codes = tuple(int(c) for c in np.unique(col_values))
-    counts = np.zeros((len(row_codes), len(col_codes)), dtype=np.int64)
-    row_pos = {c: i for i, c in enumerate(row_codes)}
-    col_pos = {c: j for j, c in enumerate(col_codes)}
-    for rv, cv in zip(row_values, col_values):
-        counts[row_pos[int(rv)], col_pos[int(cv)]] += 1
-
-    def labels_for(name, codes):
-        if isinstance(table, CategoricalTable) and name != "target":
-            spec = table.schema[table.feature_index(name)]
-            return tuple(spec.label(c) for c in codes)
-        return tuple(str(c) for c in codes)
-
-    return CrosstabReport(
-        row_variable=row_var,
-        col_variable=col_var,
-        row_codes=row_codes,
-        col_codes=col_codes,
-        counts=counts,
-        row_labels=labels_for(row_var, row_codes),
-        col_labels=labels_for(col_var, col_codes),
-    )
 
 
 # ---------------------------------------------------------------------------

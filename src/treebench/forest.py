@@ -3,7 +3,7 @@
 Each member tree trains on a seeded bootstrap sample and draws a fresh
 random feature subset at every node.  Per-tree generators depend only on
 (seed, tree index), so training order and parallelism cannot change the
-result, and out-of-bag rows give an internal accuracy estimate.
+result.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .tree import DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow
 
 
 class ForestError(ValueError):
-    """Raised for invalid forest parameters or unusable out-of-bag state."""
+    """Raised for invalid forest parameters."""
 
 
 # Smallest valid value of each integer field of ForestParams.  None is also
@@ -189,24 +189,3 @@ def train_forest(data: CategoricalTable, params: ForestParams | None = None) -> 
                              [np.arange(data.n_rows)])
     return forest
 
-
-def oob_accuracy(forest: Forest, data: CategoricalTable) -> float:
-    """Accuracy over rows predicted only by trees whose bag excluded them.
-
-    Rows present in every bag are left out of the estimate; if no row is
-    out of bag anywhere, there is nothing to score and an error is raised.
-    """
-    if data.n_rows != forest.n_rows:
-        raise ForestError("data row count does not match the trained forest")
-    out_of_bag = np.ones((len(forest.trees), data.n_rows), dtype=bool)
-    for t, bag in enumerate(forest.bags):
-        out_of_bag[t, bag] = False
-    voters = out_of_bag.sum(axis=0)
-    scored = voters > 0
-    if not scored.any():
-        raise ForestError("no out-of-bag rows")
-    votes = np.zeros(data.n_rows, dtype=np.int64)
-    for tree, oob in zip(forest.trees, out_of_bag):
-        votes[oob] += tree.predict_batch(data.rows[oob])
-    labels = votes[scored] / voters[scored] >= 0.5
-    return int(np.sum(labels == data.target[scored])) / int(scored.sum())

@@ -24,13 +24,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .criteria import (
-    _check_cost,
-    chi_square_k2,
-    gini_decrease,
-    info_gain,
-    unit_cost_matrix,
-)
+from .criteria import chi_square_k2, gini_decrease, info_gain
 from .dataset import CategoricalTable
 
 _GAIN_EPS = 1e-12
@@ -51,8 +45,7 @@ class TreeParams:
     ``min_records`` is the minimum row count for every nonempty child
     branch.  ``severity`` steers pruning: confidence factor
     CF = (100 - severity) / 100, so higher severity prunes harder.
-    ``alpha`` is the significance level for chi-square splitting.  ``cost``
-    is an optional 2x2 misclassification cost matrix as nested tuples.
+    ``alpha`` is the significance level for chi-square splitting.
     ``min_gain`` is the smallest information gain the entropy grower will
     split on; the default demands strictly positive gain, while 0.0 splits
     on the best candidate even at zero gain (needed for targets like parity
@@ -63,7 +56,6 @@ class TreeParams:
     severity: float = 75.0
     max_depth: int | None = None
     alpha: float = 0.05
-    cost: tuple[tuple[float, ...], ...] | None = None
     min_gain: float = _GAIN_EPS
 
     def __post_init__(self):
@@ -82,17 +74,6 @@ class TreeParams:
             raise TreeError("max_depth must be non-negative")
         if not self.min_gain >= 0.0:
             raise TreeError("min_gain must be non-negative")
-        if self.cost is not None:
-            try:
-                cost = _check_cost(self.cost, 2)
-            except (TypeError, ValueError) as e:
-                raise TreeError(f"bad cost: {e}") from None
-            object.__setattr__(
-                self, "cost", tuple(tuple(float(v) for v in row) for row in cost)
-            )
-
-    def cost_matrix(self) -> np.ndarray:
-        return unit_cost_matrix(2) if self.cost is None else np.array(self.cost)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,12 +113,6 @@ class Split:
         object.__setattr__(split, "arity", arity)
         object.__setattr__(split, "branches", branches)
         return split
-
-    def branch_for(self, code: int) -> int | None:
-        for k, codes in enumerate(self.branches):
-            if code in codes:
-                return k
-        return None
 
 
 @dataclass(eq=False, slots=True)
@@ -709,9 +684,6 @@ def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
     formula.  The first maximum wins, so ties go to the lowest feature,
     then the smallest subset.
     """
-    cost = params.cost_matrix()
-    # for two classes with zero diagonal, gini reduces to s*p0*p1
-    pair_cost = float(cost[0, 1] + cost[1, 0])
     sizes = [len(u) for u in universes]
     starts = np.cumsum([0] + sizes)
     bits = [_subset_bits(k) for k in sizes]
@@ -741,7 +713,8 @@ def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
 
     def node_gini(n0, n1, total):
         # total is n0 + n1, the integer the scalar formula sums
-        return pair_cost * n0 * n1 / (total * total)
+        # for two classes under unit cost, gini reduces to 2*p0*p1
+        return 2.0 * n0 * n1 / (total * total)
 
     def choose(step):
         if not subset.size:
@@ -963,7 +936,6 @@ def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
     node's rows.
     """
     X, y = data.rows, data.target
-    cost = params.cost_matrix()
 
     def split(idx, counts, f, codes, table):
         rate = table[:, 1] / table.sum(axis=1)
@@ -983,7 +955,7 @@ def _quest_chooser(data: CategoricalTable, params: TreeParams, universes):
         left_counts, right_counts = table[left].sum(axis=0), table[right].sum(axis=0)
         if min(left_counts.sum(), right_counts.sum()) < params.min_records:
             return None
-        delta = gini_decrease(counts, left_counts, right_counts, cost)
+        delta = gini_decrease(counts, left_counts, right_counts)
         if delta <= _GAIN_EPS:
             return None
         return delta, f, (tuple(int(c) for c in codes[left]),

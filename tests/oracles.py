@@ -10,10 +10,19 @@ from treebench.criteria import _as_counts, entropy
 from treebench.tree import (
     _GAIN_EPS,
     DecisionTree,
+    Split,
     TreeError,
     TreeNode,
     pessimistic_error_bound,
 )
+
+
+def branch_for(split: Split, code: int) -> int | None:
+    """The child of ``split`` whose code set holds ``code``, or None."""
+    for k, codes in enumerate(split.branches):
+        if code in codes:
+            return k
+    return None
 
 
 def predict(tree: DecisionTree, row) -> tuple[int, float]:
@@ -31,7 +40,7 @@ def predict(tree: DecisionTree, row) -> tuple[int, float]:
         )
     node = tree.root
     while not node.is_leaf:
-        k = node.split.branch_for(int(row[node.split.feature]))
+        k = branch_for(node.split, int(row[node.split.feature]))
         if k is None:
             break
         child = node.children[k]

@@ -190,6 +190,10 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
      "purity_threshold"),
     # its confidence factor (100 - severity) / 100 rounds to 1
     ("compare", {"roster_params": {"c50": {"severity": 5e-15}}}, "severity"),
+    # the C&R knob that changed no tree is gone
+    ("compare", {"roster_params": {"cart": {"cost": [[0, 1], [1, 0]]}}}, "cost"),
+    ("compare", {"roster": ["quest"],
+                 "roster_params": {"quest": {"cost": [[0, 1], [1, 0]]}}}, "cost"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -576,17 +580,28 @@ def test_ingest_output_feeds_compare(tmp_path):
     assert cli.main(["compare", "--config", str(follow)]) == 0
 
 
+ABSENT = object()  # the key is left out of the cohort
+NEGOTIATING_PAIR = "cohort needs negotiating_field and negotiating_codes together"
+
+
 @pytest.mark.parametrize("key, value, needle", [
     ("curve_codes", 5, "cohort.curve_codes must be a list of integers"),
     ("negotiating_codes", 3, "cohort.negotiating_codes must be a list of integers"),
     ("curve_codes", [2, "3"], "cohort.curve_codes must be a list of integers"),
     ("alignment_field", 5, "cohort.alignment_field must be a column name"),
     ("negotiating_field", ["PRE"], "cohort.negotiating_field must be a column name"),
+    pytest.param("negotiating_field", ABSENT, NEGOTIATING_PAIR,
+                 id="codes-without-field"),
+    pytest.param("negotiating_codes", ABSENT, NEGOTIATING_PAIR,
+                 id="field-without-codes"),
 ])
 def test_bad_cohort_is_usage_error(tmp_path, capsys, key, value, needle):
     cfg = ingest_fixture(tmp_path)
     payload = json.loads(cfg.read_text())
-    payload["cohort"][key] = value
+    if value is ABSENT:
+        del payload["cohort"][key]
+    else:
+        payload["cohort"][key] = value
     cfg.write_text(json.dumps(payload))
     assert cli.main(["ingest", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err

@@ -1,7 +1,5 @@
-"""Ingestion, recoding, cohort filtering, crosstabs, and the synthetic
-generator."""
+"""Ingestion, recoding, cohort filtering, and the synthetic generator."""
 import csv
-import itertools
 import json
 import warnings
 
@@ -11,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
-    CrosstabReport,
     DatasetError,
     FeatureSpec,
     RawTable,
@@ -20,7 +17,6 @@ from treebench.dataset import (
     RecodeRuleSet,
     SyntheticRules,
     binary_schema,
-    crosstab,
     feature,
     filter_curve_cohort,
     generate_synthetic,
@@ -96,12 +92,6 @@ class TestLoadDelimited:
         path = write_csv(tmp_path / "t.tsv", "A\tB\n1\t2\n")
         raw = load_delimited(path, ["A", "B"], delimiter="\t")
         assert raw.column("B").tolist() == [2]
-
-    def test_headerless(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", "1,2\n3,4\n")
-        raw = load_delimited(path, ["A", "B"], header=False)
-        assert raw.n_rows == 2
-        assert raw.column("A").tolist() == [1, 3]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(DatasetError):
@@ -401,63 +391,6 @@ class TestCurveCohort:
             filter_curve_cohort(self.make_raw(), "NOPE", (2,))
 
 
-class TestCrosstab:
-    def test_alignment_frequency_row(self):
-        # curve-right region of the published alignment frequency table:
-        # 1502 without injury, 1581 with, row percentages 49 / 51
-        align = np.concatenate([
-            np.full(1502, 2), np.full(1581, 2), np.full(10, 1), np.full(12, 1),
-        ])
-        outcome = np.concatenate([
-            np.zeros(1502, int), np.ones(1581, int), np.zeros(10, int), np.ones(12, int),
-        ])
-        raw = RawTable(["ALIGN", "OUT"], np.column_stack([align, outcome]))
-        report = crosstab(raw, "ALIGN", "OUT")
-        i = report.row_codes.index(2)
-        assert report.counts[i].tolist() == [1502, 1581]
-        assert int(report.row_totals[i]) == 3083
-        assert [round(v) for v in report.row_pct[i]] == [49, 51]
-        assert report.grand_total == raw.n_rows
-
-    def test_single_class_column(self):
-        raw = RawTable(["A", "B"], np.array([[0, 1], [1, 1], [0, 1]]))
-        report = crosstab(raw, "A", "B")
-        assert report.counts.shape == (2, 1)
-        assert np.allclose(report.row_pct, 100.0)
-
-    def test_symmetric_quarters(self):
-        rows = np.array([[0, 0], [0, 0], [0, 1], [0, 1],
-                         [1, 0], [1, 0], [1, 1], [1, 1]])
-        report = crosstab(RawTable(["A", "B"], rows), "A", "B")
-        assert np.allclose(report.cell_pct, 25.0)
-
-    def test_cell_pct_sums_to_100(self):
-        rng = np.random.default_rng(11)
-        rows = np.column_stack([
-            rng.integers(0, 4, size=200), rng.integers(0, 3, size=200)
-        ])
-        report = crosstab(RawTable(["A", "B"], rows), "A", "B")
-        assert report.cell_pct.sum() == pytest.approx(100.0, abs=0.5)
-        assert report.counts.sum() == report.grand_total == 200
-
-    def test_coded_table_with_target_and_labels(self):
-        schema = (feature("speed", (0, 1), {0: "<46", 1: ">=46"}),)
-        table = CategoricalTable(
-            schema, np.array([[0], [1], [1]]), np.array([0, 1, 1])
-        )
-        report = crosstab(table, "speed", "target")
-        assert report.row_labels == ("<46", ">=46")
-        assert report.counts.tolist() == [[1, 0], [0, 2]]
-        text = report.render()
-        assert "speed x target" in text
-        assert "total" in text
-
-    def test_missing_variable(self):
-        raw = RawTable(["A"], np.array([[0]]))
-        with pytest.raises(DatasetError):
-            crosstab(raw, "A", "B")
-
-
 class TestCategoricalTable:
     def test_cell_validation(self):
         schema = (feature("a", (0, 1)),)
@@ -597,8 +530,7 @@ class TestGenerateSynthetic:
 # oracles below are that code, kept verbatim apart from being free functions.
 
 
-def load_delimited_by_cell(path, schema, delimiter=",", header=True):
-    names = [s.name if isinstance(s, FeatureSpec) else str(s) for s in schema]
+def load_delimited_by_cell(path, names, delimiter=","):
     try:
         fh = open(path, newline="")
     except OSError as e:
@@ -609,21 +541,14 @@ def load_delimited_by_cell(path, schema, delimiter=",", header=True):
             first = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
-        if header:
-            lookup = {h.strip().lower(): i for i, h in enumerate(first)}
-            indices = []
-            for name in names:
-                if name.lower() not in lookup:
-                    raise DatasetError(f"column not found: {name}")
-                indices.append(lookup[name.lower()])
-            data_rows = reader
-        else:
-            if len(first) < len(names):
-                raise DatasetError(f"{path}: fewer columns than requested")
-            indices = list(range(len(names)))
-            data_rows = itertools.chain([first], reader)
+        lookup = {h.strip().lower(): i for i, h in enumerate(first)}
+        indices = []
+        for name in names:
+            if name.lower() not in lookup:
+                raise DatasetError(f"column not found: {name}")
+            indices.append(lookup[name.lower()])
         out = []
-        for r, row in enumerate(data_rows):
+        for r, row in enumerate(reader):
             parsed = []
             for name, i in zip(names, indices):
                 cell = row[i].strip() if i < len(row) else ""
@@ -773,18 +698,15 @@ def unused_cells(draw, delimiter):
 
 @st.composite
 def delimited_files(draw):
-    """(text, requested names, delimiter, header) for ``load_delimited``."""
+    """(text, requested names, delimiter) for ``load_delimited``."""
     delimiter = draw(st.sampled_from([",", "\t", ";", "|", " "]))
     width = draw(st.integers(1, len(HEADER)))
     used = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
-    header = draw(st.booleans())
     names = [HEADER[j].swapcase() if draw(st.booleans()) else HEADER[j] for j in used]
-    if header and draw(st.integers(0, 9)) == 0:
+    if draw(st.integers(0, 9)) == 0:
         names.append("absent")
-    lines = []
-    if header:
-        lines.append(delimiter.join(draw(PADS) + h + draw(PADS) for h in HEADER[:width]))
-    for _ in range(draw(st.integers(0 if header else 1, 6))):
+    lines = [delimiter.join(draw(PADS) + h + draw(PADS) for h in HEADER[:width])]
+    for _ in range(draw(st.integers(0, 6))):
         if draw(st.integers(0, 9)) == 0:
             lines.append("")  # a blank line
             continue
@@ -797,21 +719,20 @@ def delimited_files(draw):
         lines.append(delimiter.join(row))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
-    return text, names, delimiter, header
+    return text, names, delimiter
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=delimited_files())
 def test_load_delimited_matches_per_cell_parse(tmp_path_factory, case):
-    text, names, delimiter, header = case
+    text, names, delimiter = case
     path = tmp_path_factory.mktemp("raw") / "raw.txt"
     with open(path, "w", newline="") as fh:
         fh.write(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt must not warn on no data
-        got = outcome(load_delimited, path, names, delimiter=delimiter, header=header)
-    want = outcome(load_delimited_by_cell, path, names, delimiter=delimiter,
-                   header=header)
+        got = outcome(load_delimited, path, names, delimiter=delimiter)
+    want = outcome(load_delimited_by_cell, path, names, delimiter=delimiter)
     if isinstance(want, str):
         assert got == want
     else:
@@ -912,3 +833,28 @@ def test_to_csv_matches_csv_writer(tmp_path_factory, names, n, seed):
     table.to_csv(directory / "got.csv")
     to_csv_by_row(table, directory / "want.csv")
     assert (directory / "got.csv").read_bytes() == (directory / "want.csv").read_bytes()
+
+
+COHORT_CODES = st.lists(st.integers(0, 4), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-1, 1)),
+                     max_size=12),
+       curve_codes=COHORT_CODES, negotiating_codes=st.none() | COHORT_CODES)
+def test_filter_curve_cohort_matches_per_row_loop(rows, curve_codes, negotiating_codes):
+    """The kept rows, in order, are the ones a per-row loop keeps; every row
+    is retained or discarded, and an empty cohort warns."""
+    raw = RawTable(["ALIGN", "PRE", "OTHER"], np.array(rows, dtype=np.int64).reshape(-1, 3))
+    negotiating = () if negotiating_codes is None else ("PRE", negotiating_codes)
+    want = [list(row) for row in rows if row[0] in curve_codes
+            and (negotiating_codes is None or row[1] in negotiating_codes)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kept, retained, discarded = filter_curve_cohort(raw, "ALIGN", curve_codes,
+                                                        *negotiating)
+    assert kept.columns == raw.columns
+    assert kept.rows.tolist() == want
+    assert retained == len(want) and retained + discarded == len(rows)
+    assert [str(w.message) for w in caught] == (
+        [] if want else ["curve-cohort filter retained zero rows"])

@@ -1,4 +1,4 @@
-"""Random-forest training, voting, out-of-bag scoring, serialization."""
+"""Random-forest training, voting, serialization."""
 import json
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from treebench.dataset import (
     CategoricalTable,
-    SyntheticRules,
     binary_schema,
     generate_synthetic,
     planted_relevance_rules,
@@ -18,7 +17,6 @@ from treebench.forest import (
     ForestError,
     ForestParams,
     bootstrap_indices,
-    oob_accuracy,
     train_forest,
 )
 from treebench import tree as tree_module
@@ -234,48 +232,3 @@ class TestVoting:
             votes = [predict(t, row)[0] for t in forest.trees]
             assert vote(forest, row)[1] == sum(votes) / len(votes)
 
-
-class TestOob:
-    def test_no_oob_rows_error(self):
-        table = planted_table(n=60, m=4)
-        forest = train_forest(
-            table, ForestParams(n_trees=1, bootstrap=False, seed=2)
-        )
-        with pytest.raises(ForestError, match="no out-of-bag rows"):
-            oob_accuracy(forest, table)
-
-    def test_row_count_checked(self):
-        table = planted_table(n=60, m=4)
-        forest = train_forest(table, ForestParams(n_trees=3, seed=2))
-        with pytest.raises(ForestError):
-            oob_accuracy(forest, table.take_rows(range(30)))
-
-    def test_separable_data_scores_high(self):
-        schema = binary_schema(4)
-        table = generate_synthetic(
-            schema, 200, seed=81, rules=SyntheticRules(copy_of="f01")
-        )
-        forest = train_forest(table, ForestParams(n_trees=25, seed=4))
-        acc = oob_accuracy(forest, table)
-        assert acc >= 0.95
-
-    def test_matches_per_row_reference(self):
-        table = planted_table(n=80, m=5, seed=83)
-        forest = train_forest(table, ForestParams(n_trees=8, seed=5, max_depth=3))
-        correct = scored = 0
-        for i, row in enumerate(table.rows):
-            votes = [predict(t, row)[0]
-                     for t, bag in zip(forest.trees, forest.bags) if i not in bag]
-            if votes:
-                scored += 1
-                correct += int(sum(votes) / len(votes) >= 0.5) == table.target[i]
-        assert scored < table.n_rows
-        assert oob_accuracy(forest, table) == correct / scored
-
-    def test_beats_majority_baseline_on_planted_data(self):
-        table = planted_table(n=500, m=10, seed=82)
-        forest = train_forest(table, ForestParams(n_trees=40, seed=6))
-        acc = oob_accuracy(forest, table)
-        baseline = max(np.mean(table.target), 1 - np.mean(table.target))
-        assert 0.0 <= acc <= 1.0
-        assert acc >= baseline + 0.10

@@ -83,7 +83,7 @@ def hand_tree():
     root = split([6, 5], 6 / 11, 0, "multiway", ((0,), (1,), (2,)),
                  [leaf([3, 1], 0.75), binary, leaf([0, 0], 6 / 11)], 0.125)
     return DecisionTree(root, "c50",
-                        TreeParams(min_records=3, cost=((0, 1), (2, 0))),
+                        TreeParams(min_records=3),
                         ("f0", "f1"), HASH, 11)
 
 
@@ -143,16 +143,6 @@ TREE_TEXT = """\
   "n_rows": 11,
   "params": {
     "alpha": 0.05,
-    "cost": [
-      [
-        0.0,
-        1.0
-      ],
-      [
-        2.0,
-        0.0
-      ]
-    ],
     "max_depth": null,
     "min_gain": 1e-12,
     "min_records": 3,
@@ -274,7 +264,6 @@ FOREST_TEXT = """\
       "n_rows": 5,
       "params": {
         "alpha": 0.05,
-        "cost": null,
         "max_depth": 1,
         "min_gain": 1e-12,
         "min_records": 2,
@@ -333,7 +322,6 @@ FOREST_TEXT = """\
       "n_rows": 5,
       "params": {
         "alpha": 0.05,
-        "cost": null,
         "max_depth": 1,
         "min_gain": 1e-12,
         "min_records": 2,

@@ -127,21 +127,6 @@ class TestTreeParams:
                        max_depth=np.int32(2))
         assert (p.min_records, p.severity, p.max_depth) == (3, 50.0, 2)
 
-    @pytest.mark.parametrize("cost", [
-        [[0, -1], [1, 0]],
-        [[1, 1], [1, 0]],
-        [[0, float("inf")], [1, 0]],
-        [[0, float("nan")], [1, 0]],
-        [[0, 1, 1], [1, 0, 1]],
-        "x",
-    ])
-    def test_cost_validation(self, cost):
-        with pytest.raises(TreeError, match="cost"):
-            TreeParams(cost=cost)
-
-    def test_cost_accepted(self):
-        assert TreeParams(cost=[[0, 2], [0, 0]]).cost == ((0.0, 2.0), (0.0, 0.0))
-
 
 class TestC50:
     def test_pure_target_single_leaf(self):
@@ -564,12 +549,9 @@ def scalar_gini_choice(params, counts, tables):
     one candidate subset at a time over the node's ``(feature, codes,
     class counts)`` tables.  Returns ``(delta, feature, branches)`` or None.
     """
-    cost = params.cost_matrix()
-    pair_cost = float(cost[0, 1] + cost[1, 0])
-
     def node_gini(n0, n1):
         total = n0 + n1
-        return pair_cost * n0 * n1 / (total * total)
+        return 2.0 * n0 * n1 / (total * total)
 
     n = int(counts.sum())
     parent_gini = node_gini(int(counts[0]), int(counts[1]))
@@ -681,16 +663,14 @@ class TestCart:
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), min_records=st.integers(1, 4),
-           cost=st.sampled_from([None, ((0.0, 1.0), (2.5, 0.0)),
-                                 ((0.0, 0.3), (0.7, 0.0)), ((0.0, 4.0), (4.0, 0.0))]),
            score_cells=st.sampled_from([None, 1]))
-    def test_batched_choice_matches_scalar_oracle(self, seed, min_records, cost,
+    def test_batched_choice_matches_scalar_oracle(self, seed, min_records,
                                                   score_cells):
         """Every slot of a step gets the oracle's feature and branches and
         the very same float delta, ties included, whether the slots are
         scored together or one at a time."""
         step = random_step(np.random.default_rng(seed))
-        params = TreeParams(min_records=min_records, cost=cost)
+        params = TreeParams(min_records=min_records)
         with pytest.MonkeyPatch.context() as patch:
             if score_cells is not None:
                 patch.setattr(tree_module, "_SCORE_CELLS", score_cells)
@@ -1249,9 +1229,9 @@ class TestSplitType:
 
     def test_branch_lookup(self):
         s = Split(feature=2, arity="merged", branches=((0, 3), (1,), (2,)))
-        assert s.branch_for(3) == 0
-        assert s.branch_for(2) == 2
-        assert s.branch_for(9) is None
+        assert oracles.branch_for(s, 3) == 0
+        assert oracles.branch_for(s, 2) == 2
+        assert oracles.branch_for(s, 9) is None
 
 
 def test_serialization_round_trip_all_algorithms():
