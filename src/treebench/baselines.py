@@ -56,29 +56,13 @@ class ConvergenceError(BaselineError):
 # One-hot encoding shared by logistic and MLP models
 
 
-@dataclass(frozen=True)
-class _Encoding:
-    """Dummy coding: one indicator per non-reference code of each feature."""
-
-    feature_names: tuple[str, ...]
-    levels: tuple[tuple[int, ...], ...]
-
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        """Indicator matrix of a row matrix of the model's width."""
-        cols = []
-        for j, lv in enumerate(self.levels):
-            for code in lv[1:]:
-                cols.append(rows[:, j] == code)
-        if not cols:
-            return np.zeros((rows.shape[0], 0))
-        return np.stack(cols, axis=1).astype(float)
-
-
-def _encoding_for(table: CategoricalTable) -> _Encoding:
-    return _Encoding(
-        table.feature_names,
-        tuple(spec.allowed_codes for spec in table.schema),
-    )
+def _one_hot(rows: np.ndarray, levels) -> np.ndarray:
+    """Indicator matrix of a row matrix: one column per non-reference code
+    (all codes of ``levels[j]`` but the first) of each feature j."""
+    cols = [rows[:, j] == code for j, lv in enumerate(levels) for code in lv[1:]]
+    if not cols:
+        return np.zeros((rows.shape[0], 0))
+    return np.stack(cols, axis=1).astype(float)
 
 
 def _tuples(items) -> tuple:
@@ -168,11 +152,15 @@ _OPTIONS = {
 
 def check_options(family: str, options: dict) -> None:
     """Raise BaselineError for the first knob of a baseline trainer
-    (``logistic``, ``mlp``, ``bayes-net`` or ``decision-list``) that has the
-    wrong type or lies out of range.  Every trainer checks its own knobs
-    here, and the CLI checks a config's knobs here before any fit runs."""
+    (``logistic``, ``mlp``, ``bayes-net`` or ``decision-list``) that it does
+    not take, of the wrong type or out of range.  Every trainer checks its
+    own knobs here, and the CLI checks a config's knobs before any fit."""
+    knobs = _OPTIONS[family]
     for name, value in options.items():
-        test, text = _OPTIONS[family][name]
+        if name not in knobs:
+            raise BaselineError(f"unknown knob {name!r}; {family} takes "
+                                f"{', '.join(knobs)}")
+        test, text = knobs[name]
         if not test(value):
             raise BaselineError(f"{name} must be {text}, got {value!r}")
 
@@ -207,11 +195,8 @@ class LogisticModel(_Baseline):
         if not all(math.isfinite(v) for v in values):
             raise BaselineError("logistic coefficients must be finite")
 
-    def _encoding(self) -> _Encoding:
-        return _Encoding(self.feature_names, self.levels)
-
     def proba_batch(self, rows) -> np.ndarray:
-        x = self._encoding().encode(self._check_rows(rows))
+        x = _one_hot(self._check_rows(rows), self.levels)
         return _sigmoid(self.intercept + x @ np.array(self.coefficients))
 
 
@@ -231,8 +216,8 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
     """
     check_options("logistic", {"max_iterations": max_iterations,
                                "tolerance": tolerance, "l2": l2})
-    enc = _encoding_for(data)
-    x = np.hstack([np.ones((data.n_rows, 1)), enc.encode(data.rows)])
+    levels = tuple(spec.allowed_codes for spec in data.schema)
+    x = np.hstack([np.ones((data.n_rows, 1)), _one_hot(data.rows, levels)])
     y = data.target.astype(float)
     n, p = x.shape
     if n < p + 1:
@@ -242,15 +227,18 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
             stacklevel=2,
         )
     beta = np.zeros(p)
-    grad = x.T @ (y - _sigmoid(x @ beta)) - l2 * beta
-    for iteration in range(1, max_iterations + 1):
-        if float(np.abs(grad).max()) < tolerance:
-            return LogisticModel(
-                enc.feature_names, enc.levels, float(beta[0]),
-                tuple(float(b) for b in beta[1:]), data.schema_hash(),
-                iteration - 1,
-            )
+    for iteration in range(max_iterations + 1):
         prob = _sigmoid(x @ beta)
+        grad = x.T @ (y - prob) - l2 * beta
+        norm = float(np.abs(grad).max())
+        if norm < tolerance:
+            return LogisticModel(
+                data.feature_names, levels, float(beta[0]),
+                tuple(float(b) for b in beta[1:]), data.schema_hash(),
+                iteration,
+            )
+        if iteration == max_iterations:
+            break
         w = prob * (1.0 - prob)
         hessian = (x * w[:, None]).T @ x + l2 * np.eye(p)
         step = np.linalg.solve(hessian, grad)
@@ -262,14 +250,6 @@ def train_logistic(data: CategoricalTable, max_iterations: int = 100,
                 break
             scale *= 0.5
         beta = beta + scale * step
-        grad = x.T @ (y - _sigmoid(x @ beta)) - l2 * beta
-    norm = float(np.abs(grad).max())
-    if norm < tolerance:
-        return LogisticModel(
-            enc.feature_names, enc.levels, float(beta[0]),
-            tuple(float(b) for b in beta[1:]), data.schema_hash(),
-            max_iterations,
-        )
     raise ConvergenceError(
         f"logistic regression did not converge in {max_iterations} iterations "
         f"(gradient norm {norm:.3e})",
@@ -304,11 +284,8 @@ class MlpModel(_Baseline):
         if self.activation != "tanh":
             raise BaselineError(f"unknown activation {self.activation!r}")
 
-    def _encoding(self) -> _Encoding:
-        return _Encoding(self.feature_names, self.levels)
-
     def proba_batch(self, rows) -> np.ndarray:
-        x = self._encoding().encode(self._check_rows(rows))
+        x = _one_hot(self._check_rows(rows), self.levels)
         return _sigmoid(_mlp_logits(self.weights, self.biases, x))
 
 
@@ -330,7 +307,7 @@ def _mlp_logits(weights, biases, x: np.ndarray) -> np.ndarray:
 
 def mlp_loss_and_gradients(model: MlpModel, rows, targets):
     """Mean cross-entropy and its analytic gradients for a row batch."""
-    x = model._encoding().encode(model._check_rows(rows))
+    x = _one_hot(model._check_rows(rows), model.levels)
     return _mlp_loss_and_gradients(model.weights, model.biases, x,
                                    np.asarray(targets, dtype=float))
 
@@ -375,8 +352,8 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
     check_options("mlp", {"widths": widths, "learning_rate": learning_rate,
                           "epochs": epochs, "batch_size": batch_size,
                           "patience": patience, "seed": seed})
-    enc = _encoding_for(data)
-    x_all = enc.encode(data.rows)
+    levels = tuple(spec.allowed_codes for spec in data.schema)
+    x_all = _one_hot(data.rows, levels)
     y_all = data.target.astype(float)
     n = data.n_rows
     rng = np.random.default_rng([int(seed), 0])
@@ -421,7 +398,7 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
             stale += 1
             if stale >= patience:
                 break
-    return MlpModel(enc.feature_names, enc.levels,
+    return MlpModel(data.feature_names, levels,
                     tuple(np.array(w) for w in best[1]),
                     tuple(np.array(b) for b in best[2]),
                     "tanh", data.schema_hash(), int(seed))
@@ -523,37 +500,29 @@ def _level_index(node: str, codes: np.ndarray, levels) -> np.ndarray:
     return hits.argmax(axis=1)
 
 
-def _node_values(data: CategoricalTable, node: str, levels_of) -> np.ndarray:
-    """Column of level indices (not raw codes) for one node."""
-    return _level_index(node, data.column(node), levels_of(node))
-
-
-def _fit_cpt(data, node, parents, levels_of, alpha):
-    shape = [len(levels_of(p)) for p in parents] + [len(levels_of(node))]
-    counts = np.zeros(shape)
-    cols = [_node_values(data, p, levels_of) for p in parents]
-    cols.append(_node_values(data, node, levels_of))
-    np.add.at(counts, tuple(cols), 1.0)
+def _fit_cpt(columns, node_levels, node, parents, alpha):
+    """Smoothed table of ``node`` given ``parents`` from level-index columns."""
+    counts = np.zeros([len(node_levels[p]) for p in parents + (node,)])
+    np.add.at(counts, tuple(columns[p] for p in parents + (node,)), 1.0)
     smoothed = counts + alpha
     return smoothed / smoothed.sum(axis=-1, keepdims=True)
 
 
-def _log_likelihood(data, parents, cpts, levels_of) -> float:
+def _log_likelihood(columns, parents, cpts) -> float:
     total = 0.0
     for node, par in parents.items():
-        idx = tuple(_node_values(data, p, levels_of) for p in par)
-        idx = idx + (_node_values(data, node, levels_of),)
+        idx = tuple(columns[p] for p in par + (node,))
         total += float(np.log(cpts[node][idx]).sum())
     return total
 
 
-def _parameter_count(parents, levels_of) -> int:
+def _parameter_count(parents, node_levels) -> int:
     count = 0
     for node, par in parents.items():
         rows = 1
         for p in par:
-            rows *= len(levels_of(p))
-        count += rows * (len(levels_of(node)) - 1)
+            rows *= len(node_levels[p])
+        count += rows * (len(node_levels[node]) - 1)
     return count
 
 
@@ -568,11 +537,10 @@ def train_bayes_net(data: CategoricalTable, structure: str = "naive",
     check_options("bayes-net", {"structure": structure, "alpha": alpha})
     names = data.feature_names
     levels = tuple(spec.allowed_codes for spec in data.schema)
-
-    def levels_of(node: str) -> tuple[int, ...]:
-        if node == "target":
-            return (0, 1)
-        return levels[names.index(node)]
+    node_levels = {"target": (0, 1), **dict(zip(names, levels))}
+    # each node's column of level indices (not raw codes), once per fit
+    columns = {node: _level_index(node, data.column(node), lv)
+               for node, lv in node_levels.items()}
 
     parents = {"target": ()}
     for name in names:
@@ -580,12 +548,12 @@ def train_bayes_net(data: CategoricalTable, structure: str = "naive",
 
     def score_of(structure_parents) -> float:
         cpts = {
-            node: _fit_cpt(data, node, par, levels_of, alpha)
+            node: _fit_cpt(columns, node_levels, node, par, alpha)
             for node, par in structure_parents.items()
         }
-        ll = _log_likelihood(data, structure_parents, cpts, levels_of)
+        ll = _log_likelihood(columns, structure_parents, cpts)
         penalty = 0.5 * math.log(data.n_rows) * _parameter_count(
-            structure_parents, levels_of
+            structure_parents, node_levels
         )
         return ll - penalty
 
@@ -615,7 +583,7 @@ def train_bayes_net(data: CategoricalTable, structure: str = "naive",
                 improved = True
 
     cpts = {
-        node: _fit_cpt(data, node, par, levels_of, alpha)
+        node: _fit_cpt(columns, node_levels, node, par, alpha)
         for node, par in parents.items()
     }
     return BayesNetModel(names, levels, dict(parents), cpts, float(alpha),
@@ -761,15 +729,12 @@ def train_decision_list(data: CategoricalTable, min_coverage: int = 2,
             break
         rules.append(rule)
         remaining = remaining[~covered_mask]
-    if remaining.size:
-        default_class, default_majority = _majority(y[remaining])
-        default_precision = _laplace(default_majority, remaining.size)
-    else:
-        default_class, default_majority = _majority(y)
-        default_precision = _laplace(default_majority, y.size)
+    # the default rule: majority of the uncovered rows, or of all if none
+    rest = y[remaining] if remaining.size else y
+    default_class, default_majority = _majority(rest)
     return DecisionListModel(
         data.feature_names, levels, tuple(rules), default_class,
-        default_precision, data.schema_hash(),
+        _laplace(default_majority, rest.size), data.schema_hash(),
     )
 
 
@@ -789,10 +754,13 @@ _KINDS = {cls.kind: cls for cls in
 def model_from_json(text: str):
     """Rebuild a baseline model serialized by its ``to_json``."""
     payload = json.loads(text)
-    kind = payload.pop("kind", None)
+    kind = payload.pop("kind", None) if isinstance(payload, dict) else None
     if kind not in _KINDS:
         raise BaselineError(f"unknown model kind {kind!r}")
     cls = _KINDS[kind]
     decoders = {**_DECODERS, **cls.decoders}
-    return cls(**{k: decoders[k](v) if k in decoders else v
-                  for k, v in payload.items()})
+    try:
+        return cls(**{k: decoders[k](v) if k in decoders else v
+                      for k, v in payload.items()})
+    except (KeyError, TypeError) as e:
+        raise BaselineError(f"malformed {kind} model: {e}") from None

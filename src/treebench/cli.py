@@ -14,7 +14,7 @@ single command sees the same randomness it saw inside a full run.
 from __future__ import annotations
 
 import argparse
-import inspect
+import functools
 import json
 import sys
 import warnings
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .baselines import (
-    BaselineError,
     check_options,
     train_bayes_net,
     train_decision_list,
@@ -59,18 +58,22 @@ from .tree import (
     train_quest,
 )
 
-DEFAULT_ROSTER = (
-    "c50",
-    "chaid",
-    "cart",
-    "quest",
-    "bayes-net",
-    "logistic",
-    "mlp",
-    "decision-list",
-)
+# Each model family's (table, params) trainer, in default-roster order, tree
+# growers first.  The lambdas look their trainer up when called, so a wrapper
+# set on this module's ``train_*`` attribute is the one that runs.
+_FAMILIES = {
+    "c50": lambda t, p: prune_c50(train_c50(t, p)),
+    "chaid": lambda t, p: train_chaid(t, p),
+    "cart": lambda t, p: train_cart(t, p),
+    "quest": lambda t, p: train_quest(t, p),
+    "bayes-net": lambda t, p: train_bayes_net(t, **p),
+    "logistic": lambda t, p: train_logistic(t, **p),
+    "mlp": lambda t, p: train_mlp(t, **p),
+    "decision-list": lambda t, p: train_decision_list(t, **p),
+}
 
-TREE_FAMILIES = ("c50", "chaid", "cart", "quest")
+DEFAULT_ROSTER = tuple(_FAMILIES)
+TREE_FAMILIES = DEFAULT_ROSTER[:4]
 
 _COHORT_KEYS = frozenset(
     {"alignment_field", "curve_codes", "negotiating_field", "negotiating_codes"}
@@ -297,30 +300,6 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _bind_check(fn, params: dict, family: str) -> None:
-    try:
-        inspect.signature(fn).bind_partial(**params)
-    except TypeError as e:
-        raise ConfigError(f"bad parameters for {family}: {e}") from None
-
-
-def _tree_params(params: dict, family: str) -> TreeParams:
-    _bind_check(TreeParams, params, family)
-    try:
-        return TreeParams(**params)
-    except ValueError as e:
-        raise ConfigError(f"bad parameters for {family}: {e}") from None
-
-
-def _baseline_params(fn, params: dict, family: str) -> dict:
-    _bind_check(fn, params, family)
-    try:
-        check_options(family, params)
-    except BaselineError as e:
-        raise ConfigError(f"bad parameters for {family}: {e}") from None
-    return params
-
-
 def family_trainer(name: str, params: dict, master_seed: int):
     """Build one family's trainer callable from its config parameters.
 
@@ -328,32 +307,18 @@ def family_trainer(name: str, params: dict, master_seed: int):
     of training.  The network trainer gets its seed from the master-seed
     fan-out unless the config pins one explicitly.
     """
-    if name == "c50":
-        tp = _tree_params(params, name)
-        return lambda t: prune_c50(train_c50(t, tp))
-    if name == "chaid":
-        tp = _tree_params(params, name)
-        return lambda t: train_chaid(t, tp)
-    if name == "cart":
-        tp = _tree_params(params, name)
-        return lambda t: train_cart(t, tp)
-    if name == "quest":
-        tp = _tree_params(params, name)
-        return lambda t: train_quest(t, tp)
-    if name == "logistic":
-        kwargs = _baseline_params(train_logistic, params, name)
-        return lambda t: train_logistic(t, **kwargs)
+    if name not in _FAMILIES:
+        raise ConfigError(f"unknown model family: {name}")
     if name == "mlp":
-        kwargs = _baseline_params(
-            train_mlp, {"seed": derive_seed(master_seed, "mlp"), **params}, name)
-        return lambda t: train_mlp(t, **kwargs)
-    if name == "bayes-net":
-        kwargs = _baseline_params(train_bayes_net, params, name)
-        return lambda t: train_bayes_net(t, **kwargs)
-    if name == "decision-list":
-        kwargs = _baseline_params(train_decision_list, params, name)
-        return lambda t: train_decision_list(t, **kwargs)
-    raise ConfigError(f"unknown model family: {name}")
+        params = {"seed": derive_seed(master_seed, "mlp"), **params}
+    try:
+        if name in TREE_FAMILIES:
+            params = TreeParams(**params)
+        else:
+            check_options(name, params)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad parameters for {name}: {e}") from None
+    return functools.partial(_FAMILIES[name], p=params)
 
 
 def build_roster(config: PipelineConfig) -> list[RosterEntry]:
@@ -367,14 +332,13 @@ def build_roster(config: PipelineConfig) -> list[RosterEntry]:
 
 
 def _forest_params(config: PipelineConfig, table: CategoricalTable) -> ForestParams:
-    _bind_check(ForestParams, config.forest, "forest")
     try:
         params = ForestParams(
             seed=derive_seed(config.seed, "forest"), **config.forest
         )
         params.resolve_features_per_split(table.n_features)
         return params
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad parameters for forest: {e}") from None
 
 

@@ -91,9 +91,10 @@ def make_folds(n: int, k: int, stratified: bool = True, labels=None,
                seed: int = 0) -> FoldPlan:
     """Seeded shuffle then round-robin assignment into k folds.
 
-    Stratified mode walks the classes in sorted order with one shared
-    cursor, so fold sizes and per-fold class counts each differ by at
-    most one row.
+    The shuffled rows (stratified: each class shuffled on its own, the
+    classes in sorted order, one after another) are dealt out so that fold
+    j takes positions j, j+k, ...; fold sizes and per-fold class counts
+    each differ by at most one row.
     """
     if k < 2 or k > n:
         raise EvalError(f"fold count {k} must be in [2, {n}]")
@@ -104,22 +105,12 @@ def make_folds(n: int, k: int, stratified: bool = True, labels=None,
         if y.shape != (n,):
             raise EvalError("labels length does not match n")
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
-    if stratified:
-        for klass in np.unique(y):
-            idx = np.flatnonzero(y == klass)
-            rng.shuffle(idx)
-            for i in idx:
-                buckets[cursor % k].append(int(i))
-                cursor += 1
-    else:
-        idx = np.arange(n)
-        rng.shuffle(idx)
-        for i in idx:
-            buckets[cursor % k].append(int(i))
-            cursor += 1
-    folds = tuple(tuple(sorted(b)) for b in buckets)
+    runs = ([np.flatnonzero(y == klass) for klass in np.unique(y)]
+            if stratified else [np.arange(n)])
+    for run in runs:
+        rng.shuffle(run)
+    order = np.concatenate(runs)
+    folds = tuple(tuple(sorted(order[j::k].tolist())) for j in range(k))
     return FoldPlan(k, folds, stratified, int(seed), n)
 
 

@@ -120,20 +120,25 @@ class Forest:
     @classmethod
     def from_json(cls, text: str) -> "Forest":
         payload = json.loads(text)
-        params = ForestParams(**payload["params"])
-        n = payload["n_rows"]
-        trees = tuple(DecisionTree.from_payload(t) for t in payload["trees"])
-        bags = tuple(
-            bootstrap_indices(params, n, i) for i in range(len(trees))
-        )
-        return cls(
-            trees=trees,
-            bags=bags,
-            params=params,
-            feature_names=tuple(payload["feature_names"]),
-            schema_hash=payload["schema_hash"],
-            n_rows=n,
-        )
+        try:
+            params = ForestParams(**payload["params"])
+            n = payload["n_rows"]
+            trees = tuple(DecisionTree.from_payload(t) for t in payload["trees"])
+            bags = tuple(
+                bootstrap_indices(params, n, i) for i in range(len(trees))
+            )
+            return cls(
+                trees=trees,
+                bags=bags,
+                params=params,
+                feature_names=tuple(payload["feature_names"]),
+                schema_hash=payload["schema_hash"],
+                n_rows=n,
+            )
+        except KeyError as e:
+            raise ForestError(f"forest payload has no field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ForestError(f"malformed forest payload: {e}") from None
 
 
 def _require_rows(n: int) -> None:

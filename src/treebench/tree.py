@@ -242,6 +242,8 @@ class DecisionTree:
                     branches=tuple(tuple(b) for b in s["branches"]),
                 )
                 children = tuple(parse_node(c) for c in item["children"])
+                if len(children) != len(split.branches):
+                    raise TreeError("a split needs one child per branch")
             return TreeNode(
                 counts=np.array(item["counts"], dtype=np.int64),
                 prediction=item["prediction"],
@@ -251,14 +253,19 @@ class DecisionTree:
                 score=item.get("score", 0.0),
             )
 
-        return cls(
-            root=parse_node(payload["root"]),
-            algorithm=payload["algorithm"],
-            params=TreeParams(**payload["params"]),
-            feature_names=tuple(payload["feature_names"]),
-            schema_hash=payload["schema_hash"],
-            n_rows=payload["n_rows"],
-        )
+        try:
+            return cls(
+                root=parse_node(payload["root"]),
+                algorithm=payload["algorithm"],
+                params=TreeParams(**payload["params"]),
+                feature_names=tuple(payload["feature_names"]),
+                schema_hash=payload["schema_hash"],
+                n_rows=payload["n_rows"],
+            )
+        except KeyError as e:
+            raise TreeError(f"tree payload has no field {e}") from None
+        except (TypeError, ValueError) as e:
+            raise TreeError(f"malformed tree payload: {e}") from None
 
 
 # ---------------------------------------------------------------------------

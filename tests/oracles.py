@@ -162,3 +162,25 @@ def with_cpus(n_cpus, fn, *args):
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
                       raising=False)
         return fn(*args)
+
+
+def fold_buckets(n: int, k: int, stratified: bool, y, seed: int) -> tuple:
+    """Reference for ``evaluation.make_folds``: the same shuffles, then each
+    row dealt in turn to the next fold by one shared cursor."""
+    rng = np.random.default_rng(seed)
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    cursor = 0
+    if stratified:
+        for klass in np.unique(y):
+            idx = np.flatnonzero(y == klass)
+            rng.shuffle(idx)
+            for i in idx:
+                buckets[cursor % k].append(int(i))
+                cursor += 1
+    else:
+        idx = np.arange(n)
+        rng.shuffle(idx)
+        for i in idx:
+            buckets[cursor % k].append(int(i))
+            cursor += 1
+    return tuple(tuple(sorted(b)) for b in buckets)

@@ -14,6 +14,7 @@ from treebench.baselines import (
     LogisticModel,
     MlpModel,
     bayes_joint_probability,
+    check_options,
     mlp_loss_and_gradients,
     model_from_json,
     predict_batch,
@@ -110,6 +111,23 @@ def test_logistic_non_convergence_error():
         train_logistic(table_from(rows, target), max_iterations=0)
     assert exc.value.iterations == 0
     assert exc.value.gradient_norm > 0
+
+
+def test_logistic_iteration_budget_boundary():
+    # a fit that converges after k Newton steps converges within a budget of
+    # exactly k, to the same model, and fails within k - 1
+    rows = [[0]] * 20 + [[1]] * 20
+    target = [1] * 5 + [0] * 15 + [1] * 15 + [0] * 5
+    data = table_from(rows, target)
+    model = train_logistic(data)
+    k = model.iterations
+    assert k >= 1
+    exact = train_logistic(data, max_iterations=k)
+    assert exact.iterations == k and exact.to_json() == model.to_json()
+    with pytest.raises(ConvergenceError) as exc:
+        train_logistic(data, max_iterations=k - 1)
+    assert exc.value.iterations == k - 1
+    assert f"did not converge in {k - 1} iterations" in str(exc.value)
 
 
 def test_logistic_warns_when_underdetermined():
@@ -215,6 +233,11 @@ def test_mlp_option_validation():
         train_mlp(data, learning_rate=0.0)
     with pytest.raises(BaselineError):
         train_mlp(data, batch_size=0)
+
+
+def test_check_options_rejects_an_unknown_knob():
+    with pytest.raises(BaselineError, match="'bogus'"):
+        check_options("logistic", {"bogus": 1})
 
 
 def test_mlp_divergence_raises():

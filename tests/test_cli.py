@@ -194,6 +194,11 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("compare", {"roster_params": {"cart": {"cost": [[0, 1], [1, 0]]}}}, "cost"),
     ("compare", {"roster": ["quest"],
                  "roster_params": {"quest": {"cost": [[0, 1], [1, 0]]}}}, "cost"),
+    # a knob no trainer takes
+    ("compare", {"roster_params": {"logistic": {"bogus": 1}}}, "bogus"),
+    ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"seeds": [1]}}},
+     "seeds"),
+    ("explain", {"forest": {"n_tree": 4}}, "n_tree"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):

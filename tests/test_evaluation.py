@@ -47,7 +47,7 @@ from treebench.tree import (
     train_quest,
 )
 
-from oracles import predict, with_cpus
+from oracles import fold_buckets, predict, with_cpus
 
 
 def majority_trainer(table):
@@ -115,6 +115,18 @@ def test_unstratified_mode():
     plan = make_folds(20, 4, stratified=False, seed=1)
     seen = sorted(i for fold in plan.folds for i in fold)
     assert seen == list(range(20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(2, 60), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_make_folds_matches_per_row_deal(data, n, classes, stratified, seed):
+    k = data.draw(st.integers(2, n), label="k")
+    y = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=n,
+                                    max_size=n), label="y"), dtype=np.int64)
+    plan = make_folds(n, k, stratified=stratified,
+                      labels=y if stratified else None, seed=seed)
+    assert plan.folds == fold_buckets(n, k, stratified, y, seed)
 
 
 def test_fold_input_validation():

@@ -5,12 +5,15 @@ model gives the same probabilities and labels, for trees from the four
 growers, forests, and the four baselines (``model.to_json()`` /
 ``model_from_json``).
 """
+import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from treebench.baselines import (
+    BaselineError,
     ConvergenceError,
     model_from_json,
     train_bayes_net,
@@ -19,9 +22,10 @@ from treebench.baselines import (
     train_mlp,
 )
 from treebench.dataset import CategoricalTable, feature
-from treebench.forest import Forest, ForestParams, train_forest
+from treebench.forest import Forest, ForestError, ForestParams, train_forest
 from treebench.tree import (
     DecisionTree,
+    TreeError,
     TreeParams,
     prune_c50,
     train_c50,
@@ -108,3 +112,118 @@ def test_baseline_round_trip(data, family):
     restored = model_from_json(text)
     assert restored.to_json() == text
     assert_same_predictions(model, restored, data.rows)
+
+
+# ---------------------------------------------------------------------------
+# Malformed model JSON is the model module's own error, never a bare
+# KeyError or TypeError, and a split must hold one child per branch.
+
+
+def _split_table() -> CategoricalTable:
+    rows = np.array([[c, d] for c in (1, 2, 3) for d in (1, 2)] * 3, dtype=np.int64)
+    return CategoricalTable([feature("f0", [1, 2, 3]), feature("f1", [1, 2])],
+                            rows, (rows[:, 0] == 2).astype(np.int64))
+
+
+def _tree_payload() -> dict:
+    tree = train_cart(_split_table(), TreeParams(min_records=1))
+    payload = json.loads(tree.to_json())
+    assert "split" in payload["root"]
+    return payload
+
+
+def _drop_child(payload):
+    payload["root"]["children"] = payload["root"]["children"][:1]
+
+
+_TREE_DEFECTS = {
+    "no-root": lambda p: p.pop("root"),
+    "unknown-param": lambda p: p["params"].update(cost=[[0, 1], [1, 0]]),
+    "counts-text": lambda p: p["root"].update(counts="x"),
+    "no-counts": lambda p: p["root"].pop("counts"),
+    "split-without-children": lambda p: p["root"].pop("children"),
+    "one-child-two-branches": _drop_child,
+    "extra-child": lambda p: p["root"]["children"].append(p["root"]["children"][0]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_TREE_DEFECTS))
+def test_malformed_tree_payload_is_tree_error(defect):
+    payload = _tree_payload()
+    _TREE_DEFECTS[defect](payload)
+    with pytest.raises(TreeError):
+        DecisionTree.from_json(json.dumps(payload))
+    with pytest.raises(TreeError):
+        DecisionTree.from_payload(payload)
+
+
+def _forest_payload() -> dict:
+    forest = train_forest(_split_table(), ForestParams(
+        n_trees=2, features_per_split=2, min_records=1))
+    payload = json.loads(forest.to_json())
+    assert all("split" in t["root"] for t in payload["trees"])
+    return payload
+
+
+_FOREST_DEFECTS = {
+    "no-params": lambda p: p.pop("params"),
+    "unknown-param": lambda p: p["params"].update(n_tree=3),
+    "no-feature-names": lambda p: p.pop("feature_names"),
+    "trees-number": lambda p: p.update(trees=5),
+    "tree-without-root": lambda p: p["trees"][0].pop("root"),
+    "tree-counts-text": lambda p: p["trees"][1]["root"].update(counts="x"),
+    "tree-one-child-two-branches": lambda p: _drop_child(p["trees"][0]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_FOREST_DEFECTS))
+def test_malformed_forest_payload_is_forest_error(defect):
+    payload = _forest_payload()
+    _FOREST_DEFECTS[defect](payload)
+    with pytest.raises(ForestError):
+        Forest.from_json(json.dumps(payload))
+
+
+def _baseline_payloads() -> dict:
+    data = _split_table()
+    models = {
+        "logistic": train_logistic(data, l2=0.1),
+        "mlp": train_mlp(data, widths=(3,), epochs=2, seed=1),
+        "bayes_net": train_bayes_net(data),
+        "decision_list": train_decision_list(data, min_coverage=1),
+    }
+    return {kind: json.loads(m.to_json()) for kind, m in models.items()}
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp", "bayes_net", "decision_list"])
+@pytest.mark.parametrize("defect", ["unknown-field", "missing-field"])
+def test_malformed_baseline_payload_is_baseline_error(kind, defect):
+    payload = _baseline_payloads()[kind]
+    assert payload["kind"] == kind
+    if defect == "unknown-field":
+        payload["bogus"] = 1
+        needle = "bogus"
+    else:
+        del payload["schema_hash"]
+        needle = "schema_hash"
+    with pytest.raises(BaselineError, match=needle):
+        model_from_json(json.dumps(payload))
+
+
+def test_decision_rule_without_literals_is_baseline_error():
+    payload = _baseline_payloads()["decision_list"]
+    assert payload["rules"]
+    del payload["rules"][0]["literals"]
+    with pytest.raises(BaselineError, match="literals"):
+        model_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+@pytest.mark.parametrize("load, error", [
+    (DecisionTree.from_json, TreeError),
+    (Forest.from_json, ForestError),
+    (model_from_json, BaselineError),
+], ids=["tree", "forest", "baseline"])
+def test_non_object_payload_is_the_loaders_error(load, error, text):
+    with pytest.raises(error):
+        load(text)
