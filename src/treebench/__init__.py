@@ -32,7 +32,6 @@ from .criteria import (
     gini,
     gini_decrease,
     info_gain,
-    unit_cost_matrix,
 )
 from .dataset import (
     CategoricalTable,

@@ -14,11 +14,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
-from .dataset import CategoricalTable
+from .dataset import CategoricalTable, Rule, check_knobs, integer, list_of, number
 
 __all__ = [
     "BaselineError",
@@ -104,48 +103,32 @@ class _Baseline:
 # Trainer options
 
 
-def _whole(value, minimum: int) -> bool:
-    return (isinstance(value, Integral) and not isinstance(value, bool)
-            and value >= minimum)
+_POSITIVE = number("a finite number > 0", lambda v: 0 < v < math.inf)
 
-
-def _integer(minimum: int):
-    return (lambda v: _whole(v, minimum)), f"an integer >= {minimum}"
-
-
-def _number(test, text: str):
-    return (lambda v: isinstance(v, Real) and not isinstance(v, bool)
-            and test(v)), text
-
-
-_POSITIVE = _number(lambda v: 0 < v < math.inf, "a finite number > 0")
-
-# family -> knob -> (test, what the test demands)
-_OPTIONS = {
+# family -> the rule of each knob its trainer takes
+OPTIONS = {
     "logistic": {
-        "max_iterations": _integer(0),
+        "max_iterations": integer(0),
         "tolerance": _POSITIVE,
-        "l2": _number(lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+        "l2": number("a finite number >= 0", lambda v: 0 <= v < math.inf),
     },
     "mlp": {
-        "widths": ((lambda v: isinstance(v, (list, tuple))
-                    and all(_whole(w, 1) for w in v)), "a list of integers >= 1"),
+        "widths": list_of(integer(1), "a list of integers >= 1"),
         "learning_rate": _POSITIVE,
-        "epochs": _integer(0),
-        "batch_size": _integer(1),
-        "patience": _integer(1),
-        "seed": _integer(0),
+        "epochs": integer(0),
+        "batch_size": integer(1),
+        "patience": integer(1),
+        "seed": integer(0),
     },
     "bayes-net": {
-        "structure": ((lambda v: isinstance(v, str)
-                       and v in ("naive", "greedy-search")),
-                      "'naive' or 'greedy-search'"),
+        "structure": Rule("'naive' or 'greedy-search'",
+                          lambda v: v in ("naive", "greedy-search")),
         "alpha": _POSITIVE,
     },
     "decision-list": {
-        "min_coverage": _integer(1),
-        "purity_threshold": _number(lambda v: 0 <= v <= 1, "a number in [0, 1]"),
-        "max_literals": _integer(1),
+        "min_coverage": integer(1),
+        "purity_threshold": number("a number in [0, 1]", lambda v: 0 <= v <= 1),
+        "max_literals": integer(1),
     },
 }
 
@@ -153,16 +136,9 @@ _OPTIONS = {
 def check_options(family: str, options: dict) -> None:
     """Raise BaselineError for the first knob of a baseline trainer
     (``logistic``, ``mlp``, ``bayes-net`` or ``decision-list``) that it does
-    not take, of the wrong type or out of range.  Every trainer checks its
-    own knobs here, and the CLI checks a config's knobs before any fit."""
-    knobs = _OPTIONS[family]
-    for name, value in options.items():
-        if name not in knobs:
-            raise BaselineError(f"unknown knob {name!r}; {family} takes "
-                                f"{', '.join(knobs)}")
-        test, text = knobs[name]
-        if not test(value):
-            raise BaselineError(f"{name} must be {text}, got {value!r}")
+    not take or that breaks its rule.  Every trainer checks its own knobs
+    here."""
+    check_knobs(options, OPTIONS[family], family, BaselineError)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -608,9 +584,6 @@ class DecisionRule:
     klass: int
     precision: float
     coverage: int
-
-    def matches(self, row: np.ndarray) -> bool:
-        return all(int(row[j]) == code for j, code in self.literals)
 
 
 def _json_value(value):

@@ -18,27 +18,39 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .baselines import (
-    check_options,
+    OPTIONS,
     train_bayes_net,
     train_decision_list,
     train_logistic,
     train_mlp,
 )
 from .dataset import (
+    BOOLEAN,
+    CHARACTER,
+    CODES,
+    INTEGER,
+    OBJECT,
+    STRING,
     CategoricalTable,
     RecodeRuleSet,
+    Rule,
+    check,
+    check_knobs,
     filter_curve_cohort,
+    integer,
+    list_of,
     load_delimited,
+    optional,
     recode,
     schema_from_json,
     schema_to_json,
 )
 from .evaluation import RosterEntry, compare_models, make_folds
-from .forest import ForestParams, train_forest
+from .forest import FOREST_RULES, ForestError, ForestParams, train_forest
 from .seeding import derive_seed
 from .shapley import (
     CvSpec,
@@ -48,6 +60,8 @@ from .shapley import (
     make_background,
 )
 from .tree import (
+    TREE_RULES,
+    TreeError,
     TreeParams,
     export_dot,
     predictor_importance,
@@ -58,26 +72,32 @@ from .tree import (
     train_quest,
 )
 
-# Each model family's (table, params) trainer, in default-roster order, tree
-# growers first.  The lambdas look their trainer up when called, so a wrapper
-# set on this module's ``train_*`` attribute is the one that runs.
+
+def _tree_knobs(*names: str) -> dict:
+    return {name: TREE_RULES[name] for name in names}
+
+
+# Each model family's (table, params) trainer and the rule of each knob it
+# takes, in default-roster order, tree growers first.  A tree family takes
+# only the TreeParams fields its grower reads.  The lambdas look their
+# trainer up when called, so a wrapper set on this module's ``train_*``
+# attribute is the one that runs.
 _FAMILIES = {
-    "c50": lambda t, p: prune_c50(train_c50(t, p)),
-    "chaid": lambda t, p: train_chaid(t, p),
-    "cart": lambda t, p: train_cart(t, p),
-    "quest": lambda t, p: train_quest(t, p),
-    "bayes-net": lambda t, p: train_bayes_net(t, **p),
-    "logistic": lambda t, p: train_logistic(t, **p),
-    "mlp": lambda t, p: train_mlp(t, **p),
-    "decision-list": lambda t, p: train_decision_list(t, **p),
+    "c50": (lambda t, p: prune_c50(train_c50(t, p)),
+            _tree_knobs("min_records", "severity", "max_depth", "min_gain")),
+    "chaid": (lambda t, p: train_chaid(t, p),
+              _tree_knobs("min_records", "max_depth", "alpha")),
+    "cart": (lambda t, p: train_cart(t, p), _tree_knobs("min_records", "max_depth")),
+    "quest": (lambda t, p: train_quest(t, p), _tree_knobs("min_records", "max_depth")),
+    "bayes-net": (lambda t, p: train_bayes_net(t, **p), OPTIONS["bayes-net"]),
+    "logistic": (lambda t, p: train_logistic(t, **p), OPTIONS["logistic"]),
+    "mlp": (lambda t, p: train_mlp(t, **p), OPTIONS["mlp"]),
+    "decision-list": (lambda t, p: train_decision_list(t, **p),
+                      OPTIONS["decision-list"]),
 }
 
 DEFAULT_ROSTER = tuple(_FAMILIES)
 TREE_FAMILIES = DEFAULT_ROSTER[:4]
-
-_COHORT_KEYS = frozenset(
-    {"alignment_field", "curve_codes", "negotiating_field", "negotiating_codes"}
-)
 
 
 class ConfigError(ValueError):
@@ -106,23 +126,36 @@ class PipelineConfig:
     explain_rows: tuple[int, ...] = (0,)
 
 
-_CONFIG_KEYS = frozenset(f.name for f in fields(PipelineConfig))
+_PATHS = ("table", "schema", "raw", "rules")
+_PATH = Rule("a path string", lambda v: isinstance(v, str) and v != "")
+_SEED = Rule("an unsigned 64-bit integer",
+             lambda v: INTEGER.test(v) and 0 <= v < 2**64)
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _positive_int(value, name: str, minimum: int = 1) -> int:
-    if not _is_int(value) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}")
-    return value
-
-
-def _int_list(value, name: str) -> list:
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
-        raise ConfigError(f"{name} must be a list of integers")
-    return value
+# The rule of each config key
+_CONFIG_KEYS = {
+    "seed": _SEED,
+    "out_dir": _PATH,
+    **{key: optional(_PATH) for key in _PATHS},
+    "strict": BOOLEAN,
+    "expected_rows": optional(integer(1)),
+    "cohort": optional(OBJECT),
+    "delimiter": CHARACTER,
+    "folds": integer(2),
+    "roster": Rule(
+        "a non-empty list, without duplicates, of " + ", ".join(_FAMILIES),
+        lambda v: isinstance(v, list)
+        and all(isinstance(name, str) and name in _FAMILIES for name in v)
+        and 0 < len(v) == len(set(v))),
+    "roster_params": OBJECT,
+    "forest": OBJECT,
+    "background": integer(1),
+    "explain_rows": list_of(integer(0), "a non-empty list of integers >= 0",
+                            nonempty=True),
+}
+_COHORT_KEYS = {"alignment_field": STRING, "curve_codes": CODES,
+                "negotiating_field": STRING, "negotiating_codes": CODES}
+# the forest knobs a config sets: the seed comes from the master seed
+_FOREST_KNOBS = {k: rule for k, rule in FOREST_RULES.items() if k != "seed"}
 
 
 def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
@@ -139,123 +172,48 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
         payload = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: bad JSON: {e}") from e
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{p}: config must be a JSON object")
-    unknown = sorted(set(payload) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    check(payload, OBJECT, str(p), ConfigError)
+    check_knobs(payload, _CONFIG_KEYS, "config", ConfigError)
 
     if seed is None:
         if "seed" not in payload:
             raise ConfigError("config must set a seed; clock seeding is not supported")
         seed = payload["seed"]
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
+    check(seed, _SEED, "seed", ConfigError)
 
-    base = p.parent
-
-    def path_or_none(key: str) -> Path | None:
-        value = payload.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{key} must be a path string")
-        return base / value
-
-    folds = _positive_int(payload.get("folds", 10), "folds", minimum=2)
-    background = _positive_int(payload.get("background", 64), "background")
-
-    roster = payload.get("roster", list(DEFAULT_ROSTER))
-    if not isinstance(roster, list) or not roster:
-        raise ConfigError("roster must be a non-empty list of family names")
-    for name in roster:
-        if name not in DEFAULT_ROSTER:
-            raise ConfigError(
-                f"unknown model family {name!r}; choose from "
-                f"{', '.join(DEFAULT_ROSTER)}"
-            )
-    if len(set(roster)) != len(roster):
-        raise ConfigError("roster contains duplicate family names")
-
-    roster_params = payload.get("roster_params", {})
-    if not isinstance(roster_params, dict):
-        raise ConfigError("roster_params must map family name to a parameter object")
-    for name, params in roster_params.items():
-        if name not in DEFAULT_ROSTER:
-            raise ConfigError(f"roster_params names unknown family {name!r}")
-        if not isinstance(params, dict):
-            raise ConfigError(f"roster_params[{name!r}] must be an object")
+    check_knobs(payload.get("roster_params", {}),
+                {name: OBJECT for name in _FAMILIES}, "roster_params", ConfigError)
+    for name, params in payload.get("roster_params", {}).items():
         family_trainer(name, params, seed)  # raises on a bad parameter
 
     forest = payload.get("forest", {})
-    if not isinstance(forest, dict):
-        raise ConfigError("forest must be a parameter object")
     if "seed" in forest:
         raise ConfigError("forest.seed is derived from the master seed; remove it")
+    check_knobs(forest, _FOREST_KNOBS, "forest", ConfigError)
+    if forest.get("sample_size") is not None and forest.get("bootstrap") is False:
+        raise ConfigError("forest sets sample_size with bootstrap false, whose "
+                          "identity sample ignores it")
 
     cohort = payload.get("cohort")
     if cohort is not None:
-        if not isinstance(cohort, dict):
-            raise ConfigError("cohort must be an object")
-        bad = sorted(set(cohort) - _COHORT_KEYS)
-        if bad:
-            raise ConfigError(f"unknown cohort keys: {', '.join(bad)}")
+        check_knobs(cohort, _COHORT_KEYS, "cohort", ConfigError)
         if "alignment_field" not in cohort or "curve_codes" not in cohort:
             raise ConfigError("cohort needs alignment_field and curve_codes")
         if ("negotiating_field" in cohort) != ("negotiating_codes" in cohort):
             raise ConfigError(
                 "cohort needs negotiating_field and negotiating_codes together")
-        for key in ("alignment_field", "negotiating_field"):
-            if key in cohort and not isinstance(cohort[key], str):
-                raise ConfigError(f"cohort.{key} must be a column name")
-        for key in ("curve_codes", "negotiating_codes"):
-            if key in cohort:
-                _int_list(cohort[key], f"cohort.{key}")
 
-    expected = payload.get("expected_rows")
-    if expected is not None:
-        expected = _positive_int(expected, "expected_rows")
-
-    rows = payload.get("explain_rows", [0])
-    if not isinstance(rows, list) or not rows:
-        raise ConfigError("explain_rows must be a non-empty list of row indices")
-    for r in rows:
-        if not _is_int(r) or r < 0:
-            raise ConfigError("explain_rows entries must be non-negative integers")
-
-    strict = payload.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ConfigError("strict must be true or false")
-    delimiter = payload.get("delimiter", ",")
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError("delimiter must be a single character")
-
-    if out_dir is not None:
-        out = Path(out_dir)
-    else:
-        configured = payload.get("out_dir", "out")
-        if not isinstance(configured, str) or not configured:
-            raise ConfigError("out_dir must be a path string")
-        out = base / configured
-
-    return PipelineConfig(
-        seed=seed,
-        out_dir=out,
-        table=path_or_none("table"),
-        schema=path_or_none("schema"),
-        raw=path_or_none("raw"),
-        rules=path_or_none("rules"),
-        strict=strict,
-        expected_rows=expected,
-        cohort=cohort,
-        delimiter=delimiter,
-        folds=folds,
-        roster=tuple(roster),
-        roster_params={k: dict(v) for k, v in roster_params.items()},
-        forest=dict(forest),
-        background=background,
-        explain_rows=tuple(rows),
-    )
+    base = p.parent
+    values = dict(payload, seed=seed,
+                  out_dir=Path(out_dir) if out_dir is not None
+                  else base / payload.get("out_dir", "out"))
+    for key in _PATHS:
+        if values.get(key) is not None:
+            values[key] = base / values[key]
+    for key in ("roster", "explain_rows"):
+        if key in values:
+            values[key] = tuple(values[key])
+    return PipelineConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +261,21 @@ def _write(path: Path, text: str) -> None:
 def family_trainer(name: str, params: dict, master_seed: int):
     """Build one family's trainer callable from its config parameters.
 
-    Tree families share TreeParams; the entropy tree is post-pruned as part
-    of training.  The network trainer gets its seed from the master-seed
-    fan-out unless the config pins one explicitly.
+    Every family checks its knobs against ``_FAMILIES``.  Tree families
+    share TreeParams; the entropy tree is post-pruned as part of training.
+    The network trainer gets its seed from the master-seed fan-out unless
+    the config pins one explicitly.
     """
-    if name not in _FAMILIES:
-        raise ConfigError(f"unknown model family: {name}")
+    trainer, knobs = _FAMILIES[name]
+    check_knobs(params, knobs, name, ConfigError)
     if name == "mlp":
         params = {"seed": derive_seed(master_seed, "mlp"), **params}
-    try:
-        if name in TREE_FAMILIES:
+    if name in TREE_FAMILIES:
+        try:
             params = TreeParams(**params)
-        else:
-            check_options(name, params)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad parameters for {name}: {e}") from None
-    return functools.partial(_FAMILIES[name], p=params)
+        except TreeError as e:
+            raise ConfigError(f"bad parameters for {name}: {e}") from None
+    return functools.partial(trainer, p=params)
 
 
 def build_roster(config: PipelineConfig) -> list[RosterEntry]:
@@ -332,14 +289,14 @@ def build_roster(config: PipelineConfig) -> list[RosterEntry]:
 
 
 def _forest_params(config: PipelineConfig, table: CategoricalTable) -> ForestParams:
+    """The config's forest, seeded from the master seed; load_config checked
+    its knobs, so only features_per_split against the table can fail."""
+    params = ForestParams(seed=derive_seed(config.seed, "forest"), **config.forest)
     try:
-        params = ForestParams(
-            seed=derive_seed(config.seed, "forest"), **config.forest
-        )
         params.resolve_features_per_split(table.n_features)
-        return params
-    except (TypeError, ValueError) as e:
+    except ForestError as e:
         raise ConfigError(f"bad parameters for forest: {e}") from None
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Split-quality kernels: entropy, information gain, cost-weighted Gini,
+"""Split-quality kernels: entropy, information gain, Gini impurity,
 Gini decrease, and chi-square statistics, one table at a time or a batch of
 k x 2 tables at once.
 
@@ -33,22 +33,6 @@ def _as_counts(counts: Sequence[int] | np.ndarray, stacked: bool = False
     if not ((c >= 0) & (c < np.inf)).all():
         raise ValueError("class counts must be finite and non-negative")
     return c
-
-
-def unit_cost_matrix(m: int = 2) -> np.ndarray:
-    """Default misclassification cost: 1 off the diagonal, 0 on it."""
-    return np.ones((m, m)) - np.eye(m)
-
-
-def _check_cost(cost: np.ndarray, m: int) -> np.ndarray:
-    cost = np.asarray(cost, dtype=float)
-    if cost.shape != (m, m):
-        raise ValueError(f"cost matrix must be {m}x{m}, got {cost.shape}")
-    if np.any(np.diag(cost) != 0.0):
-        raise ValueError("cost matrix diagonal must be zero")
-    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
-        raise ValueError("cost matrix entries must be finite and non-negative")
-    return cost
 
 
 def entropy(counts: Sequence[int] | np.ndarray) -> float:
@@ -123,35 +107,28 @@ def _entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -acc
 
 
-def gini(
-    counts: Sequence[int] | np.ndarray,
-    cost: np.ndarray | None = None,
-) -> float:
-    """Cost-weighted Gini impurity sum_{i,j} C(i|j) p_i p_j.
-
-    With the default unit cost and two classes this reduces to 2p(1-p).
-    """
+def gini(counts: Sequence[int] | np.ndarray) -> float:
+    """Gini impurity sum_{i != j} p_i p_j; with two classes, 2p(1-p)."""
     c = _as_counts(counts)
     if c.sum() <= 0:
         raise ValueError("gini undefined for an empty node")
-    return _gini(c, _cost_or_unit(cost, c.size))
+    return _gini(c, _off_diagonal(c.size))
 
 
-def _cost_or_unit(cost: np.ndarray | None, m: int) -> np.ndarray:
-    return unit_cost_matrix(m) if cost is None else _check_cost(cost, m)
+def _off_diagonal(m: int) -> np.ndarray:
+    return np.ones((m, m)) - np.eye(m)
 
 
-def _gini(c: np.ndarray, cm: np.ndarray) -> float:
-    """``gini`` of nonempty float counts under a checked cost matrix."""
+def _gini(c: np.ndarray, off: np.ndarray) -> float:
+    """``gini`` of nonempty float counts, as p @ ``_off_diagonal`` @ p."""
     p = c / c.sum()
-    return float(p @ cm @ p)
+    return float(p @ off @ p)
 
 
 def gini_decrease(
     parent: Sequence[int] | np.ndarray,
     left: Sequence[int] | np.ndarray,
     right: Sequence[int] | np.ndarray,
-    cost: np.ndarray | None = None,
 ) -> float:
     """Impurity decrease of a binary split: Gini(parent) minus the
     probability-weighted child Ginis.  An empty child contributes weight 0.
@@ -165,12 +142,12 @@ def gini_decrease(
         raise ValueError("left + right totals must equal the parent total")
     if l.shape != p.shape or r.shape != p.shape:
         raise ValueError("left and right must count the parent's classes")
-    cm = _cost_or_unit(cost, p.size)
-    delta = _gini(p, cm)
+    off = _off_diagonal(p.size)
+    delta = _gini(p, off)
     for child in (l, r):
         n = child.sum()
         if n > 0:
-            delta -= (n / total) * _gini(child, cm)
+            delta -= (n / total) * _gini(child, off)
     return float(delta)
 
 

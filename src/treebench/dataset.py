@@ -16,13 +16,93 @@ import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from numbers import Integral, Real
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 
 class DatasetError(ValueError):
     """Raised for malformed input files, schemas, or rule sets."""
+
+
+# ---------------------------------------------------------------------------
+# Rules: one vocabulary checks every schema and rules field, config key and
+# parameter knob.  A failure is one line, ``<what> is not <rule>: <value>``,
+# raised as the caller's error class.
+# ---------------------------------------------------------------------------
+
+class Rule(NamedTuple):
+    text: str  # what a value must be, as an error names it
+    test: Callable[[object], bool]
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def integer(minimum: int | None = None) -> Rule:
+    """An integer (never a bool), at least ``minimum`` when given."""
+    if minimum is None:
+        return Rule("an integer", _is_integer)
+    return Rule(f"an integer >= {minimum}",
+                lambda v: _is_integer(v) and v >= minimum)
+
+
+def number(text: str, test: Callable[[Real], bool]) -> Rule:
+    """A real number (never a bool) that passes ``test``."""
+    return Rule(text, lambda v: isinstance(v, Real) and not isinstance(v, bool)
+                and test(v))
+
+
+def optional(rule: Rule) -> Rule:
+    return Rule(f"null or {rule.text}", lambda v: v is None or rule.test(v))
+
+
+def list_of(rule: Rule, text: str, nonempty: bool = False) -> Rule:
+    """A list or tuple, of at least one item with ``nonempty``, whose every
+    item passes ``rule``."""
+    return Rule(text, lambda v: isinstance(v, (list, tuple))
+                and (len(v) > 0 or not nonempty) and all(map(rule.test, v)))
+
+
+OBJECT = Rule("a JSON object", lambda v: isinstance(v, dict))
+LIST = Rule("a JSON list", lambda v: isinstance(v, list))
+STRING = Rule("a JSON string", lambda v: isinstance(v, str))
+BOOLEAN = Rule("true or false", lambda v: isinstance(v, bool))
+CHARACTER = Rule("a single character", lambda v: isinstance(v, str) and len(v) == 1)
+INTEGER = integer()
+CODES = list_of(INTEGER, "a JSON list of integers")
+NAMES = list_of(STRING, "a JSON list of strings")
+_NO_DEFAULT = object()
+
+
+def check(value, rule: Rule, what: str, error: type = DatasetError):
+    """``value``, unless it fails ``rule``: then ``error`` names ``what``."""
+    if not rule.test(value):
+        raise error(f"{what} is not {rule.text}: {value!r}")
+    return value
+
+
+def check_key(item: Mapping, key: str, rule: Rule, what: str,
+              default=_NO_DEFAULT, error: type = DatasetError):
+    """``item[key]``, checked by ``rule``; an absent key takes ``default``
+    and fails without one."""
+    if key not in item:
+        if default is _NO_DEFAULT:
+            raise error(f"{what} has no {key!r} key")
+        return default
+    return check(item[key], rule, f"{what} {key!r}", error)
+
+
+def check_knobs(knobs: Mapping, rules: Mapping[str, Rule], owner: str,
+                error: type = DatasetError) -> None:
+    """Check every knob of ``owner`` by its rule; a key ``rules`` does not
+    name is unknown."""
+    for key in knobs:
+        if key not in rules:
+            raise error(f"unknown knob {key!r}; {owner} takes {', '.join(rules)}")
+        check_key(knobs, key, rules[key], owner, error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -90,15 +170,15 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatasetError(f"bad schema JSON: {e}") from e
-    _require(payload, list, "schema")
+    check(payload, LIST, "schema")
     specs = []
     for i, item in enumerate(payload):
         entry = f"schema entry {i}"
-        _require(item, dict, entry)
+        check(item, OBJECT, entry)
         specs.append(FeatureSpec(
-            name=_field(item, "name", str, entry),
-            allowed_codes=tuple(_field(item, "codes", "codes", entry)),
-            missing_codes=frozenset(_field(item, "missing", "codes", entry, ())),
+            name=check_key(item, "name", STRING, entry),
+            allowed_codes=tuple(check_key(item, "codes", CODES, entry)),
+            missing_codes=frozenset(check_key(item, "missing", CODES, entry, ())),
             code_labels=_labels(item, entry),
         ))
     names = [spec.name for spec in specs]
@@ -107,41 +187,9 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
     return tuple(specs)
 
 
-# the kinds of parsed JSON value _require accepts: (name, test)
-_KINDS = {
-    dict: ("a JSON object", lambda v: isinstance(v, dict)),
-    list: ("a JSON list", lambda v: isinstance(v, list)),
-    str: ("a JSON string", lambda v: isinstance(v, str)),
-    int: ("an integer", lambda v: _is_code(v)),
-    "codes": ("a JSON list of integers",
-              lambda v: isinstance(v, list) and all(map(_is_code, v))),
-    "names": ("a JSON list of strings",
-              lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
-}
-_NO_DEFAULT = object()
-
-
-def _require(item, kind, what: str) -> None:
-    """Reject a parsed JSON value that is not of the kind the parser reads."""
-    name, test = _KINDS[kind]
-    if not test(item):
-        raise DatasetError(f"{what} is not {name}: {item!r}")
-
-
-def _field(item: dict, key: str, kind, what: str, default=_NO_DEFAULT):
-    """``item[key]``, checked by ``_require``; an absent key takes ``default``
-    and fails without one."""
-    if key not in item:
-        if default is _NO_DEFAULT:
-            raise DatasetError(f"{what} has no {key!r} key")
-        return default
-    _require(item[key], kind, f"{what} {key!r}")
-    return item[key]
-
-
 def _labels(item: dict, what: str) -> dict[int, str]:
     """The optional ``labels`` object, its keys read as integer codes."""
-    labels = _field(item, "labels", dict, what, {})
+    labels = check_key(item, "labels", OBJECT, what, {})
     try:
         return {int(k): v for k, v in labels.items()}
     except ValueError:
@@ -382,10 +430,6 @@ _CASE_TESTS = {
 }
 
 
-def _is_code(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_predicate(rule: str, predicate) -> None:
     """Reject a case predicate ``_CASE_TESTS`` cannot evaluate."""
     if not isinstance(predicate, Mapping) or len(predicate) != 1:
@@ -395,12 +439,13 @@ def _check_predicate(rule: str, predicate) -> None:
     if key not in _CASE_TESTS:
         raise DatasetError(f"rule {rule!r}: unknown predicate key {key!r} "
                            f"(expected one of {tuple(_CASE_TESTS)})")
-    if key == "in" and not (isinstance(arg, (list, tuple))
-                            and all(_is_code(v) for v in arg)):
-        raise DatasetError(
-            f"rule {rule!r}: 'in' needs a list of integers, got {arg!r}")
-    if key not in ("in", "any") and not _is_code(arg):
-        raise DatasetError(f"rule {rule!r}: {key!r} needs an integer, got {arg!r}")
+    if key != "any":
+        check(arg, CODES if key == "in" else INTEGER, f"rule {rule!r}: {key!r}")
+
+
+_COMBINE = Rule("'first', 'max' or 'min'", lambda v: v in ("first", "max", "min"))
+_DEFAULT = Rule("null, 'drop' or an integer",
+                lambda v: v is None or v == "drop" or _is_integer(v))
 
 
 @dataclass(frozen=True)
@@ -426,11 +471,8 @@ class RecodeRule:
         src = (self.source,) if isinstance(self.source, str) else tuple(self.source)
         if not src:
             raise DatasetError(f"rule {self.name!r}: no source column")
-        if self.combine not in ("first", "max", "min"):
-            raise DatasetError(f"rule {self.name!r}: unknown combine mode {self.combine!r}")
-        if not (self.default is None or self.default == "drop"
-                or _is_code(self.default)):
-            raise DatasetError(f"rule {self.name!r}: default must be None, 'drop', or a code")
+        check(self.combine, _COMBINE, f"rule {self.name!r}: 'combine'")
+        check(self.default, _DEFAULT, f"rule {self.name!r}: 'default'")
         if not self.cases and self.default in (None, "drop"):
             raise DatasetError(f"rule {self.name!r}: no cases and no assigning default")
         for predicate, _ in self.cases:
@@ -492,26 +534,26 @@ class RecodeRuleSet:
 
         def parse_rule(item: Mapping, entry: str) -> RecodeRule:
             entry = f"rule {entry}"
-            _require(item, dict, entry)
+            check(item, OBJECT, entry)
             cases = []
-            for k, case in enumerate(_field(item, "cases", list, entry, [])):
+            for k, case in enumerate(check_key(item, "cases", LIST, entry, [])):
                 where = f"{entry} case {k}"
-                _require(case, dict, where)
-                cases.append((_field(case, "when", dict, where),
-                              _field(case, "code", int, where)))
+                check(case, OBJECT, where)
+                cases.append((check_key(case, "when", OBJECT, where),
+                              check_key(case, "code", INTEGER, where)))
             return RecodeRule(
-                name=_field(item, "name", str, entry),
-                source=tuple(_field(item, "source", "names", entry)),
+                name=check_key(item, "name", STRING, entry),
+                source=tuple(check_key(item, "source", NAMES, entry)),
                 cases=tuple(cases),
-                missing=frozenset(_field(item, "missing", "codes", entry, ())),
+                missing=frozenset(check_key(item, "missing", CODES, entry, ())),
                 default=item.get("default"),
                 combine=item.get("combine", "first"),
                 labels=_labels(item, entry),
             )
 
-        _require(payload, dict, "rules file")
-        features = _field(payload, "features", list, "rules file")
-        target = _field(payload, "target", dict, "rules file")
+        check(payload, OBJECT, "rules file")
+        features = check_key(payload, "features", LIST, "rules file")
+        target = check_key(payload, "target", OBJECT, "rules file")
         return cls(
             features=tuple(parse_rule(r, f"features[{i}]")
                            for i, r in enumerate(features)),
@@ -585,7 +627,7 @@ def recode(raw: RawTable, rules: RecodeRuleSet, strict: bool = True
             hit = _CASE_TESTS[key](value, arg)
             codes[hit] = code
             covered |= hit
-        if _is_code(rule.default):
+        if _is_integer(rule.default):
             codes[~covered] = rule.default
         else:  # "drop" or None: an uncovered row leaves the output
             bad = alive & ~covered

@@ -8,11 +8,11 @@ result.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import CategoricalTable
+from .dataset import BOOLEAN, CategoricalTable, check_knobs, integer, optional
 from .tree import DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow
 
 
@@ -20,10 +20,16 @@ class ForestError(ValueError):
     """Raised for invalid forest parameters."""
 
 
-# Smallest valid value of each integer field of ForestParams.  None is also
-# valid where it is the default.
-_MINIMUM = {"n_trees": 1, "features_per_split": 1, "sample_size": 1,
-            "min_records": 1, "max_depth": 0, "seed": 0}
+# The rule of each ForestParams field
+FOREST_RULES = {
+    "n_trees": integer(1),
+    "features_per_split": optional(integer(1)),
+    "sample_size": optional(integer(1)),
+    "bootstrap": BOOLEAN,
+    "min_records": integer(1),
+    "max_depth": optional(integer(0)),
+    "seed": integer(0),
+}
 
 
 @dataclass(frozen=True)
@@ -41,17 +47,7 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.bootstrap, bool):
-            raise ForestError(
-                f"bootstrap must be true or false, got {self.bootstrap!r}")
-        for f in fields(self):
-            value, minimum = getattr(self, f.name), _MINIMUM.get(f.name)
-            if minimum is None or (value is None and f.default is None):
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < minimum):
-                raise ForestError(
-                    f"{f.name} must be an integer >= {minimum}, got {value!r}")
+        check_knobs(vars(self), FOREST_RULES, "ForestParams", ForestError)
 
     def resolve_features_per_split(self, m: int) -> int:
         if self.features_per_split is None:
@@ -121,6 +117,7 @@ class Forest:
     def from_json(cls, text: str) -> "Forest":
         payload = json.loads(text)
         try:
+            check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
             params = ForestParams(**payload["params"])
             n = payload["n_rows"]
             trees = tuple(DecisionTree.from_payload(t) for t in payload["trees"])

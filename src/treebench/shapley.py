@@ -105,12 +105,14 @@ def _collect_leaves(tree: DecisionTree, leaf_value, universes) -> list:
     """(value, {feature: pass mask}) for every way prediction can stop.
 
     A leaf with an all-False mask is left out: every row and every background
-    row fails that feature, so the leaf adds exactly 0.
+    row fails that feature, so the leaf adds exactly 0.  Rows a split sends
+    to an empty child stop at the split's node, as ``DecisionTree._stops``
+    stops them.
     """
     leaves = []
 
     def walk(node: TreeNode, masks: dict) -> None:
-        if node.split is None or node.total == 0:
+        if node.split is None:
             leaves.append((leaf_value(node), masks))
             return
         f = node.split.feature
@@ -122,7 +124,9 @@ def _collect_leaves(tree: DecisionTree, leaf_value, universes) -> list:
             leaves.append((leaf_value(node), {**masks, f: fallback}))
         for hit, child in zip(hits, node.children):
             mask = allowed & hit
-            if mask.any():
+            if mask.any() and child.total == 0:
+                leaves.append((leaf_value(node), {**masks, f: mask}))
+            elif mask.any():
                 walk(child, {**masks, f: mask})
 
     walk(tree.root, {})

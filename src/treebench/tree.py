@@ -19,19 +19,32 @@ import math
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
-from numbers import Integral, Real
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .criteria import chi_square_k2, gini_decrease, info_gain
-from .dataset import CategoricalTable
+from .dataset import (CategoricalTable, Rule, check_key, check_knobs, integer,
+                      number, optional)
 
 _GAIN_EPS = 1e-12
 
-# Type of each numeric TreeParams field (never a bool); max_depth may be None.
-_NUMERIC = {"min_records": Integral, "severity": Real, "max_depth": Integral,
-            "alpha": Real, "min_gain": Real}
+# The rule of each TreeParams field
+TREE_RULES = {
+    "min_records": integer(1),
+    "severity": number("a number in (0, 100)", lambda v: 0 < v < 100),
+    "max_depth": optional(integer(0)),
+    "alpha": number("a number in (0, 1)", lambda v: 0 < v < 1),
+    "min_gain": number("a number >= 0", lambda v: v >= 0),
+}
+# The rule of each value a tree payload's node holds
+_NATURAL = integer(0)
+_NODE_RULES = {
+    "counts": Rule("a list of two integers >= 0", lambda v: isinstance(v, list)
+                   and len(v) == 2 and all(map(_NATURAL.test, v))),
+    "prediction": Rule("0 or 1", lambda v: _NATURAL.test(v) and v <= 1),
+    "confidence": number("a number in [0, 1]", lambda v: 0 <= v <= 1),
+}
 
 
 class TreeError(ValueError):
@@ -59,21 +72,8 @@ class TreeParams:
     min_gain: float = _GAIN_EPS
 
     def __post_init__(self):
-        for name, kind in _NUMERIC.items():
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, kind)) and not (
-                    value is None and name == "max_depth"):
-                noun = "an integer" if kind is Integral else "a number"
-                raise TreeError(f"{name} must be {noun}, got {value!r}")
-        if self.min_records < 1:
-            raise TreeError("min_records must be at least 1")
+        check_knobs(vars(self), TREE_RULES, "TreeParams", TreeError)
         _confidence_factor(self.severity)
-        if not 0.0 < self.alpha < 1.0:
-            raise TreeError("alpha must lie in (0, 1)")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise TreeError("max_depth must be non-negative")
-        if not self.min_gain >= 0.0:
-            raise TreeError("min_gain must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,28 +237,36 @@ class DecisionTree:
             if "split" in item:
                 s = item["split"]
                 split = Split(
-                    feature=s["feature"],
+                    feature=check_key(s, "feature", feature, "split", error=TreeError),
                     arity=s["arity"],
                     branches=tuple(tuple(b) for b in s["branches"]),
                 )
                 children = tuple(parse_node(c) for c in item["children"])
                 if len(children) != len(split.branches):
                     raise TreeError("a split needs one child per branch")
+            counts, prediction, confidence = (
+                check_key(item, key, rule, "tree node", error=TreeError)
+                for key, rule in _NODE_RULES.items())
             return TreeNode(
-                counts=np.array(item["counts"], dtype=np.int64),
-                prediction=item["prediction"],
-                confidence=item["confidence"],
+                counts=np.array(counts, dtype=np.int64),
+                prediction=prediction,
+                confidence=confidence,
                 split=split,
                 children=children,
                 score=item.get("score", 0.0),
             )
 
         try:
+            names = tuple(payload["feature_names"])
+            feature = Rule(f"an index into feature_names, below {len(names)}",
+                           lambda v: _NATURAL.test(v) and v < len(names))
+            params = payload["params"]
+            check_knobs(params, TREE_RULES, "TreeParams", TreeError)
             return cls(
                 root=parse_node(payload["root"]),
                 algorithm=payload["algorithm"],
-                params=TreeParams(**payload["params"]),
-                feature_names=tuple(payload["feature_names"]),
+                params=TreeParams(**params),
+                feature_names=names,
                 schema_hash=payload["schema_hash"],
                 n_rows=payload["n_rows"],
             )
@@ -720,7 +728,7 @@ def _gini_chooser(data: CategoricalTable, params: TreeParams, universes):
 
     def node_gini(n0, n1, total):
         # total is n0 + n1, the integer the scalar formula sums
-        # for two classes under unit cost, gini reduces to 2*p0*p1
+        # for two classes, gini is 2*p0*p1
         return 2.0 * n0 * n1 / (total * total)
 
     def choose(step):

@@ -360,7 +360,7 @@ def test_decision_list_rule_coverage_disjoint():
     claimed = np.full(80, -1)
     for rank, rule in enumerate(model.rules):
         for i, row in enumerate(rows):
-            if claimed[i] == -1 and rule.matches(row):
+            if claimed[i] == -1 and all(row[j] == code for j, code in rule.literals):
                 claimed[i] = rank
     for rank, rule in enumerate(model.rules):
         assert int((claimed == rank).sum()) == rule.coverage

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -199,6 +200,10 @@ def test_missing_schema_file_is_usage_error(tmp_path, capsys):
     ("compare", {"roster": ["mlp"], "roster_params": {"mlp": {"seeds": [1]}}},
      "seeds"),
     ("explain", {"forest": {"n_tree": 4}}, "n_tree"),
+    # the forest block is checked at load, whichever command runs
+    ("compare", {"forest": {"n_tree": 4}}, "n_tree"),
+    # the identity sample of bootstrap false ignores sample_size
+    ("explain", {"forest": {"sample_size": 50, "bootstrap": False}}, "sample_size"),
 ])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
                                             overrides, needle):
@@ -208,6 +213,34 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert needle in err and "Traceback" not in err
+    assert not (tmp_path / "artifacts").exists()
+
+
+# The TreeParams fields each tree family's grower reads; a valid value of each
+GROWER_READS = {
+    "c50": ("min_records", "severity", "max_depth", "min_gain"),
+    "chaid": ("min_records", "max_depth", "alpha"),
+    "cart": ("min_records", "max_depth"),
+    "quest": ("min_records", "max_depth"),
+}
+KNOB_VALUES = {"min_records": 3, "severity": 50.0, "max_depth": 2, "alpha": 0.1,
+               "min_gain": 0.0}
+
+
+@pytest.mark.parametrize("family", sorted(GROWER_READS))
+@pytest.mark.parametrize("knob", [f.name for f in fields(TreeParams)])
+def test_tree_family_takes_only_the_knobs_its_grower_reads(tmp_path, capsys,
+                                                          family, knob):
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, roster=[family],
+                       roster_params={family: {knob: KNOB_VALUES[knob]}})
+    if knob in GROWER_READS[family]:
+        assert load_config(cfg).roster_params == {family: {knob: KNOB_VALUES[knob]}}
+        return
+    assert cli.main(["compare", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"'{knob}'" in err and family in err
     assert not (tmp_path / "artifacts").exists()
 
 
@@ -590,11 +623,25 @@ NEGOTIATING_PAIR = "cohort needs negotiating_field and negotiating_codes togethe
 
 
 @pytest.mark.parametrize("key, value, needle", [
-    ("curve_codes", 5, "cohort.curve_codes must be a list of integers"),
-    ("negotiating_codes", 3, "cohort.negotiating_codes must be a list of integers"),
-    ("curve_codes", [2, "3"], "cohort.curve_codes must be a list of integers"),
-    ("alignment_field", 5, "cohort.alignment_field must be a column name"),
-    ("negotiating_field", ["PRE"], "cohort.negotiating_field must be a column name"),
+    pytest.param("curve_codes", 5,
+                 "cohort 'curve_codes' is not a JSON list of integers: 5",
+                 id="curve_codes-5-cohort.curve_codes must be a list of integers"),
+    pytest.param("negotiating_codes", 3,
+                 "cohort 'negotiating_codes' is not a JSON list of integers: 3",
+                 id="negotiating_codes-3-cohort.negotiating_codes must be a list "
+                    "of integers"),
+    pytest.param("curve_codes", [2, "3"],
+                 "cohort 'curve_codes' is not a JSON list of integers: [2, '3']",
+                 id="curve_codes-value2-cohort.curve_codes must be a list of "
+                    "integers"),
+    pytest.param("alignment_field", 5,
+                 "cohort 'alignment_field' is not a JSON string: 5",
+                 id="alignment_field-5-cohort.alignment_field must be a column "
+                    "name"),
+    pytest.param("negotiating_field", ["PRE"],
+                 "cohort 'negotiating_field' is not a JSON string: ['PRE']",
+                 id="negotiating_field-value4-cohort.negotiating_field must be a "
+                    "column name"),
     pytest.param("negotiating_field", ABSENT, NEGOTIATING_PAIR,
                  id="codes-without-field"),
     pytest.param("negotiating_codes", ABSENT, NEGOTIATING_PAIR,
@@ -707,7 +754,7 @@ _DELETE = object()
                  "rule features[0] is not a JSON object",
                  id="ingest-rules.json-features0-not-object"),
     pytest.param("ingest", "rules.json", ("features", 0, "cases", 0, "when"),
-                 {"in": 5}, "rule 'sex': 'in' needs a list of integers",
+                 {"in": 5}, "rule 'sex': 'in' is not a JSON list of integers: 5",
                  id="ingest-rules.json-case-in-not-list"),
     pytest.param("compare", "schema.json", (1, "codes"), 5,
                  "schema entry 1 'codes' is not a JSON list of integers",

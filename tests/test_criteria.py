@@ -16,7 +16,6 @@ from treebench.criteria import (
     gini,
     gini_decrease,
     info_gain,
-    unit_cost_matrix,
 )
 
 import oracles
@@ -41,16 +40,6 @@ def info_gain_oracle(parent, children):
         (sum(k) / total) * entropy_oracle(k) for k in children if sum(k) > 0
     )
     return entropy_oracle(parent) - weighted
-
-
-def gini_oracle(counts, cost):
-    total = sum(counts)
-    p = [c / total for c in counts]
-    return sum(
-        cost[i][j] * p[i] * p[j]
-        for i in range(len(p))
-        for j in range(len(p))
-    )
 
 
 def pearson_oracle(table):
@@ -225,11 +214,6 @@ class TestGini:
     def test_uniform_binary(self):
         assert gini([5, 5]) == pytest.approx(0.5, abs=1e-12)
 
-    def test_asymmetric_cost(self):
-        # cost[i][j] is the cost of calling a true class-j row class i
-        cost = np.array([[0.0, 2.0], [1.0, 0.0]])
-        assert gini([3, 7], cost) == pytest.approx(0.63, abs=1e-12)
-
     def test_unit_cost_identity(self):
         # with unit cost, gini = 1 - sum p_i^2
         rng = np.random.default_rng(46)
@@ -240,25 +224,6 @@ class TestGini:
                 counts[0] = 1
             p = counts / counts.sum()
             assert gini(counts) == pytest.approx(1.0 - (p ** 2).sum(), abs=1e-12)
-
-    def test_matches_oracle_with_random_costs(self):
-        rng = np.random.default_rng(47)
-        for _ in range(300):
-            m = int(rng.integers(2, 5))
-            counts = rng.integers(1, 40, size=m)
-            cost = rng.uniform(0, 3, size=(m, m))
-            np.fill_diagonal(cost, 0.0)
-            assert gini(counts, cost) == pytest.approx(
-                gini_oracle(counts.tolist(), cost.tolist()), abs=1e-12
-            )
-
-    def test_bad_cost_matrix(self):
-        with pytest.raises(ValueError):
-            gini([3, 7], np.array([[1.0, 1.0], [1.0, 0.0]]))  # nonzero diagonal
-        with pytest.raises(ValueError):
-            gini([3, 7], np.array([[0.0, -1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            gini([3, 7], np.eye(3) * 0)  # wrong shape
 
     def test_empty_counts_error(self):
         with pytest.raises(ValueError):
@@ -291,30 +256,19 @@ class TestGiniDecrease:
             gini_decrease([6, 4], [4, 1], [2, 2])
 
     def test_equals_public_gini_terms_bit_for_bit(self):
-        """Checking the cost once per call gives the float that a public
-        ``gini`` call per node gave."""
+        """The decrease is the float of a public ``gini`` call per node."""
         rng = np.random.default_rng(49)
-        for cost in (None, [[0.0, 1.0], [2.5, 0.0]], np.array([[0.0, 0.3], [0.7, 0.0]])):
-            for _ in range(200):
-                left, right = rng.integers(0, 30, size=2), rng.integers(0, 30, size=2)
-                parent = left + right
-                if parent.sum() == 0:
-                    continue
-                expected = gini(parent, cost)
-                for child in (left, right):
-                    if child.sum() > 0:
-                        expected -= (child.sum() / parent.sum()) * gini(child, cost)
-                got = gini_decrease(parent, left, right, cost)
-                assert got.hex() == float(expected).hex()
-
-    @pytest.mark.parametrize("cost, match", [
-        ([[1.0, 1.0], [1.0, 0.0]], "diagonal"),
-        ([[0.0, -1.0], [1.0, 0.0]], "non-negative"),
-        (np.zeros((3, 3)), "2x2"),
-    ])
-    def test_bad_cost_rejected(self, cost, match):
-        with pytest.raises(ValueError, match=match):
-            gini_decrease([6, 4], [4, 1], [2, 3], cost)
+        for _ in range(200):
+            left, right = rng.integers(0, 30, size=2), rng.integers(0, 30, size=2)
+            parent = left + right
+            if parent.sum() == 0:
+                continue
+            expected = gini(parent)
+            for child in (left, right):
+                if child.sum() > 0:
+                    expected -= (child.sum() / parent.sum()) * gini(child)
+            got = gini_decrease(parent, left, right)
+            assert got.hex() == float(expected).hex()
 
     def test_children_must_count_the_parents_classes(self):
         with pytest.raises(ValueError, match="parent's classes"):
@@ -444,10 +398,3 @@ class TestNonFiniteCounts:
     def test_chi_square_sf_rejects(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             chi_square_sf(bad, 1)
-
-
-def test_unit_cost_matrix_shape():
-    c = unit_cost_matrix(3)
-    assert c.shape == (3, 3)
-    assert np.all(np.diag(c) == 0)
-    assert np.all(c + np.eye(3) == 1)

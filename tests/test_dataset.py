@@ -274,10 +274,10 @@ class TestRecode:
     @pytest.mark.parametrize("cases, match", [
         # an unknown key behind a catch-all case would never be evaluated
         ((({"any": 1}, 0), ({"zz": 1}, 1)), "unknown predicate key 'zz'"),
-        ((({"in": 5}, 0),), "'in' needs a list of integers"),
-        ((({"in": [1, "2"]}, 0),), "'in' needs a list of integers"),
-        ((({"lt": 1.5}, 0),), "'lt' needs an integer"),
-        ((({"ge": True}, 0),), "'ge' needs an integer"),
+        ((({"in": 5}, 0),), "'in' is not a JSON list of integers: 5"),
+        ((({"in": [1, "2"]}, 0),), "'in' is not a JSON list of integers"),
+        ((({"lt": 1.5}, 0),), "'lt' is not an integer: 1.5"),
+        ((({"ge": True}, 0),), "'ge' is not an integer: True"),
         ((({"lt": 1, "gt": 0}, 0),), "exactly one key"),
         (((5, 0),), "exactly one key"),
     ], ids=["unknown-key-behind-catch-all", "in-not-list", "in-non-integer",
@@ -316,7 +316,7 @@ class TestRecode:
         ("cases", [{"when": 5, "code": 1}],
          "rule features\\[0\\] case 0 'when' is not a JSON object"),
         ("cases", [{"code": 1}], "rule features\\[0\\] case 0 has no 'when' key"),
-        ("default", 1.5, "default must be None, 'drop', or a code"),
+        ("default", 1.5, "'default' is not null, 'drop' or an integer: 1.5"),
         ("labels", {"0": "low", "x": "high"},
          "rule features\\[0\\] 'labels' keys are not all integer codes"),
     ], ids=["source-entry", "source-string", "missing-bool", "code-list",

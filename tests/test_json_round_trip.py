@@ -144,6 +144,16 @@ _TREE_DEFECTS = {
     "split-without-children": lambda p: p["root"].pop("children"),
     "one-child-two-branches": _drop_child,
     "extra-child": lambda p: p["root"]["children"].append(p["root"]["children"][0]),
+    # a split feature outside feature_names, counts that are not two
+    # non-negative integers, a label that is no class, a confidence that is
+    # no fraction
+    "feature-past-the-names": lambda p: p["root"]["split"].update(feature=2),
+    "feature-negative": lambda p: p["root"]["split"].update(feature=-1),
+    "counts-scalar": lambda p: p["root"].update(counts=5),
+    "counts-three": lambda p: p["root"]["children"][0].update(counts=[1, 2, 0]),
+    "counts-negative": lambda p: p["root"]["children"][1].update(counts=[-1, 4]),
+    "prediction-seven": lambda p: p["root"].update(prediction=7),
+    "confidence-above-one": lambda p: p["root"]["children"][0].update(confidence=1.5),
 }
 
 
