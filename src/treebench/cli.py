@@ -60,7 +60,7 @@ from .shapley import (
     make_background,
 )
 from .tree import (
-    TREE_RULES,
+    GROWER_KNOBS,
     TreeError,
     TreeParams,
     export_dot,
@@ -73,22 +73,16 @@ from .tree import (
 )
 
 
-def _tree_knobs(*names: str) -> dict:
-    return {name: TREE_RULES[name] for name in names}
-
-
 # Each model family's (table, params) trainer and the rule of each knob it
 # takes, in default-roster order, tree growers first.  A tree family takes
-# only the TreeParams fields its grower reads.  The lambdas look their
-# trainer up when called, so a wrapper set on this module's ``train_*``
-# attribute is the one that runs.
+# the TreeParams fields its grower reads.  The lambdas look their trainer up
+# when called, so a wrapper set on this module's ``train_*`` attribute is
+# the one that runs.
 _FAMILIES = {
-    "c50": (lambda t, p: prune_c50(train_c50(t, p)),
-            _tree_knobs("min_records", "severity", "max_depth", "min_gain")),
-    "chaid": (lambda t, p: train_chaid(t, p),
-              _tree_knobs("min_records", "max_depth", "alpha")),
-    "cart": (lambda t, p: train_cart(t, p), _tree_knobs("min_records", "max_depth")),
-    "quest": (lambda t, p: train_quest(t, p), _tree_knobs("min_records", "max_depth")),
+    "c50": (lambda t, p: prune_c50(train_c50(t, p)), GROWER_KNOBS["c50"]),
+    "chaid": (lambda t, p: train_chaid(t, p), GROWER_KNOBS["chaid"]),
+    "cart": (lambda t, p: train_cart(t, p), GROWER_KNOBS["cart"]),
+    "quest": (lambda t, p: train_quest(t, p), GROWER_KNOBS["quest"]),
     "bayes-net": (lambda t, p: train_bayes_net(t, **p), OPTIONS["bayes-net"]),
     "logistic": (lambda t, p: train_logistic(t, **p), OPTIONS["logistic"]),
     "mlp": (lambda t, p: train_mlp(t, **p), OPTIONS["mlp"]),
@@ -190,9 +184,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
     if "seed" in forest:
         raise ConfigError("forest.seed is derived from the master seed; remove it")
     check_knobs(forest, _FOREST_KNOBS, "forest", ConfigError)
-    if forest.get("sample_size") is not None and forest.get("bootstrap") is False:
-        raise ConfigError("forest sets sample_size with bootstrap false, whose "
-                          "identity sample ignores it")
+    _forest_params(forest, seed)  # raises on knobs that clash
 
     cohort = payload.get("cohort")
     if cohort is not None:
@@ -288,12 +280,14 @@ def build_roster(config: PipelineConfig) -> list[RosterEntry]:
     return entries
 
 
-def _forest_params(config: PipelineConfig, table: CategoricalTable) -> ForestParams:
-    """The config's forest, seeded from the master seed; load_config checked
-    its knobs, so only features_per_split against the table can fail."""
-    params = ForestParams(seed=derive_seed(config.seed, "forest"), **config.forest)
+def _forest_params(forest: dict, seed: int,
+                   table: CategoricalTable | None = None) -> ForestParams:
+    """A config's forest block, seeded from the master seed, and checked
+    against ``table``'s feature count when given."""
     try:
-        params.resolve_features_per_split(table.n_features)
+        params = ForestParams(seed=derive_seed(seed, "forest"), **forest)
+        if table is not None:
+            params.resolve_features_per_split(table.n_features)
     except ForestError as e:
         raise ConfigError(f"bad parameters for forest: {e}") from None
     return params
@@ -325,13 +319,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
     print(f"loaded {raw.n_rows} rows from {raw_path.name}")
 
     if config.cohort is not None:
-        raw, retained, discarded = filter_curve_cohort(
-            raw,
-            config.cohort["alignment_field"],
-            config.cohort["curve_codes"],
-            config.cohort.get("negotiating_field"),
-            config.cohort.get("negotiating_codes", ()),
-        )
+        raw, retained, discarded = filter_curve_cohort(raw, **config.cohort)
         cohort_audit = {"retained": retained, "discarded": discarded}
         print(f"cohort filter retained {retained}, discarded {discarded}")
 
@@ -367,7 +355,7 @@ def cmd_select_features(config: PipelineConfig) -> int:
     """Backward elimination over the coded table; writes the trace."""
     table = _load_table(config)
     _check_folds(config, table, min_train=2)
-    params = _forest_params(config, table)
+    params = _forest_params(config.forest, config.seed, table)
     cv = CvSpec(
         k=config.folds, stratified=True, seed=derive_seed(config.seed, "folds")
     )
@@ -454,7 +442,7 @@ def cmd_explain(config: PipelineConfig) -> int:
             raise ConfigError(
                 f"explain_rows entry {r} out of range for {table.n_rows} rows"
             )
-    forest = train_forest(table, _forest_params(config, table))
+    forest = train_forest(table, _forest_params(config.forest, config.seed, table))
     background = make_background(
         table, config.background, derive_seed(config.seed, "background")
     )

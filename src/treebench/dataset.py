@@ -242,14 +242,9 @@ class CategoricalTable:
     def __init__(self, schema: Sequence[FeatureSpec], rows: np.ndarray,
                  target: np.ndarray):
         self.schema = tuple(schema)
-        self.rows = np.ascontiguousarray(rows, dtype=np.int64)
-        self.target = np.ascontiguousarray(target, dtype=np.int64)
-        # a contiguous int64 input comes back as itself; copy it, so freezing
-        # the table does not reach the caller's array
-        if self.rows is rows:
-            self.rows = self.rows.copy()
-        if self.target is target:
-            self.target = self.target.copy()
+        # copies, so freezing the table does not reach the caller's arrays
+        self.rows = np.array(rows, dtype=np.int64, order="C")
+        self.target = np.array(target, dtype=np.int64, order="C")
         n, m = self.rows.shape if self.rows.ndim == 2 else (0, 0)
         if m != len(self.schema):
             raise DatasetError("row matrix width does not match schema")

@@ -36,7 +36,8 @@ FOREST_RULES = {
 class ForestParams:
     """Ensemble knobs.  ``features_per_split`` defaults to ceil(sqrt(m));
     ``sample_size`` defaults to n; ``bootstrap=False`` uses the identity
-    sample (every tree sees all rows, still with feature subsampling)."""
+    sample (every tree sees all rows, still with feature subsampling), so
+    it takes no ``sample_size``."""
 
     n_trees: int = 500
     features_per_split: int | None = None
@@ -48,6 +49,9 @@ class ForestParams:
 
     def __post_init__(self):
         check_knobs(vars(self), FOREST_RULES, "ForestParams", ForestError)
+        if self.sample_size is not None and not self.bootstrap:
+            raise ForestError("sample_size is set with bootstrap false, whose "
+                              "identity sample ignores it")
 
     def resolve_features_per_split(self, m: int) -> int:
         if self.features_per_split is None:
@@ -165,8 +169,7 @@ def train_forests(data: CategoricalTable, params: ForestParams,
     members = [(rows[bag], np.random.default_rng([params.seed, i, 1]))
                for rows, forest_bags in zip(row_sets, bags)
                for i, bag in enumerate(forest_bags)]
-    roots = iter(_grow(data, tree_params, _gini_chooser, "binary", True,
-                       members, k))
+    roots = iter(_grow(data, tree_params, _gini_chooser, "binary", members, k))
     schema_hash = data.schema_hash()
     return [
         Forest(

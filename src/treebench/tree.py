@@ -37,6 +37,14 @@ TREE_RULES = {
     "alpha": number("a number in (0, 1)", lambda v: 0 < v < 1),
     "min_gain": number("a number >= 0", lambda v: v >= 0),
 }
+# The TreeParams fields each grower reads, with their rules; a grower
+# refuses a change to any other field
+GROWER_KNOBS = {grower: {name: TREE_RULES[name] for name in names} for grower, names in {
+    "c50": ("min_records", "severity", "max_depth", "min_gain"),
+    "chaid": ("min_records", "max_depth", "alpha"),
+    "cart": ("min_records", "max_depth"),
+    "quest": ("min_records", "max_depth"),
+}.items()}
 # The rule of each value a tree payload's node holds
 _NATURAL = integer(0)
 _NODE_RULES = {
@@ -53,7 +61,8 @@ class TreeError(ValueError):
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Shared induction knobs.
+    """Induction knobs.  A grower reads only its ``GROWER_KNOBS`` and
+    refuses any other field set away from its default.
 
     ``min_records`` is the minimum row count for every nonempty child
     branch.  ``severity`` steers pruning: confidence factor
@@ -376,15 +385,15 @@ class _Step:
 
 
 def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
-          reuse_features: bool, members, features_per_split: int | None = None
-          ) -> list[TreeNode]:
+          members, features_per_split: int | None = None) -> list[TreeNode]:
     """Grow one tree per member top-down, all members in lockstep; the four
     growers differ only in ``chooser``.
 
     A member is (root row indices, generator or None).  The indices point
     into ``data`` and may repeat, as a bootstrap bag does.  A node stays a
     leaf when it is pure, has no feature left, or sits at ``max_depth``.
-    Unless ``reuse_features``, a feature splits at most once per path.
+    A binary split leaves its feature to split again below it; a multiway
+    or merged split uses every code, so its feature splits once per path.
 
     Each member keeps a stack of the nodes it may still split.  A member
     with a generator gives each step its next node in preorder, which draws
@@ -471,7 +480,7 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
         for i in split:
             stack, node, _, available, depth, _ = batch[i]
             node.score, f, branches = chosen[i]
-            if not reuse_features:
+            if arity != "binary":
                 available = tuple(g for g in available if g != f)
             children, grown = [], []
             for b in range(1, len(branches) + 1):
@@ -511,10 +520,13 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
 
 
 def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
-           chooser, arity: str, reuse_features: bool) -> DecisionTree:
+           chooser, arity: str) -> DecisionTree:
     params = params or TreeParams()
-    [root] = _grow(data, params, chooser, arity, reuse_features,
-                   [(np.arange(data.n_rows), None)])
+    # refuse a field the grower does not read, set away from its default (a
+    # dataclass keeps each field's default as a class attribute)
+    check_knobs({k: v for k, v in vars(params).items() if v != getattr(TreeParams, k)},
+                GROWER_KNOBS[algorithm], algorithm, TreeError)
+    [root] = _grow(data, params, chooser, arity, [(np.arange(data.n_rows), None)])
     return DecisionTree(root=root, algorithm=algorithm, params=params,
                         feature_names=data.feature_names,
                         schema_hash=data.schema_hash(), n_rows=data.n_rows)
@@ -579,7 +591,7 @@ def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> Decis
     Growth stops on purity, exhausted features, best gain below
     ``min_gain``, or any nonempty branch falling under ``min_records``.
     """
-    return _train("c50", data, params, _gain_chooser, "multiway", False)
+    return _train("c50", data, params, _gain_chooser, "multiway")
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +793,7 @@ def train_cart(data: CategoricalTable, params: TreeParams | None = None) -> Deci
     the largest impurity decrease wins, with ties going to the lowest
     feature index and then the lexicographically smallest subset.
     """
-    return _train("cart", data, params, _gini_chooser, "binary", True)
+    return _train("cart", data, params, _gini_chooser, "binary")
 
 
 # ---------------------------------------------------------------------------
@@ -789,16 +801,12 @@ def train_cart(data: CategoricalTable, params: TreeParams | None = None) -> Deci
 # ---------------------------------------------------------------------------
 
 def stirling2(n: int, k: int) -> int:
-    """Number of ways to partition n labeled items into k nonempty groups."""
-    if k < 0 or k > n:
+    """Number of ways to partition n labeled items into k nonempty groups:
+    the surjections onto k groups, by inclusion-exclusion, over k!."""
+    if k < 0:
         return 0
-    row = [1] + [0] * k
-    for i in range(1, n + 1):
-        new = [0] * (k + 1)
-        for j in range(1, min(i, k) + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n
+               for j in range(k + 1)) // math.factorial(k)
 
 
 @lru_cache(maxsize=64)
@@ -901,7 +909,7 @@ def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     the node, if that p-value reaches alpha.  Each feature is used at most
     once per path.
     """
-    return _train("chaid", data, params, _chaid_chooser, "merged", False)
+    return _train("chaid", data, params, _chaid_chooser, "merged")
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1012,7 @@ def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     threshold between class score means; nodes whose fallback cannot
     separate the codes become leaves.
     """
-    return _train("quest", data, params, _quest_chooser, "binary", True)
+    return _train("quest", data, params, _quest_chooser, "binary")
 
 
 # ---------------------------------------------------------------------------
@@ -1041,36 +1049,33 @@ def export_dot(tree: DecisionTree, schema=None) -> str:
     Each node shows its split variable or class label, class counts, and
     share of the training rows; edges carry the branch code sets.  When
     ``schema`` (a sequence with per-feature ``label`` methods) is given,
-    edge codes use its labels.
+    edge codes use its labels.  A ``\\`` or ``"`` in a feature name or code
+    label is escaped, so the quoted DOT strings stay well formed.
     """
-    def code_label(f: int, code: int) -> str:
-        if schema is not None:
-            return schema[f].label(code)
-        return str(code)
+    def quoted(text: str) -> str:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
 
     total = max(tree.root.total, 1)
-    ids: dict[int, str] = {}
+    order = [node for node, _, _ in iter_nodes(tree)]
+    ids = {id(node): f"n{i}" for i, node in enumerate(order)}
     lines = ["digraph tree {", "  node [shape=box];"]
-    order = list(iter_nodes(tree))
-    for i, (node, _, path) in enumerate(order):
-        ids[id(node)] = f"n{i}"
+    for node in order:
         pct = 100.0 * node.total / total
         counts = ", ".join(str(int(c)) for c in node.counts)
         if node.is_leaf:
             head = f"class {node.prediction} ({100.0 * node.confidence:.1f}%)"
         else:
-            head = tree.feature_names[node.split.feature]
+            head = quoted(tree.feature_names[node.split.feature])
         lines.append(
-            f'  n{i} [label="{head}\\ncounts [{counts}]\\n{pct:.1f}% of rows"];'
+            f'  {ids[id(node)]} [label="{head}\\ncounts [{counts}]\\n{pct:.1f}% of rows"];'
         )
-    for node, _, _ in order:
+    for node in order:
         if node.is_leaf:
             continue
         f = node.split.feature
-        for k, codes in enumerate(node.split.branches):
-            label = ", ".join(code_label(f, c) for c in codes)
-            lines.append(
-                f'  {ids[id(node)]} -> {ids[id(node.children[k])]} [label="{label}"];'
-            )
+        for codes, child in zip(node.split.branches, node.children):
+            label = quoted(", ".join(str(c) if schema is None else schema[f].label(c)
+                                     for c in codes))
+            lines.append(f'  {ids[id(node)]} -> {ids[id(child)]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -154,6 +154,21 @@ def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree
     return replace(tree, root=global_pass(local(tree.root)))
 
 
+def stirling2(n: int, k: int) -> int:
+    """Stirling numbers of the second kind by the recurrence
+    S(i, j) = j S(i - 1, j) + S(i - 1, j - 1): the reference for
+    ``tree.stirling2``."""
+    if k < 0 or k > n:
+        return 0
+    row = [1] + [0] * k
+    for i in range(1, n + 1):
+        new = [0] * (k + 1)
+        for j in range(1, min(i, k) + 1):
+            new[j] = j * row[j] + row[j - 1]
+        row = new
+    return row[k]
+
+
 def with_cpus(n_cpus, fn, *args):
     """Run ``fn`` as if ``n_cpus`` CPUs were usable: 1 keeps every task of
     ``evaluation._task_pool`` in this process, the serial reference; more

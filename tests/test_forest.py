@@ -67,6 +67,21 @@ class TestParams:
         with pytest.raises(ForestError):
             ForestParams(features_per_split=5).resolve_features_per_split(3)
 
+    def test_sample_size_needs_bootstrap(self):
+        # the identity sample of bootstrap false would ignore sample_size
+        with pytest.raises(ForestError, match="sample_size is set with bootstrap false"):
+            ForestParams(sample_size=3, bootstrap=False)
+        assert ForestParams(sample_size=3).sample_size == 3
+        assert ForestParams(bootstrap=False).sample_size is None
+
+    def test_payload_with_sample_size_and_no_bootstrap_is_refused(self):
+        forest = train_forest(planted_table(n=40, m=3),
+                              ForestParams(n_trees=2, bootstrap=False, seed=9))
+        payload = json.loads(forest.to_json())
+        payload["params"]["sample_size"] = 3
+        with pytest.raises(ForestError, match="malformed forest payload: sample_size"):
+            Forest.from_json(json.dumps(payload))
+
 
 class TestBootstrap:
     def test_pure_function_of_seed_and_index(self):
@@ -162,7 +177,7 @@ class TestTrainForest:
             columns.append(rng.choice(codes[:int(rng.integers(1, len(codes) + 1))], size=n))
         table = CategoricalTable(schema, np.stack(columns, axis=1),
                                  (rng.random(n) < rng.random()).astype(int))
-        params = ForestParams(
+        knobs = dict(
             n_trees=int(rng.integers(1, 9)),
             features_per_split=int(rng.integers(1, m + 1)),
             sample_size=int(rng.integers(1, 2 * n)) if rng.random() < 0.5 else None,
@@ -170,6 +185,9 @@ class TestTrainForest:
             min_records=int(rng.integers(1, 5)),
             max_depth=[None, 0, 1, 3][int(rng.integers(0, 4))],
             seed=int(rng.integers(0, 1000)))
+        if not knobs["bootstrap"]:  # the identity sample takes no sample_size
+            knobs["sample_size"] = None
+        params = ForestParams(**knobs)
         with pytest.MonkeyPatch.context() as patch:
             if gather_keys is not None:
                 patch.setattr(tree_module, "_GATHER_KEYS", gather_keys)
@@ -181,7 +199,7 @@ class TestTrainForest:
                 lone = np.random.default_rng([params.seed, i, 1])
                 [root] = tree_module._grow(
                     data, params.tree_params(), tree_module._gini_chooser,
-                    "binary", True, [(rows, lone)], k)
+                    "binary", [(rows, lone)], k)
                 assert replace(member, root=root).to_json() == member.to_json()
             assert member.n_rows == len(bag)
 

@@ -280,8 +280,9 @@ def test_batch_matches_brute_force_on_sparse_codes(seed, grower):
     else:
         trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
                    "quest": train_quest}[grower]
-        model = trainer(table, TreeParams(min_records=1, max_depth=3,
-                                          min_gain=0.0))
+        # only the entropy grower reads min_gain
+        model = trainer(table, TreeParams(min_records=1, max_depth=3, **(
+            {"min_gain": 0.0} if grower == "c50" else {})))
     for row, att in zip(rows, shap_batch(model, rows, background)):
         assert max_gap(att, brute_force_shap(model, row, background)) < 1e-9
         assert local_accuracy_gap(att) < 1e-9
@@ -335,8 +336,9 @@ def fit(grower, table, seed, max_depth):
                                                 max_depth=max_depth, seed=seed))
     trainer = {"c50": train_c50, "cart": train_cart, "chaid": train_chaid,
                "quest": train_quest}[grower]
-    return trainer(table, TreeParams(min_records=1, max_depth=max_depth,
-                                     min_gain=0.0))
+    # only the entropy grower reads min_gain
+    return trainer(table, TreeParams(min_records=1, max_depth=max_depth, **(
+        {"min_gain": 0.0} if grower == "c50" else {})))
 
 
 @settings(max_examples=200, deadline=None)
@@ -750,11 +752,13 @@ def elimination_cases(draw):
         columns.append(column)
     data = CategoricalTable(schema, np.stack(columns, axis=1),
                             (rng.random(n) < rng.random()).astype(int))
+    bootstrap = draw(st.booleans())
     params = ForestParams(
         n_trees=draw(st.integers(1, 3)),
         features_per_split=draw(st.one_of(st.none(), st.integers(1, m))),
-        sample_size=draw(st.one_of(st.none(), st.integers(1, 2 * n))),
-        bootstrap=draw(st.booleans()),
+        # the identity sample takes no sample_size
+        sample_size=draw(st.one_of(st.none(), st.integers(1, 2 * n))) if bootstrap else None,
+        bootstrap=bootstrap,
         min_records=draw(st.integers(1, 4)),
         max_depth=draw(st.sampled_from([None, 0, 1, 3])),
         seed=draw(st.integers(0, 1000)))

@@ -19,6 +19,8 @@ from treebench.dataset import (
     planted_relevance_rules,
 )
 from treebench.tree import (
+    GROWER_KNOBS,
+    TREE_RULES,
     DecisionTree,
     Split,
     TreeError,
@@ -47,6 +49,13 @@ import oracles
 from oracles import predict
 
 ALL_TRAINERS = [train_c50, train_cart, train_chaid, train_quest]
+
+
+def params_for(train, **knobs) -> TreeParams:
+    """TreeParams of the ``knobs`` that ``train``'s grower reads: a grower
+    refuses the others."""
+    reads = GROWER_KNOBS[train.__name__.removeprefix("train_")]
+    return TreeParams(**{k: v for k, v in knobs.items() if k in reads})
 
 
 def make_table(rows, n_codes=None):
@@ -126,6 +135,38 @@ class TestTreeParams:
         p = TreeParams(min_records=np.int64(3), severity=np.float64(50.0),
                        max_depth=np.int32(2))
         assert (p.min_records, p.severity, p.max_depth) == (3, 50.0, 2)
+
+
+class TestGrowerKnobs:
+    # a value away from the default for each TreeParams field
+    SET = {"min_records": 3, "severity": 50.0, "max_depth": 2, "alpha": 0.1,
+           "min_gain": 0.5}
+
+    def test_every_field_has_a_value(self):
+        assert set(self.SET) == set(TREE_RULES)
+        # 20 (grower, field) pairs, 9 of which no grower reads
+        assert sum(len(TREE_RULES) - len(knobs) for knobs in GROWER_KNOBS.values()) == 9
+
+    @pytest.mark.parametrize("train", ALL_TRAINERS)
+    @pytest.mark.parametrize("knob", sorted(TREE_RULES))
+    def test_grower_refuses_the_knobs_it_does_not_read(self, train, knob):
+        grower = train.__name__.removeprefix("train_")
+        table = random_table(np.random.default_rng(5))
+        params = TreeParams(**{knob: self.SET[knob]})
+        if knob in GROWER_KNOBS[grower]:
+            assert train(table, params).params == params
+        else:
+            with pytest.raises(TreeError, match=f"^unknown knob '{knob}'; {grower} takes "):
+                train(table, params)
+            # set to its default, it changes nothing and passes
+            default = TreeParams(**{knob: getattr(TreeParams(), knob)})
+            assert train(table, default).to_json() == train(table).to_json()
+
+    def test_refusal_names_the_knobs_taken(self):
+        table = random_table(np.random.default_rng(5))
+        with pytest.raises(TreeError) as info:
+            train_quest(table, TreeParams(alpha=0.01, max_depth=3))
+        assert str(info.value) == "unknown knob 'alpha'; quest takes min_records, max_depth"
 
 
 class TestC50:
@@ -893,8 +934,8 @@ class TestChaid:
         y = (X[:, rng.integers(m)] % 2) ^ (rng.random(n) < rng.uniform(0.0, 0.5))
         schema = tuple(FeatureSpec(f"f{j:02d}", tuple(range(c))) for j, c in enumerate(codes))
         table = CategoricalTable(schema, X, y.astype(np.int64))
-        params = TreeParams(min_records=min_records, alpha=alpha)
         train = {"chaid": train_chaid, "quest": train_quest}[grower]
+        params = params_for(train, min_records=min_records, alpha=alpha)
         batched = train(table, params).to_json()
         oracle = {"chaid": scalar_chaid_chooser, "quest": scalar_quest_chooser}[grower]
         with pytest.MonkeyPatch.context() as patch:
@@ -925,6 +966,11 @@ class TestChaid:
         assert stirling2(6, 1) == 1
         assert stirling2(6, 6) == 1
         assert stirling2(2, 3) == 0
+
+    def test_stirling_matches_recurrence(self):
+        for n in range(31):
+            for k in range(-2, n + 3):
+                assert stirling2(n, k) == oracles.stirling2(n, k), (n, k)
 
     def test_stirling_matches_partition_enumeration(self):
         def partitions(items):
@@ -1074,7 +1120,7 @@ def test_nodes_own_their_counts(grow):
     if grow == "forest":
         trees = train_forest(table, ForestParams(n_trees=3, seed=1)).trees
     else:
-        trees = [grow(table, TreeParams(min_records=1, min_gain=0.0))]
+        trees = [grow(table, params_for(grow, min_records=1, min_gain=0.0))]
     nodes = [node for tree in trees for node, _, _ in iter_nodes(tree)]
     assert len(nodes) > len(trees)
     assert all(node.counts.base is None for node in nodes)
@@ -1096,7 +1142,7 @@ class TestGrowerInvariants:
         split twice on a feature along a path."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, codes=int(rng.integers(2, 6)))
-        tree = grower(table, TreeParams(min_records=min_records, max_depth=max_depth,
+        tree = grower(table, params_for(grower, min_records=min_records, max_depth=max_depth,
                                         min_gain=min_gain, alpha=alpha))
         assert tree.root.counts.tolist() == np.bincount(table.target, minlength=2).tolist()
         once = grower in (train_c50, train_chaid)
@@ -1179,6 +1225,21 @@ class TestExportDot:
         assert "<46" in text and ">=46" in text
         assert "speed" in text
 
+    def test_quotes_and_backslashes_are_escaped(self):
+        schema = (feature('curve "R"', (0, 1), {0: '12" radius', 1: "a\\b"}),)
+        table = CategoricalTable(
+            schema, np.array([[0]] * 4 + [[1]] * 4), np.array([0] * 4 + [1] * 4)
+        )
+        assert export_dot(train_c50(table), schema) == (
+            'digraph tree {\n'
+            '  node [shape=box];\n'
+            '  n0 [label="curve \\"R\\"\\ncounts [4, 4]\\n100.0% of rows"];\n'
+            '  n1 [label="class 0 (100.0%)\\ncounts [4, 0]\\n50.0% of rows"];\n'
+            '  n2 [label="class 1 (100.0%)\\ncounts [0, 4]\\n50.0% of rows"];\n'
+            '  n0 -> n1 [label="12\\" radius"];\n'
+            '  n0 -> n2 [label="a\\\\b"];\n'
+            '}\n')
+
 
 class TestSplitType:
     def test_validation(self):
@@ -1204,12 +1265,12 @@ class TestSplitType:
             tuple(FeatureSpec(f"f{j}", tuple(u.tolist())) for j, u in enumerate(universes)),
             np.stack([rng.choice(u, size=n) for u in universes], axis=1),
             rng.integers(0, 2, size=n))
-        params = TreeParams(min_records=1, alpha=0.5)
+        knobs = dict(min_records=1, alpha=0.5)
         trees = {
-            "c50": lambda: [train_c50(table, params)],
-            "cart": lambda: [train_cart(table, params)],
-            "chaid": lambda: [train_chaid(table, params)],
-            "quest": lambda: [train_quest(table, params)],
+            "c50": lambda: [train_c50(table, params_for(train_c50, **knobs))],
+            "cart": lambda: [train_cart(table, params_for(train_cart, **knobs))],
+            "chaid": lambda: [train_chaid(table, params_for(train_chaid, **knobs))],
+            "quest": lambda: [train_quest(table, params_for(train_quest, **knobs))],
             "forest": lambda: train_forest(
                 table, ForestParams(n_trees=3, min_records=1, seed=seed)).trees,
         }[grower]()
