@@ -79,7 +79,6 @@ def bootstrap_indices(params: ForestParams, n: int, tree_index: int) -> np.ndarr
 @dataclass(eq=False)
 class Forest:
     trees: tuple[DecisionTree, ...]
-    bags: tuple[np.ndarray, ...]
     params: ForestParams
     feature_names: tuple[str, ...]
     schema_hash: str
@@ -122,19 +121,12 @@ class Forest:
         payload = json.loads(text)
         try:
             check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
-            params = ForestParams(**payload["params"])
-            n = payload["n_rows"]
-            trees = tuple(DecisionTree.from_payload(t) for t in payload["trees"])
-            bags = tuple(
-                bootstrap_indices(params, n, i) for i in range(len(trees))
-            )
             return cls(
-                trees=trees,
-                bags=bags,
-                params=params,
+                params=ForestParams(**payload["params"]),
+                trees=tuple(DecisionTree.from_payload(t) for t in payload["trees"]),
                 feature_names=tuple(payload["feature_names"]),
                 schema_hash=payload["schema_hash"],
-                n_rows=n,
+                n_rows=payload["n_rows"],
             )
         except KeyError as e:
             raise ForestError(f"forest payload has no field {e}") from None
@@ -153,11 +145,11 @@ def train_forests(data: CategoricalTable, params: ForestParams,
     arrays into ``data``).
 
     The forest of ``rows`` is ``train_forest(data.take_rows(rows), params)``:
-    its bags and ``n_rows`` count positions in ``rows``.  Every member of
-    every forest grows in one lockstep batch over index views of ``data``,
-    with root row indices ``rows[bag]``, so no row set is copied.  A member
-    keeps its own generator and preorder, and the Gini choice at a node
-    depends only on the codes present there, so a forest is the same
+    its members' bags and its ``n_rows`` count positions in ``rows``.  Every
+    member of every forest grows in one lockstep batch over index views of
+    ``data``, with root row indices ``rows[bag]``, so no row set is copied.
+    A member keeps its own generator and preorder, and the Gini choice at a
+    node depends only on the codes present there, so a forest is the same
     whether it grows alone or in a batch.
     """
     for rows in row_sets:
@@ -178,7 +170,6 @@ def train_forests(data: CategoricalTable, params: ForestParams,
                              params=tree_params, feature_names=data.feature_names,
                              schema_hash=schema_hash, n_rows=len(bag))
                 for bag in forest_bags),
-            bags=forest_bags,
             params=params,
             feature_names=data.feature_names,
             schema_hash=schema_hash,

@@ -23,7 +23,6 @@ from .dataset import CategoricalTable
 from .evaluation import EvalError, _cv_result, _task_pool, make_folds
 from .forest import (ForestError, ForestParams, _require_rows, train_forest,
                      train_forests)
-from .tree import DecisionTree, TreeNode
 
 __all__ = [
     "ShapError",
@@ -93,47 +92,6 @@ def make_background(data: CategoricalTable, max_rows: int = 128,
 
 
 # ---------------------------------------------------------------------------
-# Leaf-path extraction
-#
-# Each reachable leaf is summarized as a value plus one pass mask per path
-# feature over its universe, the sorted codes of the explained rows and the
-# background.  Fallback descent, where a code matches none of a split's
-# branches and prediction stops at that node, passes the codes no branch lists.
-
-
-def _collect_leaves(tree: DecisionTree, leaf_value, universes) -> list:
-    """(value, {feature: pass mask}) for every way prediction can stop.
-
-    A leaf with an all-False mask is left out: every row and every background
-    row fails that feature, so the leaf adds exactly 0.  Rows a split sends
-    to an empty child stop at the split's node, as ``DecisionTree._stops``
-    stops them.
-    """
-    leaves = []
-
-    def walk(node: TreeNode, masks: dict) -> None:
-        if node.split is None:
-            leaves.append((leaf_value(node), masks))
-            return
-        f = node.split.feature
-        universe, allowed = universes[f], masks.get(f, True)
-        hits = [(universe[:, None] == branch).any(axis=1)
-                for branch in node.split.branches]
-        fallback = allowed & ~np.logical_or.reduce(hits)
-        if fallback.any():
-            leaves.append((leaf_value(node), {**masks, f: fallback}))
-        for hit, child in zip(hits, node.children):
-            mask = allowed & hit
-            if mask.any() and child.total == 0:
-                leaves.append((leaf_value(node), {**masks, f: mask}))
-            elif mask.any():
-                walk(child, {**masks, f: mask})
-
-    walk(tree.root, {})
-    return leaves
-
-
-# ---------------------------------------------------------------------------
 # Exact per-leaf attribution
 #
 # For one (row x, background z) pair and one leaf: let A hold the path
@@ -168,12 +126,12 @@ def _patterns(d: int) -> np.ndarray:
     return table
 
 
-def _tree_phi(leaves, row_pos: np.ndarray, back_pos: np.ndarray,
+def _tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
               m: int) -> np.ndarray:
     """Contribution matrix (rows x features), averaged over the background."""
     n_rows, n_back = row_pos.shape[0], back_pos.shape[0]
     phi = np.zeros((n_rows, m))
-    for value, masks in leaves:
+    for value, masks in stops:
         if not masks or value == 0.0:
             continue
         feats = sorted(masks)
@@ -216,8 +174,8 @@ def _as_background(background) -> np.ndarray:
 
 def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     """Contribution matrix shared by single-row, batch, and ranking paths:
-    the mean of the games of ``model.members``, a stop worth
-    ``model.leaf_value(node)``."""
+    the mean of the games of ``model.members``, whose ``stops`` over the
+    codes of ``rows`` and ``back`` are each worth ``model.leaf_value``."""
     try:
         trees, leaf_value = model.members, model.leaf_value
     except AttributeError:
@@ -235,8 +193,8 @@ def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     row_pos, back_pos = positions[:rows.shape[0]], positions[rows.shape[0]:]
     phi = np.zeros((rows.shape[0], len(names)))
     for tree in trees:
-        phi += _tree_phi(_collect_leaves(tree, leaf_value, universes),
-                         row_pos, back_pos, len(names))
+        phi += _tree_phi(tree.stops(universes, leaf_value), row_pos, back_pos,
+                         len(names))
     return phi / len(trees)
 
 

@@ -45,6 +45,10 @@ GROWER_KNOBS = {grower: {name: TREE_RULES[name] for name in names} for grower, n
     "cart": ("min_records", "max_depth"),
     "quest": ("min_records", "max_depth"),
 }.items()}
+# The knobs a tree payload's algorithm takes: a forest member grows as cart
+_PAYLOAD_KNOBS = {**GROWER_KNOBS, "forest_member": GROWER_KNOBS["cart"]}
+_ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
+                  lambda v: isinstance(v, str) and v in _PAYLOAD_KNOBS)
 # The rule of each value a tree payload's node holds
 _NATURAL = integer(0)
 _NODE_RULES = {
@@ -160,7 +164,9 @@ class DecisionTree:
         """(class, confidence) of the node where ``predict`` stops each row.
 
         All rows descend together.  Each node labels its rows and hands them
-        on to the nonempty child their code selects, which labels them again.
+        on to the child their code selects, which labels them again; a row
+        whose code no branch lists stops at the node.  An empty child is a
+        leaf with its parent's label, so the rows it takes keep that label.
         """
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.feature_names):
@@ -178,7 +184,7 @@ class DecisionTree:
             column = rows[idx, node.split.feature]
             for codes, child in zip(node.split.branches, node.children):
                 routed = idx[(column[:, None] == codes).any(axis=1)]
-                if child.total > 0 and routed.size:
+                if routed.size:
                     stack.append((child, routed))
         return labels, confidence
 
@@ -201,6 +207,35 @@ class DecisionTree:
     def leaf_value(node: TreeNode) -> float:
         """The class-1 fraction ``proba_batch`` gives at this node."""
         return node.confidence if node.prediction == 1 else 1.0 - node.confidence
+
+    def stops(self, universes, value) -> list[tuple[float, dict[int, np.ndarray]]]:
+        """(``value(node)``, {feature: pass mask}) for every node where
+        ``_stops`` can stop a row, in preorder, a split's stop for the codes
+        no branch lists before its children's.
+
+        A pass mask marks the codes of ``universes[f]`` (sorted codes of
+        feature f) that follow the stop's path.  A stop no code reaches is
+        left out, so the stops partition the rows whose codes the universes
+        hold.
+        """
+        stops, stack = [], [(self.root, {})]
+        while stack:
+            node, masks = stack.pop()
+            if node.is_leaf:
+                stops.append((value(node), masks))
+                continue
+            f = node.split.feature
+            universe, allowed = universes[f], masks.get(f, True)
+            hits = [(universe[:, None] == branch).any(axis=1)
+                    for branch in node.split.branches]
+            unlisted = allowed & ~np.logical_or.reduce(hits)
+            if unlisted.any():
+                stops.append((value(node), {**masks, f: unlisted}))
+            for hit, child in reversed(list(zip(hits, node.children))):
+                mask = allowed & hit
+                if mask.any():
+                    stack.append((child, {**masks, f: mask}))
+        return stops
 
     # -- structured text serialization (nested nodes, preorder) -------------
 
@@ -240,41 +275,47 @@ class DecisionTree:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "DecisionTree":
+        """The tree of a ``payload()`` object.  A payload whose
+        ``algorithm``'s grower ignores a knob its ``params`` set, or whose
+        empty child is not a leaf with its parent's label, is refused."""
         def parse_node(item: Mapping) -> TreeNode:
-            split = None
-            children: tuple[TreeNode, ...] = ()
+            counts, prediction, confidence = (
+                check_key(item, key, rule, "tree node", error=TreeError)
+                for key, rule in _NODE_RULES.items())
+            node = TreeNode(counts=np.array(counts, dtype=np.int64),
+                            prediction=prediction, confidence=confidence,
+                            score=item.get("score", 0.0))
             if "split" in item:
                 s = item["split"]
-                split = Split(
+                node.split = Split(
                     feature=check_key(s, "feature", feature, "split", error=TreeError),
                     arity=s["arity"],
                     branches=tuple(tuple(b) for b in s["branches"]),
                 )
-                children = tuple(parse_node(c) for c in item["children"])
-                if len(children) != len(split.branches):
+                node.children = tuple(parse_node(c) for c in item["children"])
+                if len(node.children) != len(node.split.branches):
                     raise TreeError("a split needs one child per branch")
-            counts, prediction, confidence = (
-                check_key(item, key, rule, "tree node", error=TreeError)
-                for key, rule in _NODE_RULES.items())
-            return TreeNode(
-                counts=np.array(counts, dtype=np.int64),
-                prediction=prediction,
-                confidence=confidence,
-                split=split,
-                children=children,
-                score=item.get("score", 0.0),
-            )
+                if any(child.total == 0 and (child.split is not None or (
+                        child.prediction, child.confidence) != (prediction, confidence))
+                       for child in node.children):
+                    raise TreeError("an empty child must be a leaf with its "
+                                    "parent's prediction and confidence")
+            return node
 
         try:
+            algorithm = check_key(payload, "algorithm", _ALGORITHM, "tree payload",
+                                  error=TreeError)
             names = tuple(payload["feature_names"])
             feature = Rule(f"an index into feature_names, below {len(names)}",
                            lambda v: _NATURAL.test(v) and v < len(names))
             params = payload["params"]
             check_knobs(params, TREE_RULES, "TreeParams", TreeError)
+            params = TreeParams(**params)
+            _check_grower_knobs(algorithm, params)
             return cls(
                 root=parse_node(payload["root"]),
-                algorithm=payload["algorithm"],
-                params=TreeParams(**params),
+                algorithm=algorithm,
+                params=params,
                 feature_names=names,
                 schema_hash=payload["schema_hash"],
                 n_rows=payload["n_rows"],
@@ -289,10 +330,9 @@ class DecisionTree:
 # Structure helpers
 # ---------------------------------------------------------------------------
 
-def iter_nodes(tree: DecisionTree | TreeNode) -> Iterator[tuple[TreeNode, int, tuple[int, ...]]]:
+def iter_nodes(tree: DecisionTree) -> Iterator[tuple[TreeNode, int, tuple[int, ...]]]:
     """Preorder walk yielding (node, depth, branch path from root)."""
-    root = tree.root if isinstance(tree, DecisionTree) else tree
-    stack = [(root, 0, ())]
+    stack = [(tree.root, 0, ())]
     while stack:
         node, depth, path = stack.pop()
         yield node, depth, path
@@ -300,19 +340,19 @@ def iter_nodes(tree: DecisionTree | TreeNode) -> Iterator[tuple[TreeNode, int, t
             stack.append((node.children[k], depth + 1, path + (k,)))
 
 
-def leaf_count(tree: DecisionTree | TreeNode) -> int:
+def leaf_count(tree: DecisionTree) -> int:
     return sum(1 for node, _, _ in iter_nodes(tree) if node.is_leaf)
 
 
-def node_count(tree: DecisionTree | TreeNode) -> int:
+def node_count(tree: DecisionTree) -> int:
     return sum(1 for _ in iter_nodes(tree))
 
 
-def tree_depth(tree: DecisionTree | TreeNode) -> int:
+def tree_depth(tree: DecisionTree) -> int:
     return max(depth for _, depth, _ in iter_nodes(tree))
 
 
-def node_paths(tree: DecisionTree | TreeNode) -> set[tuple[int, ...]]:
+def node_paths(tree: DecisionTree) -> set[tuple[int, ...]]:
     return {path for _, _, path in iter_nodes(tree)}
 
 
@@ -519,13 +559,17 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
         expand(batch[start:])
 
 
+def _check_grower_knobs(algorithm: str, params: TreeParams) -> None:
+    """Refuse a field ``algorithm``'s grower does not read, set away from its
+    default (a dataclass keeps each field's default as a class attribute)."""
+    check_knobs({k: v for k, v in vars(params).items() if v != getattr(TreeParams, k)},
+                _PAYLOAD_KNOBS[algorithm], algorithm, TreeError)
+
+
 def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
            chooser, arity: str) -> DecisionTree:
     params = params or TreeParams()
-    # refuse a field the grower does not read, set away from its default (a
-    # dataclass keeps each field's default as a class attribute)
-    check_knobs({k: v for k, v in vars(params).items() if v != getattr(TreeParams, k)},
-                GROWER_KNOBS[algorithm], algorithm, TreeError)
+    _check_grower_knobs(algorithm, params)
     [root] = _grow(data, params, chooser, arity, [(np.arange(data.n_rows), None)])
     return DecisionTree(root=root, algorithm=algorithm, params=params,
                         feature_names=data.feature_names,
@@ -633,49 +677,40 @@ def pessimistic_error_bound(errors, total, cf: float):
     return float(bound) if bound.ndim == 0 else bound
 
 
-def _as_pruned_leaf(node: TreeNode) -> TreeNode:
-    return TreeNode(counts=node.counts, prediction=node.prediction,
-                    confidence=node.confidence)
-
-
 def prune_c50(tree: DecisionTree, severity: float | None = None) -> DecisionTree:
     """Collapse subtrees whose pessimistic error is no better than a leaf.
 
     A node's predicted errors are its row count times the bound on its
     error rate; all the tree's nodes get theirs from one vector call.  One
-    bottom-up pass, children before parents, replaces a subtree by a leaf
-    when the leaf's predicted errors do not exceed the sum of its (already
-    pruned) children's by more than ``_GAIN_EPS``.  A kept subtree's sum is
-    therefore below its leaf's, so no top-down pass could collapse it
-    afterwards.  The result reuses no node objects from the input but only
-    ever removes structure.
+    bottom-up pass, children before parents, builds each pruned node: a
+    leaf when the leaf's predicted errors do not exceed the sum of its
+    (already pruned) children's by more than ``_GAIN_EPS``, else the split
+    over those children.  A kept subtree's sum is therefore below its
+    leaf's, so no top-down pass could collapse it afterwards.  The result
+    reuses no node objects from the input but only ever removes structure.
     """
     cf = _confidence_factor(tree.params.severity if severity is None else severity)
     nodes = [node for node, _, _ in iter_nodes(tree)]  # preorder
     counts = np.array([node.counts for node in nodes], dtype=np.int64)
     total = counts.sum(axis=1)
     leaf_errors = total * pessimistic_error_bound(total - counts.max(axis=1), total, cf)
-    # children follow their parent in preorder, so a reverse walk meets
-    # them first; subtree holds each node's predicted errors once pruned
-    subtree, collapse = {}, set()
+    # children follow their parent in preorder, so a reverse walk meets them
+    # first and leaves them on top of the stack, the first child topmost;
+    # built holds each pruned subtree with its predicted errors
+    built = []
     for node, leaf in zip(reversed(nodes), reversed(leaf_errors.tolist())):
+        children = [built.pop() for _ in node.children]
         below = 0
-        for child in node.children:
-            below += subtree[id(child)]
+        for _, errors in children:
+            below += errors
         if node.is_leaf or leaf <= below + _GAIN_EPS:
-            collapse.add(id(node))
-            below = leaf
-        subtree[id(node)] = below
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if id(node) in collapse:
-            return _as_pruned_leaf(node)
-        return TreeNode(counts=node.counts, prediction=node.prediction,
-                        confidence=node.confidence, split=node.split,
-                        children=tuple(rebuild(c) for c in node.children),
-                        score=node.score)
-
-    return replace(tree, root=rebuild(tree.root))
+            built.append((TreeNode(node.counts, node.prediction, node.confidence), leaf))
+        else:
+            built.append((TreeNode(node.counts, node.prediction, node.confidence,
+                                   node.split, tuple(c for c, _ in children),
+                                   node.score), below))
+    [(root, _)] = built
+    return replace(tree, root=root)
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ def hand_forest(predictions):
     trees = tuple(leaf_tree(p) for p in predictions)
     params = ForestParams(n_trees=len(trees), seed=1)
     return Forest(
-        trees=trees, bags=tuple(np.array([0]) for _ in trees),
-        params=params, feature_names=("f00",), schema_hash="x", n_rows=1,
+        trees=trees, params=params, feature_names=("f00",), schema_hash="x", n_rows=1,
     )
 
 
@@ -193,7 +192,8 @@ class TestTrainForest:
                 patch.setattr(tree_module, "_GATHER_KEYS", gather_keys)
             forest = train_forest(table, params)
         k = params.resolve_features_per_split(m)
-        for i, (member, bag) in enumerate(zip(forest.trees, forest.bags)):
+        for i, member in enumerate(forest.trees):
+            bag = bootstrap_indices(params, table.n_rows, i)
             # alone on the bag as an index view, and on a copy of its rows
             for data, rows in ((table, bag), (table.take_rows(bag), np.arange(len(bag)))):
                 lone = np.random.default_rng([params.seed, i, 1])
@@ -213,8 +213,6 @@ class TestTrainForest:
         forest = train_forest(table, ForestParams(n_trees=4, seed=9))
         back = Forest.from_json(forest.to_json())
         assert back.to_json() == forest.to_json()
-        for bag_a, bag_b in zip(back.bags, forest.bags):
-            assert np.array_equal(bag_a, bag_b)
         assert np.array_equal(
             back.predict_batch(table.rows), forest.predict_batch(table.rows)
         )

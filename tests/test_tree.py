@@ -168,6 +168,31 @@ class TestGrowerKnobs:
             train_quest(table, TreeParams(alpha=0.01, max_depth=3))
         assert str(info.value) == "unknown knob 'alpha'; quest takes min_records, max_depth"
 
+    @pytest.mark.parametrize("algorithm", [*GROWER_KNOBS, "forest_member"])
+    @pytest.mark.parametrize("knob", sorted(TREE_RULES))
+    def test_payload_refuses_the_knobs_its_grower_does_not_read(self, algorithm, knob):
+        """A loaded tree takes the knobs its algorithm's grower takes; a
+        forest member grows as cart does."""
+        payload = {"algorithm": algorithm, "params": {knob: self.SET[knob]},
+                   "feature_names": ["f0"], "schema_hash": "x", "n_rows": 1,
+                   "root": {"counts": [1, 0], "prediction": 0, "confidence": 1.0}}
+        reads = GROWER_KNOBS["cart" if algorithm == "forest_member" else algorithm]
+        if knob in reads:
+            params = DecisionTree.from_payload(payload).params
+            assert params == TreeParams(**{knob: self.SET[knob]})
+        else:
+            with pytest.raises(TreeError, match=f"unknown knob '{knob}'; {algorithm} "
+                                                f"takes {', '.join(reads)}$"):
+                DecisionTree.from_payload(payload)
+
+    def test_payload_refuses_an_unknown_algorithm(self):
+        payload = train_cart(random_table(np.random.default_rng(5))).payload()
+        for algorithm in ("id3", None, ["cart"]):
+            payload["algorithm"] = algorithm
+            with pytest.raises(TreeError, match="'algorithm' is not 'c50', 'chaid', "
+                                                "'cart', 'quest' or 'forest_member'"):
+                DecisionTree.from_payload(payload)
+
 
 class TestC50:
     def test_pure_target_single_leaf(self):
@@ -1077,7 +1102,7 @@ class TestPredict:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        grower=st.sampled_from(ALL_TRAINERS + ["forest"]),
+        grower=st.sampled_from(ALL_TRAINERS + ["pruned c50", "forest"]),
         min_records=st.integers(1, 3),
         max_depth=st.sampled_from([None, 1, 2]),
     )
@@ -1100,8 +1125,7 @@ class TestPredict:
             assert forest.proba_batch(rows).tolist() == votes
             assert forest.predict_batch(rows).tolist() == [int(v >= 0.5) for v in votes]
         else:
-            trees = [grower(table, TreeParams(min_records=min_records,
-                                              max_depth=max_depth))]
+            trees = [grown_tree(grower, table, min_records, max_depth)]
         for tree in trees:
             walk = [predict(tree, r) for r in rows]
             assert tree.predict_batch(rows).tolist() == [c for c, _ in walk]
@@ -1109,6 +1133,54 @@ class TestPredict:
             assert tree.proba_batch(rows).tolist() == [
                 conf if c == 1 else 1.0 - conf for c, conf in walk
             ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grower=st.sampled_from(ALL_TRAINERS + ["pruned c50", "forest"]),
+        min_records=st.integers(1, 3),
+        max_depth=st.sampled_from([None, 1, 2]),
+    )
+    def test_stops_partition_the_rows(self, seed, grower, min_records, max_depth):
+        """Over the code universes of a row set, the pass masks of ``stops``
+        put each row in exactly one stop, worth what prediction gives the
+        row: ``proba_batch`` for a tree, the label for a forest member.  The
+        rows reach code 4, which no training table here has, and codes a
+        node's rows lack, whose branches lead to empty children."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, codes=int(rng.integers(2, 5)))
+        rows = np.vstack([
+            table.rows, rng.integers(0, 5, size=(30, table.n_features))
+        ])
+        universes, positions = [], np.empty_like(rows)
+        for f in range(table.n_features):
+            universe, positions[:, f] = np.unique(rows[:, f], return_inverse=True)
+            universes.append(universe)
+        if grower == "forest":
+            forest = train_forest(table, ForestParams(
+                n_trees=3, min_records=min_records, max_depth=max_depth,
+                seed=seed))
+            cases = [(t, forest.leaf_value, t.predict_batch(rows)) for t in forest.trees]
+        else:
+            tree = grown_tree(grower, table, min_records, max_depth)
+            cases = [(tree, tree.leaf_value, tree.proba_batch(rows))]
+        for tree, value, expected in cases:
+            stops = tree.stops(universes, value)
+            inside = np.ones((len(stops), len(rows)), dtype=bool)
+            for s, (_, masks) in enumerate(stops):
+                for f, mask in masks.items():
+                    inside[s] &= mask[positions[:, f]]
+            assert inside.sum(axis=0).tolist() == [1] * len(rows)
+            values = np.array([v for v, _ in stops])
+            assert values[inside.argmax(axis=0)].tolist() == expected.tolist()
+
+
+def grown_tree(grower, table, min_records, max_depth):
+    """The tree ``grower`` (a trainer, or "pruned c50") grows on ``table``."""
+    params = TreeParams(min_records=min_records, max_depth=max_depth)
+    if grower == "pruned c50":
+        return prune_c50(train_c50(table, params))
+    return grower(table, params)
 
 
 @pytest.mark.parametrize("grow", ALL_TRAINERS + ["forest"])
@@ -1293,6 +1365,30 @@ class TestSplitType:
         assert oracles.branch_for(s, 3) == 0
         assert oracles.branch_for(s, 2) == 2
         assert oracles.branch_for(s, 9) is None
+
+
+def test_payload_refuses_an_empty_child_that_is_not_its_parents_leaf():
+    """An empty child is a leaf with its parent's prediction and confidence,
+    as every grower builds it: a payload whose empty child disagrees with
+    its parent, or splits, is refused."""
+    leaf = {"counts": [3, 1], "prediction": 0, "confidence": 0.75}
+    split = {"feature": 0, "arity": "binary", "branches": [[0], [1]]}
+    empty = {**leaf, "counts": [0, 0]}
+
+    def load(child):
+        return DecisionTree.from_payload({
+            "algorithm": "cart", "params": {}, "feature_names": ["f0"],
+            "schema_hash": "x", "n_rows": 4,
+            "root": {**leaf, "split": split, "children": [leaf, child]},
+        })
+
+    assert load(empty).predict_batch(np.array([[1]])).tolist() == [0]
+    for child in ({**empty, "prediction": 1, "confidence": 0.9},
+                  {**empty, "confidence": 0.9},
+                  {**empty, "split": split, "children": [empty, empty]}):
+        with pytest.raises(TreeError, match="an empty child must be a leaf with "
+                                            "its parent's prediction and confidence"):
+            load(child)
 
 
 def test_serialization_round_trip_all_algorithms():
