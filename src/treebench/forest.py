@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import BOOLEAN, CategoricalTable, check_knobs, integer, optional
+from .dataset import (BOOLEAN, CategoricalTable, check_key, check_knobs, integer,
+                      optional)
 from .tree import DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow
 
 
@@ -121,13 +122,28 @@ class Forest:
         payload = json.loads(text)
         try:
             check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
-            return cls(
+            forest = cls(
                 params=ForestParams(**payload["params"]),
                 trees=tuple(DecisionTree.from_payload(t) for t in payload["trees"]),
                 feature_names=tuple(payload["feature_names"]),
                 schema_hash=payload["schema_hash"],
-                n_rows=payload["n_rows"],
+                n_rows=check_key(payload, "n_rows", integer(2), "forest payload",
+                                 error=ForestError),
             )
+            if len(forest.trees) != forest.params.n_trees:
+                raise ForestError(f"the forest holds {len(forest.trees)} trees, "
+                                  f"not its n_trees {forest.params.n_trees}")
+            # what train_forests gives every member
+            member = {"algorithm": "forest_member", "params": forest.params.tree_params(),
+                      "feature_names": forest.feature_names,
+                      "schema_hash": forest.schema_hash,
+                      "n_rows": forest.params.sample_size or forest.n_rows}
+            for i, tree in enumerate(forest.trees):
+                for key, value in member.items():
+                    if getattr(tree, key) != value:
+                        raise ForestError(f"tree {i} has {key} {getattr(tree, key)!r}, "
+                                          f"not the forest's {value!r}")
+            return forest
         except KeyError as e:
             raise ForestError(f"forest payload has no field {e}") from None
         except (TypeError, ValueError) as e:

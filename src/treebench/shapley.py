@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import CategoricalTable
+from .dataset import (INTEGER, LIST, NAMES, OBJECT, STRING, CategoricalTable,
+                      check, check_key, number)
 from .evaluation import EvalError, _cv_result, _task_pool, make_folds
 from .forest import (ForestError, ForestParams, _require_rows, train_forest,
                      train_forests)
@@ -94,12 +95,12 @@ def make_background(data: CategoricalTable, max_rows: int = 128,
 # ---------------------------------------------------------------------------
 # Exact per-leaf attribution
 #
-# For one (row x, background z) pair and one leaf: let A hold the path
-# features where x passes and z fails, B the reverse, with sizes a and b.
-# If some feature fails both, no coalition reaches the leaf.  Otherwise the
-# leaf adds value * (a-1)!b!/(a+b)! to each feature of A and subtracts
-# value * a!(b-1)!/(a+b)! from each feature of B; features passing both
-# ways contribute nothing.
+# For one (row x, background z) pair and one leaf: let F_x and F_z hold
+# the path features x and z fail.  If they meet, no coalition reaches the
+# leaf.  Otherwise, with a = |F_z| and b = |F_x|, the leaf adds
+# value * (a-1)!b!/(a+b)! to each feature of F_z and subtracts
+# value * a!(b-1)!/(a+b)! from each feature of F_x; features both rows
+# pass contribute nothing.
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,8 +120,8 @@ def _weight_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _patterns(d: int) -> np.ndarray:
-    """Every pass pattern over d path features, row i passing feature j
-    when bit j of i is set; shared, so read-only."""
+    """Every fail set over d path features, row i failing feature j when
+    bit j of i is set; shared, so read-only."""
     table = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1
     table.setflags(write=False)
     return table
@@ -135,33 +136,30 @@ def _tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
         if not masks or value == 0.0:
             continue
         feats = sorted(masks)
-        # rows with the same pass pattern share one exact per-background sum;
+        # rows with the same fail set share one exact per-background sum;
         # the background is not deduplicated, so that sum keeps its order
         if 1 << len(feats) <= n_rows:
-            # the kernel runs on all 2^d patterns, each row's read back by
-            # its integer code (bit i: path feature i passes)
-            x_pass = _patterns(len(feats))
+            # the kernel runs on all 2^d fail sets, each row's read back by
+            # its integer code (bit i: path feature i fails)
+            x_fail = _patterns(len(feats))
             code = np.zeros(n_rows, dtype=np.intp)
             for i, f in enumerate(feats):
-                code |= masks[f][row_pos[:, f]].astype(np.intp) << i
+                code |= (~masks[f][row_pos[:, f]]).astype(np.intp) << i
         else:
-            # a longer path: only the distinct patterns present
-            x_all = np.stack([masks[f][row_pos[:, f]] for f in feats], axis=1)
+            # a longer path: only the distinct fail sets present
+            x_all = np.stack([~masks[f][row_pos[:, f]] for f in feats], axis=1)
             key = np.packbits(x_all, axis=1)
             _, first, code = np.unique(key.view(f"V{key.shape[1]}")[:, 0],
                                        return_index=True, return_inverse=True)
-            x_pass = x_all[first]
-        z_pass = np.stack([masks[f][back_pos[:, f]] for f in feats], axis=1)
-        only_x = x_pass[:, None, :] & ~z_pass[None, :, :]
-        only_z = ~x_pass[:, None, :] & z_pass[None, :, :]
-        dead = (~x_pass[:, None, :] & ~z_pass[None, :, :]).any(axis=2)
-        a = only_x.sum(axis=2)
-        b = only_z.sum(axis=2)
+            x_fail = x_all[first]
+        z_fail = np.stack([~masks[f][back_pos[:, f]] for f in feats], axis=1)
+        dead = (x_fail[:, None, :] & z_fail[None, :, :]).any(axis=2)
+        a, b = z_fail.sum(axis=1)[None, :], x_fail.sum(axis=1)[:, None]
         wa, wb = _weight_tables(len(feats))
         gain = np.where(dead, 0.0, wa[a, b])
         loss = np.where(dead, 0.0, wb[a, b])
-        per_pair = (only_x * gain[:, :, None]).sum(axis=1) \
-            - (only_z * loss[:, :, None]).sum(axis=1)
+        per_pair = (z_fail[None, :, :] * gain[:, :, None]).sum(axis=1) \
+            - (x_fail[:, None, :] * loss[:, :, None]).sum(axis=1)
         phi[:, feats] += (value * per_pair / n_back)[code]
     return phi
 
@@ -319,6 +317,9 @@ class EliminationStep:
     dropped: str
 
 
+_ACCURACY = number("a number in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 @dataclass(frozen=True)
 class EliminationTrace:
     steps: tuple[EliminationStep, ...]
@@ -358,13 +359,18 @@ class EliminationTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "EliminationTrace":
-        payload = json.loads(text)
-        steps = tuple(
-            EliminationStep(tuple(s["active_features"]), float(s["accuracy"]),
-                            s["dropped"])
-            for s in payload["steps"]
-        )
-        return cls(steps, int(payload["selected_index"]))
+        payload = check(json.loads(text), OBJECT, "trace", ShapError)
+        steps = []
+        for i, item in enumerate(check_key(payload, "steps", LIST, "trace",
+                                           error=ShapError)):
+            what = f"trace step {i}"
+            check(item, OBJECT, what, ShapError)
+            steps.append(EliminationStep(
+                tuple(check_key(item, "active_features", NAMES, what, error=ShapError)),
+                float(check_key(item, "accuracy", _ACCURACY, what, error=ShapError)),
+                check_key(item, "dropped", STRING, what, error=ShapError)))
+        return cls(tuple(steps), check_key(payload, "selected_index", INTEGER,
+                                           "trace", error=ShapError))
 
 
 def _step_params(forest_params: ForestParams, n_active: int) -> ForestParams:

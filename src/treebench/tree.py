@@ -275,16 +275,20 @@ class DecisionTree:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "DecisionTree":
-        """The tree of a ``payload()`` object.  A payload whose
-        ``algorithm``'s grower ignores a knob its ``params`` set, or whose
-        empty child is not a leaf with its parent's label, is refused."""
-        def parse_node(item: Mapping) -> TreeNode:
+        """The tree of a ``payload()`` object.  A payload is refused when its
+        ``algorithm``'s grower ignores a knob its ``params`` set, when counts
+        do not add up (children to their split, the root to ``n_rows``), or
+        when a node's label is not ``_node_labels`` of its counts."""
+        nodes = []  # (node, its parent) in preorder; the root is its own parent
+
+        def parse_node(item: Mapping, parent: TreeNode | None) -> TreeNode:
             counts, prediction, confidence = (
                 check_key(item, key, rule, "tree node", error=TreeError)
                 for key, rule in _NODE_RULES.items())
             node = TreeNode(counts=np.array(counts, dtype=np.int64),
                             prediction=prediction, confidence=confidence,
                             score=item.get("score", 0.0))
+            nodes.append((node, node if parent is None else parent))
             if "split" in item:
                 s = item["split"]
                 node.split = Split(
@@ -292,14 +296,13 @@ class DecisionTree:
                     arity=s["arity"],
                     branches=tuple(tuple(b) for b in s["branches"]),
                 )
-                node.children = tuple(parse_node(c) for c in item["children"])
+                node.children = tuple(parse_node(c, node) for c in item["children"])
                 if len(node.children) != len(node.split.branches):
                     raise TreeError("a split needs one child per branch")
-                if any(child.total == 0 and (child.split is not None or (
-                        child.prediction, child.confidence) != (prediction, confidence))
-                       for child in node.children):
-                    raise TreeError("an empty child must be a leaf with its "
-                                    "parent's prediction and confidence")
+                below = [child.counts.tolist() for child in node.children]
+                if np.sum(below, axis=0).tolist() != counts:
+                    raise TreeError(f"a split's children's counts {below} do not "
+                                    f"add up to its counts {counts}")
             return node
 
         try:
@@ -312,13 +315,33 @@ class DecisionTree:
             check_knobs(params, TREE_RULES, "TreeParams", TreeError)
             params = TreeParams(**params)
             _check_grower_knobs(algorithm, params)
+            root = parse_node(payload["root"], None)
+            n_rows = check_key(payload, "n_rows", integer(1), "tree payload",
+                               error=TreeError)
+            if root.total != n_rows:
+                raise TreeError(f"the root's counts {root.counts.tolist()} do not "
+                                f"total n_rows {n_rows}")
+            # the root is never empty, so its own label stands for its parent's
+            labels = zip(*(a.tolist() for a in _node_labels(
+                np.array([node.counts for node, _ in nodes]),
+                np.array([parent.prediction for _, parent in nodes]),
+                np.array([parent.confidence for _, parent in nodes]))))
+            for (node, _), (*label, _) in zip(nodes, labels):
+                empty = node.total == 0
+                if [node.prediction, node.confidence] != label or empty and node.split:
+                    raise TreeError(
+                        "an empty child must be a leaf with its parent's prediction "
+                        "and confidence" if empty else f"a node predicts its majority "
+                        f"class (ties go to 0) at that class's share: counts "
+                        f"{node.counts.tolist()} give {label}, not "
+                        f"{[node.prediction, node.confidence]}")
             return cls(
-                root=parse_node(payload["root"]),
+                root=root,
                 algorithm=algorithm,
                 params=params,
                 feature_names=names,
                 schema_hash=payload["schema_hash"],
-                n_rows=payload["n_rows"],
+                n_rows=n_rows,
             )
         except KeyError as e:
             raise TreeError(f"tree payload has no field {e}") from None
@@ -356,22 +379,19 @@ def node_paths(tree: DecisionTree) -> set[tuple[int, ...]]:
     return {path for _, _, path in iter_nodes(tree)}
 
 
-def _counts_of(y: np.ndarray) -> np.ndarray:
-    return np.bincount(y, minlength=2).astype(np.int64)
-
-
-def _leaf(counts: np.ndarray, parent: TreeNode | None = None) -> TreeNode:
-    values = counts.tolist()
-    total = sum(values)
-    if total == 0:
-        # an empty branch keeps its parent's label and confidence
-        if parent is None:
-            raise TreeError("cannot build a leaf with no rows and no parent")
-        return TreeNode(counts=counts, prediction=parent.prediction,
-                        confidence=parent.confidence)
-    pred = values.index(max(values))
-    return TreeNode(counts=counts, prediction=pred,
-                    confidence=values[pred] / total)
+def _node_labels(counts: np.ndarray, parent_prediction, parent_confidence
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(class, confidence, impure) of the nodes of class counts ``[..., 2]``:
+    every tree's labelling rule.  A node predicts its majority class, ties
+    going to class 0, with that class's share of its rows as confidence;
+    an empty node takes its parent's label, broadcast against the nodes.
+    A node is impure when it holds both classes."""
+    total = counts.sum(axis=-1)
+    empty = total == 0
+    # int64 / int64 is the correctly rounded quotient, as int / int is
+    share = counts.max(axis=-1) / np.maximum(total, 1)
+    return (np.where(empty, parent_prediction, counts.argmax(axis=-1)),
+            np.where(empty, parent_confidence, share), counts.min(axis=-1) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +481,18 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
     position = [{c: starts[f] + p for p, c in enumerate(u.tolist())}
                 for f, u in enumerate(universes)]
     choose = chooser(data, params, universes)
+    max_depth = math.inf if params.max_depth is None else params.max_depth
 
-    def splittable(node: TreeNode, available: tuple[int, ...], depth: int) -> bool:
-        """Impure, with a feature left, above ``max_depth``."""
-        counts = node.counts.tolist()
-        return max(counts) < sum(counts) and bool(available) and (
-            params.max_depth is None or depth < params.max_depth)
-
-    roots = [_leaf(_counts_of(y[idx])) for idx, _ in members]
+    counts = [np.bincount(y[idx], minlength=2) for idx, _ in members]
+    # a root is never empty, so it reads no parent label
+    prediction, confidence, impure = (
+        a.tolist() for a in _node_labels(np.array(counts), 0, 0.0))
+    roots = list(map(TreeNode, counts, prediction, confidence))
     # per member, a preorder stack of the (node, row indices, features,
-    # depth) that may split
+    # depth) that may split: impure, with a feature left, above max_depth
     features = tuple(range(m))
-    stacks = [[(root, idx, features, 0)] if splittable(root, features, 0) else []
-              for root, (idx, _) in zip(roots, members)]
+    stacks = [[(root, idx, features, 0)] if mixed and features and 0 < max_depth else []
+              for root, (idx, _), mixed in zip(roots, members, impure)]
 
     def expand(batch):
         """Choose and apply the splits of a step's (stack, node, row
@@ -516,24 +535,25 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
         part = slot * fan + route[slot, dense[rows, feature[slot]]]
         rows = rows[np.argsort(part, kind="stable")]
         ends = np.cumsum(np.bincount(part, minlength=len(batch) * fan)).tolist()
-        totals = child_counts.sum(axis=2).tolist()
+        # every child of the step labelled at once, an empty one by its parent
+        prediction, confidence, impure = (a.tolist() for a in _node_labels(
+            child_counts, np.array([[entry[1].prediction] for entry in batch]),
+            np.array([[entry[1].confidence] for entry in batch])))
         for i in split:
             stack, node, _, available, depth, _ = batch[i]
             node.score, f, branches = chosen[i]
             if arity != "binary":
                 available = tuple(g for g in available if g != f)
+            deeper = bool(available) and depth + 1 < max_depth
             children, grown = [], []
             for b in range(1, len(branches) + 1):
                 # its own array: a view would keep the step's arrays alive
-                counts = child_counts[i, b].copy()
-                if totals[i][b]:
-                    children.append(_leaf(counts))
-                    if splittable(children[-1], available, depth + 1):
-                        j = i * fan + b
-                        grown.append((children[-1], rows[ends[j - 1]:ends[j]],
-                                      available, depth + 1))
-                else:
-                    children.append(_leaf(counts, parent=node))
+                children.append(TreeNode(child_counts[i, b].copy(), prediction[i][b],
+                                         confidence[i][b]))
+                if deeper and impure[i][b]:
+                    j = i * fan + b
+                    grown.append((children[-1], rows[ends[j - 1]:ends[j]],
+                                  available, depth + 1))
             node.split = Split._grown(f, arity, branches)
             node.children = tuple(children)
             stack.extend(reversed(grown))

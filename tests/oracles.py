@@ -50,6 +50,23 @@ def predict(tree: DecisionTree, row) -> tuple[int, float]:
     return node.prediction, node.confidence
 
 
+def leaf_label(counts, parent=None) -> tuple[int, float]:
+    """(class, confidence) of a node of class ``counts``, one node at a
+    time: the rule ``tree._node_labels`` applies to whole arrays.
+
+    The majority class wins, ties going to class 0, at its share of the
+    rows; an empty node takes ``parent``, its parent's (class, confidence).
+    """
+    values = [int(c) for c in counts]
+    total = sum(values)
+    if total == 0:
+        if parent is None:
+            raise TreeError("cannot label a node with no rows and no parent")
+        return parent
+    pred = values.index(max(values))
+    return pred, values[pred] / total
+
+
 def slot_tables(step, slot: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(feature, codes, class counts [k, 2]) for each candidate feature
     showing at least two codes at the slot's node, one feature at a time:

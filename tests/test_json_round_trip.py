@@ -136,6 +136,10 @@ def _drop_child(payload):
     payload["root"]["children"] = payload["root"]["children"][:1]
 
 
+def _inflate_child(payload):
+    payload["root"]["children"][0]["counts"][0] += 50
+
+
 _TREE_DEFECTS = {
     "no-root": lambda p: p.pop("root"),
     "unknown-param": lambda p: p["params"].update(cost=[[0, 1], [1, 0]]),
@@ -154,6 +158,14 @@ _TREE_DEFECTS = {
     "counts-negative": lambda p: p["root"]["children"][1].update(counts=[-1, 4]),
     "prediction-seven": lambda p: p["root"].update(prediction=7),
     "confidence-above-one": lambda p: p["root"]["children"][0].update(confidence=1.5),
+    # counts that do not add up, and a label that is not the node's
+    # majority class at its share
+    "child-counts-past-the-split": _inflate_child,
+    "n_rows-off-the-root": lambda p: p.update(n_rows=p["n_rows"] + 1),
+    "n_rows-text": lambda p: p.update(n_rows=str(p["n_rows"])),
+    "prediction-not-the-majority": lambda p: p["root"].update(
+        prediction=1 - p["root"]["prediction"]),
+    "confidence-not-the-share": lambda p: p["root"].update(confidence=0.5),
 }
 
 
@@ -183,6 +195,18 @@ _FOREST_DEFECTS = {
     "tree-without-root": lambda p: p["trees"][0].pop("root"),
     "tree-counts-text": lambda p: p["trees"][1]["root"].update(counts="x"),
     "tree-one-child-two-branches": lambda p: _drop_child(p["trees"][0]),
+    # members that are not what train_forests grows for this forest
+    "n_trees-over-the-members": lambda p: p["params"].update(n_trees=5),
+    "member-algorithm": lambda p: p["trees"][0].update(algorithm="cart"),
+    "member-params": lambda p: p["trees"][1]["params"].update(max_depth=7),
+    "member-feature-names": lambda p: p["trees"][1].update(feature_names=["g0", "g1"]),
+    "member-schema-hash": lambda p: p["trees"][0].update(schema_hash="0" * 16),
+    "member-n_rows-not-the-bag": lambda p: p.update(n_rows=p["n_rows"] + 1),
+    "sample_size-not-the-bag": lambda p: p["params"].update(sample_size=5),
+    # a forest's own n_rows is an integer >= 2, also when the members' bag
+    # size comes from sample_size
+    "n_rows-text": lambda p: p.update(
+        n_rows=str(p["n_rows"]), params={**p["params"], "sample_size": p["n_rows"]}),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -655,6 +656,33 @@ def test_trace_json_round_trip():
     back = EliminationTrace.from_json(trace.to_json())
     assert back == trace
     assert back.selected_features == ("a", "b")
+
+
+_TRACE = {"steps": [{"active_features": ["a", "b"], "accuracy": 0.5, "dropped": "b"}],
+          "selected_index": 0}
+
+
+@pytest.mark.parametrize("text", [
+    "{}", "[]", "null",
+    json.dumps({"steps": _TRACE["steps"]}),
+    json.dumps({**_TRACE, "steps": {"a": 1}}),
+    json.dumps({**_TRACE, "steps": ["a"]}),
+    json.dumps({**_TRACE, "steps": [{"accuracy": 0.5, "dropped": "b"}]}),
+    json.dumps({**_TRACE, "steps": [{**_TRACE["steps"][0], "accuracy": "x"}]}),
+    json.dumps({**_TRACE, "steps": [{**_TRACE["steps"][0], "accuracy": "0.5"}]}),
+    json.dumps({**_TRACE, "steps": [{**_TRACE["steps"][0], "active_features": "ab"}]}),
+    json.dumps({**_TRACE, "steps": [{"active_features": [1, 2], "accuracy": 0.5,
+                                     "dropped": 1}]}),
+    json.dumps({**_TRACE, "selected_index": "0"}),
+], ids=["empty", "list", "null", "no-selected-index", "steps-object", "step-text",
+        "no-active-features", "accuracy-text", "accuracy-number-text",
+        "active-features-text", "names-numbers", "selected-index-text"])
+def test_malformed_trace_is_shap_error(text):
+    """The trace loader raises its own error, never a bare KeyError,
+    TypeError or ValueError, and takes no value of the wrong type."""
+    assert EliminationTrace.from_json(json.dumps(_TRACE)).selected_features == ("a", "b")
+    with pytest.raises(ShapError):
+        EliminationTrace.from_json(text)
 
 
 def test_two_feature_trace_shape():

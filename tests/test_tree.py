@@ -1391,6 +1391,80 @@ def test_payload_refuses_an_empty_child_that_is_not_its_parents_leaf():
             load(child)
 
 
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       scale=st.sampled_from([1, 3, 1000, 2**40]), seed=st.integers(0, 2**32 - 1))
+def test_node_labels_match_the_scalar_rule(shape, scale, seed):
+    """The vectorised labelling gives every node exactly the class and
+    confidence of the one-node rule, empty nodes their parent's, and calls
+    a node impure when it holds both classes.  Small scales make ties and
+    empty nodes common; large ones test the division."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, scale + 1, size=(*shape, 2))
+    counts[rng.random(shape) < 0.3] = 0
+    tied = rng.random(shape) < 0.2
+    counts[tied, 1] = counts[tied, 0]
+    parent_prediction = rng.integers(0, 2, size=shape)
+    parent_confidence = rng.random(shape)
+    prediction, confidence, impure = tree_module._node_labels(
+        counts, parent_prediction, parent_confidence)
+    for i in np.ndindex(*shape):
+        parent = (int(parent_prediction[i]), float(parent_confidence[i]))
+        expected = oracles.leaf_label(counts[i], parent)
+        assert (int(prediction[i]), float(confidence[i]).hex()) == \
+            (expected[0], float(expected[1]).hex())
+        assert impure[i] == (min(counts[i]) > 0)
+
+
+def _one_split(left, right, root=None):
+    """A cart payload: a root split over the leaves ``left`` and ``right``,
+    with the root's counts their sum unless ``root`` gives them."""
+    counts = root or [a + b for a, b in zip(left["counts"], right["counts"])]
+    label = oracles.leaf_label(counts)
+    return {
+        "algorithm": "cart", "params": {}, "feature_names": ["f0"],
+        "schema_hash": "x", "n_rows": sum(counts),
+        "root": {"counts": counts, "prediction": label[0], "confidence": label[1],
+                 "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]},
+                 "children": [left, right]},
+    }
+
+
+def _labelled(counts):
+    prediction, confidence = oracles.leaf_label(counts)
+    return {"counts": counts, "prediction": prediction, "confidence": confidence}
+
+
+def test_payload_refuses_a_node_not_labelled_by_its_majority():
+    """A non-empty node predicts its majority class, ties going to class
+    0, at that class's share of its rows: a payload that says otherwise is
+    refused."""
+    left, right = _labelled([10, 0]), _labelled([2, 2])
+    assert DecisionTree.from_payload(_one_split(left, right)).root.prediction == 0
+    for child in ({**left, "prediction": 1}, {**left, "confidence": 0.9},
+                  {**right, "prediction": 1}, {**right, "confidence": 0.25}):
+        with pytest.raises(TreeError, match="majority class"):
+            DecisionTree.from_payload(_one_split(child, right))
+    payload = _one_split(left, right)
+    payload["root"]["prediction"] = 1
+    with pytest.raises(TreeError, match="majority class"):
+        DecisionTree.from_payload(payload)
+
+
+def test_payload_refuses_counts_that_do_not_add_up():
+    """A split's children's counts add up to its own, and the root's total
+    n_rows, an integer >= 1."""
+    left, right = _labelled([50, 0]), _labelled([0, 70])
+    with pytest.raises(TreeError, match="do not add up to its counts"):
+        DecisionTree.from_payload(_one_split(left, right, root=[3, 1]))
+    assert DecisionTree.from_payload(_one_split(left, right)).n_rows == 120
+    for n_rows, needle in ((119, "do not total n_rows"), (121, "do not total n_rows"),
+                           *((bad, "'n_rows' is not an integer >= 1")
+                             for bad in (0, "120", 120.0, True, None))):
+        with pytest.raises(TreeError, match=needle):
+            DecisionTree.from_payload({**_one_split(left, right), "n_rows": n_rows})
+
+
 def test_serialization_round_trip_all_algorithms():
     rng = np.random.default_rng(77)
     table = random_table(rng, n=60, codes=3)
