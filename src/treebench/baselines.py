@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import CategoricalTable, Rule, check_knobs, integer, list_of, number
+from .dataset import (OBJECT, CategoricalTable, Rule, check_knobs, integer, list_of,
+                      number, read_json)
 
 __all__ = [
     "BaselineError",
@@ -726,8 +727,8 @@ _KINDS = {cls.kind: cls for cls in
 
 def model_from_json(text: str):
     """Rebuild a baseline model serialized by its ``to_json``."""
-    payload = json.loads(text)
-    kind = payload.pop("kind", None) if isinstance(payload, dict) else None
+    payload = read_json(text, OBJECT, "model", BaselineError)
+    kind = payload.pop("kind", None)
     if kind not in _KINDS:
         raise BaselineError(f"unknown model kind {kind!r}")
     cls = _KINDS[kind]

@@ -45,6 +45,7 @@ from .dataset import (
     list_of,
     load_delimited,
     optional,
+    read_json,
     recode,
     schema_from_json,
     schema_to_json,
@@ -144,7 +145,7 @@ _CONFIG_KEYS = {
     "forest": OBJECT,
     "background": integer(1),
     "explain_rows": list_of(integer(0), "a non-empty list of integers >= 0",
-                            nonempty=True),
+                            shortest=1),
 }
 _COHORT_KEYS = {"alignment_field": STRING, "curve_codes": CODES,
                 "negotiating_field": STRING, "negotiating_codes": CODES}
@@ -162,11 +163,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        payload = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}: bad JSON: {e}") from e
-    check(payload, OBJECT, str(p), ConfigError)
+    payload = read_json(p.read_text(), OBJECT, str(p), ConfigError)
     check_knobs(payload, _CONFIG_KEYS, "config", ConfigError)
 
     if seed is None:
@@ -515,6 +512,9 @@ def _run(args) -> int:
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -59,11 +59,11 @@ def optional(rule: Rule) -> Rule:
     return Rule(f"null or {rule.text}", lambda v: v is None or rule.test(v))
 
 
-def list_of(rule: Rule, text: str, nonempty: bool = False) -> Rule:
-    """A list or tuple, of at least one item with ``nonempty``, whose every
-    item passes ``rule``."""
+def list_of(rule: Rule, text: str, shortest: int = 0) -> Rule:
+    """A list or tuple of at least ``shortest`` items, whose every item
+    passes ``rule``."""
     return Rule(text, lambda v: isinstance(v, (list, tuple))
-                and (len(v) > 0 or not nonempty) and all(map(rule.test, v)))
+                and len(v) >= shortest and all(map(rule.test, v)))
 
 
 OBJECT = Rule("a JSON object", lambda v: isinstance(v, dict))
@@ -72,6 +72,8 @@ STRING = Rule("a JSON string", lambda v: isinstance(v, str))
 BOOLEAN = Rule("true or false", lambda v: isinstance(v, bool))
 CHARACTER = Rule("a single character", lambda v: isinstance(v, str) and len(v) == 1)
 INTEGER = integer()
+# a code or count that numpy holds as int64
+NATURAL = Rule("an integer in [0, 2**63)", lambda v: _is_integer(v) and 0 <= v < 2**63)
 CODES = list_of(INTEGER, "a JSON list of integers")
 NAMES = list_of(STRING, "a JSON list of strings")
 _NO_DEFAULT = object()
@@ -82,6 +84,16 @@ def check(value, rule: Rule, what: str, error: type = DatasetError):
     if not rule.test(value):
         raise error(f"{what} is not {rule.text}: {value!r}")
     return value
+
+
+def read_json(text: str, rule: Rule, what: str, error: type = DatasetError):
+    """The JSON value of ``text``, checked by ``rule``; text that is not
+    JSON, or nests too deep to parse, is ``error`` naming ``what``."""
+    try:
+        value = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise error(f"{what}: bad JSON: {e}") from None
+    return check(value, rule, what, error)
 
 
 def check_key(item: Mapping, key: str, rule: Rule, what: str,
@@ -166,13 +178,8 @@ def schema_to_json(schema: Sequence[FeatureSpec]) -> str:
 
 
 def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DatasetError(f"bad schema JSON: {e}") from e
-    check(payload, LIST, "schema")
     specs = []
-    for i, item in enumerate(payload):
+    for i, item in enumerate(read_json(text, LIST, "schema")):
         entry = f"schema entry {i}"
         check(item, OBJECT, entry)
         specs.append(FeatureSpec(
@@ -470,8 +477,11 @@ class RecodeRule:
         check(self.default, _DEFAULT, f"rule {self.name!r}: 'default'")
         if not self.cases and self.default in (None, "drop"):
             raise DatasetError(f"rule {self.name!r}: no cases and no assigning default")
-        for predicate, _ in self.cases:
+        for k, (predicate, code) in enumerate(self.cases):
             _check_predicate(self.name, predicate)
+            check(code, NATURAL, f"rule {self.name!r}: case {k} 'code'")
+        if _is_integer(self.default):
+            check(self.default, NATURAL, f"rule {self.name!r}: 'default'")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "cases", tuple((dict(p), int(c)) for p, c in self.cases))
         object.__setattr__(self, "missing", frozenset(int(v) for v in self.missing))
@@ -522,11 +532,6 @@ class RecodeRuleSet:
 
     @classmethod
     def from_json(cls, text: str) -> "RecodeRuleSet":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise DatasetError(f"bad rules JSON: {e}") from e
-
         def parse_rule(item: Mapping, entry: str) -> RecodeRule:
             entry = f"rule {entry}"
             check(item, OBJECT, entry)
@@ -546,7 +551,7 @@ class RecodeRuleSet:
                 labels=_labels(item, entry),
             )
 
-        check(payload, OBJECT, "rules file")
+        payload = read_json(text, OBJECT, "rules file")
         features = check_key(payload, "features", LIST, "rules file")
         target = check_key(payload, "target", OBJECT, "rules file")
         return cls(

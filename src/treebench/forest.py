@@ -12,9 +12,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import (BOOLEAN, CategoricalTable, check_key, check_knobs, integer,
-                      optional)
-from .tree import DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow
+from .dataset import (BOOLEAN, NAMES, OBJECT, STRING, CategoricalTable, check_key,
+                      check_knobs, integer, optional, read_json)
+from .tree import (DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow,
+                   node_payload)
 
 
 class ForestError(ValueError):
@@ -111,7 +112,7 @@ class Forest:
                 "feature_names": list(self.feature_names),
                 "schema_hash": self.schema_hash,
                 "n_rows": self.n_rows,
-                "trees": [t.payload() for t in self.trees],
+                "trees": [node_payload(t.root) for t in self.trees],
             },
             indent=2,
             sort_keys=True,
@@ -119,31 +120,26 @@ class Forest:
 
     @classmethod
     def from_json(cls, text: str) -> "Forest":
-        payload = json.loads(text)
+        """The forest of a ``to_json`` text: each of its ``trees`` is the root
+        of what ``train_forests`` grows, a ``forest_member`` over the forest's
+        names and hash whose root totals its bag."""
+        payload = read_json(text, OBJECT, "forest payload", ForestError)
         try:
             check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
-            forest = cls(
-                params=ForestParams(**payload["params"]),
-                trees=tuple(DecisionTree.from_payload(t) for t in payload["trees"]),
-                feature_names=tuple(payload["feature_names"]),
-                schema_hash=payload["schema_hash"],
-                n_rows=check_key(payload, "n_rows", integer(2), "forest payload",
-                                 error=ForestError),
-            )
-            if len(forest.trees) != forest.params.n_trees:
-                raise ForestError(f"the forest holds {len(forest.trees)} trees, "
-                                  f"not its n_trees {forest.params.n_trees}")
-            # what train_forests gives every member
-            member = {"algorithm": "forest_member", "params": forest.params.tree_params(),
-                      "feature_names": forest.feature_names,
-                      "schema_hash": forest.schema_hash,
-                      "n_rows": forest.params.sample_size or forest.n_rows}
-            for i, tree in enumerate(forest.trees):
-                for key, value in member.items():
-                    if getattr(tree, key) != value:
-                        raise ForestError(f"tree {i} has {key} {getattr(tree, key)!r}, "
-                                          f"not the forest's {value!r}")
-            return forest
+            params = ForestParams(**payload["params"])
+            n_rows, names, schema_hash = (
+                check_key(payload, key, rule, "forest payload", error=ForestError)
+                for key, rule in (("n_rows", integer(2)), ("feature_names", NAMES),
+                                  ("schema_hash", STRING)))
+            member = {"algorithm": "forest_member", "params": asdict(params.tree_params()),
+                      "feature_names": names, "schema_hash": schema_hash,
+                      "n_rows": params.sample_size or n_rows}
+            trees = tuple(DecisionTree.from_payload({**member, "root": root})
+                          for root in payload["trees"])
+            if len(trees) != params.n_trees:
+                raise ForestError(f"the forest holds {len(trees)} trees, "
+                                  f"not its n_trees {params.n_trees}")
+            return cls(trees, params, tuple(names), schema_hash, n_rows)
         except KeyError as e:
             raise ForestError(f"forest payload has no field {e}") from None
         except (TypeError, ValueError) as e:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import (INTEGER, LIST, NAMES, OBJECT, STRING, CategoricalTable,
-                      check, check_key, number)
+                      check, check_key, number, read_json)
 from .evaluation import EvalError, _cv_result, _task_pool, make_folds
 from .forest import (ForestError, ForestParams, _require_rows, train_forest,
                      train_forests)
@@ -359,7 +359,7 @@ class EliminationTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "EliminationTrace":
-        payload = check(json.loads(text), OBJECT, "trace", ShapError)
+        payload = read_json(text, OBJECT, "trace", ShapError)
         steps = []
         for i, item in enumerate(check_key(payload, "steps", LIST, "trace",
                                            error=ShapError)):

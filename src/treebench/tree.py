@@ -24,8 +24,9 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .criteria import chi_square_k2, gini_decrease, info_gain
-from .dataset import (CategoricalTable, Rule, check_key, check_knobs, integer,
-                      number, optional)
+from .dataset import (NAMES, NATURAL, OBJECT, STRING, CategoricalTable, Rule,
+                      check_key, check_knobs, integer, list_of, number, optional,
+                      read_json)
 
 _GAIN_EPS = 1e-12
 
@@ -49,14 +50,12 @@ GROWER_KNOBS = {grower: {name: TREE_RULES[name] for name in names} for grower, n
 _PAYLOAD_KNOBS = {**GROWER_KNOBS, "forest_member": GROWER_KNOBS["cart"]}
 _ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
                   lambda v: isinstance(v, str) and v in _PAYLOAD_KNOBS)
-# The rule of each value a tree payload's node holds
-_NATURAL = integer(0)
-_NODE_RULES = {
-    "counts": Rule("a list of two integers >= 0", lambda v: isinstance(v, list)
-                   and len(v) == 2 and all(map(_NATURAL.test, v))),
-    "prediction": Rule("0 or 1", lambda v: _NATURAL.test(v) and v <= 1),
-    "confidence": number("a number in [0, 1]", lambda v: 0 <= v <= 1),
-}
+# The rules of the values a tree payload's node and split hold
+_NATURALS = list_of(NATURAL, "a list of integers in [0, 2**63)")
+_COUNTS = Rule("a list of two integers >= 0 totalling below 2**63",
+               lambda v: _NATURALS.test(v) and len(v) == 2 and sum(v) < 2**63)
+_SCORE = number("a finite number", math.isfinite)
+_BRANCHES = list_of(_NATURALS, "a list of two or more lists of integers in [0, 2**63)", 2)
 
 
 class TreeError(ValueError):
@@ -244,26 +243,10 @@ class DecisionTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DecisionTree":
-        return cls.from_payload(json.loads(text))
+        return cls.from_payload(read_json(text, OBJECT, "tree payload", TreeError))
 
     def payload(self) -> dict:
         """The JSON object ``to_json`` writes."""
-        def node_payload(node: TreeNode) -> dict:
-            payload = {
-                "counts": [int(c) for c in node.counts],
-                "prediction": int(node.prediction),
-                "confidence": node.confidence,
-                "score": node.score,
-            }
-            if node.split is not None:
-                payload["split"] = {
-                    "feature": node.split.feature,
-                    "arity": node.split.arity,
-                    "branches": [list(b) for b in node.split.branches],
-                }
-                payload["children"] = [node_payload(c) for c in node.children]
-            return payload
-
         return {
             "algorithm": self.algorithm,
             "params": asdict(self.params),
@@ -275,32 +258,34 @@ class DecisionTree:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "DecisionTree":
-        """The tree of a ``payload()`` object.  A payload is refused when its
+        """The tree of a ``payload()`` object, each node labelled by
+        ``_node_labels`` of its counts.  A payload is refused when its
         ``algorithm``'s grower ignores a knob its ``params`` set, when counts
         do not add up (children to their split, the root to ``n_rows``), or
-        when a node's label is not ``_node_labels`` of its counts."""
-        nodes = []  # (node, its parent) in preorder; the root is its own parent
-
+        when an empty node splits."""
         def parse_node(item: Mapping, parent: TreeNode | None) -> TreeNode:
-            counts, prediction, confidence = (
-                check_key(item, key, rule, "tree node", error=TreeError)
-                for key, rule in _NODE_RULES.items())
-            node = TreeNode(counts=np.array(counts, dtype=np.int64),
-                            prediction=prediction, confidence=confidence,
-                            score=item.get("score", 0.0))
-            nodes.append((node, node if parent is None else parent))
+            counts = check_key(item, "counts", _COUNTS, "tree node", error=TreeError)
+            node = TreeNode(np.array(counts, dtype=np.int64), 0, 0.0, score=check_key(
+                item, "score", _SCORE, "tree node", 0.0, TreeError))
+            # an empty node takes its parent's label; the root is never empty
+            label = _node_labels(node.counts, *(
+                (parent.prediction, parent.confidence) if parent else (0, 0.0)))
+            node.prediction, node.confidence = label[0].item(), label[1].item()
             if "split" in item:
+                if not sum(counts):
+                    raise TreeError("an empty node must be a leaf")
                 s = item["split"]
                 node.split = Split(
                     feature=check_key(s, "feature", feature, "split", error=TreeError),
                     arity=s["arity"],
-                    branches=tuple(tuple(b) for b in s["branches"]),
+                    branches=tuple(map(tuple, check_key(s, "branches", _BRANCHES,
+                                                        "split", error=TreeError))),
                 )
                 node.children = tuple(parse_node(c, node) for c in item["children"])
                 if len(node.children) != len(node.split.branches):
                     raise TreeError("a split needs one child per branch")
                 below = [child.counts.tolist() for child in node.children]
-                if np.sum(below, axis=0).tolist() != counts:
+                if list(map(sum, zip(*below))) != list(counts):
                     raise TreeError(f"a split's children's counts {below} do not "
                                     f"add up to its counts {counts}")
             return node
@@ -308,9 +293,10 @@ class DecisionTree:
         try:
             algorithm = check_key(payload, "algorithm", _ALGORITHM, "tree payload",
                                   error=TreeError)
-            names = tuple(payload["feature_names"])
+            names = tuple(check_key(payload, "feature_names", NAMES, "tree payload",
+                                    error=TreeError))
             feature = Rule(f"an index into feature_names, below {len(names)}",
-                           lambda v: _NATURAL.test(v) and v < len(names))
+                           lambda v: NATURAL.test(v) and v < len(names))
             params = payload["params"]
             check_knobs(params, TREE_RULES, "TreeParams", TreeError)
             params = TreeParams(**params)
@@ -321,37 +307,38 @@ class DecisionTree:
             if root.total != n_rows:
                 raise TreeError(f"the root's counts {root.counts.tolist()} do not "
                                 f"total n_rows {n_rows}")
-            # the root is never empty, so its own label stands for its parent's
-            labels = zip(*(a.tolist() for a in _node_labels(
-                np.array([node.counts for node, _ in nodes]),
-                np.array([parent.prediction for _, parent in nodes]),
-                np.array([parent.confidence for _, parent in nodes]))))
-            for (node, _), (*label, _) in zip(nodes, labels):
-                empty = node.total == 0
-                if [node.prediction, node.confidence] != label or empty and node.split:
-                    raise TreeError(
-                        "an empty child must be a leaf with its parent's prediction "
-                        "and confidence" if empty else f"a node predicts its majority "
-                        f"class (ties go to 0) at that class's share: counts "
-                        f"{node.counts.tolist()} give {label}, not "
-                        f"{[node.prediction, node.confidence]}")
             return cls(
                 root=root,
                 algorithm=algorithm,
                 params=params,
                 feature_names=names,
-                schema_hash=payload["schema_hash"],
+                schema_hash=check_key(payload, "schema_hash", STRING, "tree payload",
+                                      error=TreeError),
                 n_rows=n_rows,
             )
         except KeyError as e:
             raise TreeError(f"tree payload has no field {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, RecursionError) as e:
             raise TreeError(f"malformed tree payload: {e}") from None
 
 
 # ---------------------------------------------------------------------------
 # Structure helpers
 # ---------------------------------------------------------------------------
+
+def node_payload(node: TreeNode) -> dict:
+    """A node's JSON object: its counts and score, and when it splits, the
+    split and its children's objects.  Its label follows from its counts."""
+    payload = {"counts": [int(c) for c in node.counts], "score": node.score}
+    if node.split is not None:
+        payload["split"] = {
+            "feature": node.split.feature,
+            "arity": node.split.arity,
+            "branches": [list(b) for b in node.split.branches],
+        }
+        payload["children"] = [node_payload(c) for c in node.children]
+    return payload
+
 
 def iter_nodes(tree: DecisionTree) -> Iterator[tuple[TreeNode, int, tuple[int, ...]]]:
     """Preorder walk yielding (node, depth, branch path from root)."""

@@ -122,6 +122,32 @@ def test_bad_json_is_config_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("deep, status", [("config", 2), ("schema", 1)])
+def test_json_nested_too_deep_is_one_line_error(tmp_path, capsys, deep, status):
+    # the config is a usage error; a schema file's text is an input error
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path)
+    (tmp_path / f"{deep}.json").write_text("[" * 100_000)
+    assert cli.main(["compare", "--config", str(cfg)]) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bad JSON: maximum recursion depth exceeded" in err
+
+
+def test_running_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # numpy's allocation failure names its array; a bare MemoryError gets
+    # fixed text
+    cfg = write_config(tmp_path)
+    for raised, line in ((MemoryError("Unable to allocate 7.28 TiB"),
+                          "error: Unable to allocate 7.28 TiB\n"),
+                         (MemoryError(), "error: out of memory\n")):
+        def run(config):
+            raise raised
+        monkeypatch.setitem(cli._COMMANDS, "compare", run)
+        assert cli.main(["compare", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == line
+
+
 def test_bad_roster_params_rejected_before_training(tmp_path):
     write_fixture(tmp_path)
     cfg = write_config(
@@ -669,6 +695,23 @@ def test_ingest_cell_outside_int64_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == (f"error: {tmp_path / 'raw.csv'}: value '99999999999999999999' "
                    "at row 1, column 'SEX' is outside the 64-bit integer range\n")
+
+
+@pytest.mark.parametrize("where", ["code", "default"])
+def test_ingest_output_code_outside_int64_is_one_line_error(tmp_path, capsys, where):
+    cfg = ingest_fixture(tmp_path)
+    rules = json.loads((tmp_path / "rules.json").read_text())
+    if where == "code":
+        rules["features"][0]["cases"][1]["code"] = 2**70
+        needle = "case 1 'code'"
+    else:
+        rules["features"][0]["default"] = 2**70
+        needle = "'default'"
+    (tmp_path / "rules.json").write_text(json.dumps(rules))
+    assert cli.main(["ingest", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: rule 'sex': {needle} is not an integer in [0, 2**63): {2**70}\n")
+    assert not (tmp_path / "ingested").exists()
 
 
 def test_field_over_csv_limit_is_one_line_error(tmp_path, capsys):

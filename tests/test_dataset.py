@@ -286,6 +286,21 @@ class TestRecode:
         with pytest.raises(DatasetError, match=match):
             RecodeRule("x", ("X",), cases=cases)
 
+    @pytest.mark.parametrize("cases, default, match", [
+        ((({"any": True}, 2**63),), None, "case 0 'code' is not an integer in "
+         "\\[0, 2\\*\\*63\\): 9223372036854775808"),
+        ((({"in": [0]}, 0), ({"any": True}, -1)), None, "case 1 'code' .*: -1"),
+        ((({"in": [0]}, 0),), 2**70, f"'default' is not an integer in .*: {2**70}"),
+        ((({"in": [0]}, 0),), -1, "'default' is not an integer in .*: -1"),
+    ], ids=["code-2**63", "code-negative", "default-2**70", "default-negative"])
+    def test_output_code_outside_int64_rejected_at_construction(self, cases, default,
+                                                               match):
+        # a recoded column is int64 and a schema's codes are non-negative
+        with pytest.raises(DatasetError, match=f"^rule 'x': {match}"):
+            RecodeRule("x", ("X",), cases=cases, default=default)
+        top = RecodeRule("x", ("X",), cases=(({"in": [0]}, 2**63 - 1),), default=0)
+        assert top.output_codes() == (0, 2**63 - 1)
+
     def test_first_match_wins(self):
         raw = RawTable(["X", "INJ"], np.array([[40, 1]]))
         rules = RecodeRuleSet(

@@ -3,7 +3,8 @@
 ``to_json -> from_json -> to_json`` gives the same text, and the restored
 model gives the same probabilities and labels, for trees from the four
 growers, forests, and the four baselines (``model.to_json()`` /
-``model_from_json``).
+``model_from_json``).  Malformed payloads, and text that is not JSON for
+every JSON reader, are each reader's own one-line error.
 """
 import json
 import warnings
@@ -21,8 +22,16 @@ from treebench.baselines import (
     train_logistic,
     train_mlp,
 )
-from treebench.dataset import CategoricalTable, feature
+from treebench.cli import ConfigError, load_config
+from treebench.dataset import (
+    CategoricalTable,
+    DatasetError,
+    RecodeRuleSet,
+    feature,
+    schema_from_json,
+)
 from treebench.forest import Forest, ForestError, ForestParams, train_forest
+from treebench.shapley import EliminationTrace, ShapError
 from treebench.tree import (
     DecisionTree,
     TreeError,
@@ -132,8 +141,8 @@ def _tree_payload() -> dict:
     return payload
 
 
-def _drop_child(payload):
-    payload["root"]["children"] = payload["root"]["children"][:1]
+def _drop_child(node):
+    node["children"] = node["children"][:1]
 
 
 def _inflate_child(payload):
@@ -146,26 +155,31 @@ _TREE_DEFECTS = {
     "counts-text": lambda p: p["root"].update(counts="x"),
     "no-counts": lambda p: p["root"].pop("counts"),
     "split-without-children": lambda p: p["root"].pop("children"),
-    "one-child-two-branches": _drop_child,
+    "one-child-two-branches": lambda p: _drop_child(p["root"]),
     "extra-child": lambda p: p["root"]["children"].append(p["root"]["children"][0]),
     # a split feature outside feature_names, counts that are not two
-    # non-negative integers, a label that is no class, a confidence that is
-    # no fraction
+    # non-negative integers totalling below 2**63, branch codes that are not
+    # such integers, a split of one branch, a score that is no finite number, names that are not a
+    # list of strings, a hash that is no string
     "feature-past-the-names": lambda p: p["root"]["split"].update(feature=2),
     "feature-negative": lambda p: p["root"]["split"].update(feature=-1),
     "counts-scalar": lambda p: p["root"].update(counts=5),
     "counts-three": lambda p: p["root"]["children"][0].update(counts=[1, 2, 0]),
     "counts-negative": lambda p: p["root"]["children"][1].update(counts=[-1, 4]),
-    "prediction-seven": lambda p: p["root"].update(prediction=7),
-    "confidence-above-one": lambda p: p["root"]["children"][0].update(confidence=1.5),
-    # counts that do not add up, and a label that is not the node's
-    # majority class at its share
+    "counts-past-int64": lambda p: p["root"].update(counts=[2**70, 0]),
+    "branch-code-fraction": lambda p: p["root"]["split"]["branches"][0].append(0.7),
+    "branch-code-text": lambda p: p["root"]["split"]["branches"][0].append("0"),
+    "branch-code-false": lambda p: p["root"]["split"]["branches"][0].append(False),
+    "one-branch": lambda p: p["root"]["split"]["branches"].pop(),
+    "score-text": lambda p: p["root"].update(score="x"),
+    "score-nan": lambda p: p["root"].update(score=float("nan")),
+    "feature-names-text": lambda p: p.update(feature_names="abc"),
+    "feature-names-numbers": lambda p: p.update(feature_names=[1, 2, 3]),
+    "schema-hash-number": lambda p: p.update(schema_hash=5),
+    # counts that do not add up
     "child-counts-past-the-split": _inflate_child,
     "n_rows-off-the-root": lambda p: p.update(n_rows=p["n_rows"] + 1),
     "n_rows-text": lambda p: p.update(n_rows=str(p["n_rows"])),
-    "prediction-not-the-majority": lambda p: p["root"].update(
-        prediction=1 - p["root"]["prediction"]),
-    "confidence-not-the-share": lambda p: p["root"].update(confidence=0.5),
 }
 
 
@@ -179,11 +193,44 @@ def test_malformed_tree_payload_is_tree_error(defect):
         DecisionTree.from_payload(payload)
 
 
+def test_tree_nested_past_the_recursion_limit_is_tree_error():
+    """A payload too deep to walk, though built without recursion, is one
+    line of ``TreeError``, not a bare ``RecursionError``."""
+    node = {"counts": [1, 0]}
+    for _ in range(5000):
+        node = {"counts": [1, 0], "children": [node, {"counts": [0, 0]}],
+                "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]}}
+    with pytest.raises(TreeError, match="maximum recursion depth"):
+        DecisionTree.from_payload({"algorithm": "cart", "params": {}, "n_rows": 1,
+                                   "feature_names": ["f0"], "schema_hash": "x",
+                                   "root": node})
+
+
+# A node's label follows from its counts; a label a node stores, as the
+# format before this rule did, is ignored, even when it disagrees
+_STORED_LABELS = {
+    "prediction-seven": lambda p: p["root"].update(prediction=7),
+    "confidence-above-one": lambda p: p["root"]["children"][0].update(confidence=1.5),
+    "prediction-not-the-majority": lambda p: p["root"].update(prediction=1),
+    "confidence-not-the-share": lambda p: p["root"].update(confidence=0.5),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_STORED_LABELS))
+def test_stored_labels_are_ignored(label):
+    payload = _tree_payload()
+    tree = DecisionTree.from_payload(payload)
+    _STORED_LABELS[label](payload)
+    restored = DecisionTree.from_json(json.dumps(payload))
+    assert restored.to_json() == tree.to_json()
+    assert_same_predictions(tree, restored, _split_table().rows)
+
+
 def _forest_payload() -> dict:
     forest = train_forest(_split_table(), ForestParams(
         n_trees=2, features_per_split=2, min_records=1))
     payload = json.loads(forest.to_json())
-    assert all("split" in t["root"] for t in payload["trees"])
+    assert all("split" in root for root in payload["trees"])
     return payload
 
 
@@ -192,15 +239,16 @@ _FOREST_DEFECTS = {
     "unknown-param": lambda p: p["params"].update(n_tree=3),
     "no-feature-names": lambda p: p.pop("feature_names"),
     "trees-number": lambda p: p.update(trees=5),
-    "tree-without-root": lambda p: p["trees"][0].pop("root"),
-    "tree-counts-text": lambda p: p["trees"][1]["root"].update(counts="x"),
+    "tree-without-root": lambda p: p.update(trees=[None, *p["trees"][1:]]),
+    "tree-without-counts": lambda p: p["trees"][0].pop("counts"),
+    "tree-counts-text": lambda p: p["trees"][1].update(counts="x"),
+    "tree-counts-past-int64": lambda p: p["trees"][1].update(counts=[2**70, 0]),
     "tree-one-child-two-branches": lambda p: _drop_child(p["trees"][0]),
+    "feature-names-text": lambda p: p.update(feature_names="abc"),
+    "feature-names-numbers": lambda p: p.update(feature_names=[1, 2, 3]),
+    "schema-hash-number": lambda p: p.update(schema_hash=5),
     # members that are not what train_forests grows for this forest
     "n_trees-over-the-members": lambda p: p["params"].update(n_trees=5),
-    "member-algorithm": lambda p: p["trees"][0].update(algorithm="cart"),
-    "member-params": lambda p: p["trees"][1]["params"].update(max_depth=7),
-    "member-feature-names": lambda p: p["trees"][1].update(feature_names=["g0", "g1"]),
-    "member-schema-hash": lambda p: p["trees"][0].update(schema_hash="0" * 16),
     "member-n_rows-not-the-bag": lambda p: p.update(n_rows=p["n_rows"] + 1),
     "sample_size-not-the-bag": lambda p: p["params"].update(sample_size=5),
     # a forest's own n_rows is an integer >= 2, also when the members' bag
@@ -261,3 +309,28 @@ def test_decision_rule_without_literals_is_baseline_error():
 def test_non_object_payload_is_the_loaders_error(load, error, text):
     with pytest.raises(error):
         load(text)
+
+
+def _read_config(text, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return load_config(path)
+
+
+@pytest.mark.parametrize("text", ["{", "[" * 100_000], ids=["truncated", "deep"])
+@pytest.mark.parametrize("read, error", [
+    (_read_config, ConfigError),
+    (lambda text, _: schema_from_json(text), DatasetError),
+    (lambda text, _: RecodeRuleSet.from_json(text), DatasetError),
+    (lambda text, _: DecisionTree.from_json(text), TreeError),
+    (lambda text, _: Forest.from_json(text), ForestError),
+    (lambda text, _: EliminationTrace.from_json(text), ShapError),
+    (lambda text, _: model_from_json(text), BaselineError),
+], ids=["config", "schema", "rules", "tree", "forest", "trace", "baseline"])
+def test_text_that_is_not_json_is_the_readers_error(read, error, text, tmp_path):
+    """A truncated text, and one nested too deep for the parser, are each
+    one line of the reader's own error, never a bare ``JSONDecodeError`` or
+    ``RecursionError``."""
+    with pytest.raises(error, match="bad JSON") as info:
+        read(text, tmp_path)
+    assert type(info.value) is error and "\n" not in str(info.value)

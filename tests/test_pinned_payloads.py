@@ -5,6 +5,10 @@ The expected strings were written by the code that predates the shared
 baselines (``kind`` plus every field, sorted keys, one line), a decision
 tree with a multiway and a binary split, and a two-member forest (both
 indented by two spaces).  Each text also loads back to the same text.
+A tree node holds its counts and score, and its split and children when it
+splits, never its label; a forest lists its members' root nodes.  A tree
+text that stores labels still loads, and a forest text with whole member
+payloads is refused.
 
 The ``elimination.json`` that ``select-features`` writes for one small
 planted table is pinned at two seeds as well; each step's accuracy comes
@@ -31,7 +35,7 @@ from treebench.dataset import (
     planted_relevance_rules,
     schema_to_json,
 )
-from treebench.forest import Forest, ForestParams
+from treebench.forest import Forest, ForestError, ForestParams
 from treebench.tree import DecisionTree, Split, TreeNode, TreeParams
 
 HASH = "0123456789abcdef"
@@ -133,6 +137,99 @@ BASELINE_TEXT = {
 }
 
 TREE_TEXT = """\
+{
+  "algorithm": "c50",
+  "feature_names": [
+    "f0",
+    "f1"
+  ],
+  "n_rows": 11,
+  "params": {
+    "alpha": 0.05,
+    "max_depth": null,
+    "min_gain": 1e-12,
+    "min_records": 3,
+    "severity": 75.0
+  },
+  "root": {
+    "children": [
+      {
+        "counts": [
+          3,
+          1
+        ],
+        "score": 0.0
+      },
+      {
+        "children": [
+          {
+            "counts": [
+              3,
+              0
+            ],
+            "score": 0.0
+          },
+          {
+            "counts": [
+              0,
+              4
+            ],
+            "score": 0.0
+          }
+        ],
+        "counts": [
+          3,
+          4
+        ],
+        "score": 0.25,
+        "split": {
+          "arity": "binary",
+          "branches": [
+            [
+              0
+            ],
+            [
+              1,
+              2
+            ]
+          ],
+          "feature": 1
+        }
+      },
+      {
+        "counts": [
+          0,
+          0
+        ],
+        "score": 0.0
+      }
+    ],
+    "counts": [
+      6,
+      5
+    ],
+    "score": 0.125,
+    "split": {
+      "arity": "multiway",
+      "branches": [
+        [
+          0
+        ],
+        [
+          1
+        ],
+        [
+          2
+        ]
+      ],
+      "feature": 0
+    }
+  },
+  "schema_hash": "0123456789abcdef"
+}"""
+
+# The text of hand_tree() in the format whose nodes also stored their label
+LABELLED_TREE_TEXT = """\
 {
   "algorithm": "c50",
   "feature_names": [
@@ -255,6 +352,72 @@ FOREST_TEXT = """\
   "schema_hash": "0123456789abcdef",
   "trees": [
     {
+      "children": [
+        {
+          "counts": [
+            0,
+            3
+          ],
+          "score": 0.0
+        },
+        {
+          "counts": [
+            2,
+            0
+          ],
+          "score": 0.0
+        }
+      ],
+      "counts": [
+        2,
+        3
+      ],
+      "score": 0.48,
+      "split": {
+        "arity": "binary",
+        "branches": [
+          [
+            1
+          ],
+          [
+            0,
+            2
+          ]
+        ],
+        "feature": 0
+      }
+    },
+    {
+      "counts": [
+        4,
+        1
+      ],
+      "score": 0.0
+    }
+  ]
+}"""
+
+# The text of hand_forest() in the format whose members were whole tree
+# payloads
+MEMBER_FOREST_TEXT = """\
+{
+  "feature_names": [
+    "f0",
+    "f1"
+  ],
+  "n_rows": 5,
+  "params": {
+    "bootstrap": true,
+    "features_per_split": null,
+    "max_depth": 1,
+    "min_records": 2,
+    "n_trees": 2,
+    "sample_size": null,
+    "seed": 5
+  },
+  "schema_hash": "0123456789abcdef",
+  "trees": [
+    {
       "algorithm": "forest_member",
       "feature_names": [
         "f0",
@@ -356,6 +519,24 @@ def test_tree_payload_bytes():
 def test_forest_payload_bytes():
     assert hand_forest().to_json() == FOREST_TEXT
     assert Forest.from_json(FOREST_TEXT).to_json() == FOREST_TEXT
+
+
+def test_labelled_tree_text_loads_with_the_labels_of_its_counts():
+    """A tree text whose nodes store their labels loads: the stored labels
+    are ignored, and every node's label follows from its counts."""
+    tree = DecisionTree.from_json(LABELLED_TREE_TEXT)
+    assert tree.to_json() == TREE_TEXT
+    rows = np.array([[a, b] for a in range(4) for b in range(4)])
+    assert np.array_equal(tree.proba_batch(rows), hand_tree().proba_batch(rows))
+    assert np.array_equal(tree.predict_batch(rows), hand_tree().predict_batch(rows))
+
+
+def test_member_forest_text_is_refused():
+    """A forest text whose members are whole tree payloads is refused with
+    one line: a member is a root node, which holds counts."""
+    with pytest.raises(ForestError, match="^malformed forest payload: .*'counts'") as info:
+        Forest.from_json(MEMBER_FOREST_TEXT)
+    assert "\n" not in str(info.value)
 
 
 ELIMINATION_TEXT = {

@@ -175,7 +175,7 @@ class TestGrowerKnobs:
         forest member grows as cart does."""
         payload = {"algorithm": algorithm, "params": {knob: self.SET[knob]},
                    "feature_names": ["f0"], "schema_hash": "x", "n_rows": 1,
-                   "root": {"counts": [1, 0], "prediction": 0, "confidence": 1.0}}
+                   "root": {"counts": [1, 0]}}
         reads = GROWER_KNOBS["cart" if algorithm == "forest_member" else algorithm]
         if knob in reads:
             params = DecisionTree.from_payload(payload).params
@@ -537,7 +537,7 @@ class TestPruneC50:
         """A leaf that predicts no more errors than its subtree replaces it;
         here the subtree's one nonempty leaf holds every row, so the two are
         equal to the bit."""
-        leaf = {"counts": [6, 2], "prediction": 0, "confidence": 0.75, "score": 0.0}
+        leaf = {"counts": [6, 2], "score": 0.0}
         empty = {**leaf, "counts": [0, 0]}
         split = {"feature": 0, "arity": "multiway", "branches": [[0], [1]]}
         tree = DecisionTree.from_payload({
@@ -1369,11 +1369,11 @@ class TestSplitType:
 
 def test_payload_refuses_an_empty_child_that_is_not_its_parents_leaf():
     """An empty child is a leaf with its parent's prediction and confidence,
-    as every grower builds it: a payload whose empty child disagrees with
-    its parent, or splits, is refused."""
-    leaf = {"counts": [3, 1], "prediction": 0, "confidence": 0.75}
+    as every grower builds it: a payload's empty child takes its parent's
+    label, whatever label it stores, and one that splits is refused."""
+    leaf = {"counts": [3, 1]}
     split = {"feature": 0, "arity": "binary", "branches": [[0], [1]]}
-    empty = {**leaf, "counts": [0, 0]}
+    empty = {"counts": [0, 0]}
 
     def load(child):
         return DecisionTree.from_payload({
@@ -1382,13 +1382,13 @@ def test_payload_refuses_an_empty_child_that_is_not_its_parents_leaf():
             "root": {**leaf, "split": split, "children": [leaf, child]},
         })
 
-    assert load(empty).predict_batch(np.array([[1]])).tolist() == [0]
-    for child in ({**empty, "prediction": 1, "confidence": 0.9},
-                  {**empty, "confidence": 0.9},
-                  {**empty, "split": split, "children": [empty, empty]}):
-        with pytest.raises(TreeError, match="an empty child must be a leaf with "
-                                            "its parent's prediction and confidence"):
-            load(child)
+    for child in (empty, {**empty, "prediction": 1, "confidence": 0.9}):
+        tree = load(child)
+        assert tree.proba_batch(np.array([[1]])).tolist() == [0.25]
+        assert (tree.root.children[1].prediction, tree.root.children[1].confidence) \
+            == (0, 0.75)
+    with pytest.raises(TreeError, match="an empty node must be a leaf"):
+        load({**empty, "split": split, "children": [empty, empty]})
 
 
 @settings(max_examples=200, deadline=None)
@@ -1420,41 +1420,32 @@ def _one_split(left, right, root=None):
     """A cart payload: a root split over the leaves ``left`` and ``right``,
     with the root's counts their sum unless ``root`` gives them."""
     counts = root or [a + b for a, b in zip(left["counts"], right["counts"])]
-    label = oracles.leaf_label(counts)
     return {
         "algorithm": "cart", "params": {}, "feature_names": ["f0"],
         "schema_hash": "x", "n_rows": sum(counts),
-        "root": {"counts": counts, "prediction": label[0], "confidence": label[1],
+        "root": {"counts": counts,
                  "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]},
                  "children": [left, right]},
     }
 
 
-def _labelled(counts):
-    prediction, confidence = oracles.leaf_label(counts)
-    return {"counts": counts, "prediction": prediction, "confidence": confidence}
-
-
-def test_payload_refuses_a_node_not_labelled_by_its_majority():
+def test_payload_labels_each_node_by_its_counts():
     """A non-empty node predicts its majority class, ties going to class
-    0, at that class's share of its rows: a payload that says otherwise is
-    refused."""
-    left, right = _labelled([10, 0]), _labelled([2, 2])
-    assert DecisionTree.from_payload(_one_split(left, right)).root.prediction == 0
-    for child in ({**left, "prediction": 1}, {**left, "confidence": 0.9},
-                  {**right, "prediction": 1}, {**right, "confidence": 0.25}):
-        with pytest.raises(TreeError, match="majority class"):
-            DecisionTree.from_payload(_one_split(child, right))
-    payload = _one_split(left, right)
-    payload["root"]["prediction"] = 1
-    with pytest.raises(TreeError, match="majority class"):
-        DecisionTree.from_payload(payload)
+    0, at that class's share of its rows, whatever label its payload
+    stores."""
+    left, right = {"counts": [10, 1]}, {"counts": [2, 2]}
+    for stored in ({}, {"prediction": 1, "confidence": 0.25}):
+        root = DecisionTree.from_payload(
+            _one_split({**left, **stored}, {**right, **stored})).root
+        assert [(node.prediction, node.confidence) for node in (root, *root.children)] \
+            == [oracles.leaf_label(node.counts) for node in (root, *root.children)] \
+            == [(0, 12 / 15), (0, 10 / 11), (0, 0.5)]
 
 
 def test_payload_refuses_counts_that_do_not_add_up():
     """A split's children's counts add up to its own, and the root's total
     n_rows, an integer >= 1."""
-    left, right = _labelled([50, 0]), _labelled([0, 70])
+    left, right = {"counts": [50, 0]}, {"counts": [0, 70]}
     with pytest.raises(TreeError, match="do not add up to its counts"):
         DecisionTree.from_payload(_one_split(left, right, root=[3, 1]))
     assert DecisionTree.from_payload(_one_split(left, right)).n_rows == 120
