@@ -22,6 +22,7 @@ from .baselines import (
     train_decision_list,
     train_logistic,
     train_mlp,
+    train_mlps,
 )
 from .criteria import (
     ChiSquareResult,

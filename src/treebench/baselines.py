@@ -30,6 +30,7 @@ __all__ = [
     "DecisionListModel",
     "train_logistic",
     "train_mlp",
+    "train_mlps",
     "train_bayes_net",
     "train_decision_list",
     "mlp_loss_and_gradients",
@@ -143,12 +144,9 @@ def check_options(family: str, options: dict) -> None:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0, else e^z / (1 + e^z): no exp overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -267,43 +265,55 @@ class MlpModel(_Baseline):
 
 
 def _mlp_forward(weights, biases, x):
-    """Return per-layer activations; the last entry is the output logit."""
+    """Return per-layer activations; the last entry is the output logit.
+
+    One network takes weights [out, in] and rows [batch, in].  A stack of
+    networks takes weights [networks, out, in] and rows [networks, batch,
+    in]; each slice of its products is then the product of the slices."""
     activations = [x]
     a = x
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (w, b) in enumerate(zip(weights, biases)):
-            z = a @ w.T + b
+            z = a @ w.swapaxes(-1, -2) + b[..., None, :]
             a = z if k == len(weights) - 1 else np.tanh(z)
             activations.append(a)
     return activations
 
 
 def _mlp_logits(weights, biases, x: np.ndarray) -> np.ndarray:
-    return _mlp_forward(weights, biases, x)[-1][:, 0]
+    return _mlp_forward(weights, biases, x)[-1][..., 0]
 
 
 def mlp_loss_and_gradients(model: MlpModel, rows, targets):
     """Mean cross-entropy and its analytic gradients for a row batch."""
     x = _one_hot(model._check_rows(rows), model.levels)
-    return _mlp_loss_and_gradients(model.weights, model.biases, x,
-                                   np.asarray(targets, dtype=float))
+    loss, grads_w, grads_b = _mlp_loss_and_gradients(
+        model.weights, model.biases, x, np.asarray(targets, dtype=float))
+    return float(loss), grads_w, grads_b
 
 
 def _mlp_loss_and_gradients(weights, biases, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and its gradients on an encoded batch."""
+    """Mean cross-entropy and its gradients on an encoded batch, of one
+    network or of each network of a stack (see ``_mlp_forward``)."""
     acts = _mlp_forward(weights, biases, x)
-    z = acts[-1][:, 0]
-    n = x.shape[0]
+    z = acts[-1][..., 0]
+    loss = _cross_entropy(z, y)
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
-        delta = ((_sigmoid(z) - y) / n)[:, None]
+        delta = ((_sigmoid(z) - y) / z.shape[-1])[..., None]
         grads_w, grads_b = [], []
         for k in range(len(weights) - 1, -1, -1):
-            grads_w.append(delta.T @ acts[k])
-            grads_b.append(delta.sum(axis=0))
+            grads_w.append(delta.swapaxes(-1, -2) @ acts[k])
+            grads_b.append(delta.sum(axis=-2))
             if k > 0:
                 delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
-    return loss, list(reversed(grads_w)), list(reversed(grads_b))
+    return loss, grads_w[::-1], grads_b[::-1]
+
+
+def _cross_entropy(z: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of logits ``z`` for targets ``y``, over the last
+    (batch) axis."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.mean(np.logaddexp(0.0, z) - y * z, axis=-1)
 
 
 def _init_layers(sizes, rng):
@@ -324,7 +334,41 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
     Five tanh hidden layers by default, logistic output, mini-batch gradient
     descent on cross-entropy.  A seeded 10% holdout supplies the validation
     error; training keeps the weights from the best validation epoch and
-    stops after ``patience`` epochs without improvement.
+    stops after ``patience`` epochs without improvement.  This is the
+    one-table case of ``train_mlps``.
+    """
+    model, = train_mlps(data, [np.arange(data.n_rows)], widths=widths,
+                        learning_rate=learning_rate, epochs=epochs,
+                        batch_size=batch_size, patience=patience, seed=seed)
+    if isinstance(model, ConvergenceError):
+        raise model
+    return model
+
+
+def _run(mask: np.ndarray):
+    """The positions where ``mask`` holds: a slice when they are one run, so
+    that indexing with it gives views, else an index array."""
+    pos = np.flatnonzero(mask)
+    if pos.size and pos[-1] - pos[0] + 1 == pos.size:
+        return slice(pos[0], pos[-1] + 1)
+    return pos
+
+
+def train_mlps(data: CategoricalTable, subsets, widths: tuple[int, ...] = (16,) * 5,
+               learning_rate: float = 0.1, epochs: int = 200,
+               batch_size: int = 32, patience: int = 10, seed: int = 0) -> list:
+    """One network per row subset of ``data`` (a sequence of index arrays),
+    all trained in lockstep.
+
+    Entry i is the model ``train_mlp(data.take_rows(subsets[i]), ...)``
+    returns, weight for weight, or the ConvergenceError that call raises.
+    ``data`` is encoded once, and each step gathers its batch rows by index.
+    The networks in training keep their parameters as rows of one [networks,
+    parameters] array and take each mini-batch step together, as stacked
+    [networks, batch, width] products: the full batches of every network
+    that has one left, then the ragged last batches, grouped by length.  A
+    network leaves the stack when it stops early or its loss turns
+    non-finite.
     """
     check_options("mlp", {"widths": widths, "learning_rate": learning_rate,
                           "epochs": epochs, "batch_size": batch_size,
@@ -332,59 +376,120 @@ def train_mlp(data: CategoricalTable, widths: tuple[int, ...] = (16,) * 5,
     levels = tuple(spec.allowed_codes for spec in data.schema)
     x_all = _one_hot(data.rows, levels)
     y_all = data.target.astype(float)
-    n = data.n_rows
-    rng = np.random.default_rng([int(seed), 0])
-    order = rng.permutation(n)
-    n_val = n // 10
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    if train_idx.size == 0:
-        train_idx = order
-    x_train, y_train = x_all[train_idx], y_all[train_idx]
-    x_val = x_all[val_idx] if n_val else x_train
-    y_val = y_all[val_idx] if n_val else y_train
+    train, val = [], []  # each network's rows of data, in holdout order
+    for rows in subsets:
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            raise BaselineError("every row subset needs at least one row")
+        order = rows[np.random.default_rng([int(seed), 0]).permutation(rows.size)]
+        n_val = rows.size // 10
+        train.append(order[n_val:])
+        val.append(order[:n_val] if n_val else order)
+    n_train = np.array([t.size for t in train])
+    n_val = np.array([v.size for v in val])
 
-    sizes = [x_all.shape[1], *widths, 1]
-    weights, biases = _init_layers(sizes, np.random.default_rng([int(seed), 1]))
-    best = (_bce(weights, biases, x_val, y_val), weights, biases)
-    stale = 0
-    shuffle_rng = np.random.default_rng([int(seed), 2])
-    for epoch in range(epochs):
-        perm = shuffle_rng.permutation(train_idx.size)
-        for start in range(0, train_idx.size, batch_size):
-            batch = perm[start:start + batch_size]
-            loss, gw, gb = _mlp_loss_and_gradients(
-                weights, biases, x_train[batch], y_train[batch]
-            )
-            if not math.isfinite(loss):
-                raise ConvergenceError(
+    weights, biases = _init_layers([x_all.shape[1], *widths, 1],
+                                   np.random.default_rng([int(seed), 1]))
+    shapes = [p.shape for p in weights + biases]
+    ends = np.cumsum([p.size for p in weights + biases])
+    n_layers = len(weights)
+
+    def layers(flat: np.ndarray) -> list:
+        """Views of each network's weights, then biases, in ``flat``."""
+        return [flat[:, end - math.prod(shape):end].reshape(len(flat), *shape)
+                for shape, end in zip(shapes, ends)]
+
+    live = np.arange(len(train))  # the networks in training, in stack order
+    flat = np.repeat(np.concatenate([p.ravel() for p in weights + biases])[None],
+                     live.size, axis=0)
+    params = layers(flat)
+    best_flat = flat.copy()
+    stale = np.zeros(live.size, dtype=np.int64)
+    # networks with equally many training rows draw the same permutations
+    shufflers = {size: np.random.default_rng([int(seed), 2]) for size in set(n_train)}
+    fits: list = [None] * len(train)
+
+    def stack(sel) -> tuple[list, list]:
+        """The weights and biases of the networks at ``sel``."""
+        views = [p[sel] for p in params]
+        return views[:n_layers], views[n_layers:]
+
+    def val_losses() -> np.ndarray:
+        losses = np.empty(live.size)
+        for size in np.unique(n_val[live]):
+            sel = _run(n_val[live] == size)
+            rows = np.stack([val[i] for i in live[sel]])
+            losses[sel] = _cross_entropy(_mlp_logits(*stack(sel), x_all[rows]),
+                                         y_all[rows])
+        return losses
+
+    def step(sel, rows: np.ndarray) -> None:
+        """One SGD step of the networks at ``sel`` on their batch ``rows``.
+        A network whose loss is not finite fails, left as it was, and takes
+        no more steps this epoch (``ok``)."""
+        if not len(rows):
+            return
+        loss, gw, gb = _mlp_loss_and_gradients(*stack(sel), x_all[rows], y_all[rows])
+        grads = np.concatenate([g.reshape(len(g), -1) for g in gw + gb], axis=1)
+        finite = np.isfinite(loss)
+        if not finite.all():
+            pos = np.arange(live.size)[sel]
+            for p in pos[~finite]:
+                ok[p] = False
+                fits[live[p]] = ConvergenceError(
                     f"training loss became non-finite at epoch {epoch}",
-                    epoch, float("inf"),
-                )
-            weights = [w - learning_rate * g for w, g in zip(weights, gw)]
-            biases = [b - learning_rate * g for b, g in zip(biases, gb)]
-        val_loss = _bce(weights, biases, x_val, y_val)
-        if not math.isfinite(val_loss):
-            raise ConvergenceError(
+                    epoch, float("inf"))
+            sel, grads = pos[finite], grads[finite]
+        flat[sel] -= learning_rate * grads
+
+    def model(p: int) -> MlpModel:
+        views = [np.array(v[0]) for v in layers(best_flat[p:p + 1])]
+        return MlpModel(data.feature_names, levels, tuple(views[:n_layers]),
+                        tuple(views[n_layers:]), "tanh", data.schema_hash(),
+                        int(seed))
+
+    def keep(mask: np.ndarray) -> None:
+        nonlocal live, flat, params, best_flat, best, stale
+        live, flat, best_flat = live[mask], flat[mask], best_flat[mask]
+        params, best, stale = layers(flat), best[mask], stale[mask]
+
+    best = val_losses()
+    for epoch in range(epochs):
+        if not live.size:
+            break
+        # this epoch's batch rows: row p holds network p's shuffled training
+        # rows, padded to the longest
+        lengths = n_train[live]
+        perms = {size: shufflers[size].permutation(size) for size in set(lengths)}
+        order = np.zeros((live.size, lengths.max()), dtype=np.intp)
+        for p, i in enumerate(live):
+            order[p, :lengths[p]] = train[i][perms[lengths[p]]]
+        ok = np.ones(live.size, dtype=bool)
+        full, tail = np.divmod(lengths, batch_size)
+        for s in range(full.max()):
+            sel = _run((full > s) & ok)
+            step(sel, order[sel, s * batch_size:(s + 1) * batch_size])
+        for size in np.unique(tail[tail > 0]):
+            pos = np.flatnonzero((tail == size) & ok)
+            step(pos, order[pos[:, None], lengths[pos, None] - size + np.arange(size)])
+        keep(ok)
+
+        losses = val_losses()
+        finite = np.isfinite(losses)
+        for p in np.flatnonzero(~finite):
+            fits[live[p]] = ConvergenceError(
                 f"validation loss became non-finite at epoch {epoch}",
-                epoch, float("inf"),
-            )
-        if val_loss < best[0] - 1e-12:
-            best = (val_loss, weights, biases)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    return MlpModel(data.feature_names, levels,
-                    tuple(np.array(w) for w in best[1]),
-                    tuple(np.array(b) for b in best[2]),
-                    "tanh", data.schema_hash(), int(seed))
-
-
-def _bce(weights, biases, x: np.ndarray, y: np.ndarray) -> float:
-    z = _mlp_logits(weights, biases, x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+                epoch, float("inf"))
+        better = finite & (losses < best - 1e-12)
+        best_flat[better] = flat[better]
+        best = np.where(better, losses, best)
+        stale = np.where(better, 0, stale + 1)
+        for p in np.flatnonzero(finite & (stale >= patience)):
+            fits[live[p]] = model(p)
+        keep(np.array([fits[i] is None for i in live], dtype=bool))
+    for p, i in enumerate(live):
+        fits[i] = model(p)
+    return fits
 
 
 # ---------------------------------------------------------------------------

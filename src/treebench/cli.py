@@ -27,6 +27,7 @@ from .baselines import (
     train_decision_list,
     train_logistic,
     train_mlp,
+    train_mlps,
 )
 from .dataset import (
     BOOLEAN,
@@ -74,21 +75,23 @@ from .tree import (
 )
 
 
-# Each model family's (table, params) trainer and the rule of each knob it
-# takes, in default-roster order, tree growers first.  A tree family takes
-# the TreeParams fields its grower reads.  The lambdas look their trainer up
-# when called, so a wrapper set on this module's ``train_*`` attribute is
-# the one that runs.
+# Each model family's (table, params) trainer, the rule of each knob it
+# takes and its fold-batch trainer, (table, fold complements, params) ->
+# a model or exception per complement, or None.  The order is the default
+# roster's, tree growers first.  A tree family takes the TreeParams fields
+# its grower reads.  The lambdas look their trainer up when called, so a
+# wrapper set on this module's ``train_*`` attribute is the one that runs.
 _FAMILIES = {
-    "c50": (lambda t, p: prune_c50(train_c50(t, p)), GROWER_KNOBS["c50"]),
-    "chaid": (lambda t, p: train_chaid(t, p), GROWER_KNOBS["chaid"]),
-    "cart": (lambda t, p: train_cart(t, p), GROWER_KNOBS["cart"]),
-    "quest": (lambda t, p: train_quest(t, p), GROWER_KNOBS["quest"]),
-    "bayes-net": (lambda t, p: train_bayes_net(t, **p), OPTIONS["bayes-net"]),
-    "logistic": (lambda t, p: train_logistic(t, **p), OPTIONS["logistic"]),
-    "mlp": (lambda t, p: train_mlp(t, **p), OPTIONS["mlp"]),
+    "c50": (lambda t, p: prune_c50(train_c50(t, p)), GROWER_KNOBS["c50"], None),
+    "chaid": (lambda t, p: train_chaid(t, p), GROWER_KNOBS["chaid"], None),
+    "cart": (lambda t, p: train_cart(t, p), GROWER_KNOBS["cart"], None),
+    "quest": (lambda t, p: train_quest(t, p), GROWER_KNOBS["quest"], None),
+    "bayes-net": (lambda t, p: train_bayes_net(t, **p), OPTIONS["bayes-net"], None),
+    "logistic": (lambda t, p: train_logistic(t, **p), OPTIONS["logistic"], None),
+    "mlp": (lambda t, p: train_mlp(t, **p), OPTIONS["mlp"],
+            lambda t, subsets, p: train_mlps(t, subsets, **p)),
     "decision-list": (lambda t, p: train_decision_list(t, **p),
-                      OPTIONS["decision-list"]),
+                      OPTIONS["decision-list"], None),
 }
 
 DEFAULT_ROSTER = tuple(_FAMILIES)
@@ -175,7 +178,7 @@ def load_config(path, out_dir=None, seed=None) -> PipelineConfig:
     check_knobs(payload.get("roster_params", {}),
                 {name: OBJECT for name in _FAMILIES}, "roster_params", ConfigError)
     for name, params in payload.get("roster_params", {}).items():
-        family_trainer(name, params, seed)  # raises on a bad parameter
+        roster_entry(name, params, seed)  # raises on a bad parameter
 
     forest = payload.get("forest", {})
     if "seed" in forest:
@@ -247,16 +250,18 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def family_trainer(name: str, params: dict, master_seed: int):
-    """Build one family's trainer callable from its config parameters.
+def roster_entry(name: str, params: dict, master_seed: int) -> RosterEntry:
+    """One family's roster entry, its trainers built from its config
+    parameters.
 
     Every family checks its knobs against ``_FAMILIES``.  Tree families
     share TreeParams; the entropy tree is post-pruned as part of training.
     The network trainer gets its seed from the master-seed fan-out unless
     the config pins one explicitly.
     """
-    trainer, knobs = _FAMILIES[name]
+    trainer, knobs, fold_trainer = _FAMILIES[name]
     check_knobs(params, knobs, name, ConfigError)
+    record = dict(params)
     if name == "mlp":
         params = {"seed": derive_seed(master_seed, "mlp"), **params}
     if name in TREE_FAMILIES:
@@ -264,17 +269,13 @@ def family_trainer(name: str, params: dict, master_seed: int):
             params = TreeParams(**params)
         except TreeError as e:
             raise ConfigError(f"bad parameters for {name}: {e}") from None
-    return functools.partial(trainer, p=params)
+    return RosterEntry(name, functools.partial(trainer, p=params), record,
+                       fold_trainer and functools.partial(fold_trainer, p=params))
 
 
 def build_roster(config: PipelineConfig) -> list[RosterEntry]:
-    entries = []
-    for name in config.roster:
-        params = config.roster_params.get(name, {})
-        entries.append(
-            RosterEntry(name, family_trainer(name, params, config.seed), dict(params))
-        )
-    return entries
+    return [roster_entry(name, config.roster_params.get(name, {}), config.seed)
+            for name in config.roster]
 
 
 def _forest_params(forest: dict, seed: int,

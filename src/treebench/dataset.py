@@ -77,12 +77,17 @@ NATURAL = Rule("an integer in [0, 2**63)", lambda v: _is_integer(v) and 0 <= v <
 CODES = list_of(INTEGER, "a JSON list of integers")
 NAMES = list_of(STRING, "a JSON list of strings")
 _NO_DEFAULT = object()
+_SHOWN = 120  # characters of an offending value that an error line shows
 
 
 def check(value, rule: Rule, what: str, error: type = DatasetError):
-    """``value``, unless it fails ``rule``: then ``error`` names ``what``."""
+    """``value``, unless it fails ``rule``: then ``error`` names ``what`` and
+    shows at most ``_SHOWN`` characters of the value's ``repr``."""
     if not rule.test(value):
-        raise error(f"{what} is not {rule.text}: {value!r}")
+        shown = repr(value)
+        if len(shown) > _SHOWN:
+            shown = shown[:_SHOWN] + f"... ({len(shown)} characters)"
+        raise error(f"{what} is not {rule.text}: {shown}")
     return value
 
 

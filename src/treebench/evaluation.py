@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import os
 import signal
@@ -158,15 +157,37 @@ def _check_plan(data: CategoricalTable, plan: FoldPlan) -> None:
 
 
 def _fold_labels(trainer, data: CategoricalTable, plan: FoldPlan,
-                 fold_index: int) -> np.ndarray:
-    """Train on the complement of one fold and label its held-out rows."""
+                 fold_index: int, fit=None) -> np.ndarray:
+    """Train on the complement of one fold and label its held-out rows.
+    ``fit``, when given, is the model (or the exception) a fold-batch
+    trainer already gave for that complement."""
     try:
-        model = trainer(data.take_rows(plan.train_indices(fold_index)))
-        return predict_labels(model, data.rows[list(plan.folds[fold_index])])
+        if fit is None:
+            fit = trainer(data.take_rows(plan.train_indices(fold_index)))
+        if isinstance(fit, Exception):
+            raise fit
+        return predict_labels(fit, data.rows[list(plan.folds[fold_index])])
     except EvalError:
         raise
     except Exception as exc:
         raise EvalError(f"trainer failed on fold {fold_index}: {exc}") from exc
+
+
+def _fold_batch_labels(entry, data: CategoricalTable, plan: FoldPlan) -> list:
+    """Each fold's held-out labels, or the EvalError of its fit, from one
+    call of ``entry.fold_trainer`` on every fold complement.  An error of
+    the call as a whole is the error of fold 0."""
+    try:
+        fits = entry.fold_trainer(data, [plan.train_indices(i) for i in range(plan.k)])
+    except Exception as exc:
+        fits = [exc]
+    outcomes = []
+    for i, fit in enumerate(fits):
+        try:
+            outcomes.append(_fold_labels(entry.trainer, data, plan, i, fit))
+        except EvalError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 def _cv_result(data: CategoricalTable, plan: FoldPlan, fold_labels) -> CvResult:
@@ -257,11 +278,17 @@ def overall_accuracy(matrix) -> float:
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """One model family: display name, trainer, and its parameter record."""
+    """One model family: display name, trainer, and its parameter record.
+
+    ``fold_trainer``, when set, fits every fold at once: called with the
+    table and the list of fold complements (index arrays), it returns for
+    each the model ``trainer`` gives on ``data.take_rows(complement)``, or
+    the exception it raises."""
 
     name: str
     trainer: object
     params: dict = field(default_factory=dict)
+    fold_trainer: object = None
 
 
 @dataclass(frozen=True)
@@ -310,11 +337,15 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _fit_task(job, task: int) -> np.ndarray:
-    """The held-out labels of (family, fold) number ``task`` of ``job`` =
-    (entries, data, plan), family-major."""
+def _fit_task(job, task: tuple):
+    """For ``task`` = (family, fold) of ``job`` = (entries, data, plan), the
+    fold's held-out labels; for (family, None), each fold's labels or
+    EvalError from the family's fold-batch trainer."""
     entries, data, plan = job
-    return _fold_labels(entries[task // plan.k].trainer, data, plan, task % plan.k)
+    family, fold = task
+    if fold is None:
+        return _fold_batch_labels(entries[family], data, plan)
+    return _fold_labels(entries[family].trainer, data, plan, fold)
 
 
 _worker_run = None  # set once in each pool worker by _adopt
@@ -406,10 +437,11 @@ def compare_models(data: CategoricalTable, roster, plan: FoldPlan
                    ) -> ComparisonReport:
     """Evaluate every roster family on one shared fold plan.
 
-    The (family, fold) fits run family-major; their results, warnings and
-    failures are taken in that order, so the report, the warnings re-issued
-    here and the error raised are the same whether the fits ran in this
-    process or in forked workers.
+    A family with a fold-batch trainer fits all its folds in one task,
+    submitted before the (family, fold) tasks of the others.  Results,
+    warnings and failures are taken family-major, fold by fold, so the
+    report, the warnings re-issued here and the error raised are the same
+    whether the fits ran in this process or in forked workers.
     """
     entries = tuple(roster)
     if not entries:
@@ -417,17 +449,23 @@ def compare_models(data: CategoricalTable, roster, plan: FoldPlan
     _check_plan(data, plan)
     rows = []
     matrices = {}
-    n_tasks = len(entries) * plan.k
+    tasks = ([(i, None) for i, e in enumerate(entries) if e.fold_trainer]
+             + [(i, fold) for i, e in enumerate(entries) if not e.fold_trainer
+                for fold in range(plan.k)])
     with _task_pool(functools.partial(_fit_task, (entries, data, plan)),
-                    n_tasks) as submit:
-        outcomes = iter([submit(task) for task in range(n_tasks)])
-        for entry in entries:
+                    len(tasks)) as submit:
+        outcomes = {task: submit(task) for task in tasks}
+        for i, entry in enumerate(entries):
             fold_labels = []
-            for outcome in itertools.islice(outcomes, plan.k):
-                try:
-                    fold_labels.append(outcome())
-                except EvalError as error:
-                    raise EvalError(f"{entry.name}: {error}") from error
+            try:
+                folds = (outcomes[i, None]() if entry.fold_trainer else
+                         (outcomes[i, fold]() for fold in range(plan.k)))
+                for labels in folds:
+                    if isinstance(labels, EvalError):
+                        raise labels
+                    fold_labels.append(labels)
+            except EvalError as error:
+                raise EvalError(f"{entry.name}: {error}") from error
             result = _cv_result(data, plan, fold_labels)
             rows.append(
                 LeaderboardRow(

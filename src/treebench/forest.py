@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import (BOOLEAN, NAMES, OBJECT, STRING, CategoricalTable, check_key,
-                      check_knobs, integer, optional, read_json)
-from .tree import (DecisionTree, TreeNode, TreeParams, _gini_chooser, _grow,
-                   node_payload)
+from .dataset import (BOOLEAN, LIST, NAMES, OBJECT, STRING, CategoricalTable,
+                      check_key, check_knobs, integer, optional, read_json)
+from .tree import (DecisionTree, TreeError, TreeNode, TreeParams, _gini_chooser,
+                   _grow, node_payload)
 
 
 class ForestError(ValueError):
@@ -134,12 +134,19 @@ class Forest:
             member = {"algorithm": "forest_member", "params": asdict(params.tree_params()),
                       "feature_names": names, "schema_hash": schema_hash,
                       "n_rows": params.sample_size or n_rows}
-            trees = tuple(DecisionTree.from_payload({**member, "root": root})
-                          for root in payload["trees"])
-            if len(trees) != params.n_trees:
-                raise ForestError(f"the forest holds {len(trees)} trees, "
+            roots = check_key(payload, "trees", LIST, "forest payload", error=ForestError)
+            if len(roots) != params.n_trees:
+                raise ForestError(f"the forest holds {len(roots)} trees, "
                                   f"not its n_trees {params.n_trees}")
-            return cls(trees, params, tuple(names), schema_hash, n_rows)
+            trees = []
+            for i, root in enumerate(roots):
+                try:
+                    trees.append(DecisionTree.from_payload({**member, "root": root}))
+                except TreeError as e:
+                    raise ForestError(f"forest member {i}: {e}") from None
+            return cls(tuple(trees), params, tuple(names), schema_hash, n_rows)
+        except ForestError:
+            raise
         except KeyError as e:
             raise ForestError(f"forest payload has no field {e}") from None
         except (TypeError, ValueError) as e:

@@ -316,6 +316,8 @@ class DecisionTree:
                                       error=TreeError),
                 n_rows=n_rows,
             )
+        except TreeError:
+            raise
         except KeyError as e:
             raise TreeError(f"tree payload has no field {e}") from None
         except (TypeError, ValueError, RecursionError) as e:

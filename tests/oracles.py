@@ -1,11 +1,13 @@
 """Reference implementations that the fast paths in ``src/`` are checked
 against.  No command uses them."""
+import math
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from treebench.baselines import ConvergenceError, MlpModel, _init_layers, _one_hot
 from treebench.criteria import _as_counts, entropy
 from treebench.tree import (
     _GAIN_EPS,
@@ -216,3 +218,97 @@ def fold_buckets(n: int, k: int, stratified: bool, y, seed: int) -> tuple:
             buckets[cursor % k].append(int(i))
             cursor += 1
     return tuple(tuple(sorted(b)) for b in buckets)
+
+
+def _sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _mlp_forward(weights, biases, x):
+    activations = [x]
+    a = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            z = a @ w.T + b
+            a = z if k == len(weights) - 1 else np.tanh(z)
+            activations.append(a)
+    return activations
+
+
+def _bce(weights, biases, x, y) -> float:
+    z = _mlp_forward(weights, biases, x)[-1][:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
+def _mlp_loss_and_gradients(weights, biases, x, y):
+    acts = _mlp_forward(weights, biases, x)
+    z = acts[-1][:, 0]
+    n = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+        delta = ((_sigmoid(z) - y) / n)[:, None]
+        grads_w, grads_b = [], []
+        for k in range(len(weights) - 1, -1, -1):
+            grads_w.append(delta.T @ acts[k])
+            grads_b.append(delta.sum(axis=0))
+            if k > 0:
+                delta = (delta @ weights[k]) * (1.0 - acts[k] ** 2)
+    return loss, list(reversed(grads_w)), list(reversed(grads_b))
+
+
+def train_mlp(data, widths=(16,) * 5, learning_rate=0.1, epochs=200,
+              batch_size=32, patience=10, seed=0) -> MlpModel:
+    """Reference for ``baselines.train_mlps``: one network on 2-D arrays,
+    mini-batch by mini-batch, as ``train_mlp`` trained before the stacked
+    loop."""
+    levels = tuple(spec.allowed_codes for spec in data.schema)
+    x_all = _one_hot(data.rows, levels)
+    y_all = data.target.astype(float)
+    n = data.n_rows
+    rng = np.random.default_rng([int(seed), 0])
+    order = rng.permutation(n)
+    n_val = n // 10
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    x_train, y_train = x_all[train_idx], y_all[train_idx]
+    x_val = x_all[val_idx] if n_val else x_train
+    y_val = y_all[val_idx] if n_val else y_train
+
+    sizes = [x_all.shape[1], *widths, 1]
+    weights, biases = _init_layers(sizes, np.random.default_rng([int(seed), 1]))
+    best = (_bce(weights, biases, x_val, y_val), weights, biases)
+    stale = 0
+    shuffle_rng = np.random.default_rng([int(seed), 2])
+    for epoch in range(epochs):
+        perm = shuffle_rng.permutation(train_idx.size)
+        for start in range(0, train_idx.size, batch_size):
+            batch = perm[start:start + batch_size]
+            loss, gw, gb = _mlp_loss_and_gradients(
+                weights, biases, x_train[batch], y_train[batch])
+            if not math.isfinite(loss):
+                raise ConvergenceError(
+                    f"training loss became non-finite at epoch {epoch}",
+                    epoch, float("inf"))
+            weights = [w - learning_rate * g for w, g in zip(weights, gw)]
+            biases = [b - learning_rate * g for b, g in zip(biases, gb)]
+        val_loss = _bce(weights, biases, x_val, y_val)
+        if not math.isfinite(val_loss):
+            raise ConvergenceError(
+                f"validation loss became non-finite at epoch {epoch}",
+                epoch, float("inf"))
+        if val_loss < best[0] - 1e-12:
+            best = (val_loss, weights, biases)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return MlpModel(data.feature_names, levels,
+                    tuple(np.array(w) for w in best[1]),
+                    tuple(np.array(b) for b in best[2]),
+                    "tanh", data.schema_hash(), int(seed))

@@ -22,8 +22,12 @@ from treebench.baselines import (
     train_decision_list,
     train_logistic,
     train_mlp,
+    train_mlps,
 )
 from treebench.dataset import CategoricalTable, feature
+from treebench.evaluation import make_folds
+
+import oracles
 
 
 def table_from(rows, target, codes=None):
@@ -244,6 +248,88 @@ def test_mlp_divergence_raises():
     data = build_mlp_table()
     with pytest.raises(ConvergenceError):
         train_mlp(data, learning_rate=1e308, epochs=5, seed=1)
+
+
+def mlp_outcome(fit):
+    """A trained network as the float.hex of every weight and bias, or a
+    ConvergenceError as its message and epoch."""
+    if isinstance(fit, ConvergenceError):
+        return "error", str(fit), fit.iterations
+    return [[float.hex(float(v)) for v in p.ravel()] + [p.shape]
+            for p in fit.weights + fit.biases]
+
+
+def oracle_outcome(table, **options):
+    try:
+        return mlp_outcome(oracles.train_mlp(table, **options))
+    except ConvergenceError as error:
+        return mlp_outcome(error)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 45), m=st.integers(1, 3), codes=st.integers(2, 3),
+       k=st.integers(2, 5), extra=st.integers(0, 2**16), data_seed=st.integers(0, 2**16),
+       widths=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       batch_size=st.integers(1, 12), epochs=st.integers(0, 6),
+       patience=st.integers(1, 3), seed=st.integers(0, 3),
+       learning_rate=st.sampled_from([0.1, 2.0, 1e307, 3e307]))
+@example(n=9, m=2, codes=2, k=3, extra=1, data_seed=0, widths=[3], batch_size=4,
+         epochs=4, patience=1, seed=0, learning_rate=0.1)  # no validation rows
+@example(n=40, m=3, codes=3, k=4, extra=2, data_seed=1, widths=[4, 2],
+         batch_size=5, epochs=0, patience=1, seed=1, learning_rate=0.1)
+@example(n=11, m=3, codes=2, k=4, extra=8430, data_seed=17271, widths=[1, 1],
+         batch_size=8, epochs=6, patience=3, seed=1,
+         learning_rate=3e307)  # one network's validation loss overflows
+def test_train_mlps_matches_the_per_table_oracle(n, m, codes, k, extra, data_seed,
+                                                 widths, batch_size, epochs,
+                                                 patience, seed, learning_rate):
+    """Every network of the stack is the one the per-table loop trains, to the
+    last bit, or fails with the same error at the same epoch: on fold
+    complements (sizes a row apart) and on one random subset besides, with
+    batch sizes that do and do not divide the training sizes."""
+    rng = np.random.default_rng(data_seed)
+    data = table_from(rng.integers(0, codes, size=(n, m)), rng.integers(0, 2, n),
+                      [tuple(range(codes))] * m)
+    subsets = [make_folds(n, k, stratified=False, seed=extra).train_indices(i)
+               for i in range(k)] if k <= n else []
+    subsets.append(np.flatnonzero(rng.random(n) < 0.6) if n > 1 else np.arange(n))
+    subsets = [s for s in subsets if s.size]
+    options = dict(widths=tuple(widths), learning_rate=learning_rate, epochs=epochs,
+                   batch_size=batch_size, patience=patience, seed=seed)
+    fits = train_mlps(data, subsets, **options)
+    assert len(fits) == len(subsets)
+    for rows, fit in zip(subsets, fits):
+        assert mlp_outcome(fit) == oracle_outcome(data.take_rows(rows), **options)
+
+
+def test_train_mlps_fails_only_the_networks_that_diverge():
+    # at this learning rate folds 1 and 2 of 5 diverge, fold 2 three epochs
+    # in and fold 1 nine; the other networks train on to their own stop
+    rng = np.random.default_rng(5)
+    data = table_from(rng.integers(0, 3, size=(100, 4)), rng.integers(0, 2, 100),
+                      [(0, 1, 2)] * 4)
+    plan = make_folds(100, 5, stratified=True, labels=data.target, seed=5)
+    subsets = [plan.train_indices(i) for i in range(5)]
+    options = dict(widths=(8,), epochs=20, seed=1, learning_rate=2e306)
+    fits = train_mlps(data, subsets, **options)
+    outcomes = [mlp_outcome(fit) for fit in fits]
+    assert [o[0] == "error" for o in outcomes] == [False, True, True, False, False]
+    assert [fits[1].iterations, fits[2].iterations] == [9, 3]
+    for rows, outcome in zip(subsets, outcomes):
+        assert outcome == oracle_outcome(data.take_rows(rows), **options)
+
+
+def test_train_mlp_is_the_one_table_stack():
+    data = build_mlp_table()
+    for options in (dict(epochs=3, seed=8), dict(widths=(4, 3), epochs=12, batch_size=7)):
+        assert mlp_outcome(train_mlp(data, **options)) == oracle_outcome(data, **options)
+        whole, = train_mlps(data, [np.arange(data.n_rows)], **options)
+        assert mlp_outcome(whole) == oracle_outcome(data, **options)
+
+
+def test_train_mlps_refuses_an_empty_subset():
+    with pytest.raises(BaselineError, match="at least one row"):
+        train_mlps(build_mlp_table(), [np.arange(5), np.arange(0)])
 
 
 def test_mlp_layer_chain_validation():

@@ -134,6 +134,22 @@ def test_json_nested_too_deep_is_one_line_error(tmp_path, capsys, deep, status):
     assert "bad JSON: maximum recursion depth exceeded" in err
 
 
+@pytest.mark.parametrize("deep, status", [("forest", 2), ("schema", 1)])
+def test_deeply_nested_value_is_one_bounded_line(tmp_path, capsys, deep, status):
+    # a value nested 900 deep is valid JSON; its error line shows only the
+    # start of its repr, which is about 1,800 characters long
+    write_fixture(tmp_path)
+    nested = json.loads("[" * 900 + "]" * 900)
+    cfg = write_config(tmp_path, **({"forest": nested} if deep == "forest" else {}))
+    if deep == "schema":
+        (tmp_path / "schema.json").write_text(json.dumps([nested]))
+    assert cli.main(["compare", "--config", str(cfg)]) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[[[[" in err and "... (1800 characters)" in err
+    assert len(err) < 250
+
+
 def test_running_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
     # numpy's allocation failure names its array; a bare MemoryError gets
     # fixed text

@@ -14,6 +14,7 @@ from treebench.baselines import (
     train_decision_list,
     train_logistic,
     train_mlp,
+    train_mlps,
 )
 from treebench.dataset import (
     CategoricalTable,
@@ -48,6 +49,7 @@ from treebench.tree import (
 )
 
 from oracles import fold_buckets, predict, with_cpus
+from oracles import train_mlp as oracle_train_mlp
 
 
 def majority_trainer(table):
@@ -480,6 +482,79 @@ def test_first_failure_in_serial_order_wins():
             with_cpus(n_cpus, compare_models, data, roster, plan)
         assert str(info.value) == expected
         assert multiprocessing.active_children() == []
+
+
+def batched_mlp(**options):
+    """The roster entry of an MLP family whose folds train together."""
+    return RosterEntry("mlp", lambda t: train_mlp(t, **options),
+                       fold_trainer=lambda d, subsets: train_mlps(d, subsets, **options))
+
+
+def test_fold_batch_family_gives_the_per_fold_report():
+    data = random_table(60, m=3, codes=3, seed=7)
+    plan = make_folds(60, 4, stratified=True, labels=data.target, seed=7)
+    options = dict(widths=(4, 3), epochs=6, batch_size=8, seed=2)
+    calls = []
+
+    def together(d, subsets):
+        calls.append(len(subsets))
+        return train_mlps(d, subsets, **options)
+
+    one_by_one = [RosterEntry("c50", FAMILIES["c50"]),
+                  RosterEntry("mlp", lambda t: oracle_train_mlp(t, **options)),
+                  RosterEntry("logistic", train_logistic)]
+    batched = list(one_by_one)
+    batched[1] = RosterEntry("mlp", one_by_one[1].trainer, fold_trainer=together)
+    expected = comparison_outcome(data, one_by_one, plan)
+    assert with_cpus(1, comparison_outcome, data, batched, plan) == expected
+    assert calls == [4]  # one call for the four folds
+    assert with_cpus(2, comparison_outcome, data, batched, plan) == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_diverging_mlp_fails_on_its_lowest_failing_fold():
+    # at this learning rate folds 1 and 2 diverge, fold 2 first (epoch 3) and
+    # fold 1 later (epoch 9); the error is fold 1's, as the per-fold loop
+    # raises it, whether the folds train together or not, on any CPU count
+    data = random_table(100, m=4, codes=3, seed=5)
+    plan = make_folds(100, 5, stratified=True, labels=data.target, seed=5)
+    options = dict(widths=(8,), epochs=20, seed=1, learning_rate=2e306)
+    expected = "mlp: trainer failed on fold 1: training loss became non-finite at epoch 9"
+    for entry in (RosterEntry("mlp", lambda t: oracle_train_mlp(t, **options)),
+                  batched_mlp(**options)):
+        for n_cpus in (1, 2):
+            with pytest.raises(EvalError) as info:
+                with_cpus(n_cpus, compare_models, data,
+                          [RosterEntry("fine", majority_trainer), entry], plan)
+            assert str(info.value) == expected
+    assert multiprocessing.active_children() == []
+
+
+def test_fold_batch_failures_keep_the_family_order():
+    # the batched family's task runs first, yet an earlier family's failure
+    # is the one raised; a fold-batch trainer that raises fails on fold 0
+    n = 30
+    rng = np.random.default_rng(5)
+    data = CategoricalTable([feature("id", range(n)), feature("f", (0, 1))],
+                            np.column_stack([np.arange(n), rng.integers(0, 2, n)]),
+                            rng.integers(0, 2, n))
+    plan = make_folds(n, 5, stratified=True, labels=data.target, seed=1)
+
+    def refuses(d, subsets):
+        raise RuntimeError("no batch today")
+
+    broken = RosterEntry("broken", majority_trainer, fold_trainer=refuses)
+    for roster, expected in (
+        ([RosterEntry("third", held_fold_trainer(plan, {3}, "only fold 3")), broken],
+         "third: trainer failed on fold 3: only fold 3"),
+        ([broken, RosterEntry("third", held_fold_trainer(plan, {3}, "only fold 3"))],
+         "broken: trainer failed on fold 0: no batch today"),
+    ):
+        for n_cpus in (1, 2):
+            with pytest.raises(EvalError) as info:
+                with_cpus(n_cpus, compare_models, data, roster, plan)
+            assert str(info.value) == expected
+    assert multiprocessing.active_children() == []
 
 
 def test_dead_worker_fails_the_comparison():

@@ -78,7 +78,7 @@ class TestParams:
                               ForestParams(n_trees=2, bootstrap=False, seed=9))
         payload = json.loads(forest.to_json())
         payload["params"]["sample_size"] = 3
-        with pytest.raises(ForestError, match="malformed forest payload: sample_size"):
+        with pytest.raises(ForestError, match="^sample_size"):
             Forest.from_json(json.dumps(payload))
 
 

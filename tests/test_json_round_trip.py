@@ -239,6 +239,10 @@ _FOREST_DEFECTS = {
     "unknown-param": lambda p: p["params"].update(n_tree=3),
     "no-feature-names": lambda p: p.pop("feature_names"),
     "trees-number": lambda p: p.update(trees=5),
+    "trees-object": lambda p: p.update(trees={"root": p["trees"][0]}),
+    "trees-text": lambda p: p.update(trees="ab"),
+    "second-tree-without-counts": lambda p: p["trees"][1].pop("counts"),
+    "second-tree-nested-text": lambda p: p["trees"][1]["children"][0].update(counts="x"),
     "tree-without-root": lambda p: p.update(trees=[None, *p["trees"][1:]]),
     "tree-without-counts": lambda p: p["trees"][0].pop("counts"),
     "tree-counts-text": lambda p: p["trees"][1].update(counts="x"),
@@ -264,6 +268,29 @@ def test_malformed_forest_payload_is_forest_error(defect):
     _FOREST_DEFECTS[defect](payload)
     with pytest.raises(ForestError):
         Forest.from_json(json.dumps(payload))
+
+
+# a forest's error names the member that failed and wraps its error once
+_FOREST_MESSAGES = {
+    "trees-number": "forest payload 'trees' is not a JSON list: 5",
+    "trees-text": "forest payload 'trees' is not a JSON list: 'ab'",
+    "tree-without-root": "forest member 0: malformed tree payload: ",
+    "tree-without-counts": "forest member 0: tree node has no 'counts' key",
+    "second-tree-without-counts": "forest member 1: tree node has no 'counts' key",
+    "second-tree-nested-text": "forest member 1: tree node 'counts' is not ",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_FOREST_MESSAGES))
+def test_forest_payload_error_names_the_member(defect):
+    payload = _forest_payload()
+    _FOREST_DEFECTS[defect](payload)
+    with pytest.raises(ForestError) as caught:
+        Forest.from_json(json.dumps(payload))
+    message = str(caught.value)
+    assert message.startswith(_FOREST_MESSAGES[defect])
+    assert "malformed forest payload" not in message
+    assert message.count("malformed") <= 1
 
 
 def _baseline_payloads() -> dict:

@@ -534,7 +534,7 @@ def test_labelled_tree_text_loads_with_the_labels_of_its_counts():
 def test_member_forest_text_is_refused():
     """A forest text whose members are whole tree payloads is refused with
     one line: a member is a root node, which holds counts."""
-    with pytest.raises(ForestError, match="^malformed forest payload: .*'counts'") as info:
+    with pytest.raises(ForestError, match="^forest member 0: .*'counts'") as info:
         Forest.from_json(MEMBER_FOREST_TEXT)
     assert "\n" not in str(info.value)
 
