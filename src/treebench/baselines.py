@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import (OBJECT, CategoricalTable, Rule, check_knobs, integer, list_of,
-                      number, read_json)
+from .dataset import (OBJECT, CategoricalTable, Rule, check_key, check_knobs, integer,
+                      list_of, number, read_json)
 
 __all__ = [
     "BaselineError",
@@ -828,14 +828,15 @@ def predict_batch(model, rows) -> np.ndarray:
 
 _KINDS = {cls.kind: cls for cls in
           (LogisticModel, MlpModel, BayesNetModel, DecisionListModel)}
+_KIND = Rule("one of " + ", ".join(_KINDS),
+             lambda v: isinstance(v, str) and v in _KINDS)
 
 
 def model_from_json(text: str):
     """Rebuild a baseline model serialized by its ``to_json``."""
     payload = read_json(text, OBJECT, "model", BaselineError)
-    kind = payload.pop("kind", None)
-    if kind not in _KINDS:
-        raise BaselineError(f"unknown model kind {kind!r}")
+    kind = check_key(payload, "kind", _KIND, "model", error=BaselineError)
+    del payload["kind"]
     cls = _KINDS[kind]
     decoders = {**_DECODERS, **cls.decoders}
     try:

@@ -75,6 +75,7 @@ INTEGER = integer()
 # a code or count that numpy holds as int64
 NATURAL = Rule("an integer in [0, 2**63)", lambda v: _is_integer(v) and 0 <= v < 2**63)
 CODES = list_of(INTEGER, "a JSON list of integers")
+_NATURALS = list_of(NATURAL, "a JSON list of integers in [0, 2**63)")
 NAMES = list_of(STRING, "a JSON list of strings")
 _NO_DEFAULT = object()
 _SHOWN = 120  # characters of an offending value that an error line shows
@@ -189,7 +190,7 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         check(item, OBJECT, entry)
         specs.append(FeatureSpec(
             name=check_key(item, "name", STRING, entry),
-            allowed_codes=tuple(check_key(item, "codes", CODES, entry)),
+            allowed_codes=tuple(check_key(item, "codes", _NATURALS, entry)),
             missing_codes=frozenset(check_key(item, "missing", CODES, entry, ())),
             code_labels=_labels(item, entry),
         ))

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import signal
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -156,45 +157,48 @@ def _check_plan(data: CategoricalTable, plan: FoldPlan) -> None:
         raise EvalError("fold plan does not match table size")
 
 
-def _fold_labels(trainer, data: CategoricalTable, plan: FoldPlan,
-                 fold_index: int, fit=None) -> np.ndarray:
-    """Train on the complement of one fold and label its held-out rows.
-    ``fit``, when given, is the model (or the exception) a fold-batch
-    trainer already gave for that complement."""
-    try:
-        if fit is None:
-            fit = trainer(data.take_rows(plan.train_indices(fold_index)))
-        if isinstance(fit, Exception):
-            raise fit
-        return predict_labels(fit, data.rows[list(plan.folds[fold_index])])
-    except EvalError:
-        raise
-    except Exception as exc:
-        raise EvalError(f"trainer failed on fold {fold_index}: {exc}") from exc
+def _fold_labels(fit, data: CategoricalTable, plan: FoldPlan, folds) -> list:
+    """The held-out labels of each of ``folds`` in turn, from one call of the
+    fold-batch trainer ``fit(data, complements)``, up to the first fold whose
+    fit fails: then the list ends with that fold's EvalError.
 
-
-def _fold_batch_labels(entry, data: CategoricalTable, plan: FoldPlan) -> list:
-    """Each fold's held-out labels, or the EvalError of its fit, from one
-    call of ``entry.fold_trainer`` on every fold complement.  An error of
-    the call as a whole is the error of fold 0."""
-    try:
-        fits = entry.fold_trainer(data, [plan.train_indices(i) for i in range(plan.k)])
-    except Exception as exc:
-        fits = [exc]
+    ``fit`` gives, for each complement (index arrays into ``data``), the
+    model fitted on those rows or the exception its fit raised.  An
+    exception it raises belongs to the fold it has reached (the first fold,
+    when the call itself raises), and an EvalError passes through as it is.
+    """
     outcomes = []
-    for i, fit in enumerate(fits):
-        try:
-            outcomes.append(_fold_labels(entry.trainer, data, plan, i, fit))
-        except EvalError as error:
-            outcomes.append(error)
+    try:
+        for i, model in zip(folds, fit(data, [plan.train_indices(i) for i in folds])):
+            if isinstance(model, Exception):
+                raise model
+            outcomes.append(predict_labels(model, data.rows[list(plan.folds[i])]))
+    except EvalError as error:
+        outcomes.append(error)
+    except Exception as exc:
+        outcomes.append(EvalError(f"trainer failed on fold {folds[len(outcomes)]}: "
+                                  f"{str(exc) or type(exc).__name__}"))
+        outcomes[-1].__cause__ = exc
     return outcomes
 
 
+def _per_fold(trainer):
+    """The fold-batch trainer that fits ``trainer`` on each complement's rows,
+    one fold at a time as its model is taken, so no fold after a failing
+    one is fitted."""
+    return lambda data, complements: (trainer(data.take_rows(rows))
+                                      for rows in complements)
+
+
 def _cv_result(data: CategoricalTable, plan: FoldPlan, fold_labels) -> CvResult:
-    """Per-fold accuracies and pooled predictions from each fold's labels."""
+    """Per-fold accuracies and pooled predictions from each fold's labels,
+    taken in fold order: the first fold whose outcome is an EvalError
+    raises it."""
     predicted = np.full(data.n_rows, -1, dtype=np.int64)
     accuracies = []
     for held, labels in zip(plan.folds, fold_labels):
+        if isinstance(labels, EvalError):
+            raise labels
         held_arr = np.array(held)
         predicted[held_arr] = labels
         accuracies.append(float(np.mean(labels == data.target[held_arr])))
@@ -203,10 +207,11 @@ def _cv_result(data: CategoricalTable, plan: FoldPlan, fold_labels) -> CvResult:
 
 
 def cross_validate(trainer, data: CategoricalTable, plan: FoldPlan) -> CvResult:
-    """Train on each fold complement and score the held-out rows."""
+    """Train on each fold complement and score the held-out rows; the first
+    failing fit raises."""
     _check_plan(data, plan)
-    return _cv_result(data, plan, [_fold_labels(trainer, data, plan, i)
-                                   for i in range(plan.k)])
+    return _cv_result(data, plan, _fold_labels(_per_fold(trainer), data, plan,
+                                               range(plan.k)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +285,12 @@ def overall_accuracy(matrix) -> float:
 class RosterEntry:
     """One model family: display name, trainer, and its parameter record.
 
-    ``fold_trainer``, when set, fits every fold at once: called with the
-    table and the list of fold complements (index arrays), it returns for
-    each the model ``trainer`` gives on ``data.take_rows(complement)``, or
-    the exception it raises."""
+    ``trainer`` fits one table.  ``fold_trainer``, when set, is the
+    family's fold-batch trainer, which fits every fold at once: called with
+    the table and the list of fold complements (index arrays), it returns
+    for each the model ``trainer`` gives on ``data.take_rows(complement)``,
+    or the exception it raises.  Without one, the folds are fitted one by
+    one through ``trainer``."""
 
     name: str
     trainer: object
@@ -337,26 +344,24 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _fit_task(job, task: tuple):
-    """For ``task`` = (family, fold) of ``job`` = (entries, data, plan), the
-    fold's held-out labels; for (family, None), each fold's labels or
-    EvalError from the family's fold-batch trainer."""
-    entries, data, plan = job
-    family, fold = task
-    if fold is None:
-        return _fold_batch_labels(entries[family], data, plan)
-    return _fold_labels(entries[family].trainer, data, plan, fold)
-
-
 _worker_run = None  # set once in each pool worker by _adopt
 
 
-def _adopt(run) -> None:
+def _adopt(run, read_end: int, write_end: int) -> None:
     global _worker_run
     _worker_run = run
     # Ctrl-C reaches the whole process group: the parent alone handles it,
     # and leaving the pool's block winds the workers down
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # once the parent holds the pipe's only write end, end of file on the
+    # read end means the parent is gone (killed, say): exit with it
+    os.close(write_end)
+    threading.Thread(target=_exit_at_eof, args=(read_end,), daemon=True).start()
+
+
+def _exit_at_eof(read_end: int) -> None:
+    os.read(read_end, 1)
+    os._exit(1)
 
 
 def _worker_task(task):
@@ -398,7 +403,8 @@ def _task_pool(run, n_tasks: int):
     results in task order gets the same values, warnings and first error
     either way.  Leaving the block cancels the tasks not started and waits
     for the workers to exit; a worker that dies (killed for memory, say)
-    raises EvalError rather than leaving the caller waiting.
+    raises EvalError rather than leaving the caller waiting, and the
+    workers exit when this process dies, however it dies.
     """
     workers = min(_usable_cpus(), n_tasks)
     if workers < 2 or not hasattr(os, "fork"):
@@ -423,25 +429,30 @@ def _task_pool(run, n_tasks: int):
 
         return result
 
+    pipe = os.pipe()  # nothing is written: its close tells the workers
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _adopt, (run,))
+                               _adopt, (run, *pipe))
     try:
         yield submit
     except BrokenProcessPool as exc:
         raise EvalError(f"a worker process stopped: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+        for end in pipe:
+            os.close(end)
 
 
 def compare_models(data: CategoricalTable, roster, plan: FoldPlan
                    ) -> ComparisonReport:
     """Evaluate every roster family on one shared fold plan.
 
-    A family with a fold-batch trainer fits all its folds in one task,
-    submitted before the (family, fold) tasks of the others.  Results,
-    warnings and failures are taken family-major, fold by fold, so the
-    report, the warnings re-issued here and the error raised are the same
-    whether the fits ran in this process or in forked workers.
+    Each pool task labels some folds of one family through ``_fold_labels``:
+    all of them, in one call of its ``fold_trainer``, for a family that has
+    one (these tasks are submitted first, as they run longest), and one
+    fold otherwise.  Results, warnings and failures are taken family-major,
+    fold by fold, so the report, the warnings re-issued here and the error
+    raised are the same whether the fits ran in this process or in forked
+    workers.
     """
     entries = tuple(roster)
     if not entries:
@@ -449,24 +460,24 @@ def compare_models(data: CategoricalTable, roster, plan: FoldPlan
     _check_plan(data, plan)
     rows = []
     matrices = {}
-    tasks = ([(i, None) for i, e in enumerate(entries) if e.fold_trainer]
-             + [(i, fold) for i, e in enumerate(entries) if not e.fold_trainer
+
+    def fit_task(task: tuple) -> list:  # task = (family, folds)
+        entry = entries[task[0]]
+        return _fold_labels(entry.fold_trainer or _per_fold(entry.trainer), data,
+                            plan, task[1])
+
+    tasks = ([(i, tuple(range(plan.k))) for i, e in enumerate(entries) if e.fold_trainer]
+             + [(i, (fold,)) for i, e in enumerate(entries) if not e.fold_trainer
                 for fold in range(plan.k)])
-    with _task_pool(functools.partial(_fit_task, (entries, data, plan)),
-                    len(tasks)) as submit:
+    with _task_pool(fit_task, len(tasks)) as submit:
         outcomes = {task: submit(task) for task in tasks}
         for i, entry in enumerate(entries):
-            fold_labels = []
             try:
-                folds = (outcomes[i, None]() if entry.fold_trainer else
-                         (outcomes[i, fold]() for fold in range(plan.k)))
-                for labels in folds:
-                    if isinstance(labels, EvalError):
-                        raise labels
-                    fold_labels.append(labels)
+                result = _cv_result(data, plan, (
+                    labels for task in tasks if task[0] == i
+                    for labels in outcomes[task]()))
             except EvalError as error:
                 raise EvalError(f"{entry.name}: {error}") from error
-            result = _cv_result(data, plan, fold_labels)
             rows.append(
                 LeaderboardRow(
                     entry.name,

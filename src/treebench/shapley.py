@@ -21,9 +21,8 @@ import numpy as np
 
 from .dataset import (INTEGER, LIST, NAMES, OBJECT, STRING, CategoricalTable,
                       check, check_key, number, read_json)
-from .evaluation import EvalError, _cv_result, _task_pool, make_folds
-from .forest import (ForestError, ForestParams, _require_rows, train_forest,
-                     train_forests)
+from .evaluation import _cv_result, _fold_labels, _task_pool, make_folds
+from .forest import ForestParams, train_forest, train_forests
 
 __all__ = [
     "ShapError",
@@ -380,18 +379,6 @@ def _step_params(forest_params: ForestParams, n_active: int) -> ForestParams:
     return forest_params
 
 
-def _fold_task(job, active: tuple[int, ...]) -> list[np.ndarray]:
-    """The held-out labels of each fold forest of the step whose active
-    features are ``active``; ``job`` = (data, forest params, each fold's
-    training rows, each fold's held-out rows)."""
-    data, forest_params, train_rows, held_out = job
-    table = data.take_features(list(active))
-    forests = train_forests(table, _step_params(forest_params, len(active)),
-                            train_rows)
-    return [forest.predict_batch(table.rows[held])
-            for forest, held in zip(forests, held_out)]
-
-
 def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
                        cv_spec: CvSpec, background_size: int = 128
                        ) -> EliminationTrace:
@@ -407,28 +394,30 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
     the fold forests run beside that chain: as soon as a step's active set
     is known, its fold task goes to ``evaluation._task_pool`` (up to one
     forked worker per usable CPU), and this process grows the whole-table
-    forest and runs the Shapley pass.  A fold task grows every fold forest
-    of its step in one lockstep batch (``train_forests``), each the forest
-    ``cross_validate`` would train on a copy of its rows, and returns only
-    their held-out labels.  The accuracies are read back in step order, and
-    the first error in serial order wins: step s's fold forests, then its
-    whole-table forest and Shapley pass, then step s + 1.  The trace is the
-    same whatever the CPU count.
+    forest and runs the Shapley pass.  A fold task labels the step's folds
+    through ``evaluation._fold_labels``, the path ``cross_validate`` and
+    ``compare_models`` take, with ``train_forests`` on the step table as
+    the fold-batch trainer: every fold forest grows in one lockstep batch,
+    each the forest ``cross_validate`` would train on a copy of its rows,
+    and only their held-out labels (or the first fold's EvalError, when
+    the batch fails) come back.  The accuracies are read back in step
+    order, and the first error in serial order wins: step s's fold
+    forests, then its whole-table forest and Shapley pass, then step
+    s + 1.  The trace is the same whatever the CPU count.
     """
     if data.n_features < 2:
         raise ShapError("elimination needs at least 2 features")
     plan = make_folds(data.n_rows, cv_spec.k, cv_spec.stratified,
                       labels=data.target, seed=cv_spec.seed)
-    train_rows = [plan.train_indices(i) for i in range(plan.k)]
-    for i, rows in enumerate(train_rows):
-        try:
-            _require_rows(len(rows))
-        except ForestError as exc:
-            raise EvalError(f"trainer failed on fold {i}: {exc}") from exc
-    job = (data, forest_params, train_rows, [np.array(fold) for fold in plan.folds])
+
+    def fold_task(active: tuple[int, ...]) -> list:
+        params = _step_params(forest_params, len(active))
+        return _fold_labels(lambda table, rows: train_forests(table, params, rows),
+                            data.take_features(list(active)), plan, range(plan.k))
+
     active = list(range(data.n_features))
     chosen, fold_labels = [], []  # per step: (active names, dropped), fold task
-    with _task_pool(functools.partial(_fold_task, job), len(active)) as submit:
+    with _task_pool(fold_task, len(active)) as submit:
         try:
             while active:
                 fold_labels.append(submit(tuple(active)))
@@ -445,7 +434,7 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
                 del active[weakest]
         except Exception:
             for labels in fold_labels:  # a fold failure so far comes first
-                labels()
+                _cv_result(data, plan, labels())
             raise
         steps = [EliminationStep(names, _cv_result(data, plan, labels()).mean_accuracy,
                                  dropped)

@@ -818,6 +818,10 @@ _DELETE = object()
     pytest.param("compare", "schema.json", (1, "codes"), 5,
                  "schema entry 1 'codes' is not a JSON list of integers",
                  id="compare-schema.json-1-codes-not-list"),
+    pytest.param("compare", "schema.json", (1, "codes"), [0, 1, 2**70],
+                 "schema entry 1 'codes' is not a JSON list of integers in "
+                 "[0, 2**63): [0, 1, 1180591620717411303424]",
+                 id="compare-schema.json-1-codes-outside-int64"),
     pytest.param("compare", "schema.json", (1, "missing"), 5,
                  "schema entry 1 'missing' is not a JSON list of integers",
                  id="compare-schema.json-1-missing-not-list"),

@@ -1,14 +1,18 @@
 import json
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treebench import cli
+from treebench import cli, evaluation
 from treebench.baselines import (
     train_bayes_net,
     train_decision_list,
@@ -193,6 +197,23 @@ def test_trainer_failure_names_fold():
 
     with pytest.raises(EvalError, match="fold 0"):
         cross_validate(broken, data, plan)
+
+
+def test_cross_validate_fits_no_fold_after_a_failing_one():
+    data = random_table(30, seed=7)
+    plan = make_folds(30, 5, stratified=True, labels=data.target, seed=0)
+    for failing in (0, 2):
+        calls = []
+
+        def trainer(table):
+            calls.append(table.n_rows)
+            if len(calls) > failing:
+                raise RuntimeError("boom")
+            return majority_trainer(table)
+
+        with pytest.raises(EvalError, match=f"^trainer failed on fold {failing}: boom$"):
+            cross_validate(trainer, data, plan)
+        assert len(calls) == failing + 1
 
 
 def test_plan_size_mismatch():
@@ -571,6 +592,77 @@ def test_dead_worker_fails_the_comparison():
     with pytest.raises(EvalError, match="worker process stopped"):
         with_cpus(2, compare_models, data, roster, plan)
     assert multiprocessing.active_children() == []
+
+
+def out_of_memory(table):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("run", [
+    lambda data, plan: cross_validate(out_of_memory, data, plan),
+    lambda data, plan: with_cpus(1, compare_models, data,
+                                 [RosterEntry("oom", out_of_memory)], plan),
+    lambda data, plan: with_cpus(2, compare_models, data,
+                                 [RosterEntry("oom", out_of_memory)], plan),
+], ids=["cross-validate", "compare-one-cpu", "compare-two-cpus"])
+def test_fold_error_without_a_message_names_the_exception(run):
+    data = random_table(20, seed=6)
+    plan = make_folds(20, 4, stratified=False, seed=0)
+    with pytest.raises(EvalError, match="trainer failed on fold 0: MemoryError$"):
+        run(data, plan)
+    assert multiprocessing.active_children() == []
+
+
+ORPHAN_SCRIPT = """
+import os, time
+import numpy as np
+from treebench.dataset import CategoricalTable, feature
+from treebench.evaluation import RosterEntry, compare_models, make_folds
+
+def slow(table):  # names its process in one write, then outlasts the test
+    os.write(1, f"{os.getpid()}\\n".encode())
+    time.sleep(60)
+
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(0)
+data = CategoricalTable([feature("f", (0, 1))], rng.integers(0, 2, size=(20, 1)),
+                        rng.integers(0, 2, size=20))
+compare_models(data, [RosterEntry("slow", slow)], make_folds(20, 4, stratified=False))
+"""
+
+
+def running(pid):
+    """Whether process ``pid`` still runs; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.exists("/proc/self/stat")),
+                    reason="needs fork and /proc")
+def test_pool_workers_exit_when_their_parent_is_killed():
+    src = os.path.dirname(os.path.dirname(evaluation.__file__))
+    child = subprocess.Popen([sys.executable, "-c", ORPHAN_SCRIPT],
+                             stdout=subprocess.PIPE, bufsize=0,
+                             env=dict(os.environ, PYTHONPATH=src))
+    workers = set()
+    try:
+        while len(workers) < 2 and select.select([child.stdout], [], [], 30)[0]:
+            workers.add(int(child.stdout.readline()))
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert len(workers) == 2 and child.pid not in workers
+    deadline = time.monotonic() + 5
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if running(pid)]
+    for pid in left:  # leave no process behind, even when the test fails
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_pool_and_inline_loop_record_the_same_warnings():

@@ -304,17 +304,24 @@ def _baseline_payloads() -> dict:
     return {kind: json.loads(m.to_json()) for kind, m in models.items()}
 
 
+# defect -> (edit of a payload, the error it gives)
+_BASELINE_DEFECTS = {
+    "unknown-field": (lambda p: p.update(bogus=1), "bogus"),
+    "missing-field": (lambda p: p.pop("schema_hash"), "schema_hash"),
+    "kind-object": (lambda p: p.update(kind={}),
+                    r"^model 'kind' is not one of logistic, mlp, bayes_net, "
+                    r"decision_list: \{\}$"),
+    "no-kind": (lambda p: p.pop("kind"), "^model has no 'kind' key$"),
+}
+
+
 @pytest.mark.parametrize("kind", ["logistic", "mlp", "bayes_net", "decision_list"])
-@pytest.mark.parametrize("defect", ["unknown-field", "missing-field"])
+@pytest.mark.parametrize("defect", sorted(_BASELINE_DEFECTS))
 def test_malformed_baseline_payload_is_baseline_error(kind, defect):
     payload = _baseline_payloads()[kind]
     assert payload["kind"] == kind
-    if defect == "unknown-field":
-        payload["bogus"] = 1
-        needle = "bogus"
-    else:
-        del payload["schema_hash"]
-        needle = "schema_hash"
+    edit, needle = _BASELINE_DEFECTS[defect]
+    edit(payload)
     with pytest.raises(BaselineError, match=needle):
         model_from_json(json.dumps(payload))
 

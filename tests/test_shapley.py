@@ -855,8 +855,9 @@ def test_elimination_same_on_one_cpu_and_two(case):
 def test_elimination_fold_tasks_run_in_forked_workers():
     parent = os.getpid()
 
-    def where(job, active):  # labels 1 for a fold task outside this process
-        return [np.full(len(held), int(os.getpid() != parent)) for held in job[3]]
+    def where(table, params, row_sets):  # labels 1 for a fold fit outside this process
+        label = int(os.getpid() != parent)
+        return [lambda rows: np.full(len(rows), label) for _ in row_sets]
 
     rng = np.random.default_rng(4)
     data = CategoricalTable(binary_schema(3), rng.integers(0, 2, size=(60, 3)),
@@ -867,7 +868,7 @@ def test_elimination_fold_tasks_run_in_forked_workers():
     accuracy = [_cv_result(data, plan, [np.full(len(f), label) for f in plan.folds]
                            ).mean_accuracy for label in (0, 1)]
     assert accuracy[0] != accuracy[1]
-    with mock.patch.object(shapley, "_fold_task", where):
+    with mock.patch.object(shapley, "train_forests", where):
         for n_cpus, label in ((1, 0), (2, 1)):
             trace = with_cpus(n_cpus, backward_eliminate, data,
                               ForestParams(n_trees=3, seed=0, max_depth=2), cv, 8)
@@ -876,17 +877,18 @@ def test_elimination_fold_tasks_run_in_forked_workers():
 
 
 @pytest.mark.parametrize("fold_fails, shapley_fails, expected", [
-    ({1}, {1}, (RuntimeError, "fold batch failed at step 1")),
-    ({1, 2}, set(), (RuntimeError, "fold batch failed at step 1")),
-    ({1}, {2}, (RuntimeError, "fold batch failed at step 1")),
+    ({1}, {1}, (EvalError, "trainer failed on fold 0: fold batch failed at step 1")),
+    ({1, 2}, set(), (EvalError, "trainer failed on fold 0: fold batch failed at step 1")),
+    ({1}, {2}, (EvalError, "trainer failed on fold 0: fold batch failed at step 1")),
     ({2}, {1}, (ShapError, "Shapley pass failed at step 1")),
-    ({0, 3}, {0}, (RuntimeError, "fold batch failed at step 0")),
+    ({0, 3}, {0}, (EvalError, "trainer failed on fold 0: fold batch failed at step 0")),
 ], ids=["folds-before-own-shapley", "folds-before-next-folds",
         "folds-before-next-shapley", "shapley-before-next-folds", "first-step"])
 def test_elimination_first_error_in_serial_order_wins(fold_fails, shapley_fails,
                                                      expected):
     """Step s's fold forests come before its Shapley pass, which comes
-    before anything of step s + 1.  The patches are made before the pool
+    before anything of step s + 1.  A fold batch that raises fails on fold
+    0, as in ``compare_models``.  The patches are made before the pool
     forks, so its workers inherit them."""
     m = 4
     schema = binary_schema(m)
