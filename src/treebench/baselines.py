@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import (OBJECT, CategoricalTable, Rule, check_key, check_knobs, integer,
-                      list_of, number, read_json)
+from .dataset import (NAMES, NATURALS, OBJECT, CategoricalTable, Rule, _shown, check,
+                      check_key, check_knobs, integer, list_of, number, read_json)
 
 __all__ = [
     "BaselineError",
@@ -256,8 +256,8 @@ class MlpModel(_Baseline):
                 raise BaselineError("layer dimensions do not chain")
         if widths and widths[-1][0] != 1:
             raise BaselineError("output layer must have width 1")
-        if self.activation != "tanh":
-            raise BaselineError(f"unknown activation {self.activation!r}")
+        check(self.activation, Rule("'tanh'", lambda v: v == "tanh"), "mlp activation",
+              BaselineError)
 
     def proba_batch(self, rows) -> np.ndarray:
         x = _one_hot(self._check_rows(rows), self.levels)
@@ -833,14 +833,25 @@ _KIND = Rule("one of " + ", ".join(_KINDS),
 
 
 def model_from_json(text: str):
-    """Rebuild a baseline model serialized by its ``to_json``."""
+    """Rebuild a baseline model serialized by its ``to_json``.  The fields
+    every baseline has are checked by rule; any other fault that a decoder
+    or the model's constructor meets is one ``BaselineError`` line, its
+    exception shown by ``_shown``."""
     payload = read_json(text, OBJECT, "model", BaselineError)
     kind = check_key(payload, "kind", _KIND, "model", error=BaselineError)
     del payload["kind"]
+    names = check_key(payload, "feature_names", NAMES, f"{kind} model",
+                      error=BaselineError)
+    levels = Rule("one list of integers in [0, 2**63) per feature name",
+                  lambda v: isinstance(v, list) and len(v) == len(names)
+                  and all(map(NATURALS.test, v)))
+    check_key(payload, "levels", levels, f"{kind} model", error=BaselineError)
     cls = _KINDS[kind]
     decoders = {**_DECODERS, **cls.decoders}
     try:
         return cls(**{k: decoders[k](v) if k in decoders else v
                       for k, v in payload.items()})
-    except (KeyError, TypeError) as e:
-        raise BaselineError(f"malformed {kind} model: {e}") from None
+    except BaselineError:
+        raise
+    except Exception as e:
+        raise BaselineError(f"malformed {kind} model: {_shown(e)}") from None

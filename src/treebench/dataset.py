@@ -75,20 +75,25 @@ INTEGER = integer()
 # a code or count that numpy holds as int64
 NATURAL = Rule("an integer in [0, 2**63)", lambda v: _is_integer(v) and 0 <= v < 2**63)
 CODES = list_of(INTEGER, "a JSON list of integers")
-_NATURALS = list_of(NATURAL, "a JSON list of integers in [0, 2**63)")
+NATURALS = list_of(NATURAL, "a JSON list of integers in [0, 2**63)")
 NAMES = list_of(STRING, "a JSON list of strings")
 _NO_DEFAULT = object()
 _SHOWN = 120  # characters of an offending value that an error line shows
 
 
+def _shown(value) -> str:
+    """At most ``_SHOWN`` characters of the value's ``repr``."""
+    shown = repr(value)
+    if len(shown) > _SHOWN:
+        shown = shown[:_SHOWN] + f"... ({len(shown)} characters)"
+    return shown
+
+
 def check(value, rule: Rule, what: str, error: type = DatasetError):
     """``value``, unless it fails ``rule``: then ``error`` names ``what`` and
-    shows at most ``_SHOWN`` characters of the value's ``repr``."""
+    shows the value by ``_shown``."""
     if not rule.test(value):
-        shown = repr(value)
-        if len(shown) > _SHOWN:
-            shown = shown[:_SHOWN] + f"... ({len(shown)} characters)"
-        raise error(f"{what} is not {rule.text}: {shown}")
+        raise error(f"{what} is not {rule.text}: {_shown(value)}")
     return value
 
 
@@ -119,7 +124,7 @@ def check_knobs(knobs: Mapping, rules: Mapping[str, Rule], owner: str,
     name is unknown."""
     for key in knobs:
         if key not in rules:
-            raise error(f"unknown knob {key!r}; {owner} takes {', '.join(rules)}")
+            raise error(f"unknown knob {_shown(key)}; {owner} takes {', '.join(rules)}")
         check_key(knobs, key, rules[key], owner, error=error)
 
 
@@ -190,7 +195,7 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
         check(item, OBJECT, entry)
         specs.append(FeatureSpec(
             name=check_key(item, "name", STRING, entry),
-            allowed_codes=tuple(check_key(item, "codes", _NATURALS, entry)),
+            allowed_codes=tuple(check_key(item, "codes", NATURALS, entry)),
             missing_codes=frozenset(check_key(item, "missing", CODES, entry, ())),
             code_labels=_labels(item, entry),
         ))

@@ -180,7 +180,8 @@ def train_forests(data: CategoricalTable, params: ForestParams,
     members = [(rows[bag], np.random.default_rng([params.seed, i, 1]))
                for rows, forest_bags in zip(row_sets, bags)
                for i, bag in enumerate(forest_bags)]
-    roots = iter(_grow(data, tree_params, _gini_chooser, "binary", members, k))
+    roots = iter(_grow(data, tree_params, _gini_chooser, resplit=True, members=members,
+                       features_per_split=k))
     schema_hash = data.schema_hash()
     return [
         Forest(

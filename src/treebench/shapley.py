@@ -117,15 +117,6 @@ def _weight_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
     return wa, wb
 
 
-@functools.lru_cache(maxsize=None)
-def _patterns(d: int) -> np.ndarray:
-    """Every fail set over d path features, row i failing feature j when
-    bit j of i is set; shared, so read-only."""
-    table = np.arange(1 << d)[:, None] >> np.arange(d) & 1 == 1
-    table.setflags(write=False)
-    return table
-
-
 def _tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
               m: int) -> np.ndarray:
     """Contribution matrix (rows x features), averaged over the background."""
@@ -136,21 +127,16 @@ def _tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
             continue
         feats = sorted(masks)
         # rows with the same fail set share one exact per-background sum;
-        # the background is not deduplicated, so that sum keeps its order
-        if 1 << len(feats) <= n_rows:
-            # the kernel runs on all 2^d fail sets, each row's read back by
-            # its integer code (bit i: path feature i fails)
-            x_fail = _patterns(len(feats))
-            code = np.zeros(n_rows, dtype=np.intp)
-            for i, f in enumerate(feats):
-                code |= (~masks[f][row_pos[:, f]]).astype(np.intp) << i
-        else:
-            # a longer path: only the distinct fail sets present
-            x_all = np.stack([~masks[f][row_pos[:, f]] for f in feats], axis=1)
-            key = np.packbits(x_all, axis=1)
-            _, first, code = np.unique(key.view(f"V{key.shape[1]}")[:, 0],
-                                       return_index=True, return_inverse=True)
-            x_fail = x_all[first]
+        # the background is not deduplicated, so that sum keeps its order.
+        # A row's fail set is an integer code (bit i: path feature i
+        # fails), a Python int past int64's bits, and the kernel runs once
+        # per distinct code.
+        dtype = np.int64 if len(feats) <= 62 else object
+        code = np.zeros(n_rows, dtype=dtype)
+        for i, f in enumerate(feats):
+            code |= (~masks[f][row_pos[:, f]]).astype(dtype) << i
+        fails, code = np.unique(code, return_inverse=True)
+        x_fail = fails[:, None] >> np.arange(len(feats), dtype=dtype) & 1 == 1
         z_fail = np.stack([~masks[f][back_pos[:, f]] for f in feats], axis=1)
         dead = (x_fail[:, None, :] & z_fail[None, :, :]).any(axis=2)
         a, b = z_fail.sum(axis=1)[None, :], x_fail.sum(axis=1)[:, None]

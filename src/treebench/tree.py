@@ -16,16 +16,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .criteria import chi_square_k2, gini_decrease, info_gain
-from .dataset import (NAMES, NATURAL, OBJECT, STRING, CategoricalTable, Rule,
-                      check_key, check_knobs, integer, list_of, number, optional,
+from .dataset import (NAMES, NATURAL, NATURALS, OBJECT, STRING, CategoricalTable,
+                      Rule, check_key, check_knobs, integer, number, optional,
                       read_json)
 
 _GAIN_EPS = 1e-12
@@ -51,11 +52,13 @@ _PAYLOAD_KNOBS = {**GROWER_KNOBS, "forest_member": GROWER_KNOBS["cart"]}
 _ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
                   lambda v: isinstance(v, str) and v in _PAYLOAD_KNOBS)
 # The rules of the values a tree payload's node and split hold
-_NATURALS = list_of(NATURAL, "a list of integers in [0, 2**63)")
 _COUNTS = Rule("a list of two integers >= 0 totalling below 2**63",
-               lambda v: _NATURALS.test(v) and len(v) == 2 and sum(v) < 2**63)
-_SCORE = number("a finite number", math.isfinite)
-_BRANCHES = list_of(_NATURALS, "a list of two or more lists of integers in [0, 2**63)", 2)
+               lambda v: NATURALS.test(v) and len(v) == 2 and sum(v) < 2**63)
+_SCORE = number("a finite number", lambda v: abs(v) <= sys.float_info.max)
+_BRANCHES = Rule("a list of two or more disjoint lists of integers in [0, 2**63)",
+                 lambda v: isinstance(v, list) and len(v) >= 2
+                 and all(map(NATURALS.test, v))
+                 and len(set().union(*v)) == sum(len(set(b)) for b in v))
 
 
 class TreeError(ValueError):
@@ -88,43 +91,13 @@ class TreeParams:
         _confidence_factor(self.severity)
 
 
-@dataclass(frozen=True, slots=True)
-class Split:
+class Split(NamedTuple):
     """A node's routing rule: ``branches[k]`` is the code set for child k.
-
-    ``arity`` tags how the branches came about: ``multiway`` (one branch per
-    code), ``binary`` (code subset vs complement), or ``merged`` (chi-square
-    category groups).
-    """
+    A grower's chooser hands over at least 2 disjoint, sorted tuples of int
+    codes; ``DecisionTree.from_payload`` checks a loaded split's."""
 
     feature: int
-    arity: str
     branches: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.arity not in ("multiway", "binary", "merged"):
-            raise TreeError(f"unknown split arity {self.arity!r}")
-        branches = tuple(tuple(int(c) for c in b) for b in self.branches)
-        if len(branches) < 2:
-            raise TreeError("a split needs at least 2 branches")
-        seen: set[int] = set()
-        for b in branches:
-            if seen & set(b):
-                raise TreeError("split branches must be disjoint")
-            seen |= set(b)
-        object.__setattr__(self, "branches", branches)
-
-    @classmethod
-    def _grown(cls, feature: int, arity: str,
-               branches: tuple[tuple[int, ...], ...]) -> "Split":
-        """A split as a grower's chooser makes it, without the checks above:
-        ``branches`` is already a tuple of at least 2 disjoint, sorted
-        tuples of int."""
-        split = object.__new__(cls)
-        object.__setattr__(split, "feature", feature)
-        object.__setattr__(split, "arity", arity)
-        object.__setattr__(split, "branches", branches)
-        return split
 
 
 @dataclass(eq=False, slots=True)
@@ -262,7 +235,8 @@ class DecisionTree:
         ``_node_labels`` of its counts.  A payload is refused when its
         ``algorithm``'s grower ignores a knob its ``params`` set, when counts
         do not add up (children to their split, the root to ``n_rows``), or
-        when an empty node splits."""
+        when an empty node splits.  Splits are checked only here, their
+        branches disjoint; any other key a split stores is ignored."""
         def parse_node(item: Mapping, parent: TreeNode | None) -> TreeNode:
             counts = check_key(item, "counts", _COUNTS, "tree node", error=TreeError)
             node = TreeNode(np.array(counts, dtype=np.int64), 0, 0.0, score=check_key(
@@ -276,11 +250,9 @@ class DecisionTree:
                     raise TreeError("an empty node must be a leaf")
                 s = item["split"]
                 node.split = Split(
-                    feature=check_key(s, "feature", feature, "split", error=TreeError),
-                    arity=s["arity"],
-                    branches=tuple(map(tuple, check_key(s, "branches", _BRANCHES,
-                                                        "split", error=TreeError))),
-                )
+                    check_key(s, "feature", feature, "split", error=TreeError),
+                    tuple(map(tuple, check_key(s, "branches", _BRANCHES, "split",
+                                               error=TreeError))))
                 node.children = tuple(parse_node(c, node) for c in item["children"])
                 if len(node.children) != len(node.split.branches):
                     raise TreeError("a split needs one child per branch")
@@ -333,11 +305,8 @@ def node_payload(node: TreeNode) -> dict:
     split and its children's objects.  Its label follows from its counts."""
     payload = {"counts": [int(c) for c in node.counts], "score": node.score}
     if node.split is not None:
-        payload["split"] = {
-            "feature": node.split.feature,
-            "arity": node.split.arity,
-            "branches": [list(b) for b in node.split.branches],
-        }
+        payload["split"] = {"feature": node.split.feature,
+                            "branches": [list(b) for b in node.split.branches]}
         payload["children"] = [node_payload(c) for c in node.children]
     return payload
 
@@ -433,7 +402,7 @@ class _Step:
         return tables
 
 
-def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
+def _grow(data: CategoricalTable, params: TreeParams, chooser, resplit: bool,
           members, features_per_split: int | None = None) -> list[TreeNode]:
     """Grow one tree per member top-down, all members in lockstep; the four
     growers differ only in ``chooser``.
@@ -441,8 +410,8 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
     A member is (root row indices, generator or None).  The indices point
     into ``data`` and may repeat, as a bootstrap bag does.  A node stays a
     leaf when it is pure, has no feature left, or sits at ``max_depth``.
-    A binary split leaves its feature to split again below it; a multiway
-    or merged split uses every code, so its feature splits once per path.
+    With ``resplit`` (binary splits), a split's feature may split again
+    below it; a multiway or merged split uses every code, so not below it.
 
     Each member keeps a stack of the nodes it may still split.  A member
     with a generator gives each step its next node in preorder, which draws
@@ -531,7 +500,7 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
         for i in split:
             stack, node, _, available, depth, _ = batch[i]
             node.score, f, branches = chosen[i]
-            if arity != "binary":
+            if not resplit:
                 available = tuple(g for g in available if g != f)
             deeper = bool(available) and depth + 1 < max_depth
             children, grown = [], []
@@ -543,7 +512,7 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, arity: str,
                     j = i * fan + b
                     grown.append((children[-1], rows[ends[j - 1]:ends[j]],
                                   available, depth + 1))
-            node.split = Split._grown(f, arity, branches)
+            node.split = Split(f, branches)
             node.children = tuple(children)
             stack.extend(reversed(grown))
 
@@ -576,10 +545,10 @@ def _check_grower_knobs(algorithm: str, params: TreeParams) -> None:
 
 
 def _train(algorithm: str, data: CategoricalTable, params: TreeParams | None,
-           chooser, arity: str) -> DecisionTree:
+           chooser, resplit: bool) -> DecisionTree:
     params = params or TreeParams()
     _check_grower_knobs(algorithm, params)
-    [root] = _grow(data, params, chooser, arity, [(np.arange(data.n_rows), None)])
+    [root] = _grow(data, params, chooser, resplit, [(np.arange(data.n_rows), None)])
     return DecisionTree(root=root, algorithm=algorithm, params=params,
                         feature_names=data.feature_names,
                         schema_hash=data.schema_hash(), n_rows=data.n_rows)
@@ -644,7 +613,7 @@ def train_c50(data: CategoricalTable, params: TreeParams | None = None) -> Decis
     Growth stops on purity, exhausted features, best gain below
     ``min_gain``, or any nonempty branch falling under ``min_records``.
     """
-    return _train("c50", data, params, _gain_chooser, "multiway")
+    return _train("c50", data, params, _gain_chooser, resplit=False)
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +806,7 @@ def train_cart(data: CategoricalTable, params: TreeParams | None = None) -> Deci
     the largest impurity decrease wins, with ties going to the lowest
     feature index and then the lexicographically smallest subset.
     """
-    return _train("cart", data, params, _gini_chooser, "binary")
+    return _train("cart", data, params, _gini_chooser, resplit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +922,7 @@ def train_chaid(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     the node, if that p-value reaches alpha.  Each feature is used at most
     once per path.
     """
-    return _train("chaid", data, params, _chaid_chooser, "merged")
+    return _train("chaid", data, params, _chaid_chooser, resplit=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1025,7 @@ def train_quest(data: CategoricalTable, params: TreeParams | None = None) -> Dec
     threshold between class score means; nodes whose fallback cannot
     separate the codes become leaves.
     """
-    return _train("quest", data, params, _quest_chooser, "binary")
+    return _train("quest", data, params, _quest_chooser, resplit=True)
 
 
 # ---------------------------------------------------------------------------

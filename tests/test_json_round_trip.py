@@ -152,6 +152,7 @@ def _inflate_child(payload):
 _TREE_DEFECTS = {
     "no-root": lambda p: p.pop("root"),
     "unknown-param": lambda p: p["params"].update(cost=[[0, 1], [1, 0]]),
+    "params-list-of-a-long-int": lambda p: p.update(params=[10**400]),
     "counts-text": lambda p: p["root"].update(counts="x"),
     "no-counts": lambda p: p["root"].pop("counts"),
     "split-without-children": lambda p: p["root"].pop("children"),
@@ -159,8 +160,9 @@ _TREE_DEFECTS = {
     "extra-child": lambda p: p["root"]["children"].append(p["root"]["children"][0]),
     # a split feature outside feature_names, counts that are not two
     # non-negative integers totalling below 2**63, branch codes that are not
-    # such integers, a split of one branch, a score that is no finite number, names that are not a
-    # list of strings, a hash that is no string
+    # such integers, a split of one branch or of branches that share a code,
+    # a score that is no finite float, names that are not a list of strings,
+    # a hash that is no string
     "feature-past-the-names": lambda p: p["root"]["split"].update(feature=2),
     "feature-negative": lambda p: p["root"]["split"].update(feature=-1),
     "counts-scalar": lambda p: p["root"].update(counts=5),
@@ -171,8 +173,11 @@ _TREE_DEFECTS = {
     "branch-code-text": lambda p: p["root"]["split"]["branches"][0].append("0"),
     "branch-code-false": lambda p: p["root"]["split"]["branches"][0].append(False),
     "one-branch": lambda p: p["root"]["split"]["branches"].pop(),
+    "branches-overlap": lambda p: p["root"]["split"]["branches"][1].append(
+        p["root"]["split"]["branches"][0][0]),
     "score-text": lambda p: p["root"].update(score="x"),
     "score-nan": lambda p: p["root"].update(score=float("nan")),
+    "score-past-float": lambda p: p["root"].update(score=10**400),
     "feature-names-text": lambda p: p.update(feature_names="abc"),
     "feature-names-numbers": lambda p: p.update(feature_names=[1, 2, 3]),
     "schema-hash-number": lambda p: p.update(schema_hash=5),
@@ -185,10 +190,12 @@ _TREE_DEFECTS = {
 
 @pytest.mark.parametrize("defect", sorted(_TREE_DEFECTS))
 def test_malformed_tree_payload_is_tree_error(defect):
+    """Each defect is one line of ``TreeError``, of at most 300 characters."""
     payload = _tree_payload()
     _TREE_DEFECTS[defect](payload)
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError) as info:
         DecisionTree.from_json(json.dumps(payload))
+    assert "\n" not in str(info.value) and len(str(info.value)) <= 300
     with pytest.raises(TreeError):
         DecisionTree.from_payload(payload)
 
@@ -199,7 +206,7 @@ def test_tree_nested_past_the_recursion_limit_is_tree_error():
     node = {"counts": [1, 0]}
     for _ in range(5000):
         node = {"counts": [1, 0], "children": [node, {"counts": [0, 0]}],
-                "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]}}
+                "split": {"feature": 0, "branches": [[0], [1]]}}
     with pytest.raises(TreeError, match="maximum recursion depth"):
         DecisionTree.from_payload({"algorithm": "cart", "params": {}, "n_rows": 1,
                                    "feature_names": ["f0"], "schema_hash": "x",
@@ -304,26 +311,51 @@ def _baseline_payloads() -> dict:
     return {kind: json.loads(m.to_json()) for kind, m in models.items()}
 
 
-# defect -> (edit of a payload, the error it gives)
+_BASELINE_KINDS = ("logistic", "mlp", "bayes_net", "decision_list")
+# defect -> (edit of a payload, the error it gives, the kinds it applies to)
 _BASELINE_DEFECTS = {
-    "unknown-field": (lambda p: p.update(bogus=1), "bogus"),
-    "missing-field": (lambda p: p.pop("schema_hash"), "schema_hash"),
+    "unknown-field": (lambda p: p.update(bogus=1), "bogus", _BASELINE_KINDS),
+    "unknown-long-field": (lambda p: p.update({"k" * 500: 1}), "^malformed \\w+ model: ",
+                           _BASELINE_KINDS),
+    "missing-field": (lambda p: p.pop("schema_hash"), "schema_hash", _BASELINE_KINDS),
     "kind-object": (lambda p: p.update(kind={}),
                     r"^model 'kind' is not one of logistic, mlp, bayes_net, "
-                    r"decision_list: \{\}$"),
-    "no-kind": (lambda p: p.pop("kind"), "^model has no 'kind' key$"),
+                    r"decision_list: \{\}$", _BASELINE_KINDS),
+    "no-kind": (lambda p: p.pop("kind"), "^model has no 'kind' key$", _BASELINE_KINDS),
+    # the fields every baseline has are checked by rule
+    "feature-names-text": (lambda p: p.update(feature_names="abc"),
+                           r"^\w+ model 'feature_names' is not a JSON list of "
+                           r"strings: 'abc'$", _BASELINE_KINDS),
+    "levels-text": (lambda p: p.update(levels="x"),
+                    r"^\w+ model 'levels' is not one list of integers in "
+                    r"\[0, 2\*\*63\) per feature name: 'x'$", _BASELINE_KINDS),
+    "levels-one-short": (lambda p: p["levels"].pop(), r"^\w+ model 'levels' is not ",
+                         _BASELINE_KINDS),
+    # any other fault of a field is one line naming the kind, and the
+    # models' own errors pass through as they are
+    "cpts-null": (lambda p: p.update(cpts=None), "^malformed bayes_net model: ",
+                  ("bayes_net",)),
+    "weights-text": (lambda p: p.update(weights="x"), "^malformed mlp model: ", ("mlp",)),
+    "biases-ragged": (lambda p: p["biases"][0].append([0.5]), "^malformed mlp model: ",
+                      ("mlp",)),
+    "intercept-past-float": (lambda p: p.update(intercept=10**400),
+                             "^malformed logistic model: ", ("logistic",)),
+    "activation-unknown": (lambda p: p.update(activation="relu"),
+                           "^mlp activation is not 'tanh': 'relu'$", ("mlp",)),
 }
 
 
-@pytest.mark.parametrize("kind", ["logistic", "mlp", "bayes_net", "decision_list"])
-@pytest.mark.parametrize("defect", sorted(_BASELINE_DEFECTS))
+@pytest.mark.parametrize("defect, kind", [
+    (defect, kind) for defect in sorted(_BASELINE_DEFECTS)
+    for kind in _BASELINE_DEFECTS[defect][2]])
 def test_malformed_baseline_payload_is_baseline_error(kind, defect):
     payload = _baseline_payloads()[kind]
     assert payload["kind"] == kind
-    edit, needle = _BASELINE_DEFECTS[defect]
+    edit, needle, _ = _BASELINE_DEFECTS[defect]
     edit(payload)
-    with pytest.raises(BaselineError, match=needle):
+    with pytest.raises(BaselineError, match=needle) as info:
         model_from_json(json.dumps(payload))
+    assert "\n" not in str(info.value) and len(str(info.value)) <= 300
 
 
 def test_decision_rule_without_literals_is_baseline_error():

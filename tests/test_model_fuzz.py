@@ -1,0 +1,119 @@
+"""Property: no edit of one field of a model text gets past its reader.
+
+One field, at any depth, of a valid text from each tree grower, a forest
+and each baseline is replaced by an arbitrary JSON value, or dropped.  The
+reader (``DecisionTree.from_json``, ``Forest.from_json`` or
+``model_from_json``) must return a model or raise its own error class with
+one line of at most 300 characters.  A loaded tree or forest must then
+answer ``predict_batch`` and ``proba_batch`` on a row of its width.  A
+loaded baseline is not asked to predict: decision-list literals and
+bayes-net CPTs still load without a check.
+"""
+import copy
+import json
+import string
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from treebench.baselines import (
+    BaselineError,
+    model_from_json,
+    train_bayes_net,
+    train_decision_list,
+    train_logistic,
+    train_mlp,
+)
+from treebench.dataset import CategoricalTable, feature
+from treebench.forest import Forest, ForestError, ForestParams, train_forest
+from treebench.tree import (
+    DecisionTree,
+    TreeError,
+    TreeParams,
+    train_c50,
+    train_cart,
+    train_chaid,
+    train_quest,
+)
+
+READERS = {
+    "tree": (DecisionTree.from_json, TreeError),
+    "forest": (Forest.from_json, ForestError),
+    "baseline": (model_from_json, BaselineError),
+}
+
+LABEL = st.text(string.ascii_letters + string.digits + " ,_-", max_size=4) \
+    | st.just("k" * 400)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers()
+    | st.sampled_from([-1, 2**63, 10**400]) | st.floats() | LABEL,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(LABEL, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _table() -> CategoricalTable:
+    rows = np.array([[c, d] for c in (1, 2, 3) for d in (1, 2)] * 4, dtype=np.int64)
+    target = (rows[:, 0] == 2) | ((rows[:, 0] == 3) & (rows[:, 1] == 2))
+    target[::7] ^= True
+    return CategoricalTable([feature("f0", [1, 2, 3]), feature("f1", [1, 2])],
+                            rows, target.astype(np.int64))
+
+
+@pytest.fixture(scope="module")
+def texts():
+    """(reader, payload) of one valid text per tree grower, a forest and
+    each baseline; every tree and forest text holds a split."""
+    data = _table()
+    trees = [train_c50(data, TreeParams(min_records=1)),
+             train_cart(data, TreeParams(min_records=1)),
+             train_chaid(data, TreeParams(min_records=1, alpha=0.5)),
+             train_quest(data, TreeParams(min_records=1))]
+    forest = train_forest(data, ForestParams(n_trees=3, min_records=1, seed=2))
+    baselines = [train_logistic(data, l2=0.1),
+                 train_mlp(data, widths=(3,), epochs=2, seed=1),
+                 train_bayes_net(data),
+                 train_decision_list(data, min_coverage=1)]
+    out = [("tree", json.loads(t.to_json())) for t in trees]
+    out.append(("forest", json.loads(forest.to_json())))
+    out.extend(("baseline", json.loads(m.to_json())) for m in baselines)
+    assert all("split" in p["root"] for reader, p in out if reader == "tree")
+    return out
+
+
+def field_paths(value, path=()):
+    """The path of every field below ``value``: object keys and list
+    indices."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from field_paths(item, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_model_field_is_read_cleanly(texts, data):
+    reader, payload = data.draw(st.sampled_from(texts), label="text")
+    path = data.draw(st.sampled_from(list(field_paths(payload))), label="path")
+    edited = copy.deepcopy(payload)
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans(), label="drop"):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    read, error = READERS[reader]
+    try:
+        model = read(json.dumps(edited))
+    except error as e:
+        message = str(e)
+        assert "\n" not in message and len(message) <= 300, message
+        return
+    if reader != "baseline":
+        row = np.ones((1, len(model.feature_names)), dtype=np.int64)
+        model.predict_batch(row)
+        model.proba_batch(row)

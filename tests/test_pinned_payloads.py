@@ -7,8 +7,8 @@ tree with a multiway and a binary split, and a two-member forest (both
 indented by two spaces).  Each text also loads back to the same text.
 A tree node holds its counts and score, and its split and children when it
 splits, never its label; a forest lists its members' root nodes.  A tree
-text that stores labels still loads, and a forest text with whole member
-payloads is refused.
+text that stores labels, or a split's arity, still loads, and a forest
+text with whole member payloads is refused.
 
 The ``elimination.json`` that ``select-features`` writes for one small
 planted table is pinned at two seeds as well; each step's accuracy comes
@@ -46,9 +46,9 @@ def leaf(counts, confidence):
     return TreeNode(counts, int(counts[1] > counts[0]), confidence)
 
 
-def split(counts, confidence, feature, arity, branches, children, score):
+def split(counts, confidence, feature, branches, children, score):
     node = leaf(counts, confidence)
-    node.split = Split(feature, arity, branches)
+    node.split = Split(feature, branches)
     node.children = tuple(children)
     node.score = score
     return node
@@ -82,9 +82,9 @@ def hand_models():
 def hand_tree():
     """A multiway root whose middle child splits binary; the last child is
     empty and keeps its parent's label."""
-    binary = split([3, 4], 4 / 7, 1, "binary", ((0,), (1, 2)),
+    binary = split([3, 4], 4 / 7, 1, ((0,), (1, 2)),
                    [leaf([3, 0], 1.0), leaf([0, 4], 1.0)], 0.25)
-    root = split([6, 5], 6 / 11, 0, "multiway", ((0,), (1,), (2,)),
+    root = split([6, 5], 6 / 11, 0, ((0,), (1,), (2,)),
                  [leaf([3, 1], 0.75), binary, leaf([0, 0], 6 / 11)], 0.125)
     return DecisionTree(root, "c50",
                         TreeParams(min_records=3),
@@ -94,7 +94,7 @@ def hand_tree():
 def hand_forest():
     params = ForestParams(n_trees=2, max_depth=1, seed=5)
     members = (
-        split([2, 3], 0.6, 0, "binary", ((1,), (0, 2)),
+        split([2, 3], 0.6, 0, ((1,), (0, 2)),
               [leaf([0, 3], 1.0), leaf([2, 0], 1.0)], 0.48),
         leaf([4, 1], 0.8),
     )
@@ -183,7 +183,6 @@ TREE_TEXT = """\
         ],
         "score": 0.25,
         "split": {
-          "arity": "binary",
           "branches": [
             [
               0
@@ -210,7 +209,6 @@ TREE_TEXT = """\
     ],
     "score": 0.125,
     "split": {
-      "arity": "multiway",
       "branches": [
         [
           0
@@ -229,6 +227,7 @@ TREE_TEXT = """\
 }"""
 
 # The text of hand_tree() in the format whose nodes also stored their label
+# and whose splits their arity
 LABELLED_TREE_TEXT = """\
 {
   "algorithm": "c50",
@@ -374,7 +373,6 @@ FOREST_TEXT = """\
       ],
       "score": 0.48,
       "split": {
-        "arity": "binary",
         "branches": [
           [
             1
@@ -519,11 +517,15 @@ def test_tree_payload_bytes():
 def test_forest_payload_bytes():
     assert hand_forest().to_json() == FOREST_TEXT
     assert Forest.from_json(FOREST_TEXT).to_json() == FOREST_TEXT
+    # the format whose splits also stored their arity loads as this one
+    older = FOREST_TEXT.replace('"branches": [', '"arity": "binary", "branches": [')
+    assert older != FOREST_TEXT and Forest.from_json(older).to_json() == FOREST_TEXT
 
 
 def test_labelled_tree_text_loads_with_the_labels_of_its_counts():
-    """A tree text whose nodes store their labels loads: the stored labels
-    are ignored, and every node's label follows from its counts."""
+    """A tree text whose nodes store their labels, and whose splits their
+    arity, loads: both are ignored, and every node's label follows from its
+    counts."""
     tree = DecisionTree.from_json(LABELLED_TREE_TEXT)
     assert tree.to_json() == TREE_TEXT
     rows = np.array([[a, b] for a in range(4) for b in range(4)])

@@ -114,8 +114,7 @@ def indicator_tree(m, target_feature, schema_hash="x" * 16):
     one = TreeNode(counts=np.array([0, 4]), prediction=1, confidence=1.0)
     root = TreeNode(
         counts=np.array([4, 4]), prediction=0, confidence=0.5,
-        split=Split(feature=target_feature, arity="binary",
-                    branches=((0,), (1,))),
+        split=Split(feature=target_feature, branches=((0,), (1,))),
         children=(zero, one),
     )
     return DecisionTree(
@@ -381,12 +380,10 @@ def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_ba
 )
 def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_back):
     """Unbounded depth over 6-12 features gives paths of many lengths d.
-    Each tree's kernel also runs on as many explained rows as its shortest
-    path's 2^d pattern table holds, so the shortest paths take the dense
-    table and every longer one the dedupe.  Both sides give exactly the
-    floats of the pairwise kernel, and no pattern table is built with more
-    patterns than there are rows.  (CHAID is left out: on a random target
-    its significance test rarely lets it grow past the root.)"""
+    Each tree's kernel runs on all the explained rows, and again on only
+    the first 2^d of them, d its shortest path's length.  Both give exactly
+    the floats of the pairwise kernel.  (CHAID is left out: on a random
+    target its significance test rarely lets it grow past the root.)"""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(6, 13))
     table = sparse_table(rng, m)
@@ -394,17 +391,10 @@ def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_ba
     rows[-1] = 150  # falls back at every root: a one-feature path
     background = rng.choice(_EXTRA, size=(n_back, m))
     model = fit(grower, table, seed, None)
-    kernel, patterns = shapley._tree_phi, shapley._patterns
-    calls, built, dense = [], [], set()
-
-    def build(d):
-        built.append(d)
-        return patterns(d)
+    kernel, calls = shapley._tree_phi, []
 
     def run(leaves, row_pos, back_pos, width):
-        built.clear()
         fast = kernel(leaves, row_pos, back_pos, width)
-        assert all(1 << d <= len(row_pos) for d in built)
         calls.append(np.array_equal(
             fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
         return fast
@@ -413,16 +403,56 @@ def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_ba
         lengths = [len(masks) for value, masks in leaves
                    if masks and value != 0.0]
         if lengths:
-            n = 1 << min(lengths)
-            dense.update(1 << d <= n for d in lengths)
-            run(leaves, row_pos[:n], back_pos, width)
+            run(leaves, row_pos[:1 << min(lengths)], back_pos, width)
         return run(leaves, row_pos, back_pos, width)
 
-    with mock.patch.object(shapley, "_tree_phi", both), \
-            mock.patch.object(shapley, "_patterns", build):
+    with mock.patch.object(shapley, "_tree_phi", both):
         shap_batch(model, rows, background)
     assert calls and all(calls)
-    assert dense == {True, False}
+
+
+def chain_tree(m):
+    """A hand-built tree over m binary features: node k splits feature k,
+    code 0 to a leaf and code 1 on to node k + 1, and node m - 1 ends in
+    two leaves.  Its stops have paths of every length from 1 to m."""
+    def node(k):
+        if k == m:
+            return TreeNode(np.array([0, 1]), 1, 1.0)
+        leaf = TreeNode(np.array([k % 2 + 1, 1]), k % 2, 0.5 + 0.5 / (k % 2 + 2))
+        below = node(k + 1)
+        counts = leaf.counts + below.counts
+        return TreeNode(counts, int(counts.argmax()), counts.max() / counts.sum(),
+                        Split(k, ((0,), (1,))), (leaf, below))
+    root = node(0)
+    return DecisionTree(root=root, algorithm="cart", params=TreeParams(),
+                        feature_names=tuple(f"f{j}" for j in range(m)),
+                        schema_hash="x" * 16, n_rows=int(root.counts.sum()))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tree_phi_paths_past_int64_bit_identical_to_pairwise_kernel(seed):
+    """Paths of 63, 64 and 65 features, whose fail-set codes pass int64's
+    bits, give exactly the floats of the pairwise kernel.  Rows and
+    background fail few features, so many pairs stay alive on long paths."""
+    m = 65
+    rng = np.random.default_rng(seed)
+    rows = (rng.random((40, m)) > 0.03).astype(np.int64)
+    background = (rng.random((9, m)) > 0.03).astype(np.int64)
+    rows[0], background[0] = 1, 1  # every feature passed: the chain's end
+    rows[1] = 0  # every code shows, so no stop is left out
+    kernel, lengths, calls = shapley._tree_phi, set(), []
+
+    def both(leaves, row_pos, back_pos, width):
+        lengths.update(len(masks) for _, masks in leaves)
+        fast = kernel(leaves, row_pos, back_pos, width)
+        calls.append(np.array_equal(
+            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
+        return fast
+
+    with mock.patch.object(shapley, "_tree_phi", both):
+        phi = shap_batch(chain_tree(m), rows, background)
+    assert calls == [True] and {63, 64, 65} <= lengths
+    assert any(abs(c) > 0 for att in phi for c in att.contributions[62:])
 
 
 @settings(max_examples=100, deadline=None)

@@ -206,7 +206,6 @@ class TestC50:
         table = make_table([(0, 0), (0, 0), (1, 1), (1, 1)])
         tree = train_c50(table)
         assert tree.root.split.feature == 0
-        assert tree.root.split.arity == "multiway"
         assert all(c.is_leaf for c in tree.root.children)
         assert training_accuracy(tree, table) == 1.0
 
@@ -539,7 +538,7 @@ class TestPruneC50:
         equal to the bit."""
         leaf = {"counts": [6, 2], "score": 0.0}
         empty = {**leaf, "counts": [0, 0]}
-        split = {"feature": 0, "arity": "multiway", "branches": [[0], [1]]}
+        split = {"feature": 0, "branches": [[0], [1]]}
         tree = DecisionTree.from_payload({
             "algorithm": "c50", "params": asdict(TreeParams()),
             "feature_names": ["f00"], "schema_hash": "", "n_rows": 8,
@@ -781,7 +780,6 @@ class TestCart:
         tree = train_cart(random_table(rng, n=60, codes=4), TreeParams(min_records=1))
         for node, _, _ in iter_nodes(tree):
             if not node.is_leaf:
-                assert node.split.arity == "binary"
                 assert len(node.split.branches) == 2
                 left, right = map(set, node.split.branches)
                 assert not left & right
@@ -981,7 +979,6 @@ class TestChaid:
         table = make_table(rows)
         tree = train_chaid(table)
         assert not tree.root.is_leaf
-        assert tree.root.split.arity == "merged"
         assert tree.root.split.branches == ((0,), (1, 2))
 
     def test_stirling_known_values(self):
@@ -1315,20 +1312,29 @@ class TestExportDot:
 
 class TestSplitType:
     def test_validation(self):
-        with pytest.raises(TreeError):
-            Split(feature=0, arity="ternary", branches=((0,), (1,)))
-        with pytest.raises(TreeError):
-            Split(feature=0, arity="binary", branches=((0,),))
-        with pytest.raises(TreeError):
-            Split(feature=0, arity="binary", branches=((0, 1), (1, 2)))
+        """A split is checked where a tree text comes in: a split of one
+        branch, or of branches that share a code, is one line of
+        ``TreeError``.  An ``arity`` that a split of an older text stores is
+        ignored, even one no grower made, and the text rewrites without it."""
+        payload = _one_split({"counts": [3, 1]}, {"counts": [1, 3]})
+        text = DecisionTree.from_payload(payload).to_json()
+        for arity in ("binary", "multiway", "ternary", 5, None):
+            payload["root"]["split"]["arity"] = arity
+            assert DecisionTree.from_payload(payload).to_json() == text
+        for branches in ([[0]], [[0, 1], [1, 2]]):
+            payload["root"]["split"]["branches"] = branches
+            with pytest.raises(TreeError, match="^split 'branches' is not a list of "
+                               "two or more disjoint lists") as info:
+                DecisionTree.from_payload(payload)
+            assert "\n" not in str(info.value)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]))
     def test_grown_splits_need_no_checks(self, seed, grower):
-        """The growers skip the checks of ``Split``: every chooser hands
-        over an int feature and at least 2 disjoint, sorted tuples of int
-        codes, which the checked constructor would keep as they are."""
+        """A grown split is not checked: every chooser hands over an int
+        feature and at least 2 disjoint, sorted tuples of int codes, so
+        every grown tree's text passes the loader and rewrites as itself."""
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(12, 60)), int(rng.integers(1, 5))
         universes = [np.sort(rng.choice(10, size=int(rng.integers(2, 6)), replace=False))
@@ -1358,10 +1364,11 @@ class TestSplitType:
                            for b in split.branches)
                 assert all(type(c) is int for c in codes)
                 assert len(set(codes)) == len(codes)
-                assert Split(split.feature, split.arity, split.branches) == split
+            text = tree.to_json()
+            assert DecisionTree.from_json(text).to_json() == text
 
     def test_branch_lookup(self):
-        s = Split(feature=2, arity="merged", branches=((0, 3), (1,), (2,)))
+        s = Split(feature=2, branches=((0, 3), (1,), (2,)))
         assert oracles.branch_for(s, 3) == 0
         assert oracles.branch_for(s, 2) == 2
         assert oracles.branch_for(s, 9) is None
@@ -1372,7 +1379,7 @@ def test_payload_refuses_an_empty_child_that_is_not_its_parents_leaf():
     as every grower builds it: a payload's empty child takes its parent's
     label, whatever label it stores, and one that splits is refused."""
     leaf = {"counts": [3, 1]}
-    split = {"feature": 0, "arity": "binary", "branches": [[0], [1]]}
+    split = {"feature": 0, "branches": [[0], [1]]}
     empty = {"counts": [0, 0]}
 
     def load(child):
@@ -1424,7 +1431,7 @@ def _one_split(left, right, root=None):
         "algorithm": "cart", "params": {}, "feature_names": ["f0"],
         "schema_hash": "x", "n_rows": sum(counts),
         "root": {"counts": counts,
-                 "split": {"feature": 0, "arity": "binary", "branches": [[0], [1]]},
+                 "split": {"feature": 0, "branches": [[0], [1]]},
                  "children": [left, right]},
     }
 
