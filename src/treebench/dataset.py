@@ -118,6 +118,13 @@ def check_key(item: Mapping, key: str, rule: Rule, what: str,
     return check(item[key], rule, f"{what} {key!r}", error)
 
 
+def check_fields(item: Mapping, fields, what: str, error: type = DatasetError) -> None:
+    """Refuse a key of ``item`` that ``fields`` does not name."""
+    for key in item:
+        if key not in fields:
+            raise error(f"{what} has an unknown field {_shown(key)}")
+
+
 def check_knobs(knobs: Mapping, rules: Mapping[str, Rule], owner: str,
                 error: type = DatasetError) -> None:
     """Check every knob of ``owner`` by its rule; a key ``rules`` does not
@@ -212,7 +219,7 @@ def _labels(item: dict, what: str) -> dict[int, str]:
         return {int(k): v for k, v in labels.items()}
     except ValueError:
         raise DatasetError(f"{what} 'labels' keys are not all integer codes: "
-                           f"{list(labels)!r}") from None
+                           f"{_shown(list(labels))}") from None
 
 
 def schema_hash(schema: Sequence[FeatureSpec]) -> str:
@@ -447,10 +454,10 @@ def _check_predicate(rule: str, predicate) -> None:
     """Reject a case predicate ``_CASE_TESTS`` cannot evaluate."""
     if not isinstance(predicate, Mapping) or len(predicate) != 1:
         raise DatasetError(
-            f"rule {rule!r}: predicate must have exactly one key: {predicate!r}")
+            f"rule {rule!r}: predicate must have exactly one key: {_shown(predicate)}")
     ((key, arg),) = predicate.items()
     if key not in _CASE_TESTS:
-        raise DatasetError(f"rule {rule!r}: unknown predicate key {key!r} "
+        raise DatasetError(f"rule {rule!r}: unknown predicate key {_shown(key)} "
                            f"(expected one of {tuple(_CASE_TESTS)})")
     if key != "any":
         check(arg, CODES if key == "in" else INTEGER, f"rule {rule!r}: {key!r}")

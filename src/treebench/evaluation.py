@@ -72,7 +72,7 @@ class FoldPlan:
             raise EvalError("fold sizes must differ by at most 1")
 
     def train_indices(self, fold_index: int) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n_rows), self.folds[fold_index])
+        return np.delete(np.arange(self.n_rows), self.folds[fold_index])
 
     def plan_hash(self) -> str:
         payload = json.dumps(
@@ -105,7 +105,7 @@ def make_folds(n: int, k: int, stratified: bool = True, labels=None,
         if y.shape != (n,):
             raise EvalError("labels length does not match n")
     rng = np.random.default_rng(seed)
-    runs = ([np.flatnonzero(y == klass) for klass in np.unique(y)]
+    runs = ([np.flatnonzero(y == klass) for klass in sorted(set(y.tolist()))]
             if stratified else [np.arange(n)])
     for run in runs:
         rng.shuffle(run)

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import (BOOLEAN, LIST, NAMES, OBJECT, STRING, CategoricalTable,
-                      check_key, check_knobs, integer, optional, read_json)
+                      check_fields, check_key, check_knobs, integer, optional,
+                      read_json)
 from .tree import (DecisionTree, TreeError, TreeNode, TreeParams, _gini_chooser,
                    _grow, node_payload)
 
@@ -125,6 +126,8 @@ class Forest:
         names and hash whose root totals its bag."""
         payload = read_json(text, OBJECT, "forest payload", ForestError)
         try:
+            check_fields(payload, ("params", "feature_names", "schema_hash", "n_rows",
+                                   "trees"), "forest payload", ForestError)
             check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
             params = ForestParams(**payload["params"])
             n_rows, names, schema_hash = (

@@ -117,36 +117,102 @@ def _weight_tables(t: int) -> tuple[np.ndarray, np.ndarray]:
     return wa, wb
 
 
-def _tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
-              m: int) -> np.ndarray:
-    """Contribution matrix (rows x features), averaged over the background."""
-    n_rows, n_back = row_pos.shape[0], back_pos.shape[0]
-    phi = np.zeros((n_rows, m))
-    for value, masks in stops:
-        if not masks or value == 0.0:
-            continue
-        feats = sorted(masks)
-        # rows with the same fail set share one exact per-background sum;
-        # the background is not deduplicated, so that sum keeps its order.
-        # A row's fail set is an integer code (bit i: path feature i
-        # fails), a Python int past int64's bits, and the kernel runs once
-        # per distinct code.
-        dtype = np.int64 if len(feats) <= 62 else object
-        code = np.zeros(n_rows, dtype=dtype)
-        for i, f in enumerate(feats):
-            code |= (~masks[f][row_pos[:, f]]).astype(dtype) << i
-        fails, code = np.unique(code, return_inverse=True)
-        x_fail = fails[:, None] >> np.arange(len(feats), dtype=dtype) & 1 == 1
-        z_fail = np.stack([~masks[f][back_pos[:, f]] for f in feats], axis=1)
-        dead = (x_fail[:, None, :] & z_fail[None, :, :]).any(axis=2)
-        a, b = z_fail.sum(axis=1)[None, :], x_fail.sum(axis=1)[:, None]
-        wa, wb = _weight_tables(len(feats))
-        gain = np.where(dead, 0.0, wa[a, b])
-        loss = np.where(dead, 0.0, wb[a, b])
-        per_pair = (z_fail[None, :, :] * gain[:, :, None]).sum(axis=1) \
-            - (x_fail[:, None, :] * loss[:, :, None]).sum(axis=1)
-        phi[:, feats] += (value * per_pair / n_back)[code]
-    return phi
+# The kernel.  A stop's rows fall into fail patterns (bit i: the row fails
+# path feature i), and the rows of one pattern share one exact sum over the
+# background rows, in background order.  ``_phi_matrix`` hands the kernel a
+# chunk of trees at a time.  It groups the chunk's stops by path length d
+# and, per group, finds every row's pattern and every (stop, pattern) sum
+# in a few array passes: all 2^d patterns of each stop when 2^d is at most
+# the row count, and otherwise the distinct (stop, pattern) codes of the
+# group.  Each tree's game then adds its stops in order, as the per-stop
+# oracle in ``tests/oracles.py`` does, so the floats are the same.  Pattern
+# 0 marks the stop a row reaches, so the game also gives the tree's value
+# at each row.
+
+_CHUNK = 1 << 15  # elements: a chunk's stop x row codes, a slice's sums
+
+
+def _bits(codes: np.ndarray, d: int) -> np.ndarray:
+    """Bits 0..d-1 of each code, on a new last axis (a C-ordered copy)."""
+    return (codes[..., None] >> np.arange(d, dtype=codes.dtype) & 1).astype(bool)
+
+
+def _fail_codes(group, pos: np.ndarray, d: int, dtype) -> np.ndarray:
+    """[stops, rows]: each stop's index above bits 0..d-1 of each row's
+    fail pattern."""
+    passes = [masks[f] for _, path, masks in group for f in path]
+    fail = ~np.concatenate(passes or [np.zeros(0, dtype=bool)])
+    width = np.array([mask.size for mask in passes], dtype=np.intp)
+    start = (np.cumsum(width) - width).reshape(len(group), d)
+    feats = np.array([path for _, path, _ in group], dtype=np.intp)
+    codes = np.empty((len(group), pos.shape[0]), dtype=dtype)
+    codes[:] = np.arange(len(group), dtype=dtype)[:, None] << d
+    for i in range(d):
+        at = pos.T[feats[:, i]]
+        at += start[:, i, None]
+        codes |= fail[at].astype(dtype) << i
+    return codes
+
+
+def _stop_group(group, pos: np.ndarray, n_back: int):
+    """(table, codes) of stops of one path length d, each given as (value,
+    sorted path features, pass masks): row r's column in ``table`` is
+    ``codes[s, r]``, and a column holds stop s's contribution to each path
+    feature at the row's pattern and, in the last row, s's value where the
+    row reaches s."""
+    n_stops, n, d = len(group), pos.shape[0], len(group[0][1])
+    values = np.array([value for value, _, _ in group])
+    # the narrowest dtype for the codes: a Python int past 64 bits
+    dtype = np.min_scalar_type(n_stops << d)
+    codes = _fail_codes(group, pos, d, dtype)
+    back = codes[:, n - n_back:] & (1 << d) - 1
+    if 1 << d <= n:
+        pairs = np.arange(n_stops << d, dtype=dtype)
+    else:
+        pairs, codes = np.unique(codes, return_inverse=True)
+        codes = codes.astype(np.min_scalar_type(pairs.size))
+    stop, pattern = (pairs >> d).astype(np.intp), pairs & (1 << d) - 1
+    z_fail, x_fail = _bits(back, d), _bits(pattern, d)
+    a, b = z_fail.sum(axis=2), x_fail.sum(axis=1)[:, None]
+    wa, wb = _weight_tables(d)
+    table = np.empty((d + 1, pairs.size))
+    table[d] = np.where(b[:, 0] == 0, values[stop], 0.0)
+    step = max(1, _CHUNK // max(1, n_back * d))
+    for lo in range(0, pairs.size, step):
+        s, x, bb = stop[lo:lo + step], x_fail[lo:lo + step], b[lo:lo + step]
+        dead = pattern[lo:lo + step, None] & back[s] != 0
+        gain = np.where(dead, 0.0, wa[a[s], bb])
+        loss = np.where(dead, 0.0, wb[a[s], bb])
+        # both sums run over the background as the oracle's [patterns,
+        # background, d] sums do: in background order, pairwise when d == 1
+        lost = loss.sum(axis=1) if d == 1 else np.add.accumulate(loss, axis=1)[:, -1]
+        per_pair = (z_fail[s] * gain[:, :, None]).sum(axis=1) \
+            - np.where(x, lost[:, None], 0.0)
+        table[:d, lo:lo + step] = (values[s, None] * per_pair / n_back).T
+    return table, codes
+
+
+def _tree_games(stop_lists, pos: np.ndarray, n_back: int, m: int):
+    """Each tree's game over the rows ``pos`` (codes as positions in the
+    universes; the last ``n_back`` rows are the background), in tree order:
+    [m + 1, rows], row r's contribution to feature f in [f, r] and the
+    tree's value at row r in [m, r].  ``stop_lists`` holds each tree's
+    ``DecisionTree.stops``; a stop worth 0.0 adds nothing."""
+    work, groups = [[] for _ in stop_lists], {}
+    for stops, tree_work in zip(stop_lists, work):
+        for value, masks in stops:
+            if value != 0.0:
+                feats = sorted(masks)
+                group = groups.setdefault(len(feats), [])
+                tree_work.append((feats + [m], len(feats), len(group)))
+                group.append((value, feats, masks))
+    tables = {d: _stop_group(group, pos, n_back) for d, group in groups.items()}
+    for tree_work in work:
+        game = np.zeros((m + 1, pos.shape[0]))
+        for cols, d, k in tree_work:
+            table, codes = tables[d]
+            game[cols] += table[:, codes[k]]
+        yield game
 
 
 def _as_background(background) -> np.ndarray:
@@ -155,10 +221,13 @@ def _as_background(background) -> np.ndarray:
     return background.rows
 
 
-def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
-    """Contribution matrix shared by single-row, batch, and ranking paths:
-    the mean of the games of ``model.members``, whose ``stops`` over the
-    codes of ``rows`` and ``back`` are each worth ``model.leaf_value``."""
+def _phi_matrix(model, rows: np.ndarray, back: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(contributions, outputs) shared by single-row, batch, and ranking
+    paths: the mean of the games of ``model.members``, whose ``stops`` over
+    the codes of ``rows`` and ``back`` are each worth ``model.leaf_value``,
+    and the mean of their values at each row of ``rows`` and then ``back``,
+    which is ``model.proba_batch`` of those rows."""
     try:
         trees, leaf_value = model.members, model.leaf_value
     except AttributeError:
@@ -173,24 +242,28 @@ def _phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
     for j in range(len(names)):
         universe, positions[:, j] = np.unique(both[:, j], return_inverse=True)
         universes.append(universe)
-    row_pos, back_pos = positions[:rows.shape[0]], positions[rows.shape[0]:]
     phi = np.zeros((rows.shape[0], len(names)))
-    for tree in trees:
-        phi += _tree_phi(tree.stops(universes, leaf_value), row_pos, back_pos,
-                         len(names))
-    return phi / len(trees)
+    outputs = np.zeros(both.shape[0])
+    chunk, size = [], 0
+    for i, tree in enumerate(trees):
+        chunk.append(tree.stops(universes, leaf_value))
+        size += len(chunk[-1]) * both.shape[0]
+        if size >= _CHUNK or i == len(trees) - 1:
+            for game in _tree_games(chunk, positions, back.shape[0], len(names)):
+                phi += game[:-1, :rows.shape[0]].T
+                outputs += game[-1]
+            chunk, size = [], 0
+    return phi / len(trees), outputs / len(trees)
 
 
-def _attributions(model, phi: np.ndarray, rows: np.ndarray,
-                  back: np.ndarray) -> list[ShapAttribution]:
-    """One attribution per row of ``rows``, whose contributions are ``phi``."""
+def _attributions(model, phi: np.ndarray, outputs: np.ndarray,
+                  base: float) -> list[ShapAttribution]:
+    """One attribution per row of ``phi``, with its model output."""
     names = model.feature_names
-    base = float(np.mean(model.proba_batch(back)))
-    outputs = model.proba_batch(rows)
     return [
         ShapAttribution(names, tuple(float(v) for v in phi[i]), base,
                         float(outputs[i]))
-        for i in range(rows.shape[0])
+        for i in range(phi.shape[0])
     ]
 
 
@@ -200,7 +273,9 @@ def shap_batch(model, rows, background) -> list[ShapAttribution]:
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     if rows.ndim == 1:
         rows = rows[None, :]
-    return _attributions(model, _phi_matrix(model, rows, back), rows, back)
+    phi, outputs = _phi_matrix(model, rows, back)
+    base = float(np.mean(outputs[rows.shape[0]:]))
+    return _attributions(model, phi, outputs, base)
 
 
 def shap_values(model, row, background) -> ShapAttribution:
@@ -269,7 +344,7 @@ def global_importance(model, data: CategoricalTable, background
 
     Exact ties keep the lower feature index first.
     """
-    phi = _phi_matrix(model, data.rows, _as_background(background))
+    phi, _ = _phi_matrix(model, data.rows, _as_background(background))
     return _ranking(phi, data.feature_names)
 
 
@@ -279,10 +354,10 @@ def explain_table(model, data: CategoricalTable, background, row_ids
     of the table, bit for bit, from one pass over every row: a row's
     contributions do not depend on which other rows share the pass (a leaf
     a smaller pass skips adds an exact +0.0 here)."""
-    back = _as_background(background)
-    phi = _phi_matrix(model, data.rows, back)
+    phi, outputs = _phi_matrix(model, data.rows, _as_background(background))
     ids = list(row_ids)
-    return (_attributions(model, phi[ids], data.rows[ids], back),
+    base = float(np.mean(outputs[data.n_rows:]))
+    return (_attributions(model, phi[ids], outputs[ids], base),
             _ranking(phi, data.feature_names))
 
 
@@ -411,7 +486,7 @@ def backward_eliminate(data: CategoricalTable, forest_params: ForestParams,
                 forest = train_forest(table, _step_params(forest_params, len(active)))
                 background = make_background(table, background_size, cv_spec.seed)
                 magnitude = _mean_abs_phi(
-                    _phi_matrix(forest, table.rows, background.rows))
+                    _phi_matrix(forest, table.rows, background.rows)[0])
                 weakest = 0
                 for j in range(1, len(active)):
                     if magnitude[j] <= magnitude[weakest]:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .criteria import chi_square_k2, gini_decrease, info_gain
 from .dataset import (NAMES, NATURAL, NATURALS, OBJECT, STRING, CategoricalTable,
-                      Rule, check_key, check_knobs, integer, number, optional,
-                      read_json)
+                      Rule, check_fields, check_key, check_knobs, integer, number,
+                      optional, read_json)
 
 _GAIN_EPS = 1e-12
 
@@ -55,6 +55,12 @@ _ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
 _COUNTS = Rule("a list of two integers >= 0 totalling below 2**63",
                lambda v: NATURALS.test(v) and len(v) == 2 and sum(v) < 2**63)
 _SCORE = number("a finite number", lambda v: abs(v) <= sys.float_info.max)
+# The fields of a tree payload, a node and a split.  A node's label and a
+# split's arity, which older payloads stored, load and are ignored.
+_PAYLOAD_FIELDS = ("algorithm", "params", "feature_names", "schema_hash", "n_rows",
+                   "root")
+_NODE_FIELDS = ("counts", "score", "split", "children", "prediction", "confidence")
+_SPLIT_FIELDS = ("feature", "branches", "arity")
 _BRANCHES = Rule("a list of two or more disjoint lists of integers in [0, 2**63)",
                  lambda v: isinstance(v, list) and len(v) >= 2
                  and all(map(NATURALS.test, v))
@@ -234,11 +240,14 @@ class DecisionTree:
         """The tree of a ``payload()`` object, each node labelled by
         ``_node_labels`` of its counts.  A payload is refused when its
         ``algorithm``'s grower ignores a knob its ``params`` set, when counts
-        do not add up (children to their split, the root to ``n_rows``), or
-        when an empty node splits.  Splits are checked only here, their
-        branches disjoint; any other key a split stores is ignored."""
+        do not add up (children to their split, the root to ``n_rows``),
+        when an empty node splits, or when it holds a field the format does
+        not name (an older payload's node labels and split arity load and
+        are ignored).  Splits are checked only here, their branches
+        disjoint."""
         def parse_node(item: Mapping, parent: TreeNode | None) -> TreeNode:
             counts = check_key(item, "counts", _COUNTS, "tree node", error=TreeError)
+            check_fields(item, _NODE_FIELDS, "tree node", TreeError)
             node = TreeNode(np.array(counts, dtype=np.int64), 0, 0.0, score=check_key(
                 item, "score", _SCORE, "tree node", 0.0, TreeError))
             # an empty node takes its parent's label; the root is never empty
@@ -249,6 +258,7 @@ class DecisionTree:
                 if not sum(counts):
                     raise TreeError("an empty node must be a leaf")
                 s = item["split"]
+                check_fields(s, _SPLIT_FIELDS, "split", TreeError)
                 node.split = Split(
                     check_key(s, "feature", feature, "split", error=TreeError),
                     tuple(map(tuple, check_key(s, "branches", _BRANCHES, "split",
@@ -263,6 +273,7 @@ class DecisionTree:
             return node
 
         try:
+            check_fields(payload, _PAYLOAD_FIELDS, "tree payload", TreeError)
             algorithm = check_key(payload, "algorithm", _ALGORITHM, "tree payload",
                                   error=TreeError)
             names = tuple(check_key(payload, "feature_names", NAMES, "tree payload",
@@ -429,12 +440,13 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, resplit: bool,
     m = data.n_features
     k = min(features_per_split or m, m)
     # dense code: position in the feature's code universe + the feature's start
-    universes = [np.unique(X[:, f]) for f in range(m)]
+    universes, dense = [], np.empty(X.shape, dtype=np.int32)
+    for f in range(m):
+        universe, dense[:, f] = np.unique(X[:, f], return_inverse=True)
+        universes.append(universe)
     starts = np.cumsum([0] + [len(u) for u in universes])
     width = int(starts[-1])
-    dense = np.empty(X.shape, dtype=np.int32)
-    for f, u in enumerate(universes):
-        dense[:, f] = np.searchsorted(u, X[:, f]) + starts[f]
+    dense += starts[:-1]
     y32 = y.astype(np.int32)
     position = [{c: starts[f] + p for p, c in enumerate(u.tolist())}
                 for f, u in enumerate(universes)]

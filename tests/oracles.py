@@ -9,6 +9,7 @@ import pytest
 
 from treebench.baselines import ConvergenceError, MlpModel, _init_layers, _one_hot
 from treebench.criteria import _as_counts, entropy
+from treebench.shapley import _weight_tables
 from treebench.tree import (
     _GAIN_EPS,
     DecisionTree,
@@ -312,3 +313,70 @@ def train_mlp(data, widths=(16,) * 5, learning_rate=0.1, epochs=200,
                     tuple(np.array(w) for w in best[1]),
                     tuple(np.array(b) for b in best[2]),
                     "tanh", data.schema_hash(), int(seed))
+
+
+def tree_phi(stops, row_pos: np.ndarray, back_pos: np.ndarray,
+             m: int) -> np.ndarray:
+    """One tree's contribution matrix (rows x features), averaged over the
+    background, one stop at a time: the reference for each tree's game in
+    ``shapley._tree_games``.  ``stops`` is the tree's ``DecisionTree.stops``
+    over codes whose universe positions are ``row_pos`` and ``back_pos``."""
+    n_rows, n_back = row_pos.shape[0], back_pos.shape[0]
+    phi = np.zeros((n_rows, m))
+    for value, masks in stops:
+        if not masks or value == 0.0:
+            continue
+        feats = sorted(masks)
+        # rows with the same fail set share one exact per-background sum;
+        # the background is not deduplicated, so that sum keeps its order.
+        # A row's fail set is an integer code (bit i: path feature i
+        # fails), a Python int past int64's bits, and the kernel runs once
+        # per distinct code.
+        dtype = np.int64 if len(feats) <= 62 else object
+        code = np.zeros(n_rows, dtype=dtype)
+        for i, f in enumerate(feats):
+            code |= (~masks[f][row_pos[:, f]]).astype(dtype) << i
+        fails, code = np.unique(code, return_inverse=True)
+        x_fail = fails[:, None] >> np.arange(len(feats), dtype=dtype) & 1 == 1
+        z_fail = np.stack([~masks[f][back_pos[:, f]] for f in feats], axis=1)
+        dead = (x_fail[:, None, :] & z_fail[None, :, :]).any(axis=2)
+        a, b = z_fail.sum(axis=1)[None, :], x_fail.sum(axis=1)[:, None]
+        wa, wb = _weight_tables(len(feats))
+        gain = np.where(dead, 0.0, wa[a, b])
+        loss = np.where(dead, 0.0, wb[a, b])
+        per_pair = (z_fail[None, :, :] * gain[:, :, None]).sum(axis=1) \
+            - (x_fail[:, None, :] * loss[:, :, None]).sum(axis=1)
+        phi[:, feats] += (value * per_pair / n_back)[code]
+    return phi
+
+
+def tree_games(stop_lists, pos: np.ndarray, n_back: int, m: int):
+    """``shapley._tree_games`` from the per-stop oracle: each tree's
+    ``tree_phi`` at every row of ``pos``, and the tree's value at each row,
+    the value of the stop whose masks the row's codes all pass."""
+    back = pos[pos.shape[0] - n_back:]
+    for stops in stop_lists:
+        game = np.zeros((m + 1, pos.shape[0]))
+        game[:m] = tree_phi(stops, pos, back, m).T
+        for value, masks in stops:
+            reached = np.ones(pos.shape[0], dtype=bool)
+            for f, mask in masks.items():
+                reached &= mask[pos[:, f]]
+            game[m, reached] = value
+        yield game
+
+
+def phi_matrix(model, rows: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """The contributions of ``shapley._phi_matrix``, one tree at a time
+    through ``tree_phi``."""
+    both = np.concatenate([rows, back])
+    universes, positions = [], np.empty_like(both)
+    for j in range(both.shape[1]):
+        universe, positions[:, j] = np.unique(both[:, j], return_inverse=True)
+        universes.append(universe)
+    phi = np.zeros((rows.shape[0], both.shape[1]))
+    for tree in model.members:
+        phi += tree_phi(tree.stops(universes, model.leaf_value),
+                        positions[:rows.shape[0]], positions[rows.shape[0]:],
+                        both.shape[1])
+    return phi / len(model.members)

@@ -423,6 +423,30 @@ def test_import_leaves_scipy_special_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+_MA_PROBE = """
+import sys
+from treebench import cli, evaluation
+
+evaluation._usable_cpus = lambda: 1  # every fold task in this process
+status = cli.main(sys.argv[1:])
+sys.exit(status or 'numpy.ma' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["explain", "select-features"])
+def test_explain_and_select_features_leave_numpy_ma_unloaded(tmp_path, command):
+    """A plain np.unique or np.setdiff1d imports numpy.ma (about 10 ms) for
+    its masked-array check, so explain and select-features call neither.
+    (compare is exempt: scipy.special imports numpy.ma itself.)"""
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _MA_PROBE, command, "--config", str(cfg)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 _POOL_PROBE = """
 import sys
 import concurrent.futures.process as process

@@ -58,6 +58,14 @@ class TestFeatureSpec:
         assert back == schema
         assert schema_hash(back) == schema_hash(schema)
 
+    def test_schema_json_label_key_error_is_one_short_line(self):
+        # a 400-character key gave a line of over 400 characters
+        payload = json.loads(schema_to_json((feature("grade", (0, 1)),)))
+        payload[0]["labels"] = {"k" * 400: "x"}
+        with pytest.raises(DatasetError, match="'labels' keys are not all integer") as info:
+            schema_from_json(json.dumps(payload))
+        assert "\n" not in str(info.value) and len(str(info.value)) <= 300
+
     def test_schema_json_duplicate_names_rejected(self):
         # the table loader would read the shared column twice
         schema = (feature("grade", (0, 1)), feature("grade", (0, 1, 2)))
@@ -341,6 +349,19 @@ class TestRecode:
         payload["features"][0][key] = value
         with pytest.raises(DatasetError, match=match):
             RecodeRuleSet.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("fields", [
+        {"labels": {"k" * 400: "x"}},
+        {"cases": [{"when": {"k" * 400: 1}, "code": 1}]},
+        {"cases": [{"when": {"in": [1], "k" * 400: 1}, "code": 1}]},
+    ], ids=["label-key", "predicate-key", "two-key-predicate"])
+    def test_rules_json_error_is_one_short_line(self, fields):
+        # each 400-character key gave a line of over 400 characters
+        payload = json.loads(speed_year_rules().to_json())
+        payload["features"][0].update(fields)
+        with pytest.raises(DatasetError) as info:
+            RecodeRuleSet.from_json(json.dumps(payload))
+        assert "\n" not in str(info.value) and len(str(info.value)) <= 300
 
     def test_combined_sources(self):
         # severity rollup across two occupant columns: worst (max) wins

@@ -213,6 +213,37 @@ def test_tree_nested_past_the_recursion_limit_is_tree_error():
                                    "root": node})
 
 
+# a field the format does not name, at each level of a tree payload
+_TREE_UNKNOWN = {
+    "payload": lambda p: p.update(k=1),
+    "long-name": lambda p: p.update({"k" * 500: 1}),
+    "root": lambda p: p["root"].update(label=1),
+    "child": lambda p: p["root"]["children"][1].update(weight=0.5),
+    "split": lambda p: p["root"]["split"].update(threshold=2),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_TREE_UNKNOWN))
+def test_tree_payload_with_an_unknown_field_is_tree_error(where):
+    """An unknown field is refused in one line that names it; a node's stored
+    label and a split's arity are the fields older payloads held, and still
+    load (``test_stored_labels_are_ignored``, ``test_pinned_payloads``)."""
+    payload = _tree_payload()
+    _TREE_UNKNOWN[where](payload)
+    with pytest.raises(TreeError, match="has an unknown field '") as info:
+        DecisionTree.from_json(json.dumps(payload))
+    assert "\n" not in str(info.value) and len(str(info.value)) <= 300
+
+
+@pytest.mark.parametrize("where", ["payload", "member"])
+def test_forest_payload_with_an_unknown_field_is_forest_error(where):
+    payload = _forest_payload()
+    (payload if where == "payload" else payload["trees"][1]).update(k=1)
+    with pytest.raises(ForestError, match="unknown field 'k'$") as info:
+        Forest.from_json(json.dumps(payload))
+    assert "\n" not in str(info.value)
+
+
 # A node's label follows from its counts; a label a node stores, as the
 # format before this rule did, is ignored, even when it disagrees
 _STORED_LABELS = {

@@ -8,6 +8,10 @@ one line of at most 300 characters.  A loaded tree or forest must then
 answer ``predict_batch`` and ``proba_batch`` on a row of its width.  A
 loaded baseline is not asked to predict: decision-list literals and
 bayes-net CPTs still load without a check.
+
+The same property holds for the other JSON readers: ``schema_from_json``,
+``RecodeRuleSet.from_json`` and ``EliminationTrace.from_json``, whose
+values must then write themselves out again.
 """
 import copy
 import json
@@ -25,8 +29,18 @@ from treebench.baselines import (
     train_logistic,
     train_mlp,
 )
-from treebench.dataset import CategoricalTable, feature
+from treebench.dataset import (
+    CategoricalTable,
+    DatasetError,
+    RecodeRule,
+    RecodeRuleSet,
+    feature,
+    schema_from_json,
+    schema_hash,
+    schema_to_json,
+)
 from treebench.forest import Forest, ForestError, ForestParams, train_forest
+from treebench.shapley import EliminationStep, EliminationTrace, ShapError
 from treebench.tree import (
     DecisionTree,
     TreeError,
@@ -93,10 +107,9 @@ def field_paths(value, path=()):
         yield from field_paths(item, path + (key,))
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_any_model_field_is_read_cleanly(texts, data):
-    reader, payload = data.draw(st.sampled_from(texts), label="text")
+def edited(data, payload):
+    """``payload`` with one field, at any depth, dropped or replaced by an
+    arbitrary JSON value."""
     path = data.draw(st.sampled_from(list(field_paths(payload))), label="path")
     edited = copy.deepcopy(payload)
     parent = edited
@@ -106,14 +119,69 @@ def test_any_model_field_is_read_cleanly(texts, data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+    return json.dumps(edited)
+
+
+def one_line(message: str) -> bool:
+    return "\n" not in message and len(message) <= 300
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_model_field_is_read_cleanly(texts, data):
+    reader, payload = data.draw(st.sampled_from(texts), label="text")
+    text = edited(data, payload)
     read, error = READERS[reader]
     try:
-        model = read(json.dumps(edited))
+        model = read(text)
     except error as e:
-        message = str(e)
-        assert "\n" not in message and len(message) <= 300, message
+        assert one_line(str(e)), str(e)
         return
     if reader != "baseline":
         row = np.ones((1, len(model.feature_names)), dtype=np.int64)
         model.predict_batch(row)
         model.proba_batch(row)
+
+
+def _rules() -> RecodeRuleSet:
+    """Rules with every predicate, each kind of default and a combine."""
+    return RecodeRuleSet(
+        features=(
+            RecodeRule("sex", ("SEX",), (({"in": [1]}, 0), ({"in": [2]}, 1)),
+                       missing=frozenset({8, 9}), default="drop",
+                       labels={0: "male", 1: "female"}),
+            RecodeRule("speed", ("SPD", "LIM"), (({"lt": 30}, 0), ({"le": 55}, 1),
+                                                 ({"gt": 80}, 3), ({"ge": 56}, 2)),
+                       combine="max", default=None),
+            RecodeRule("light", ("LGT",), (({"any": True}, 4),), default=5),
+        ),
+        target=RecodeRule("injury", ("SEV",), (({"in": [0]}, 0), ({"any": 1}, 1))))
+
+
+# each reader's text, its error, and what a value it returns must still do
+OTHER_READERS = {
+    "schema": (schema_to_json([feature("f0", [1, 2, 3], labels={1: "a"}, missing=[9]),
+                               feature("f1", [0, 5])]),
+               schema_from_json, DatasetError, lambda schema: schema_hash(schema)),
+    "rules": (_rules().to_json(), RecodeRuleSet.from_json, DatasetError,
+              lambda rules: (rules.to_json(), rules.output_schema())),
+    "trace": (EliminationTrace((
+        EliminationStep(("a", "b", "c"), 0.5, "c"),
+        EliminationStep(("a", "b"), 0.75, "a"),
+        EliminationStep(("b",), 0.625, "b")), 1).to_json(),
+              EliminationTrace.from_json, ShapError,
+              lambda trace: (trace.to_json(), trace.selected_features)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_schema_rules_or_trace_field_is_read_cleanly(data):
+    text, read, error, use = OTHER_READERS[data.draw(
+        st.sampled_from(sorted(OTHER_READERS)), label="reader")]
+    try:
+        value = read(edited(data, json.loads(text)))
+    except error as e:
+        assert one_line(str(e)), str(e)
+        return
+    use(value)

@@ -48,6 +48,7 @@ from treebench.tree import (
     train_quest,
 )
 
+import oracles
 from oracles import predict, with_cpus
 
 
@@ -341,35 +342,81 @@ def fit(grower, table, seed, max_depth):
         {"min_gain": 0.0} if grower == "c50" else {})))
 
 
+def same_bits(x, y) -> bool:
+    """Equal shapes and equal bits, as float.hex compares each float."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def checked_kernel(calls, lengths=None):
+    """A stand-in for ``shapley._tree_games`` that runs it and checks each
+    tree's game at every row it was given: the contributions float.hex-equal
+    to the per-stop oracle and equal to the pairwise kernel, the values
+    those of the oracle's ``tree_games``.  ``lengths`` collects the stops'
+    path lengths."""
+    kernel = shapley._tree_games
+
+    def both(stop_lists, pos, n_back, m):
+        back = pos[pos.shape[0] - n_back:]
+        games = list(kernel(stop_lists, pos, n_back, m))
+        expected = oracles.tree_games(stop_lists, pos, n_back, m)
+        for stops, game, oracle in zip(stop_lists, games, expected):
+            if lengths is not None:
+                lengths.update(len(masks) for _, masks in stops)
+            calls.append(same_bits(game, oracle) and np.array_equal(
+                game[:m].T, _pairwise_tree_phi(stops, pos, back, m)))
+        return games
+    return both
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]),
     max_depth=st.sampled_from([None, 1, 2, 3]),
-    n_back=st.sampled_from([1, 8, 13]),
+    n_back=st.sampled_from([1, 7, 8, 13, 16]),
 )
 def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_back):
-    """The pattern-compressed kernel gives every tree of the model exactly
-    the floats of the pairwise kernel.  Many explained rows share a pass
-    pattern; codes are sparse, some unseen in training, and one-feature
-    tables make every path a one-feature path."""
+    """The chunk kernel gives every tree of the model exactly the floats of
+    the per-stop and the pairwise kernels.  Many explained rows share a
+    pass pattern; codes are sparse, some unseen in training, and
+    one-feature tables make every path a one-feature path."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 5))
     table = sparse_table(rng, m)
     rows = np.concatenate([table.rows, rng.choice(_EXTRA, size=(20, m))])
     background = rng.choice(_EXTRA, size=(n_back, m))
     model = fit(grower, table, seed, max_depth)
-    kernel, calls = shapley._tree_phi, []
-
-    def both(leaves, row_pos, back_pos, width):
-        fast = kernel(leaves, row_pos, back_pos, width)
-        calls.append(np.array_equal(
-            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
-        return fast
-
-    with mock.patch.object(shapley, "_tree_phi", both):
+    calls = []
+    with mock.patch.object(shapley, "_tree_games", checked_kernel(calls)):
         shap_batch(model, rows, background)
     assert calls and all(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grower=st.sampled_from(["c50", "cart", "chaid", "quest", "forest"]),
+    max_depth=st.sampled_from([None, 2, 4]),
+    n_rows=st.sampled_from([1, 3, 20, 80]),
+    n_back=st.sampled_from([1, 7, 8, 13, 16, 64]),
+)
+def test_phi_matrix_float_hex_equal_to_the_oracle(seed, grower, max_depth, n_rows,
+                                                  n_back):
+    """``_phi_matrix`` gives the contributions of the per-stop oracle, bit for
+    bit, and outputs that are ``proba_batch`` of the rows and the background,
+    bit for bit.  Few explained rows make 2^d pass the row count on short
+    paths; up to 10 features with no depth cap make long paths."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 11))
+    table = sparse_table(rng, m)
+    model = fit(grower, table, seed, max_depth)
+    rows = np.concatenate([table.rows, rng.choice(_EXTRA, size=(20, m))])[
+        rng.choice(80, size=n_rows, replace=False)]
+    background = rng.choice(_EXTRA, size=(n_back, m))
+    phi, outputs = shapley._phi_matrix(model, rows, background)
+    assert same_bits(phi, oracles.phi_matrix(model, rows, background))
+    assert same_bits(outputs, model.proba_batch(np.concatenate([rows, background])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,10 +427,13 @@ def test_tree_phi_bit_identical_to_pairwise_kernel(seed, grower, max_depth, n_ba
 )
 def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_back):
     """Unbounded depth over 6-12 features gives paths of many lengths d.
-    Each tree's kernel runs on all the explained rows, and again on only
-    the first 2^d of them, d its shortest path's length.  Both give exactly
-    the floats of the pairwise kernel.  (CHAID is left out: on a random
-    target its significance test rarely lets it grow past the root.)"""
+    The kernel runs on all the explained rows, again on the first 2^d of
+    them, d the model's shortest path's length, and again on one row and
+    one background row, where 2^d passes the row count at every d past 1.
+    Each pass gives exactly the floats of the per-stop and the pairwise
+    kernels.
+    (CHAID is left out: on a random target its significance test rarely
+    lets it grow past the root.)"""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(6, 13))
     table = sparse_table(rng, m)
@@ -391,23 +441,11 @@ def test_tree_phi_long_paths_bit_identical_to_pairwise_kernel(seed, grower, n_ba
     rows[-1] = 150  # falls back at every root: a one-feature path
     background = rng.choice(_EXTRA, size=(n_back, m))
     model = fit(grower, table, seed, None)
-    kernel, calls = shapley._tree_phi, []
-
-    def run(leaves, row_pos, back_pos, width):
-        fast = kernel(leaves, row_pos, back_pos, width)
-        calls.append(np.array_equal(
-            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
-        return fast
-
-    def both(leaves, row_pos, back_pos, width):
-        lengths = [len(masks) for value, masks in leaves
-                   if masks and value != 0.0]
-        if lengths:
-            run(leaves, row_pos[:1 << min(lengths)], back_pos, width)
-        return run(leaves, row_pos, back_pos, width)
-
-    with mock.patch.object(shapley, "_tree_phi", both):
+    calls, lengths = [], set()
+    with mock.patch.object(shapley, "_tree_games", checked_kernel(calls, lengths)):
         shap_batch(model, rows, background)
+        shap_batch(model, rows[:1 << min(lengths - {0}, default=0)], background)
+        shap_batch(model, rows[:1], background[:1])
     assert calls and all(calls)
 
 
@@ -432,27 +470,43 @@ def chain_tree(m):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_tree_phi_paths_past_int64_bit_identical_to_pairwise_kernel(seed):
     """Paths of 63, 64 and 65 features, whose fail-set codes pass int64's
-    bits, give exactly the floats of the pairwise kernel.  Rows and
-    background fail few features, so many pairs stay alive on long paths."""
+    bits, give exactly the floats of the per-stop and the pairwise kernels.
+    Rows and background fail few features, so many pairs stay alive on long
+    paths."""
     m = 65
     rng = np.random.default_rng(seed)
     rows = (rng.random((40, m)) > 0.03).astype(np.int64)
     background = (rng.random((9, m)) > 0.03).astype(np.int64)
     rows[0], background[0] = 1, 1  # every feature passed: the chain's end
     rows[1] = 0  # every code shows, so no stop is left out
-    kernel, lengths, calls = shapley._tree_phi, set(), []
-
-    def both(leaves, row_pos, back_pos, width):
-        lengths.update(len(masks) for _, masks in leaves)
-        fast = kernel(leaves, row_pos, back_pos, width)
-        calls.append(np.array_equal(
-            fast, _pairwise_tree_phi(leaves, row_pos, back_pos, width)))
-        return fast
-
-    with mock.patch.object(shapley, "_tree_phi", both):
+    calls, lengths = [], set()
+    with mock.patch.object(shapley, "_tree_games", checked_kernel(calls, lengths)):
         phi = shap_batch(chain_tree(m), rows, background)
     assert calls == [True] and {63, 64, 65} <= lengths
     assert any(abs(c) > 0 for att in phi for c in att.contributions[62:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([61, 62, 63, 64, 70]),
+    n_rows=st.sampled_from([1, 5, 40]),
+    n_back=st.sampled_from([1, 7, 8, 13]),
+)
+def test_phi_matrix_past_62_features_float_hex_equal_to_the_oracle(seed, m, n_rows,
+                                                                   n_back):
+    """On a chain tree of 61 to 70 features, whose long paths give codes in
+    64-bit unsigned integers and in Python ints, ``_phi_matrix`` gives the
+    oracle's contributions and ``proba_batch``'s outputs, bit for bit."""
+    rng = np.random.default_rng(seed)
+    p_fail = float(rng.choice([0.01, 0.03, 0.1]))
+    rows = (rng.random((n_rows, m)) > p_fail).astype(np.int64)
+    background = (rng.random((n_back, m)) > p_fail).astype(np.int64)
+    rows[0] = 1
+    tree = chain_tree(m)
+    phi, outputs = shapley._phi_matrix(tree, rows, background)
+    assert same_bits(phi, oracles.phi_matrix(tree, rows, background))
+    assert same_bits(outputs, tree.proba_batch(np.concatenate([rows, background])))
 
 
 @settings(max_examples=100, deadline=None)
