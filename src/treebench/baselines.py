@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import (NAMES, NATURALS, OBJECT, CategoricalTable, Rule, _shown, check,
-                      check_key, check_knobs, integer, list_of, number, read_json)
+from .dataset import (NAMES, NATURALS, OBJECT, CategoricalTable, Rule, _is_integer,
+                      _shown, check, check_key, check_knobs, integer, list_of, number,
+                      read_json)
 
 __all__ = [
     "BaselineError",
@@ -66,12 +67,17 @@ def _one_hot(rows: np.ndarray, levels) -> np.ndarray:
     return np.stack(cols, axis=1).astype(float)
 
 
+def _width(levels) -> int:
+    """Columns of ``_one_hot`` over ``levels``."""
+    return sum(len(lv) - 1 for lv in levels)
+
+
 def _tuples(items) -> tuple:
     return tuple(tuple(v) for v in items)
 
 
 def _arrays(items) -> tuple:
-    return tuple(np.array(v) for v in items)
+    return tuple(np.array(v, dtype=float) for v in items)
 
 
 # Decoders from the JSON value of the fields every baseline has.
@@ -106,6 +112,7 @@ class _Baseline:
 
 
 _POSITIVE = number("a finite number > 0", lambda v: 0 < v < math.inf)
+_UNIT = number("a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 # family -> the rule of each knob its trainer takes
 OPTIONS = {
@@ -129,7 +136,7 @@ OPTIONS = {
     },
     "decision-list": {
         "min_coverage": integer(1),
-        "purity_threshold": number("a number in [0, 1]", lambda v: 0 <= v <= 1),
+        "purity_threshold": _UNIT,
         "max_literals": integer(1),
     },
 }
@@ -167,8 +174,13 @@ class LogisticModel(_Baseline):
 
     def __post_init__(self):
         values = (self.intercept,) + self.coefficients
-        if not all(math.isfinite(v) for v in values):
-            raise BaselineError("logistic coefficients must be finite")
+        # a finite sum of magnitudes bounds every row's logit
+        if not math.isfinite(sum(map(abs, values))):
+            raise BaselineError("logistic coefficients must be finite, and so must "
+                                "the sum of their magnitudes")
+        if len(self.coefficients) != _width(self.levels):
+            raise BaselineError(f"logistic model has {len(self.coefficients)} "
+                                f"coefficients, its levels give {_width(self.levels)}")
 
     def proba_batch(self, rows) -> np.ndarray:
         x = _one_hot(self._check_rows(rows), self.levels)
@@ -250,11 +262,22 @@ class MlpModel(_Baseline):
     seed: int
 
     def __post_init__(self):
-        widths = [w.shape for w in self.weights]
-        for k in range(1, len(widths)):
-            if widths[k][1] != widths[k - 1][0]:
+        if not self.weights or len(self.biases) != len(self.weights):
+            raise BaselineError("mlp needs one or more layers, each with a weight "
+                                "matrix and a bias vector")
+        width = _width(self.levels)
+        for w, b in zip(self.weights, self.biases):
+            if w.ndim != 2 or w.shape[1] != width or b.shape != w.shape[:1]:
                 raise BaselineError("layer dimensions do not chain")
-        if widths and widths[-1][0] != 1:
+            # inputs lie in [-1, 1], so finite row sums of magnitudes bound
+            # every unit's sum
+            with np.errstate(over="ignore"):
+                bounds = np.abs(w).sum(axis=1) + np.abs(b)
+            if not np.isfinite(bounds).all():
+                raise BaselineError("mlp weights and biases must be finite, and so "
+                                    "must each unit's sum of their magnitudes")
+            width = w.shape[0]
+        if width != 1:
             raise BaselineError("output layer must have width 1")
         check(self.activation, Rule("'tanh'", lambda v: v == "tanh"), "mlp activation",
               BaselineError)
@@ -416,7 +439,7 @@ def train_mlps(data: CategoricalTable, subsets, widths: tuple[int, ...] = (16,) 
 
     def val_losses() -> np.ndarray:
         losses = np.empty(live.size)
-        for size in np.unique(n_val[live]):
+        for size in sorted(set(n_val[live].tolist())):  # np.unique would import numpy.ma
             sel = _run(n_val[live] == size)
             rows = np.stack([val[i] for i in live[sel]])
             losses[sel] = _cross_entropy(_mlp_logits(*stack(sel), x_all[rows]),
@@ -469,7 +492,7 @@ def train_mlps(data: CategoricalTable, subsets, widths: tuple[int, ...] = (16,) 
         for s in range(full.max()):
             sel = _run((full > s) & ok)
             step(sel, order[sel, s * batch_size:(s + 1) * batch_size])
-        for size in np.unique(tail[tail > 0]):
+        for size in sorted(set(tail[tail > 0].tolist())):
             pos = np.flatnonzero((tail == size) & ok)
             step(pos, order[pos[:, None], lengths[pos, None] - size + np.arange(size)])
         keep(ok)
@@ -508,7 +531,7 @@ class BayesNetModel(_Baseline):
     kind = "bayes_net"
     decoders = {
         "parents": lambda d: {k: tuple(v) for k, v in d.items()},
-        "cpts": lambda d: {k: np.array(v) for k, v in d.items()},
+        "cpts": lambda d: {k: np.array(v, dtype=float) for k, v in d.items()},
     }
 
     feature_names: tuple[str, ...]
@@ -520,13 +543,23 @@ class BayesNetModel(_Baseline):
     schema_hash: str
 
     def __post_init__(self):
-        order = _topological_order(self.parents)
-        if order is None:
+        counts = dict(zip(self.feature_names, map(len, self.levels)), target=2)
+        nodes = set(self.parents)
+        if not nodes <= set(counts) or set(self.cpts) != nodes or \
+                not nodes.issuperset(p for par in self.parents.values() for p in par):
+            raise BaselineError("bayes net nodes must be features or the target, "
+                                "each with one CPT, and every parent a node")
+        if _topological_order(self.parents) is None:
             raise BaselineError("bayes net graph contains a cycle")
         for node, table in self.cpts.items():
-            sums = np.asarray(table).sum(axis=-1)
-            if not np.allclose(sums, 1.0, atol=1e-12):
-                raise BaselineError(f"CPT rows for {node!r} do not sum to 1")
+            shape = tuple(counts[p] for p in self.parents[node] + (node,))
+            if table.shape != shape:
+                raise BaselineError(f"CPT for {_shown(node)} has shape {table.shape}, "
+                                    f"its parents' and its own levels give {shape}")
+            if not (table > 0).all():
+                raise BaselineError(f"CPT for {_shown(node)} has an entry <= 0")
+            if not np.allclose(table.sum(axis=-1), 1.0, atol=1e-12):
+                raise BaselineError(f"CPT rows for {_shown(node)} do not sum to 1")
 
     def _log_joints(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Log joint probability of each row with target 0 and with target 1.
@@ -700,6 +733,9 @@ def _json_value(value):
     return value.tolist()
 
 
+_CLASS = Rule("0 or 1", lambda v: _is_integer(v) and v in (0, 1))
+
+
 def _rules(items) -> tuple:
     return tuple(DecisionRule(_tuples(r["literals"]), r["class"],
                               r["precision"], r["coverage"]) for r in items)
@@ -716,6 +752,19 @@ class DecisionListModel(_Baseline):
     default_class: int
     default_precision: float
     schema_hash: str
+
+    def __post_init__(self):
+        check(self.default_class, _CLASS, "decision list default class", BaselineError)
+        check(self.default_precision, _UNIT, "decision list default precision",
+              BaselineError)
+        literal = Rule("a [feature index, code] pair naming one of the feature's "
+                       "levels", lambda v: len(v) == 2 and _is_integer(v[0])
+                       and 0 <= v[0] < len(self.levels) and v[1] in self.levels[v[0]])
+        for i, rule in enumerate(self.rules):
+            check(rule.klass, _CLASS, f"decision rule {i} class", BaselineError)
+            check(rule.precision, _UNIT, f"decision rule {i} precision", BaselineError)
+            for item in rule.literals:
+                check(item, literal, f"decision rule {i} literal", BaselineError)
 
     def proba_batch(self, rows) -> np.ndarray:
         """Class-1 probability of the first rule each row matches."""
@@ -846,6 +895,8 @@ def model_from_json(text: str):
                   lambda v: isinstance(v, list) and len(v) == len(names)
                   and all(map(NATURALS.test, v)))
     check_key(payload, "levels", levels, f"{kind} model", error=BaselineError)
+    if not all(payload["levels"]):
+        raise BaselineError(f"{kind} model 'levels' holds a feature with no codes")
     cls = _KINDS[kind]
     decoders = {**_DECODERS, **cls.decoders}
     try:

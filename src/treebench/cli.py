@@ -397,8 +397,8 @@ def cmd_compare(config: PipelineConfig) -> int:
     trainers = {entry.name: entry.trainer for entry in roster}
     on_table = {}  # families already trained on the whole table
     if "c50" in trainers:
-        # before the fold pool forks: pruning loads scipy.special, which the
-        # workers then inherit instead of importing it each
+        # before the fold pool forks: pruning loads scipy.special._ufuncs,
+        # which the workers then inherit instead of importing it each
         on_table["c50"] = trainers["c50"](table)
     plan = make_folds(
         table.n_rows,

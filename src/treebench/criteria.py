@@ -8,7 +8,11 @@ integers; proportions are always re-derived from the counts.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
+import types
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -151,6 +155,42 @@ def gini_decrease(
     return float(delta)
 
 
+@lru_cache(maxsize=None)
+def _special(name: str):
+    """The scipy.special ufunc ``name`` (``gammaincc`` or ``betaincinv``),
+    loaded on first use so commands that need neither never pay for it.
+
+    ``import scipy.special`` runs its array-API layer, which imports
+    numpy.testing, numpy.f2py, unittest and numpy.ma (0.2-0.4 s and 18 MB
+    after numpy), none of which the chi-square p-values and the pruning
+    bound use.  The ufuncs live in the private ``scipy.special._ufuncs``
+    (checked on scipy 1.17.1), the very objects the package exports, so it
+    is loaded under a bare ``scipy.special`` package with scipy's own
+    ``__path__``, which leaves ``sys.modules`` again at once: a later
+    ``import scipy.special`` runs the real ``__init__``.  A package already
+    loaded is used as it is, and any failure falls back to it.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is None:
+        try:
+            special = _load_ufuncs()
+        except Exception:
+            import scipy.special as special
+    return getattr(special, name)
+
+
+def _load_ufuncs() -> types.ModuleType:
+    path = importlib.util.find_spec("scipy.special").submodule_search_locations
+    bare = types.ModuleType("scipy.special")
+    bare.__path__ = list(path)
+    sys.modules["scipy.special"] = bare
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        if sys.modules.get("scipy.special") is bare:
+            del sys.modules["scipy.special"]
+
+
 def chi_square_sf(statistic: float, dof: int) -> float:
     """Survival function of the chi-square distribution (the p-value for a
     given statistic), via the regularized upper incomplete gamma function."""
@@ -158,11 +198,7 @@ def chi_square_sf(statistic: float, dof: int) -> float:
         raise ValueError("chi-square statistic must be finite and non-negative")
     if dof < 1:
         raise ValueError("degrees of freedom must be at least 1")
-    # imported here: scipy.special doubles the import cost of the package, and
-    # only the chi-square growers reach this
-    from scipy.special import gammaincc
-
-    return float(gammaincc(dof / 2.0, statistic / 2.0))
+    return float(_special("gammaincc")(dof / 2.0, statistic / 2.0))
 
 
 @dataclass(frozen=True)
@@ -251,9 +287,8 @@ def chi_square_k2(tables: Sequence[np.ndarray] | np.ndarray
         k = int(sizes[lo])
         block = terms[ends[lo] - k:ends[hi - 1]]
         stat[lo:hi] = block.reshape(hi - lo, 2 * k).sum(axis=1)
-    from scipy.special import gammaincc  # lazy, as in chi_square_sf
-
     flat = ~(cols > 0).all(axis=1)
+    gammaincc = _special("gammaincc")
     p[order] = np.where(flat, np.nan, gammaincc((sizes - 1) / 2.0, stat / 2.0))
     degenerate[order] = flat
     return p, degenerate

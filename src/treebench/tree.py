@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .criteria import chi_square_k2, gini_decrease, info_gain
+from .criteria import _special, chi_square_k2, gini_decrease, info_gain
 from .dataset import (NAMES, NATURAL, NATURALS, OBJECT, STRING, CategoricalTable,
                       Rule, check_fields, check_key, check_knobs, integer, number,
                       optional, read_json)
@@ -660,8 +660,7 @@ def pessimistic_error_bound(errors, total, cf: float):
         raise TreeError("confidence factor must lie in (0, 1)")
     bound = np.where(total > 0, 1.0, 0.0)
     if inside.any():
-        from scipy.special import betaincinv  # lazy, as in criteria.chi_square_sf
-
+        betaincinv = _special("betaincinv")
         bound[inside] = betaincinv(errors[inside] + 1, (total - errors)[inside],
                                    1.0 - cf)
     return float(bound) if bound.ndim == 0 else bound

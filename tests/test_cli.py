@@ -433,11 +433,11 @@ sys.exit(status or 'numpy.ma' in sys.modules)
 """
 
 
-@pytest.mark.parametrize("command", ["explain", "select-features"])
+@pytest.mark.parametrize("command", ["explain", "select-features", "compare"])
 def test_explain_and_select_features_leave_numpy_ma_unloaded(tmp_path, command):
     """A plain np.unique or np.setdiff1d imports numpy.ma (about 10 ms) for
-    its masked-array check, so explain and select-features call neither.
-    (compare is exempt: scipy.special imports numpy.ma itself.)"""
+    its masked-array check, so no command calls either; nor does compare
+    import scipy.special, whose array-API layer imports numpy.ma."""
     write_fixture(tmp_path)
     cfg = write_config(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
@@ -445,6 +445,32 @@ def test_explain_and_select_features_leave_numpy_ma_unloaded(tmp_path, command):
                           env=env, cwd=tmp_path, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+_SPECIAL_PROBE = """
+import sys
+from treebench import cli, evaluation
+
+evaluation._usable_cpus = lambda: 1  # every fit in this process
+status = cli.main(sys.argv[1:])
+print(status, *(name in sys.modules for name in (
+    "scipy.special._ufuncs", "scipy.special", "numpy.ma", "numpy.testing", "unittest")))
+"""
+
+
+def test_compare_leaves_scipy_special_unloaded(tmp_path):
+    """compare's chi-square p-values and pruning bound come from
+    scipy.special._ufuncs alone: after a run of the default roster, which
+    uses both, neither scipy.special nor what its __init__ imports is
+    loaded."""
+    write_fixture(tmp_path)
+    cfg = write_config(tmp_path, roster=None)
+    env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SPECIAL_PROBE, "compare", "--config",
+                           str(cfg)], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 True False False False False"
 
 
 _POOL_PROBE = """
@@ -457,7 +483,7 @@ loaded = []
 
 class Probe(process.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        loaded.append("scipy.special" in sys.modules)
+        loaded.append("scipy.special._ufuncs" in sys.modules)
         super().__init__(*args, **kwargs)
 
 
@@ -472,10 +498,10 @@ print(status, loaded)
     (["c50", "cart", "logistic"], True),
     (["cart", "logistic"], False),
 ])
-def test_compare_pool_forks_after_scipy_special(tmp_path, roster, loaded):
+def test_compare_pool_forks_after_scipy_special_ufuncs(tmp_path, roster, loaded):
     """With c50 in the roster, its whole-table pruning has loaded
-    scipy.special before the fold pool forks, so the workers inherit it; a
-    roster without c50 does not load it."""
+    scipy.special._ufuncs before the fold pool forks, so the workers inherit
+    it; a roster without c50 does not load it."""
     write_fixture(tmp_path)
     cfg = write_config(tmp_path, roster=roster)
     env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))

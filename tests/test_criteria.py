@@ -1,11 +1,16 @@
 """Split-quality kernel checks against independent direct-formula oracles."""
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treebench
 from treebench.criteria import (
     ChiSquareResult,
     DegenerateTableError,
@@ -398,3 +403,44 @@ class TestNonFiniteCounts:
     def test_chi_square_sf_rejects(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             chi_square_sf(bad, 1)
+
+
+# ---------------------------------------------------------------------------
+# Where gammaincc and betaincinv come from
+
+_SPECIAL_PROBE = """
+import importlib.util, sys
+from treebench import criteria
+
+case = sys.argv[1]
+if case == "fallback":
+    def refuse(*args, **kwargs):
+        raise ImportError("refused")
+    importlib.util.find_spec = refuse
+if case == "package-first":
+    import scipy.special
+got = [criteria._special(name) for name in ("gammaincc", "betaincinv")]
+print("scipy.special" in sys.modules)
+import scipy.special
+assert got[0] is scipy.special.gammaincc and got[1] is scipy.special.betaincinv
+assert scipy.special._ufuncs.gammaincc is got[0]
+# the real package, with its Python-level functions and array-API layer
+assert scipy.special.__spec__ is not None and scipy.special.logsumexp([0.0]) == 0.0
+assert "scipy.special._support_alternative_backends" in sys.modules
+"""
+
+
+@pytest.mark.parametrize("case, package_loaded", [
+    ("helper-first", False), ("package-first", True), ("fallback", True)])
+def test_special_gives_the_packages_own_ufuncs(case, package_loaded):
+    """``_special`` hands out the very ufunc objects that scipy.special
+    exports, so every p-value and pruning bound is the package's.  Called
+    first, it loads them without the package, which a later
+    ``import scipy.special`` then loads as usual; with the package already
+    loaded, or when the private load fails, it takes them from the
+    package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(treebench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SPECIAL_PROBE, case], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(package_loaded)]

@@ -373,6 +373,49 @@ _BASELINE_DEFECTS = {
                              "^malformed logistic model: ", ("logistic",)),
     "activation-unknown": (lambda p: p.update(activation="relu"),
                            "^mlp activation is not 'tanh': 'relu'$", ("mlp",)),
+    # what prediction reads is checked by rule as well, so a model that loads
+    # predicts: each of these loaded before, and then raised a bare numpy error
+    "levels-empty": (lambda p: p["levels"][1].clear(),
+                     r"^\w+ model 'levels' holds a feature with no codes$", _BASELINE_KINDS),
+    "literal-feature-99": (lambda p: p["rules"][0].update(literals=[[99, 1]]),
+                           r"^decision rule 0 literal is not a \[feature index, code\] "
+                           r"pair naming one of the feature's levels: \(99, 1\)$",
+                           ("decision_list",)),
+    "literal-code-outside-levels": (lambda p: p["rules"][1].update(literals=[[1, 3]]),
+                                    r"^decision rule 1 literal is not .*: \(1, 3\)$",
+                                    ("decision_list",)),
+    "rule-class-two": (lambda p: p["rules"][0].update({"class": 2}),
+                       "^decision rule 0 class is not 0 or 1: 2$", ("decision_list",)),
+    "default-precision-above-one": (lambda p: p.update(default_precision=1.5),
+                                    r"^decision list default precision is not a number "
+                                    r"in \[0, 1\]: 1.5$", ("decision_list",)),
+    "cpt-flat": (lambda p: p["cpts"].update(f0=[0.5, 0.5]),
+                 r"^CPT for 'f0' has shape \(2,\), its parents' and its own levels "
+                 r"give \(2, 3\)$", ("bayes_net",)),
+    "cpt-zero": (lambda p: p["cpts"].update(f1=[[1.0, 0.0], [0.5, 0.5]]),
+                 "^CPT for 'f1' has an entry <= 0$", ("bayes_net",)),
+    "cpt-missing": (lambda p: p["cpts"].pop("f1"),
+                    "^bayes net nodes must be features or the target, each with one CPT, "
+                    "and every parent a node$", ("bayes_net",)),
+    "parent-unknown": (lambda p: p["parents"]["f0"].append("zz"),
+                       "^bayes net nodes must be features or the target", ("bayes_net",)),
+    "node-unknown": (lambda p: (p["parents"].update(g=[]), p["cpts"].update(g=[1.0])),
+                     "^bayes net nodes must be features or the target", ("bayes_net",)),
+    "coefficients-one-short": (lambda p: p["coefficients"].pop(),
+                               "^logistic model has 2 coefficients, its levels give 3$",
+                               ("logistic",)),
+    "coefficients-overflow": (lambda p: p.update(coefficients=[1e308, 1e308, 0.0]),
+                              "^logistic coefficients must be finite, and so must",
+                              ("logistic",)),
+    "first-layer-narrow": (lambda p: [row.pop() for row in p["weights"][0]],
+                           "^layer dimensions do not chain$", ("mlp",)),
+    "bias-one-short": (lambda p: p["biases"][0].pop(), "^layer dimensions do not chain$",
+                       ("mlp",)),
+    "weights-overflow": (lambda p: p["weights"][1][0].__setitem__(0, 1.7e308) or
+                         p["weights"][1][0].__setitem__(1, 1.7e308),
+                         "^mlp weights and biases must be finite", ("mlp",)),
+    "no-layers": (lambda p: p.update(weights=[], biases=[]),
+                  "^mlp needs one or more layers", ("mlp",)),
 }
 
 

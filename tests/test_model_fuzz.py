@@ -5,9 +5,9 @@ and each baseline is replaced by an arbitrary JSON value, or dropped.  The
 reader (``DecisionTree.from_json``, ``Forest.from_json`` or
 ``model_from_json``) must return a model or raise its own error class with
 one line of at most 300 characters.  A loaded tree or forest must then
-answer ``predict_batch`` and ``proba_batch`` on a row of its width.  A
-loaded baseline is not asked to predict: decision-list literals and
-bayes-net CPTs still load without a check.
+answer ``predict_batch`` and ``proba_batch`` on a row of its width, and a
+loaded baseline must give a probability in [0, 1] for each row of a small
+table of its own levels.
 
 The same property holds for the other JSON readers: ``schema_from_json``,
 ``RecodeRuleSet.from_json`` and ``EliminationTrace.from_json``, whose
@@ -137,7 +137,12 @@ def test_any_model_field_is_read_cleanly(texts, data):
     except error as e:
         assert one_line(str(e)), str(e)
         return
-    if reader != "baseline":
+    if reader == "baseline":
+        rows = np.array([[lv[i % len(lv)] for lv in model.levels] for i in range(3)],
+                        dtype=np.int64).reshape(3, len(model.levels))
+        p = model.proba_batch(rows)
+        assert p.shape == (3,) and ((0 <= p) & (p <= 1)).all(), p
+    else:
         row = np.ones((1, len(model.feature_names)), dtype=np.int64)
         model.predict_batch(row)
         model.proba_batch(row)
