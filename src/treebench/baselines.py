@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dataset import (NAMES, NATURALS, OBJECT, CategoricalTable, Rule, _is_integer,
-                      _shown, check, check_key, check_knobs, integer, list_of, number,
-                      read_json)
+from .dataset import (ANY, LIST, NAMES, NATURAL, NATURALS, OBJECT, CategoricalTable,
+                      Rule, _is_integer, _shown, check, check_key, check_knobs,
+                      integer, list_of, number, read_fields, read_json)
 
 __all__ = [
     "BaselineError",
@@ -734,11 +734,14 @@ def _json_value(value):
 
 
 _CLASS = Rule("0 or 1", lambda v: _is_integer(v) and v in (0, 1))
+# The fields of a rule record; ``DecisionListModel`` checks class and precision
+_RULE_FIELDS = {"literals": LIST, "class": ANY, "precision": ANY, "coverage": NATURAL}
 
 
 def _rules(items) -> tuple:
-    return tuple(DecisionRule(_tuples(r["literals"]), r["class"],
-                              r["precision"], r["coverage"]) for r in items)
+    records = (read_fields(r, _RULE_FIELDS, f"decision rule {i}", BaselineError).values()
+               for i, r in enumerate(items))
+    return tuple(DecisionRule(_tuples(literals), *rest) for literals, *rest in records)
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,6 @@ def roster_entry(name: str, params: dict, master_seed: int) -> RosterEntry:
     """
     trainer, knobs, fold_trainer = _FAMILIES[name]
     check_knobs(params, knobs, name, ConfigError)
-    record = dict(params)
     if name == "mlp":
         params = {"seed": derive_seed(master_seed, "mlp"), **params}
     if name in TREE_FAMILIES:
@@ -269,8 +268,8 @@ def roster_entry(name: str, params: dict, master_seed: int) -> RosterEntry:
             params = TreeParams(**params)
         except TreeError as e:
             raise ConfigError(f"bad parameters for {name}: {e}") from None
-    return RosterEntry(name, functools.partial(trainer, p=params), record,
-                       fold_trainer and functools.partial(fold_trainer, p=params))
+    return RosterEntry(name, functools.partial(trainer, p=params), fold_trainer=(
+        fold_trainer and functools.partial(fold_trainer, p=params)))
 
 
 def build_roster(config: PipelineConfig) -> list[RosterEntry]:

@@ -77,6 +77,7 @@ NATURAL = Rule("an integer in [0, 2**63)", lambda v: _is_integer(v) and 0 <= v <
 CODES = list_of(INTEGER, "a JSON list of integers")
 NATURALS = list_of(NATURAL, "a JSON list of integers in [0, 2**63)")
 NAMES = list_of(STRING, "a JSON list of strings")
+ANY = Rule("any JSON value", lambda v: True)  # a field checked elsewhere, or ignored
 _NO_DEFAULT = object()
 _SHOWN = 120  # characters of an offending value that an error line shows
 
@@ -118,11 +119,20 @@ def check_key(item: Mapping, key: str, rule: Rule, what: str,
     return check(item[key], rule, f"{what} {key!r}", error)
 
 
-def check_fields(item: Mapping, fields, what: str, error: type = DatasetError) -> None:
-    """Refuse a key of ``item`` that ``fields`` does not name."""
+def read_fields(item, fields: Mapping, what: str, error: type = DatasetError) -> dict:
+    """``{key: value}`` of the JSON object ``item`` for each field of the
+    ``{key: rule | (rule, default)}`` table ``fields``, in table order, each
+    checked by ``check_key``; then a key the table does not name is refused."""
+    check(item, OBJECT, what, error)
+    values = {}
+    for key, spec in fields.items():
+        # a Rule is itself a tuple, so it is told apart first
+        rule, default = (spec, _NO_DEFAULT) if isinstance(spec, Rule) else spec
+        values[key] = check_key(item, key, rule, what, default, error)
     for key in item:
         if key not in fields:
             raise error(f"{what} has an unknown field {_shown(key)}")
+    return values
 
 
 def check_knobs(knobs: Mapping, rules: Mapping[str, Rule], owner: str,
@@ -195,26 +205,26 @@ def schema_to_json(schema: Sequence[FeatureSpec]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+# The fields of a schema entry
+_SCHEMA_ENTRY = {"name": STRING, "codes": NATURALS, "missing": (CODES, ()),
+                 "labels": (OBJECT, {})}
+
+
 def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
     specs = []
     for i, item in enumerate(read_json(text, LIST, "schema")):
         entry = f"schema entry {i}"
-        check(item, OBJECT, entry)
-        specs.append(FeatureSpec(
-            name=check_key(item, "name", STRING, entry),
-            allowed_codes=tuple(check_key(item, "codes", NATURALS, entry)),
-            missing_codes=frozenset(check_key(item, "missing", CODES, entry, ())),
-            code_labels=_labels(item, entry),
-        ))
+        name, codes, missing, labels = read_fields(item, _SCHEMA_ENTRY, entry).values()
+        specs.append(FeatureSpec(name, tuple(codes), frozenset(missing),
+                                 _labels(labels, entry)))
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise DatasetError("duplicate feature names in schema")
     return tuple(specs)
 
 
-def _labels(item: dict, what: str) -> dict[int, str]:
-    """The optional ``labels`` object, its keys read as integer codes."""
-    labels = check_key(item, "labels", OBJECT, what, {})
+def _labels(labels: dict, what: str) -> dict[int, str]:
+    """A ``labels`` object, its keys read as integer codes."""
     try:
         return {int(k): v for k, v in labels.items()}
     except ValueError:
@@ -466,6 +476,13 @@ def _check_predicate(rule: str, predicate) -> None:
 _COMBINE = Rule("'first', 'max' or 'min'", lambda v: v in ("first", "max", "min"))
 _DEFAULT = Rule("null, 'drop' or an integer",
                 lambda v: v is None or v == "drop" or _is_integer(v))
+# The fields of a rules file, a rule (``RecodeRule`` checks its default and
+# combine) and a case
+_RULES_FILE = {"features": LIST, "target": OBJECT}
+_RULE_FIELDS = {"name": STRING, "source": NAMES, "cases": (LIST, []),
+                "missing": (CODES, ()), "default": (ANY, None),
+                "combine": (ANY, "first"), "labels": (OBJECT, {})}
+_CASE_FIELDS = {"when": OBJECT, "code": INTEGER}
 
 
 @dataclass(frozen=True)
@@ -550,28 +567,17 @@ class RecodeRuleSet:
 
     @classmethod
     def from_json(cls, text: str) -> "RecodeRuleSet":
-        def parse_rule(item: Mapping, entry: str) -> RecodeRule:
+        def parse_rule(item, entry: str) -> RecodeRule:
             entry = f"rule {entry}"
-            check(item, OBJECT, entry)
-            cases = []
-            for k, case in enumerate(check_key(item, "cases", LIST, entry, [])):
-                where = f"{entry} case {k}"
-                check(case, OBJECT, where)
-                cases.append((check_key(case, "when", OBJECT, where),
-                              check_key(case, "code", INTEGER, where)))
-            return RecodeRule(
-                name=check_key(item, "name", STRING, entry),
-                source=tuple(check_key(item, "source", NAMES, entry)),
-                cases=tuple(cases),
-                missing=frozenset(check_key(item, "missing", CODES, entry, ())),
-                default=item.get("default"),
-                combine=item.get("combine", "first"),
-                labels=_labels(item, entry),
-            )
+            fields = read_fields(item, _RULE_FIELDS, entry)
+            fields["cases"] = tuple(
+                tuple(read_fields(case, _CASE_FIELDS, f"{entry} case {k}").values())
+                for k, case in enumerate(fields["cases"]))
+            fields["labels"] = _labels(fields["labels"], entry)
+            return RecodeRule(**fields)
 
-        payload = read_json(text, OBJECT, "rules file")
-        features = check_key(payload, "features", LIST, "rules file")
-        target = check_key(payload, "target", OBJECT, "rules file")
+        features, target = read_fields(read_json(text, ANY, "rules file"), _RULES_FILE,
+                                       "rules file").values()
         return cls(
             features=tuple(parse_rule(r, f"features[{i}]")
                            for i, r in enumerate(features)),

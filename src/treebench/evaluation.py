@@ -230,10 +230,6 @@ class CoincidenceMatrix:
             raise EvalError("coincidence counts must be a 2x2 non-negative grid")
 
     @property
-    def total(self) -> int:
-        return sum(c for row in self.counts for c in row)
-
-    @property
     def row_percentages(self) -> tuple[float, float]:
         out = []
         for i, row in enumerate(self.counts):
@@ -283,7 +279,7 @@ def overall_accuracy(matrix) -> float:
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """One model family: display name, trainer, and its parameter record.
+    """One model family: display name and trainers.
 
     ``trainer`` fits one table.  ``fold_trainer``, when set, is the
     family's fold-batch trainer, which fits every fold at once: called with
@@ -294,8 +290,7 @@ class RosterEntry:
 
     name: str
     trainer: object
-    params: dict = field(default_factory=dict)
-    fold_trainer: object = None
+    fold_trainer: object = field(default=None, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -303,14 +298,12 @@ class LeaderboardRow:
     name: str
     accuracy_pct: float
     pooled_accuracy_pct: float
-    params: dict
     fold_accuracies: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Leaderboard:
     rows: tuple[LeaderboardRow, ...]
-    fold_plan_hash: str
 
     def __post_init__(self):
         keys = [(-r.accuracy_pct, r.name) for r in self.rows]
@@ -483,11 +476,9 @@ def compare_models(data: CategoricalTable, roster, plan: FoldPlan
                     entry.name,
                     100.0 * result.mean_accuracy,
                     100.0 * result.pooled_accuracy,
-                    dict(entry.params),
                     result.fold_accuracies,
                 )
             )
             matrices[entry.name] = coincidence(result.truth, result.predicted)
     rows.sort(key=lambda r: (-r.accuracy_pct, r.name))
-    board = Leaderboard(tuple(rows), plan.plan_hash())
-    return ComparisonReport(board, matrices, plan.plan_hash())
+    return ComparisonReport(Leaderboard(tuple(rows)), matrices, plan.plan_hash())

@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import (BOOLEAN, LIST, NAMES, OBJECT, STRING, CategoricalTable,
-                      check_fields, check_key, check_knobs, integer, optional,
-                      read_json)
+from .dataset import (ANY, BOOLEAN, LIST, NAMES, OBJECT, STRING, CategoricalTable,
+                      check_knobs, integer, optional, read_fields, read_json)
 from .tree import (DecisionTree, TreeError, TreeNode, TreeParams, _gini_chooser,
                    _grow, node_payload)
 
@@ -33,6 +32,9 @@ FOREST_RULES = {
     "max_depth": optional(integer(0)),
     "seed": integer(0),
 }
+# The fields of a forest payload
+_PAYLOAD_FIELDS = {"params": OBJECT, "feature_names": NAMES, "schema_hash": STRING,
+                   "n_rows": integer(2), "trees": LIST}
 
 
 @dataclass(frozen=True)
@@ -124,36 +126,24 @@ class Forest:
         """The forest of a ``to_json`` text: each of its ``trees`` is the root
         of what ``train_forests`` grows, a ``forest_member`` over the forest's
         names and hash whose root totals its bag."""
-        payload = read_json(text, OBJECT, "forest payload", ForestError)
-        try:
-            check_fields(payload, ("params", "feature_names", "schema_hash", "n_rows",
-                                   "trees"), "forest payload", ForestError)
-            check_knobs(payload["params"], FOREST_RULES, "ForestParams", ForestError)
-            params = ForestParams(**payload["params"])
-            n_rows, names, schema_hash = (
-                check_key(payload, key, rule, "forest payload", error=ForestError)
-                for key, rule in (("n_rows", integer(2)), ("feature_names", NAMES),
-                                  ("schema_hash", STRING)))
-            member = {"algorithm": "forest_member", "params": asdict(params.tree_params()),
-                      "feature_names": names, "schema_hash": schema_hash,
-                      "n_rows": params.sample_size or n_rows}
-            roots = check_key(payload, "trees", LIST, "forest payload", error=ForestError)
-            if len(roots) != params.n_trees:
-                raise ForestError(f"the forest holds {len(roots)} trees, "
-                                  f"not its n_trees {params.n_trees}")
-            trees = []
-            for i, root in enumerate(roots):
-                try:
-                    trees.append(DecisionTree.from_payload({**member, "root": root}))
-                except TreeError as e:
-                    raise ForestError(f"forest member {i}: {e}") from None
-            return cls(tuple(trees), params, tuple(names), schema_hash, n_rows)
-        except ForestError:
-            raise
-        except KeyError as e:
-            raise ForestError(f"forest payload has no field {e}") from None
-        except (TypeError, ValueError) as e:
-            raise ForestError(f"malformed forest payload: {e}") from None
+        params, names, schema_hash, n_rows, roots = read_fields(
+            read_json(text, ANY, "forest payload", ForestError), _PAYLOAD_FIELDS,
+            "forest payload", ForestError).values()
+        check_knobs(params, FOREST_RULES, "ForestParams", ForestError)
+        params = ForestParams(**params)
+        member = {"algorithm": "forest_member", "params": asdict(params.tree_params()),
+                  "feature_names": names, "schema_hash": schema_hash,
+                  "n_rows": params.sample_size or n_rows}
+        if len(roots) != params.n_trees:
+            raise ForestError(f"the forest holds {len(roots)} trees, "
+                              f"not its n_trees {params.n_trees}")
+        trees = []
+        for i, root in enumerate(roots):
+            try:
+                trees.append(DecisionTree.from_payload({**member, "root": root}))
+            except TreeError as e:
+                raise ForestError(f"forest member {i}: {e}") from None
+        return cls(tuple(trees), params, tuple(names), schema_hash, n_rows)
 
 
 def _require_rows(n: int) -> None:

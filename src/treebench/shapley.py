@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (INTEGER, LIST, NAMES, OBJECT, STRING, CategoricalTable,
-                      check, check_key, number, read_json)
+from .dataset import (ANY, INTEGER, LIST, NAMES, STRING, CategoricalTable, number,
+                      read_fields, read_json)
 from .evaluation import _cv_result, _fold_labels, _task_pool, make_folds
 from .forest import ForestParams, train_forest, train_forests
 
@@ -378,6 +378,9 @@ class EliminationStep:
 
 
 _ACCURACY = number("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# The fields of a trace and of its steps
+_TRACE_FIELDS = {"steps": LIST, "selected_index": INTEGER}
+_STEP_FIELDS = {"active_features": NAMES, "accuracy": _ACCURACY, "dropped": STRING}
 
 
 @dataclass(frozen=True)
@@ -419,18 +422,13 @@ class EliminationTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "EliminationTrace":
-        payload = read_json(text, OBJECT, "trace", ShapError)
-        steps = []
-        for i, item in enumerate(check_key(payload, "steps", LIST, "trace",
-                                           error=ShapError)):
-            what = f"trace step {i}"
-            check(item, OBJECT, what, ShapError)
-            steps.append(EliminationStep(
-                tuple(check_key(item, "active_features", NAMES, what, error=ShapError)),
-                float(check_key(item, "accuracy", _ACCURACY, what, error=ShapError)),
-                check_key(item, "dropped", STRING, what, error=ShapError)))
-        return cls(tuple(steps), check_key(payload, "selected_index", INTEGER,
-                                           "trace", error=ShapError))
+        steps, selected = read_fields(read_json(text, ANY, "trace", ShapError),
+                                      _TRACE_FIELDS, "trace", ShapError).values()
+        for i, item in enumerate(steps):
+            names, accuracy, dropped = read_fields(item, _STEP_FIELDS, f"trace step {i}",
+                                                   ShapError).values()
+            steps[i] = EliminationStep(tuple(names), float(accuracy), dropped)
+        return cls(tuple(steps), selected)
 
 
 def _step_params(forest_params: ForestParams, n_active: int) -> ForestParams:

@@ -25,9 +25,9 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .criteria import _special, chi_square_k2, gini_decrease, info_gain
-from .dataset import (NAMES, NATURAL, NATURALS, OBJECT, STRING, CategoricalTable,
-                      Rule, check_fields, check_key, check_knobs, integer, number,
-                      optional, read_json)
+from .dataset import (ANY, LIST, NAMES, NATURAL, NATURALS, OBJECT, STRING,
+                      CategoricalTable, Rule, check_knobs, integer, number, optional,
+                      read_fields, read_json)
 
 _GAIN_EPS = 1e-12
 
@@ -55,16 +55,18 @@ _ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
 _COUNTS = Rule("a list of two integers >= 0 totalling below 2**63",
                lambda v: NATURALS.test(v) and len(v) == 2 and sum(v) < 2**63)
 _SCORE = number("a finite number", lambda v: abs(v) <= sys.float_info.max)
-# The fields of a tree payload, a node and a split.  A node's label and a
-# split's arity, which older payloads stored, load and are ignored.
-_PAYLOAD_FIELDS = ("algorithm", "params", "feature_names", "schema_hash", "n_rows",
-                   "root")
-_NODE_FIELDS = ("counts", "score", "split", "children", "prediction", "confidence")
-_SPLIT_FIELDS = ("feature", "branches", "arity")
 _BRANCHES = Rule("a list of two or more disjoint lists of integers in [0, 2**63)",
                  lambda v: isinstance(v, list) and len(v) >= 2
                  and all(map(NATURALS.test, v))
                  and len(set().union(*v)) == sum(len(set(b)) for b in v))
+# The fields of a tree payload and of a node; a split's are in ``from_payload``,
+# as its feature's rule needs the payload's names.  A node's label and a
+# split's arity, which older payloads stored, load and are ignored.
+_PAYLOAD_FIELDS = {"algorithm": _ALGORITHM, "params": OBJECT, "feature_names": NAMES,
+                   "schema_hash": STRING, "n_rows": integer(1), "root": OBJECT}
+_NODE_FIELDS = {"counts": _COUNTS, "score": (_SCORE, 0.0), "split": (OBJECT, None),
+                "children": (LIST, ()), "prediction": (ANY, None),
+                "confidence": (ANY, None)}
 
 
 class TreeError(ValueError):
@@ -222,7 +224,7 @@ class DecisionTree:
 
     @classmethod
     def from_json(cls, text: str) -> "DecisionTree":
-        return cls.from_payload(read_json(text, OBJECT, "tree payload", TreeError))
+        return cls.from_payload(read_json(text, ANY, "tree payload", TreeError))
 
     def payload(self) -> dict:
         """The JSON object ``to_json`` writes."""
@@ -245,25 +247,21 @@ class DecisionTree:
         not name (an older payload's node labels and split arity load and
         are ignored).  Splits are checked only here, their branches
         disjoint."""
-        def parse_node(item: Mapping, parent: TreeNode | None) -> TreeNode:
-            counts = check_key(item, "counts", _COUNTS, "tree node", error=TreeError)
-            check_fields(item, _NODE_FIELDS, "tree node", TreeError)
-            node = TreeNode(np.array(counts, dtype=np.int64), 0, 0.0, score=check_key(
-                item, "score", _SCORE, "tree node", 0.0, TreeError))
+        def parse_node(item, parent: TreeNode | None) -> TreeNode:
+            counts, score, split, children, _, _ = read_fields(
+                item, _NODE_FIELDS, "tree node", TreeError).values()
+            node = TreeNode(np.array(counts, dtype=np.int64), 0, 0.0, score=score)
             # an empty node takes its parent's label; the root is never empty
             label = _node_labels(node.counts, *(
                 (parent.prediction, parent.confidence) if parent else (0, 0.0)))
             node.prediction, node.confidence = label[0].item(), label[1].item()
-            if "split" in item:
+            if split is not None:
                 if not sum(counts):
                     raise TreeError("an empty node must be a leaf")
-                s = item["split"]
-                check_fields(s, _SPLIT_FIELDS, "split", TreeError)
-                node.split = Split(
-                    check_key(s, "feature", feature, "split", error=TreeError),
-                    tuple(map(tuple, check_key(s, "branches", _BRANCHES, "split",
-                                               error=TreeError))))
-                node.children = tuple(parse_node(c, node) for c in item["children"])
+                f, branches, _ = read_fields(split, split_fields, "split",
+                                             TreeError).values()
+                node.split = Split(f, tuple(map(tuple, branches)))
+                node.children = tuple(parse_node(c, node) for c in children)
                 if len(node.children) != len(node.split.branches):
                     raise TreeError("a split needs one child per branch")
                 below = [child.counts.tolist() for child in node.children]
@@ -273,36 +271,23 @@ class DecisionTree:
             return node
 
         try:
-            check_fields(payload, _PAYLOAD_FIELDS, "tree payload", TreeError)
-            algorithm = check_key(payload, "algorithm", _ALGORITHM, "tree payload",
-                                  error=TreeError)
-            names = tuple(check_key(payload, "feature_names", NAMES, "tree payload",
-                                    error=TreeError))
-            feature = Rule(f"an index into feature_names, below {len(names)}",
-                           lambda v: NATURAL.test(v) and v < len(names))
-            params = payload["params"]
+            algorithm, params, names, schema_hash, n_rows, root = read_fields(
+                payload, _PAYLOAD_FIELDS, "tree payload", TreeError).values()
+            names = tuple(names)
+            split_fields = {
+                "feature": Rule(f"an index into feature_names, below {len(names)}",
+                                lambda v: NATURAL.test(v) and v < len(names)),
+                "branches": _BRANCHES, "arity": (ANY, None)}
             check_knobs(params, TREE_RULES, "TreeParams", TreeError)
             params = TreeParams(**params)
             _check_grower_knobs(algorithm, params)
-            root = parse_node(payload["root"], None)
-            n_rows = check_key(payload, "n_rows", integer(1), "tree payload",
-                               error=TreeError)
+            root = parse_node(root, None)
             if root.total != n_rows:
                 raise TreeError(f"the root's counts {root.counts.tolist()} do not "
                                 f"total n_rows {n_rows}")
-            return cls(
-                root=root,
-                algorithm=algorithm,
-                params=params,
-                feature_names=names,
-                schema_hash=check_key(payload, "schema_hash", STRING, "tree payload",
-                                      error=TreeError),
-                n_rows=n_rows,
-            )
+            return cls(root, algorithm, params, names, schema_hash, n_rows)
         except TreeError:
             raise
-        except KeyError as e:
-            raise TreeError(f"tree payload has no field {e}") from None
         except (TypeError, ValueError, RecursionError) as e:
             raise TreeError(f"malformed tree payload: {e}") from None
 
@@ -448,8 +433,6 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, resplit: bool,
     width = int(starts[-1])
     dense += starts[:-1]
     y32 = y.astype(np.int32)
-    position = [{c: starts[f] + p for p, c in enumerate(u.tolist())}
-                for f, u in enumerate(universes)]
     choose = chooser(data, params, universes)
     max_depth = math.inf if params.max_depth is None else params.max_depth
 
@@ -487,18 +470,15 @@ def _grow(data: CategoricalTable, params: TreeParams, chooser, resplit: bool,
         # route[slot, dense code] = 1 + the branch that takes the code's rows
         fan = 1 + max(len(chosen[i][2]) for i in split)
         feature = np.zeros(len(batch), dtype=np.intp)
-        at, code, branch = [], [], []
+        route = np.zeros((len(batch), width), dtype=np.intp)
         for i in split:
             _, f, branches = chosen[i]
             feature[i] = f
-            for b, codes in enumerate(branches, 1):
-                for c in codes:
-                    at.append(i)
-                    code.append(position[f][c])
-                    branch.append(b)
-        at, code, branch = np.array(at), np.array(code), np.array(branch)
-        route = np.zeros((len(batch), width), dtype=np.intp)
-        route[at, code] = branch
+            branch_of = {c: b for b, codes in enumerate(branches, 1) for c in codes}
+            route[i, starts[f]:starts[f + 1]] = [branch_of.get(c, 0)
+                                                 for c in universes[f].tolist()]
+        at, code = np.nonzero(route)
+        branch = route[at, code]
         child_counts = np.zeros((len(batch), fan, 2), dtype=np.int64)
         np.add.at(child_counts, (at, branch), cube[at, :, code])
         # one stable sort splits every slot's rows by branch, in row order

@@ -753,6 +753,33 @@ def test_bad_cohort_is_usage_error(tmp_path, capsys, key, value, needle):
     assert not (tmp_path / "ingested").exists()
 
 
+@pytest.mark.parametrize("command, filename, path, key, typo, entry", [
+    ("ingest", "rules.json", ("features", 0), "missing", "mising", "rule features[0]"),
+    ("ingest", "rules.json", ("target",), "missing", "mising", "rule target"),
+    ("compare", "schema.json", (1,), "labels", "label", "schema entry 1"),
+], ids=["feature-rule-mising", "target-rule-mising", "schema-entry-label"])
+def test_misspelled_schema_or_rules_key_is_one_line_error(
+        tmp_path, capsys, command, filename, path, key, typo, entry):
+    """A rule's ``missing`` spelled ``mising`` would keep the rows of its
+    not-reported codes, and a schema entry's ``label`` would drop its labels:
+    either is one error line, and nothing is written."""
+    if command == "ingest":
+        cfg, out = ingest_fixture(tmp_path), tmp_path / "ingested"
+    else:
+        write_fixture(tmp_path)
+        cfg, out = write_config(tmp_path), tmp_path / "artifacts"
+    file = tmp_path / filename
+    payload = json.loads(file.read_text())
+    item = payload
+    for step in path:
+        item = item[step]
+    item[typo] = item.pop(key)
+    file.write_text(json.dumps(payload))
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {entry} has an unknown field {typo!r}\n"
+    assert not out.exists()
+
+
 def test_ingest_cell_outside_int64_is_one_line_error(tmp_path, capsys):
     cfg = ingest_fixture(tmp_path)
     (tmp_path / "raw.csv").write_text("ALIGN,PRE,SEX,SEV\n2,13,1,0\n"

@@ -386,11 +386,11 @@ def test_report_renders_and_repeats():
 
 def test_leaderboard_sort_enforced():
     rows = (
-        LeaderboardRow("low", 40.0, 40.0, {}, (0.4,)),
-        LeaderboardRow("high", 90.0, 90.0, {}, (0.9,)),
+        LeaderboardRow("low", 40.0, 40.0, (0.4,)),
+        LeaderboardRow("high", 90.0, 90.0, (0.9,)),
     )
     with pytest.raises(EvalError):
-        Leaderboard(rows, "0" * 16)
+        Leaderboard(rows)
 
 
 def test_interaction_favors_tree_over_logistic():
@@ -445,8 +445,7 @@ FAMILIES = {
 def test_pool_and_inline_loop_agree(n, m, codes, k, seed, names):
     data = random_table(n, m=m, codes=codes, seed=seed)
     plan = make_folds(n, k, stratified=False, seed=seed)
-    roster = [RosterEntry(name, FAMILIES[name], {"family": name})
-              for name in names]
+    roster = [RosterEntry(name, FAMILIES[name]) for name in names]
     inline = with_cpus(1, comparison_outcome, data, roster, plan)
     pooled = with_cpus(2, comparison_outcome, data, roster, plan)
     assert pooled == inline

@@ -312,7 +312,7 @@ def test_malformed_forest_payload_is_forest_error(defect):
 _FOREST_MESSAGES = {
     "trees-number": "forest payload 'trees' is not a JSON list: 5",
     "trees-text": "forest payload 'trees' is not a JSON list: 'ab'",
-    "tree-without-root": "forest member 0: malformed tree payload: ",
+    "tree-without-root": "forest member 0: tree payload 'root' is not a JSON object: None",
     "tree-without-counts": "forest member 0: tree node has no 'counts' key",
     "second-tree-without-counts": "forest member 1: tree node has no 'counts' key",
     "second-tree-nested-text": "forest member 1: tree node 'counts' is not ",
@@ -386,6 +386,13 @@ _BASELINE_DEFECTS = {
                                     ("decision_list",)),
     "rule-class-two": (lambda p: p["rules"][0].update({"class": 2}),
                        "^decision rule 0 class is not 0 or 1: 2$", ("decision_list",)),
+    # a rule record is read by its field table
+    "rule-unknown-field": (lambda p: p["rules"][0].update(weight=1),
+                           "^decision rule 0 has an unknown field 'weight'$",
+                           ("decision_list",)),
+    "rule-coverage-text": (lambda p: p["rules"][0].update(coverage="x"),
+                           r"^decision rule 0 'coverage' is not an integer in "
+                           r"\[0, 2\*\*63\): 'x'$", ("decision_list",)),
     "default-precision-above-one": (lambda p: p.update(default_precision=1.5),
                                     r"^decision list default precision is not a number "
                                     r"in \[0, 1\]: 1.5$", ("decision_list",)),
@@ -436,7 +443,7 @@ def test_decision_rule_without_literals_is_baseline_error():
     payload = _baseline_payloads()["decision_list"]
     assert payload["rules"]
     del payload["rules"][0]["literals"]
-    with pytest.raises(BaselineError, match="literals"):
+    with pytest.raises(BaselineError, match="^decision rule 0 has no 'literals' key$"):
         model_from_json(json.dumps(payload))
 
 

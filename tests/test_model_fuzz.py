@@ -12,6 +12,9 @@ table of its own levels.
 The same property holds for the other JSON readers: ``schema_from_json``,
 ``RecodeRuleSet.from_json`` and ``EliminationTrace.from_json``, whose
 values must then write themselves out again.
+
+And no reader skips a key it does not know: one key that no format names,
+added to any JSON object of a valid text, is the reader's own error.
 """
 import copy
 import json
@@ -190,3 +193,32 @@ def test_any_schema_rules_or_trace_field_is_read_cleanly(data):
         assert one_line(str(e)), str(e)
         return
     use(value)
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_unknown_key_in_any_object_is_refused(texts, data):
+    """A ``typo_`` key, added to any JSON object of a valid text (the top
+    level, a node, a split, its params, a rule record, a schema entry, a rule,
+    a case, a trace step and so on), is the reader's error in one line."""
+    readers = {**READERS, **{name: (read, error) for name, (_, read, error, _)
+                             in OTHER_READERS.items()}}
+    reader, payload = data.draw(st.sampled_from(
+        texts + [(name, json.loads(OTHER_READERS[name][0]))
+                 for name in sorted(OTHER_READERS)]), label="text")
+    path = data.draw(st.sampled_from([p for p in [(), *field_paths(payload)]
+                                      if isinstance(_at(payload, p), dict)]),
+                     label="object")
+    changed = copy.deepcopy(payload)
+    _at(changed, path)["typo_" + data.draw(LABEL, label="key")] = data.draw(
+        JSON_VALUES, label="value")
+    read, error = readers[reader]
+    with pytest.raises(error) as caught:
+        read(json.dumps(changed))
+    assert one_line(str(caught.value)), str(caught.value)
