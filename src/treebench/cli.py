@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .baselines import (
@@ -48,6 +48,8 @@ from .dataset import (
     optional,
     read_json,
     recode,
+    rules_of,
+    ruled,
     schema_from_json,
     schema_to_json,
 )
@@ -102,54 +104,42 @@ class ConfigError(ValueError):
     """Unusable configuration: exits with the usage-error status."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a command needs, resolved relative to the config file."""
-
-    seed: int
-    out_dir: Path
-    table: Path | None = None
-    schema: Path | None = None
-    raw: Path | None = None
-    rules: Path | None = None
-    strict: bool = True
-    expected_rows: int | None = None
-    cohort: dict | None = None
-    delimiter: str = ","
-    folds: int = 10
-    roster: tuple[str, ...] = DEFAULT_ROSTER
-    roster_params: dict = field(default_factory=dict)
-    forest: dict = field(default_factory=dict)
-    background: int = 64
-    explain_rows: tuple[int, ...] = (0,)
-
-
 _PATHS = ("table", "schema", "raw", "rules")
 _PATH = Rule("a path string", lambda v: isinstance(v, str) and v != "")
 _SEED = Rule("an unsigned 64-bit integer",
              lambda v: INTEGER.test(v) and 0 <= v < 2**64)
+_ROSTER = Rule("a non-empty list, without duplicates, of " + ", ".join(_FAMILIES),
+               lambda v: isinstance(v, list)
+               and all(isinstance(name, str) and name in _FAMILIES for name in v)
+               and 0 < len(v) == len(set(v)))
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Everything a command needs, resolved relative to the config file.  A
+    field's rule checks its config key's JSON value."""
+
+    seed: int = ruled(_SEED)
+    out_dir: Path = ruled(_PATH)
+    table: Path | None = ruled(optional(_PATH), None)
+    schema: Path | None = ruled(optional(_PATH), None)
+    raw: Path | None = ruled(optional(_PATH), None)
+    rules: Path | None = ruled(optional(_PATH), None)
+    strict: bool = ruled(BOOLEAN, True)
+    expected_rows: int | None = ruled(optional(integer(1)), None)
+    cohort: dict | None = ruled(optional(OBJECT), None)
+    delimiter: str = ruled(CHARACTER, ",")
+    folds: int = ruled(integer(2), 10)
+    roster: tuple[str, ...] = ruled(_ROSTER, DEFAULT_ROSTER)
+    roster_params: dict = ruled(OBJECT, factory=dict)
+    forest: dict = ruled(OBJECT, factory=dict)
+    background: int = ruled(integer(1), 64)
+    explain_rows: tuple[int, ...] = ruled(
+        list_of(integer(0), "a non-empty list of integers >= 0", shortest=1), (0,))
+
 
 # The rule of each config key
-_CONFIG_KEYS = {
-    "seed": _SEED,
-    "out_dir": _PATH,
-    **{key: optional(_PATH) for key in _PATHS},
-    "strict": BOOLEAN,
-    "expected_rows": optional(integer(1)),
-    "cohort": optional(OBJECT),
-    "delimiter": CHARACTER,
-    "folds": integer(2),
-    "roster": Rule(
-        "a non-empty list, without duplicates, of " + ", ".join(_FAMILIES),
-        lambda v: isinstance(v, list)
-        and all(isinstance(name, str) and name in _FAMILIES for name in v)
-        and 0 < len(v) == len(set(v))),
-    "roster_params": OBJECT,
-    "forest": OBJECT,
-    "background": integer(1),
-    "explain_rows": list_of(integer(0), "a non-empty list of integers >= 0",
-                            shortest=1),
-}
+_CONFIG_KEYS = rules_of(PipelineConfig)
 _COHORT_KEYS = {"alignment_field": STRING, "curve_codes": CODES,
                 "negotiating_field": STRING, "negotiating_codes": CODES}
 # the forest knobs a config sets: the seed comes from the master seed

@@ -15,7 +15,7 @@ import hashlib
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -135,6 +135,17 @@ def read_fields(item, fields: Mapping, what: str, error: type = DatasetError) ->
     return values
 
 
+def ruled(rule: Rule, default=MISSING, *, factory=MISSING):
+    """A dataclass field whose value, as JSON or as a knob, is checked by ``rule``."""
+    return field(default=default, default_factory=factory, metadata={"rule": rule})
+
+
+def rules_of(cls) -> dict[str, Rule]:
+    """The ``{field: rule}`` table of a dataclass whose every field is ``ruled``,
+    in field order; a field without a rule is a ``KeyError``."""
+    return {f.name: f.metadata["rule"] for f in fields(cls)}
+
+
 def check_knobs(knobs: Mapping, rules: Mapping[str, Rule], owner: str,
                 error: type = DatasetError) -> None:
     """Check every knob of ``owner`` by its rule; a key ``rules`` does not
@@ -224,12 +235,15 @@ def schema_from_json(text: str) -> tuple[FeatureSpec, ...]:
 
 
 def _labels(labels: dict, what: str) -> dict[int, str]:
-    """A ``labels`` object, its keys read as integer codes."""
+    """A ``labels`` object, its keys read as integer codes and its values
+    checked as strings."""
     try:
-        return {int(k): v for k, v in labels.items()}
+        codes = [int(k) for k in labels]
     except ValueError:
         raise DatasetError(f"{what} 'labels' keys are not all integer codes: "
                            f"{_shown(list(labels))}") from None
+    return {code: check(label, STRING, f"{what} label {code}")
+            for code, label in zip(codes, labels.values())}
 
 
 def schema_hash(schema: Sequence[FeatureSpec]) -> str:
@@ -476,9 +490,8 @@ def _check_predicate(rule: str, predicate) -> None:
 _COMBINE = Rule("'first', 'max' or 'min'", lambda v: v in ("first", "max", "min"))
 _DEFAULT = Rule("null, 'drop' or an integer",
                 lambda v: v is None or v == "drop" or _is_integer(v))
-# The fields of a rules file, a rule (``RecodeRule`` checks its default and
-# combine) and a case
-_RULES_FILE = {"features": LIST, "target": OBJECT}
+# The fields of a rule (``RecodeRule`` checks its default and combine) and a
+# case; a rules file's are ``RecodeRuleSet``'s
 _RULE_FIELDS = {"name": STRING, "source": NAMES, "cases": (LIST, []),
                 "missing": (CODES, ()), "default": (ANY, None),
                 "combine": (ANY, "first"), "labels": (OBJECT, {})}
@@ -532,8 +545,8 @@ class RecodeRule:
 class RecodeRuleSet:
     """Ordered recode rules for the predictors plus one rule for the target."""
 
-    features: tuple[RecodeRule, ...]
-    target: RecodeRule
+    features: tuple[RecodeRule, ...] = ruled(LIST)
+    target: RecodeRule = ruled(OBJECT)
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
@@ -576,8 +589,8 @@ class RecodeRuleSet:
             fields["labels"] = _labels(fields["labels"], entry)
             return RecodeRule(**fields)
 
-        features, target = read_fields(read_json(text, ANY, "rules file"), _RULES_FILE,
-                                       "rules file").values()
+        features, target = read_fields(read_json(text, ANY, "rules file"),
+                                       rules_of(cls), "rules file").values()
         return cls(
             features=tuple(parse_rule(r, f"features[{i}]")
                            for i, r in enumerate(features)),

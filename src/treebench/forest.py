@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import (ANY, BOOLEAN, LIST, NAMES, OBJECT, STRING, CategoricalTable,
-                      check_knobs, integer, optional, read_fields, read_json)
+                      check_knobs, integer, optional, read_fields, read_json,
+                      rules_of, ruled)
 from .tree import (DecisionTree, TreeError, TreeNode, TreeParams, _gini_chooser,
                    _grow, node_payload)
 
@@ -22,16 +23,6 @@ class ForestError(ValueError):
     """Raised for invalid forest parameters."""
 
 
-# The rule of each ForestParams field
-FOREST_RULES = {
-    "n_trees": integer(1),
-    "features_per_split": optional(integer(1)),
-    "sample_size": optional(integer(1)),
-    "bootstrap": BOOLEAN,
-    "min_records": integer(1),
-    "max_depth": optional(integer(0)),
-    "seed": integer(0),
-}
 # The fields of a forest payload
 _PAYLOAD_FIELDS = {"params": OBJECT, "feature_names": NAMES, "schema_hash": STRING,
                    "n_rows": integer(2), "trees": LIST}
@@ -44,13 +35,13 @@ class ForestParams:
     sample (every tree sees all rows, still with feature subsampling), so
     it takes no ``sample_size``."""
 
-    n_trees: int = 500
-    features_per_split: int | None = None
-    sample_size: int | None = None
-    bootstrap: bool = True
-    min_records: int = 2
-    max_depth: int | None = None
-    seed: int = 0
+    n_trees: int = ruled(integer(1), 500)
+    features_per_split: int | None = ruled(optional(integer(1)), None)
+    sample_size: int | None = ruled(optional(integer(1)), None)
+    bootstrap: bool = ruled(BOOLEAN, True)
+    min_records: int = ruled(integer(1), 2)
+    max_depth: int | None = ruled(optional(integer(0)), None)
+    seed: int = ruled(integer(0), 0)
 
     def __post_init__(self):
         check_knobs(vars(self), FOREST_RULES, "ForestParams", ForestError)
@@ -70,6 +61,9 @@ class ForestParams:
 
     def tree_params(self) -> TreeParams:
         return TreeParams(min_records=self.min_records, max_depth=self.max_depth)
+
+
+FOREST_RULES = rules_of(ForestParams)
 
 
 def bootstrap_indices(params: ForestParams, n: int, tree_index: int) -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dataset import (ANY, INTEGER, LIST, NAMES, STRING, CategoricalTable, number,
-                      read_fields, read_json)
+                      read_fields, read_json, rules_of, ruled)
 from .evaluation import _cv_result, _fold_labels, _task_pool, make_folds
 from .forest import ForestParams, train_forest, train_forests
 
@@ -372,21 +372,15 @@ class CvSpec:
 
 @dataclass(frozen=True)
 class EliminationStep:
-    active_features: tuple[str, ...]
-    accuracy: float
-    dropped: str
-
-
-_ACCURACY = number("a number in [0, 1]", lambda v: 0 <= v <= 1)
-# The fields of a trace and of its steps
-_TRACE_FIELDS = {"steps": LIST, "selected_index": INTEGER}
-_STEP_FIELDS = {"active_features": NAMES, "accuracy": _ACCURACY, "dropped": STRING}
+    active_features: tuple[str, ...] = ruled(NAMES)
+    accuracy: float = ruled(number("a number in [0, 1]", lambda v: 0 <= v <= 1))
+    dropped: str = ruled(STRING)
 
 
 @dataclass(frozen=True)
 class EliminationTrace:
-    steps: tuple[EliminationStep, ...]
-    selected_index: int
+    steps: tuple[EliminationStep, ...] = ruled(LIST)
+    selected_index: int = ruled(INTEGER)
 
     def __post_init__(self):
         if not self.steps:
@@ -405,28 +399,15 @@ class EliminationTrace:
         return self.steps[self.selected_index].active_features
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "steps": [
-                    {
-                        "active_features": list(s.active_features),
-                        "accuracy": s.accuracy,
-                        "dropped": s.dropped,
-                    }
-                    for s in self.steps
-                ],
-                "selected_index": self.selected_index,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EliminationTrace":
         steps, selected = read_fields(read_json(text, ANY, "trace", ShapError),
-                                      _TRACE_FIELDS, "trace", ShapError).values()
+                                      rules_of(cls), "trace", ShapError).values()
         for i, item in enumerate(steps):
-            names, accuracy, dropped = read_fields(item, _STEP_FIELDS, f"trace step {i}",
-                                                   ShapError).values()
+            names, accuracy, dropped = read_fields(
+                item, rules_of(EliminationStep), f"trace step {i}", ShapError).values()
             steps[i] = EliminationStep(tuple(names), float(accuracy), dropped)
         return cls(tuple(steps), selected)
 

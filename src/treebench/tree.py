@@ -27,28 +27,11 @@ import numpy as np
 from .criteria import _special, chi_square_k2, gini_decrease, info_gain
 from .dataset import (ANY, LIST, NAMES, NATURAL, NATURALS, OBJECT, STRING,
                       CategoricalTable, Rule, check_knobs, integer, number, optional,
-                      read_fields, read_json)
+                      read_fields, read_json, rules_of, ruled)
 
 _GAIN_EPS = 1e-12
 
-# The rule of each TreeParams field
-TREE_RULES = {
-    "min_records": integer(1),
-    "severity": number("a number in (0, 100)", lambda v: 0 < v < 100),
-    "max_depth": optional(integer(0)),
-    "alpha": number("a number in (0, 1)", lambda v: 0 < v < 1),
-    "min_gain": number("a number >= 0", lambda v: v >= 0),
-}
-# The TreeParams fields each grower reads, with their rules; a grower
-# refuses a change to any other field
-GROWER_KNOBS = {grower: {name: TREE_RULES[name] for name in names} for grower, names in {
-    "c50": ("min_records", "severity", "max_depth", "min_gain"),
-    "chaid": ("min_records", "max_depth", "alpha"),
-    "cart": ("min_records", "max_depth"),
-    "quest": ("min_records", "max_depth"),
-}.items()}
-# The knobs a tree payload's algorithm takes: a forest member grows as cart
-_PAYLOAD_KNOBS = {**GROWER_KNOBS, "forest_member": GROWER_KNOBS["cart"]}
+# A tree payload's algorithm; the rule reads ``_PAYLOAD_KNOBS``, set below TreeParams
 _ALGORITHM = Rule("'c50', 'chaid', 'cart', 'quest' or 'forest_member'",
                   lambda v: isinstance(v, str) and v in _PAYLOAD_KNOBS)
 # The rules of the values a tree payload's node and split hold
@@ -88,15 +71,28 @@ class TreeParams:
     that no single feature improves).
     """
 
-    min_records: int = 2
-    severity: float = 75.0
-    max_depth: int | None = None
-    alpha: float = 0.05
-    min_gain: float = _GAIN_EPS
+    min_records: int = ruled(integer(1), 2)
+    severity: float = ruled(number("a number in (0, 100)", lambda v: 0 < v < 100), 75.0)
+    max_depth: int | None = ruled(optional(integer(0)), None)
+    alpha: float = ruled(number("a number in (0, 1)", lambda v: 0 < v < 1), 0.05)
+    min_gain: float = ruled(number("a number >= 0", lambda v: v >= 0), _GAIN_EPS)
 
     def __post_init__(self):
         check_knobs(vars(self), TREE_RULES, "TreeParams", TreeError)
         _confidence_factor(self.severity)
+
+
+TREE_RULES = rules_of(TreeParams)
+# The TreeParams fields each grower reads, with their rules; a grower
+# refuses a change to any other field
+GROWER_KNOBS = {grower: {name: TREE_RULES[name] for name in names} for grower, names in {
+    "c50": ("min_records", "severity", "max_depth", "min_gain"),
+    "chaid": ("min_records", "max_depth", "alpha"),
+    "cart": ("min_records", "max_depth"),
+    "quest": ("min_records", "max_depth"),
+}.items()}
+# The knobs a tree payload's algorithm takes: a forest member grows as cart
+_PAYLOAD_KNOBS = {**GROWER_KNOBS, "forest_member": GROWER_KNOBS["cart"]}
 
 
 class Split(NamedTuple):
@@ -243,10 +239,10 @@ class DecisionTree:
         ``_node_labels`` of its counts.  A payload is refused when its
         ``algorithm``'s grower ignores a knob its ``params`` set, when counts
         do not add up (children to their split, the root to ``n_rows``),
-        when an empty node splits, or when it holds a field the format does
-        not name (an older payload's node labels and split arity load and
-        are ignored).  Splits are checked only here, their branches
-        disjoint."""
+        when an empty node splits, when a leaf lists children, or when it
+        holds a field the format does not name (an older payload's node
+        labels and split arity load and are ignored).  Splits are checked
+        only here, their branches disjoint."""
         def parse_node(item, parent: TreeNode | None) -> TreeNode:
             counts, score, split, children, _, _ = read_fields(
                 item, _NODE_FIELDS, "tree node", TreeError).values()
@@ -255,6 +251,8 @@ class DecisionTree:
             label = _node_labels(node.counts, *(
                 (parent.prediction, parent.confidence) if parent else (0, 0.0)))
             node.prediction, node.confidence = label[0].item(), label[1].item()
+            if split is None and children:
+                raise TreeError("a tree node without a split has children")
             if split is not None:
                 if not sum(counts):
                     raise TreeError("an empty node must be a leaf")

@@ -753,6 +753,24 @@ def test_bad_cohort_is_usage_error(tmp_path, capsys, key, value, needle):
     assert not (tmp_path / "ingested").exists()
 
 
+def _edit_input(tmp_path, filename, path, edit):
+    """Write the fixture of the command that reads ``filename`` (a rules or
+    schema file), apply ``edit`` to the object at ``path`` of that file, and
+    return the command's config and output directory."""
+    if filename == "rules.json":
+        cfg, out = ingest_fixture(tmp_path), tmp_path / "ingested"
+    else:
+        write_fixture(tmp_path)
+        cfg, out = write_config(tmp_path), tmp_path / "artifacts"
+    file = tmp_path / filename
+    payload = item = json.loads(file.read_text())
+    for step in path:
+        item = item[step]
+    edit(item)
+    file.write_text(json.dumps(payload))
+    return cfg, out
+
+
 @pytest.mark.parametrize("command, filename, path, key, typo, entry", [
     ("ingest", "rules.json", ("features", 0), "missing", "mising", "rule features[0]"),
     ("ingest", "rules.json", ("target",), "missing", "mising", "rule target"),
@@ -763,20 +781,26 @@ def test_misspelled_schema_or_rules_key_is_one_line_error(
     """A rule's ``missing`` spelled ``mising`` would keep the rows of its
     not-reported codes, and a schema entry's ``label`` would drop its labels:
     either is one error line, and nothing is written."""
-    if command == "ingest":
-        cfg, out = ingest_fixture(tmp_path), tmp_path / "ingested"
-    else:
-        write_fixture(tmp_path)
-        cfg, out = write_config(tmp_path), tmp_path / "artifacts"
-    file = tmp_path / filename
-    payload = json.loads(file.read_text())
-    item = payload
-    for step in path:
-        item = item[step]
-    item[typo] = item.pop(key)
-    file.write_text(json.dumps(payload))
+    cfg, out = _edit_input(tmp_path, filename, path,
+                           lambda item: item.update({typo: item.pop(key)}))
     assert cli.main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {entry} has an unknown field {typo!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, filename, path, label, needle", [
+    ("ingest", "rules.json", ("features", 0), [1, 2],
+     "rule features[0] label 0 is not a JSON string: [1, 2]"),
+    ("compare", "schema.json", (1,), 5, "schema entry 1 label 0 is not a JSON string: 5"),
+], ids=["rule-list-label", "schema-number-label"])
+def test_label_that_is_not_a_string_is_one_line_error(
+        tmp_path, capsys, command, filename, path, label, needle):
+    """A label that is not a JSON string was written to the schema as its
+    Python ``str``: it is one error line, and nothing is written."""
+    cfg, out = _edit_input(tmp_path, filename, path,
+                           lambda item: item.update(labels={"0": label}))
+    assert cli.main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {needle}\n"
     assert not out.exists()
 
 

@@ -2,12 +2,15 @@
 import csv
 import json
 import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from treebench.cli import PipelineConfig
 from treebench.dataset import (
+    INTEGER,
     CategoricalTable,
     DatasetError,
     FeatureSpec,
@@ -15,6 +18,7 @@ from treebench.dataset import (
     RecodeAudit,
     RecodeRule,
     RecodeRuleSet,
+    Rule,
     SyntheticRules,
     binary_schema,
     feature,
@@ -24,15 +28,40 @@ from treebench.dataset import (
     planted_interaction_rules,
     planted_relevance_rules,
     recode,
+    rules_of,
+    ruled,
     schema_from_json,
     schema_hash,
     schema_to_json,
 )
+from treebench.forest import ForestParams
+from treebench.shapley import EliminationStep, EliminationTrace
+from treebench.tree import TreeParams
 
 
 def write_csv(path, text):
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize("cls", [TreeParams, ForestParams, PipelineConfig, EliminationStep,
+                                 EliminationTrace, RecodeRuleSet], ids=lambda c: c.__name__)
+def test_every_field_of_a_ruled_record_carries_its_rule(cls):
+    """The knob, config and file tables are their dataclass's rules, so a
+    field is named once; the table's order, which error lines list, is the
+    field order."""
+    assert all(isinstance(f.metadata.get("rule"), Rule) for f in fields(cls))
+    assert list(rules_of(cls)) == [f.name for f in fields(cls)]
+
+
+def test_a_field_without_a_rule_has_no_rules_table():
+    @dataclass
+    class Knobs:
+        checked: int = ruled(INTEGER, 1)
+        unchecked: int = 2
+
+    with pytest.raises(KeyError, match="rule"):
+        rules_of(Knobs)
 
 
 class TestFeatureSpec:
@@ -65,6 +94,15 @@ class TestFeatureSpec:
         with pytest.raises(DatasetError, match="'labels' keys are not all integer") as info:
             schema_from_json(json.dumps(payload))
         assert "\n" not in str(info.value) and len(str(info.value)) <= 300
+
+    def test_schema_json_label_value_must_be_a_string(self):
+        # any other value was stored as its Python str
+        payload = json.loads(schema_to_json((feature("grade", (0, 1)),)))
+        payload[0]["labels"] = {"0": {"a": [1, None]}, "1": "one"}
+        with pytest.raises(DatasetError) as info:
+            schema_from_json(json.dumps(payload))
+        assert str(info.value) == (
+            "schema entry 0 label 0 is not a JSON string: {'a': [1, None]}")
 
     def test_schema_json_duplicate_names_rejected(self):
         # the table loader would read the shared column twice
@@ -342,8 +380,11 @@ class TestRecode:
         ("default", 1.5, "'default' is not null, 'drop' or an integer: 1.5"),
         ("labels", {"0": "low", "x": "high"},
          "rule features\\[0\\] 'labels' keys are not all integer codes"),
+        ("labels", {"0": [1, 2]},
+         "^rule features\\[0\\] label 0 is not a JSON string: \\[1, 2\\]$"),
     ], ids=["source-entry", "source-string", "missing-bool", "code-list",
-            "when-not-object", "when-absent", "default-float", "label-key"])
+            "when-not-object", "when-absent", "default-float", "label-key",
+            "label-value"])
     def test_rules_json_field_types(self, key, value, match):
         payload = json.loads(speed_year_rules().to_json())
         payload["features"][0][key] = value

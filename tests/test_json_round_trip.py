@@ -149,6 +149,12 @@ def _inflate_child(payload):
     payload["root"]["children"][0]["counts"][0] += 50
 
 
+def _first_leaf(node):
+    while "split" in node:
+        node = node["children"][0]
+    return node
+
+
 _TREE_DEFECTS = {
     "no-root": lambda p: p.pop("root"),
     "unknown-param": lambda p: p["params"].update(cost=[[0, 1], [1, 0]]),
@@ -158,6 +164,9 @@ _TREE_DEFECTS = {
     "split-without-children": lambda p: p["root"].pop("children"),
     "one-child-two-branches": lambda p: _drop_child(p["root"]),
     "extra-child": lambda p: p["root"]["children"].append(p["root"]["children"][0]),
+    # a leaf that lists children, which loading used to drop
+    "leaf-with-children": lambda p: _first_leaf(p["root"]).update(
+        children=[{"counts": [1, 0]}]),
     # a split feature outside feature_names, counts that are not two
     # non-negative integers totalling below 2**63, branch codes that are not
     # such integers, a split of one branch or of branches that share a code,
@@ -197,6 +206,17 @@ def test_malformed_tree_payload_is_tree_error(defect):
         DecisionTree.from_json(json.dumps(payload))
     assert "\n" not in str(info.value) and len(str(info.value)) <= 300
     with pytest.raises(TreeError):
+        DecisionTree.from_payload(payload)
+
+
+def test_leaf_with_children_is_refused_and_without_them_loads():
+    payload = _tree_payload()
+    leaf = _first_leaf(payload["root"])
+    leaf["children"] = []
+    text = DecisionTree.from_payload(payload).to_json()
+    assert text == DecisionTree.from_json(json.dumps(_tree_payload())).to_json()
+    leaf["children"] = [{"counts": [99, 99]}, "junk", 5]
+    with pytest.raises(TreeError, match="^a tree node without a split has children$"):
         DecisionTree.from_payload(payload)
 
 
@@ -286,6 +306,8 @@ _FOREST_DEFECTS = {
     "tree-counts-text": lambda p: p["trees"][1].update(counts="x"),
     "tree-counts-past-int64": lambda p: p["trees"][1].update(counts=[2**70, 0]),
     "tree-one-child-two-branches": lambda p: _drop_child(p["trees"][0]),
+    "second-tree-leaf-with-children": lambda p: _first_leaf(p["trees"][1]).update(
+        children=[{"counts": [1, 0]}]),
     "feature-names-text": lambda p: p.update(feature_names="abc"),
     "feature-names-numbers": lambda p: p.update(feature_names=[1, 2, 3]),
     "schema-hash-number": lambda p: p.update(schema_hash=5),
@@ -316,6 +338,8 @@ _FOREST_MESSAGES = {
     "tree-without-counts": "forest member 0: tree node has no 'counts' key",
     "second-tree-without-counts": "forest member 1: tree node has no 'counts' key",
     "second-tree-nested-text": "forest member 1: tree node 'counts' is not ",
+    "second-tree-leaf-with-children":
+        "forest member 1: a tree node without a split has children",
 }
 
 

@@ -12,7 +12,8 @@ text with whole member payloads is refused.
 
 The ``elimination.json`` that ``select-features`` writes for one small
 planted table is pinned at two seeds as well; each step's accuracy comes
-from that step's fold forests.
+from that step's fold forests.  So is the text of a hand-built two-step
+trace.
 """
 import json
 
@@ -36,6 +37,7 @@ from treebench.dataset import (
     schema_to_json,
 )
 from treebench.forest import Forest, ForestError, ForestParams
+from treebench.shapley import EliminationStep, EliminationTrace
 from treebench.tree import DecisionTree, Split, TreeNode, TreeParams
 
 HASH = "0123456789abcdef"
@@ -560,6 +562,23 @@ ELIMINATION_TEXT = {
         '"dropped": "f01"}]}\n'
     ),
 }
+
+
+TRACE_TEXT = (
+    '{"selected_index": 0, "steps": [{"accuracy": 0.7166666666666667, '
+    '"active_features": ["speed", "grade"], "dropped": "grade"}, '
+    '{"accuracy": 0.5, "active_features": ["speed"], "dropped": "speed"}]}'
+)
+
+
+def test_trace_payload_bytes():
+    """A trace's text: sorted keys on one line, each step's names a list,
+    a numpy accuracy written as its float."""
+    trace = EliminationTrace((
+        EliminationStep(("speed", "grade"), np.float64(43) / 60, "grade"),
+        EliminationStep(("speed",), 0.5, "speed")), selected_index=0)
+    assert trace.to_json() == TRACE_TEXT
+    assert EliminationTrace.from_json(TRACE_TEXT) == trace
 
 
 @pytest.mark.parametrize("seed", sorted(ELIMINATION_TEXT))
